@@ -33,6 +33,7 @@ from .glm import DesignMatrix, GlmFit, fit_glm, predict, rcs_basis
 from .msm import (
     DoseResponseTable,
     MsmSpec,
+    Plan,
     WeightOptions,
     analyze_cohort,
     bootstrap_pipeline,

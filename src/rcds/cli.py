@@ -22,11 +22,23 @@ from .study import run_coverage
 from .weights import MonitorFeatureSpec
 
 
+def _number(block, key, default=None, kind=float):
+    """``block[key]`` (or ``default``) as ``kind``; a missing required value
+    or one that is not a number is a :class:`ConfigError`."""
+    value = block.get(key, default)
+    if value is None:
+        raise ConfigError(f"config needs a value for {key!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+
+
 def _grid_from(block):
     return StrategyGrid.default(
-        x_start=float(block.get("x_start", 200)),
-        x_stop=float(block.get("x_stop", 500)),
-        x_step=float(block.get("x_step", 10)),
+        x_start=_number(block, "x_start", 200),
+        x_stop=_number(block, "x_stop", 500),
+        x_step=_number(block, "x_step", 10),
         window_below=tuple(block.get("window_below", (2, 7))),
         window_above=tuple(block.get("window_above", (8, 13))),
         override_window=tuple(block.get("override_window", (2, 7))),
@@ -51,18 +63,19 @@ def _wopts_from(block):
     feat = block.get("features", {})
     spec = MonitorFeatureSpec(
         marker=feat.get("marker", "rcs"),
-        marker_knots=int(feat.get("marker_knots", 3)),
+        marker_knots=_number(feat, "marker_knots", 3, int),
         gap=feat.get("gap", "linear"),
-        gap_cap=int(feat.get("gap_cap", 13)),
+        gap_cap=_number(feat, "gap_cap", 13, int),
         override=bool(feat.get("override", True)),
         month=feat.get("month", "none"),
         baseline=tuple(feat.get("baseline", ())),
     )
-    trunc = block.get("truncation")
     return WeightOptions(
         numerator=block.get("numerator", "one"),
-        truncation=float(trunc) if trunc is not None else None,
+        truncation=None if block.get("truncation") is None
+        else _number(block, "truncation"),
         weighting=block.get("weighting", "ip"),
+        scheme=block.get("scheme", "censoring"),
         monitor_spec=spec,
     )
 
@@ -100,7 +113,7 @@ def run(config):
 
     if config.mode == "simulate":
         params = _dgp_from(config.section("dgp"), seed)
-        n = int(config.raw.get("n", 1000))
+        n = _number(config.raw, "n", 1000, int)
         cohort = simulate_cohort(params, n, seed=seed)
         rio.cohort_to_csv(cohort, out / "cohort.csv")
         rio.dump_yaml(params.to_dict(), out / "dgp.yaml")
@@ -110,27 +123,26 @@ def run(config):
     if config.mode == "oracle":
         params = _dgp_from(config.section("dgp"), seed)
         grid = _grid_from(config.section("grid"))
-        n_mc = int(config.raw.get("n_mc", 100_000))
+        n_mc = _number(config.raw, "n_mc", 100_000, int)
         rule = config.raw.get("rule", "earliest")
-        numerator = config.raw.get("numerator", "marginal")
-        truth = oracle_truth(params, grid, n_mc, rule=rule, seed=seed,
-                             numerator=numerator)
+        truth = oracle_truth(params, grid, n_mc, rule=rule, seed=seed)
         rio.truth_to_csv(truth, out / "truth.csv")
         print(f"wrote {out / 'truth.csv'} (rule={rule}, n_mc={n_mc})")
         return 0
 
     if config.mode in ("analyze", "frontier"):
+        if config.mode == "analyze":
+            kappa = _number(config.raw, "kappa")
         cohort = _load_cohort(config)
         grid = _grid_from(config.section("grid"))
         spec = _msm_from(config.section("msm"))
         wopts = _wopts_from(config.section("weights"))
-        B = int(config.raw.get("bootstrap", 0))
+        B = _number(config.raw, "bootstrap", 0, int)
         point = bootstrap_pipeline(cohort, grid, spec, wopts, B=B, seed=seed) \
             if B > 0 else analyze_cohort(cohort, grid, spec, wopts)
         table = point.table
 
         if config.mode == "analyze":
-            kappa = float(config.raw["kappa"])
             sel = select(table, kappa)
             rio.report_to_csv(table, out / "report.csv", selection=sel)
             rio.dump_yaml(sel.to_dict(), out / "selection.yaml")
@@ -149,7 +161,8 @@ def run(config):
                   f"{sel.chosen_x if sel.chosen_x is not None else 'none'}")
             return 0
 
-        kappas = [float(v) for v in config.raw.get("kappa_grid", [])]
+        kappas = _number(config.raw, "kappa_grid", [],
+                         lambda vs: [float(v) for v in vs])
         if not kappas:
             raise ConfigError("frontier mode needs a kappa_grid")
         fr = frontier(table, kappas)
@@ -187,13 +200,13 @@ def run(config):
         wopts = _wopts_from(config.section("weights"))
         res = run_coverage(
             params, grid,
-            x_value=float(config.raw.get("x_value", 350)),
-            n_cohorts=int(config.raw.get("n_cohorts", 200)),
-            n=int(config.raw.get("n", 2000)),
-            B=int(config.raw.get("bootstrap", 200)),
+            x_value=_number(config.raw, "x_value", 350),
+            n_cohorts=_number(config.raw, "n_cohorts", 200, int),
+            n=_number(config.raw, "n", 2000, int),
+            B=_number(config.raw, "bootstrap", 200, int),
             seed=seed, spec=spec, wopts=wopts,
-            oracle_n_mc=int(config.raw.get("oracle_n_mc", 200_000)),
-            oracle_rule=config.raw.get("oracle_rule", "conditional"),
+            oracle_n_mc=_number(config.raw, "oracle_n_mc", 200_000, int),
+            oracle_rule=config.raw.get("oracle_rule", "natural"),
         )
         with open(out / "coverage.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -246,6 +259,10 @@ def main(argv=None):
         print(f"error: {err}", file=sys.stderr)
         print(f"error_code={err.code}", file=sys.stderr)
         return err.exit_code
+    except Exception as err:  # a fault of the program: still a final code
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        print(f"error_code={RcdsError.code}", file=sys.stderr)
+        return RcdsError.exit_code
 
 
 if __name__ == "__main__":

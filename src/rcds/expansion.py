@@ -40,10 +40,6 @@ class ExpandedDataset:
     def horizon(self):
         return self.cohort.horizon
 
-    def cohort_row(self):
-        """Index into the cohort's flat row arrays for every expanded row."""
-        return self.cohort.offsets[self.subject_idx] + self.t
-
 
 def _cumulative_measurements(cohort):
     flat = np.cumsum(cohort.monitor.astype(np.int64))
@@ -128,7 +124,7 @@ def horizon_responses(ds):
 
 def horizon_table(cohort, grid, horizons=None):
     """Direct computation of :func:`horizon_responses` without materializing
-    person-strategy-month rows; used by the bootstrap hot path."""
+    person-strategy-month rows; the estimator plan's horizon rows."""
     if horizons is None:
         horizons = horizon_matrix(cohort, grid)
     K = cohort.horizon

@@ -290,24 +290,6 @@ def truth_to_csv(truth, path):
             ])
 
 
-def truth_from_csv(path):
-    from .simulate import TruthTable
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    cols = list(zip(*rows))
-    return TruthTable(
-        xs=np.array([float(v) for v in cols[0]]),
-        risk=np.array([float(v) for v in cols[1]]),
-        risk_mcse=np.array([float(v) for v in cols[2]]),
-        usage=np.array([float(v) for v in cols[3]]),
-        usage_mcse=np.array([float(v) for v in cols[4]]),
-        rule="", n_mc=0,
-    )
-
-
 def expanded_to_csv(ds, path, weights=None):
     """Audit dump of the person-strategy-month table."""
     xs = ds.grid.xs
@@ -359,8 +341,14 @@ class RunConfig:
 
 
 def load_config(path):
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read config: {err.strerror}") \
+            from None
+    except yaml.YAMLError as err:
+        raise ConfigError(f"{path}: config is not valid YAML: {err}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     mode = raw.get("mode")

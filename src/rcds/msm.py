@@ -6,13 +6,21 @@ log-binomial surrogate whose variance misspecification is harmless because
 intervals come from the bootstrap) and one for the measurement count. The
 strategy enters through a restricted cubic spline; baseline covariates are
 adjusted for and then standardized out against the cohort's empirical
-baseline distribution. The subject-level bootstrap re-runs the entire
-pipeline, including the monitoring-model fit, inside every replicate.
+baseline distribution.
+
+The estimator runs through one :class:`Plan` per cohort. The plan builds
+once what does not depend on the case weights: the horizon table, the
+monitoring design and its marker knots, the weight-factor row layout and the
+MSM design. ``Plan.run(None)`` is the point estimate; the subject-level
+bootstrap calls ``Plan.run(multiplicity)`` per replicate, which refits the
+monitoring model, rebuilds the weights and refits both MSMs. Every weight
+option (scheme, numerator, truncation, unweighted) takes this path. The
+row-level functions :func:`fit_outcome_msm` and :func:`fit_resource_msm`
+fit the same MSMs on an expanded, weighted dataset; they are kept as the
+reference the plan is tested against.
 """
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +35,16 @@ from .errors import (
     RankError,
     SeparationError,
 )
-from .expansion import expand, horizon_table
+from .expansion import horizon_table
 from .glm import POISSON_LOG, DesignMatrix, GlmFit, fit_glm, rcs_basis
 from .strategies import horizon_matrix
 from .weights import (
+    CensoringWeightPlan,
     MonitorFeatureSpec,
-    attach_weights,
-    clone_horizon_weights,
+    at_risk_weight_summary,
     fit_monitor_model,
-    weight_summary,
+    marginal_rates,
+    monitor_design,
 )
 
 DEGENERATE_ETA = -30.0
@@ -71,6 +80,15 @@ class WeightOptions:
     weighting: str = "ip"         # "ip" | "none" (diagnostic, unweighted)
     scheme: str = "censoring"     # "censoring" | "decision"
     monitor_spec: MonitorFeatureSpec = MonitorFeatureSpec()
+
+    def __post_init__(self):
+        for name, allowed in (("numerator", ("one", "marginal")),
+                              ("weighting", ("ip", "none")),
+                              ("scheme", ("censoring", "decision"))):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}")
+        if self.truncation is not None and not 0 < self.truncation <= 100:
+            raise ConfigError("truncation percentile must be in (0, 100]")
 
 
 @dataclass
@@ -153,7 +171,7 @@ def _pinned_subjects(cohort, pinned):
 
 
 def _fit_horizon_msm(cohort, grid, spec, subject_idx, x_idx, response, weights,
-                     compute_se=True):
+                     compute_se=True, design=None, start=None):
     """Weighted Poisson fit of horizon responses on spline(x) + baseline terms.
 
     A categorical baseline level with no weighted event among the kept rows
@@ -165,58 +183,63 @@ def _fit_horizon_msm(cohort, grid, spec, subject_idx, x_idx, response, weights,
     other coefficients are fit on the remaining rows, and ``fit.pinned``
     names the level so that :func:`standardize` predicts
     ``exp(DEGENERATE_ETA)`` for its subjects.
+
+    ``design`` is the MSM design of all the given rows, when the caller has
+    built it once for many fits. Unless a level is pinned, the fit then runs
+    on it with the rows that drop out at weight zero, from ``start``.
     """
     keep = ~np.isnan(response) & (weights > 0)
-    subject_idx, x_idx = subject_idx[keep], x_idx[keep]
-    response, weights = response[keep], weights[keep]
-    if response.size == 0:
+    if not keep.any():
         raise ConfigError("no usable horizon responses")
     pinned = ()
-    if np.any(response > 0):
-        pinned = _event_free_levels(cohort, spec.baseline_terms, subject_idx,
-                                    response)
+    if np.any(response[keep] > 0):
+        pinned = _event_free_levels(cohort, spec.baseline_terms,
+                                    subject_idx[keep], response[keep])
     if pinned:
-        live = ~_pinned_subjects(cohort, pinned)[subject_idx]
-        subject_idx, x_idx = subject_idx[live], x_idx[live]
-        response, weights = response[live], weights[live]
-    if np.unique(x_idx).size < 2:
+        keep &= ~_pinned_subjects(cohort, pinned)[subject_idx]
+    if np.unique(x_idx[keep]).size < 2:
         raise ConfigError(
             "horizon responses cover fewer than 2 distinct thresholds; the "
             "strategy curve is not identifiable"
         )
-    knots = spec.knots_for(grid)
-    base_X, base_names = baseline_design(cohort, spec.baseline_terms, pinned)
-    design = _msm_design(grid.xs[x_idx], knots, base_X[subject_idx],
-                         base_names, weights)
+    if design is None or pinned:
+        base_X, base_names = baseline_design(cohort, spec.baseline_terms,
+                                             pinned)
+        design = _msm_design(grid.xs[x_idx[keep]], spec.knots_for(grid),
+                             base_X[subject_idx[keep]], base_names,
+                             weights[keep])
+        response, start = response[keep], None
+    else:
+        design = DesignMatrix(design.X, design.columns,
+                              np.where(keep, weights, 0.0))
+        response = np.where(keep, response, 0.0)
     if not np.any(response > 0):
         warnings.warn(
             "all horizon responses are zero; returning a curve pinned at zero",
             DegenerateResponse,
         )
         return _degenerate_fit(design.columns)
-    fit = fit_glm(design, response, POISSON_LOG, compute_se=compute_se)
+    fit = fit_glm(design, response, POISSON_LOG, compute_se=compute_se,
+                  start=start)
     fit.pinned = pinned
     return fit
 
 
-def fit_outcome_msm(wds, spec=MsmSpec()):
-    """Outcome MSM: weighted Poisson regression of failure at the horizon."""
+def _fit_at_horizon(wds, spec, response):
     ds = wds.ds
     mask = (ds.t == ds.horizon) & (ds.at_risk == 1)
-    return _fit_horizon_msm(
-        ds.cohort, ds.grid, spec, ds.subject_idx[mask], ds.x_idx[mask],
-        ds.response_y[mask], wds.w[mask],
-    )
+    return _fit_horizon_msm(ds.cohort, ds.grid, spec, ds.subject_idx[mask],
+                            ds.x_idx[mask], response[mask], wds.w[mask])
+
+
+def fit_outcome_msm(wds, spec=MsmSpec()):
+    """Outcome MSM: weighted Poisson regression of failure at the horizon."""
+    return _fit_at_horizon(wds, spec, wds.ds.response_y)
 
 
 def fit_resource_msm(wds, spec=MsmSpec()):
     """Resource MSM: weighted log-linear regression of the measurement count."""
-    ds = wds.ds
-    mask = (ds.t == ds.horizon) & (ds.at_risk == 1)
-    return _fit_horizon_msm(
-        ds.cohort, ds.grid, spec, ds.subject_idx[mask], ds.x_idx[mask],
-        ds.response_d[mask].astype(np.float64), wds.w[mask],
-    )
+    return _fit_at_horizon(wds, spec, wds.ds.response_d.astype(np.float64))
 
 
 def standardize(fit, cohort, grid, spec=MsmSpec(), multiplicity=None):
@@ -251,41 +274,106 @@ def standardize(fit, cohort, grid, spec=MsmSpec(), multiplicity=None):
     return out
 
 
-def _curves(fits, cohort, grid, spec, multiplicity=None):
-    """Standardized ``(risk, usage)`` from the outcome and resource fits."""
-    return tuple(standardize(f, cohort, grid, spec, multiplicity) for f in fits)
+_REPLICATE_ERRORS = (SeparationError, NonConvergence, RankError,
+                     PositivityViolation, ConfigError)
 
 
-def _msm_fits(cohort, grid, spec, wopts, horizons, multiplicity=None):
-    """Outcome and resource MSM fits on (possibly multiplicity-weighted) data."""
-    ht = horizon_table(cohort, grid, horizons)
-    if wopts.weighting == "none":
-        w = np.ones(ht.subject_idx.size)
-    else:
-        model = fit_monitor_model(cohort, wopts.monitor_spec, multiplicity)
-        w_clone = clone_horizon_weights(cohort, model, grid, wopts.numerator,
-                                        wopts.scheme, multiplicity)
-        w = w_clone[ht.subject_idx, ht.x_idx]
-    if wopts.truncation is not None and w.size:
-        cap = np.percentile(
-            np.repeat(w, multiplicity[ht.subject_idx].astype(np.int64))
-            if multiplicity is not None else w,
-            wopts.truncation,
-        )
-        w = np.minimum(w, cap)
-    if multiplicity is not None:
-        w = w * multiplicity[ht.subject_idx]
-    fit_y = _fit_horizon_msm(cohort, grid, spec, ht.subject_idx, ht.x_idx,
-                             ht.y, w)
-    fit_d = _fit_horizon_msm(cohort, grid, spec, ht.subject_idx, ht.x_idx,
-                             ht.d, w)
-    return fit_y, fit_d
+def _warm_start(fit, columns):
+    """A fit's coefficients as IRLS starting values for later fits on the
+    full design; None for a degenerate fit or one on a reduced design."""
+    if fit.degenerate or fit.columns != columns:
+        return None
+    return fit.coef
 
 
-def _curves_for(cohort, grid, spec, wopts, horizons, multiplicity=None):
-    """One full pipeline pass on (possibly multiplicity-weighted) data."""
-    fits = _msm_fits(cohort, grid, spec, wopts, horizons, multiplicity)
-    return _curves(fits, cohort, grid, spec, multiplicity)
+class Plan:
+    """One cohort's estimator, with everything its runs share built once.
+
+    The plan holds the horizon table, the monitoring design with its marker
+    knots, the weight-factor row layout of the chosen scheme and the MSM
+    design. :meth:`run` fits the monitoring model with the run's case
+    weights, builds the horizon weights from the fixed factor rows
+    (numerator, truncation), fits both MSMs on the fixed design with the
+    run's weights and standardizes them: the point estimate and every
+    bootstrap replicate take this one path, whatever the weight options.
+    """
+
+    def __init__(self, cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
+        self.cohort, self.grid, self.spec, self.wopts = cohort, grid, spec, wopts
+        self.horizons = horizon_matrix(cohort, grid)
+        self.ht = horizon_table(cohort, grid, self.horizons)
+        base_X, base_names = baseline_design(cohort, spec.baseline_terms)
+        self.msm_design = _msm_design(
+            grid.xs[self.ht.x_idx], spec.knots_for(grid),
+            base_X[self.ht.subject_idx], base_names,
+            np.ones(self.ht.x_idx.size))
+        self.monitor = self.factors = None
+        if wopts.weighting == "ip":
+            self.monitor = monitor_design(cohort, wopts.monitor_spec)
+            self.factors = CensoringWeightPlan(cohort, grid, wopts.scheme)
+        self.monitor_model = None  # the point estimate's, once run
+        self.starts = (None, None, None)  # monitor, outcome, resource
+
+    def _horizon_weights(self, multiplicity):
+        """Case weights of the horizon rows, and the monitoring model."""
+        ht, wopts = self.ht, self.wopts
+        model = None
+        if self.monitor is None:
+            w = np.ones(ht.subject_idx.size)
+        else:
+            model = fit_monitor_model(self.cohort, wopts.monitor_spec,
+                                      multiplicity, design=self.monitor,
+                                      start=self.starts[0],
+                                      compute_se=multiplicity is None)
+            p1 = np.full(self.cohort.n_rows, np.nan)
+            p1[self.cohort.decision_rows()] = self.monitor.probabilities(model)
+            rates = marginal_rates(self.cohort, multiplicity) \
+                if wopts.numerator == "marginal" else None
+            w = self.factors.horizon_weights(p1, rates)[ht.subject_idx,
+                                                        ht.x_idx]
+        if wopts.truncation is not None and w.size:
+            cap = np.percentile(
+                np.repeat(w, multiplicity[ht.subject_idx].astype(np.int64))
+                if multiplicity is not None else w,
+                wopts.truncation,
+            )
+            w = np.minimum(w, cap)
+        if multiplicity is not None:
+            w = w * multiplicity[ht.subject_idx]
+        return w, model
+
+    def fit(self, multiplicity=None):
+        """The monitoring model (None when unweighted) and the outcome and
+        resource MSM fits for one set of subject multiplicities.
+
+        ``None`` gives the point fits; they are kept as :attr:`monitor_model`
+        and as warm starts for the replicates that follow.
+        """
+        w, model = self._horizon_weights(multiplicity)
+        ht = self.ht
+        fit_y, fit_d = (
+            _fit_horizon_msm(self.cohort, self.grid, self.spec, ht.subject_idx,
+                             ht.x_idx, response, w, compute_se=False,
+                             design=self.msm_design, start=start)
+            for response, start in ((ht.y, self.starts[1]),
+                                    (ht.d, self.starts[2])))
+        if multiplicity is None:
+            self.monitor_model = model
+            columns = self.msm_design.columns
+            self.starts = (
+                None if model is None else
+                _warm_start(model.fit, self.monitor.matrix.columns),
+                _warm_start(fit_y, columns), _warm_start(fit_d, columns))
+        return model, fit_y, fit_d
+
+    def run(self, multiplicity=None):
+        """Standardized ``(risk, usage)`` curves, and whether either MSM
+        pinned a baseline level, for one set of subject multiplicities;
+        ``None`` gives the point estimate (see :meth:`fit`)."""
+        _, fit_y, fit_d = self.fit(multiplicity)
+        risk, usage = (standardize(f, self.cohort, self.grid, self.spec,
+                                   multiplicity) for f in (fit_y, fit_d))
+        return risk, usage, bool(fit_y.pinned or fit_d.pinned)
 
 
 @dataclass
@@ -295,176 +383,25 @@ class PointAnalysis:
     table: DoseResponseTable
     monitor_model: object
     weights: object
-    weighted: object
+    plan: Plan
 
 
 def analyze_cohort(cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
-    """Expand, weight, fit both MSMs, and standardize; no bootstrap.
+    """Point estimates: :meth:`Plan.run` without multiplicities; no bootstrap.
 
-    Uses the row-level expanded dataset so weight diagnostics reflect the
-    full person-strategy-month table.
+    The weight diagnostics describe the full person-strategy-month table,
+    as :func:`rcds.weights.at_risk_weight_summary` reads it off the
+    strategies' factor paths.
     """
-    ds = expand(cohort, grid)
-    if wopts.weighting == "none":
-        monitor_model = None
-        wds = attach_weights_unit(ds)
-    else:
-        monitor_model = fit_monitor_model(cohort, wopts.monitor_spec)
-        wds = attach_weights(ds, monitor_model, wopts.numerator,
-                             wopts.truncation, wopts.scheme)
-    fit_y = fit_outcome_msm(wds, spec)
-    fit_d = fit_resource_msm(wds, spec)
-    risk = standardize(fit_y, cohort, grid, spec)
-    usage = standardize(fit_d, cohort, grid, spec)
-    ht = horizon_table(cohort, grid, ds.horizons)
-    n_atrisk = ht.uncensored.sum(axis=0)
+    plan = Plan(cohort, grid, spec, wopts)
+    risk, usage, _ = plan.run(None)
+    n_atrisk = plan.ht.uncensored.sum(axis=0)
     table = DoseResponseTable.point_only(grid.xs, risk, usage, n_atrisk)
-    return PointAnalysis(table=table, monitor_model=monitor_model,
-                         weights=weight_summary(wds), weighted=wds)
-
-
-def attach_weights_unit(ds):
-    """All-ones weights wrapper for unweighted comparison runs."""
-    from .weights import WeightedExpandedDataset
-
-    return WeightedExpandedDataset(
-        ds=ds, w=np.ones(ds.n_rows), numerator="one", scheme="none",
-        truncation=None, truncated_fraction=0.0, model=None,
-    )
-
-
-_REPLICATE_ERRORS = (SeparationError, NonConvergence, RankError,
-                     PositivityViolation, ConfigError)
-
-
-class _BootstrapEngine:
-    """Precomputed replicate machinery for the censoring-scheme pipeline.
-
-    Every structure that does not depend on the resample (designs, horizon
-    table, weight-factor row layout) is built once; a replicate only refits
-    the two GLM stages with new case weights and re-aggregates fixed
-    log-probability contributions.
-    """
-
-    def __init__(self, cohort, grid, spec, wopts, horizons):
-        from .weights import (
-            CensoringWeightPlan,
-            _decision_state,
-            _marker_knots,
-            _monitor_design,
-        )
-
-        if wopts.scheme != "censoring" or wopts.numerator != "one" or \
-                wopts.truncation is not None or wopts.weighting != "ip":
-            raise ConfigError("fast path supports censoring/one weights only")
-        self.cohort = cohort
-        self.grid = grid
-        self.spec = spec
-        self.wopts = wopts
-        self.ht = horizon_table(cohort, grid, horizons)
-        self.plan = CensoringWeightPlan(cohort, grid)
-
-        state = _decision_state(cohort)
-        self.mon_response = state["monitored"].astype(np.float64)
-        self.mon_subject = state["subject"]
-        mspec, knots = _marker_knots(wopts.monitor_spec, state["marker"])
-        self.mon_design = _monitor_design(cohort, mspec, state, knots)
-        self.decision_rows = np.flatnonzero(cohort.decision_rows())
-
-        base_X, base_names = baseline_design(cohort, spec.baseline_terms)
-        self.msm_design = _msm_design(
-            grid.xs[self.ht.x_idx], spec.knots_for(grid),
-            base_X[self.ht.subject_idx], base_names,
-            np.ones(self.ht.x_idx.size))
-        self.y = self.ht.y
-        self.d = self.ht.d
-        self.y_ok = ~np.isnan(self.y)
-        self.mon_start = None
-        self.msm_start_y = None
-        self.msm_start_d = None
-
-    @staticmethod
-    def _with_weights(design, w):
-        # lightweight view sharing X; safe for concurrent replicates
-        shell = DesignMatrix.__new__(DesignMatrix)
-        shell.X = design.X
-        shell.columns = design.columns
-        shell.weights = w
-        return shell
-
-    def _fit_monitor(self, multiplicity):
-        from .weights import _constant_columns, _without
-
-        case = np.ones(self.mon_response.size) if multiplicity is None \
-            else multiplicity[self.mon_subject]
-        pos = self.mon_response[case > 0]
-        if pos.size == 0 or pos.min() == pos.max():
-            raise SeparationError("monitoring response degenerate in resample")
-        design = self._with_weights(self.mon_design, case)
-        start = self.mon_start
-        dropped = _constant_columns(design)  # same rule as fit_monitor_model
-        if dropped:
-            design = _without(design, dropped)
-            start = None
-        fit = fit_glm(design, self.mon_response, "binomial_logit",
-                      compute_se=False, start=start)
-        if np.max(np.abs(fit.coef)) > 15:
-            raise SeparationError("separation in resampled monitoring model")
-        return fit
-
-    def _horizon_weights(self, mon_fit):
-        from scipy.special import expit
-
-        X = self.mon_design.X
-        if mon_fit.columns != self.mon_design.columns:
-            X = X[:, [self.mon_design.columns.index(c)
-                      for c in mon_fit.columns]]
-        p1 = np.full(self.cohort.n_rows, np.nan)
-        p1[self.decision_rows] = expit(X @ mon_fit.coef)
-        return self.plan.horizon_weights(p1)
-
-    def _fit_msm(self, response, weights, ok, start):
-        keep = ok & (weights > 0)
-        if np.unique(self.ht.x_idx[keep]).size < 2:
-            raise ConfigError("resample covers fewer than 2 thresholds")
-        w = np.where(keep, weights, 0.0)
-        if not np.any((response > 0) & (w > 0)):
-            return _degenerate_fit(self.msm_design.columns)
-        resp = np.where(ok, response, 0.0)
-        if _event_free_levels(self.cohort, self.spec.baseline_terms,
-                              self.ht.subject_idx[keep], resp[keep]):
-            # boundary fit on a reduced design (rare): the row-level path
-            return _fit_horizon_msm(self.cohort, self.grid, self.spec,
-                                    self.ht.subject_idx, self.ht.x_idx, resp,
-                                    w, compute_se=False)
-        return fit_glm(self._with_weights(self.msm_design, w), resp,
-                       POISSON_LOG, compute_se=False, start=start)
-
-    def run(self, multiplicity, warm=False):
-        """Standardized ``(risk, usage)`` curves for one replicate."""
-        return _curves(self.fit(multiplicity, warm), self.cohort, self.grid,
-                       self.spec, multiplicity)
-
-    def fit(self, multiplicity, warm=False):
-        """Outcome and resource MSM fits for one replicate; ``warm`` keeps
-        their coefficients as starting values for later replicates."""
-        mon_fit = self._fit_monitor(multiplicity)
-        w_clone = self._horizon_weights(mon_fit)
-        w = w_clone[self.ht.subject_idx, self.ht.x_idx]
-        if multiplicity is not None:
-            w = w * multiplicity[self.ht.subject_idx]
-        fit_y = self._fit_msm(self.y, w, self.y_ok, self.msm_start_y)
-        fit_d = self._fit_msm(self.d, w, np.ones_like(self.y_ok, dtype=bool),
-                              self.msm_start_d)
-        if warm:
-            # starts must match the full designs, so reduced fits give none
-            if mon_fit.columns == self.mon_design.columns:
-                self.mon_start = mon_fit.coef
-            if not (fit_y.degenerate or fit_y.pinned):
-                self.msm_start_y = fit_y.coef
-            if not (fit_d.degenerate or fit_d.pinned):
-                self.msm_start_d = fit_d.coef
-        return fit_y, fit_d
+    weights = at_risk_weight_summary(cohort, plan.monitor_model, grid,
+                                     plan.horizons, wopts.numerator,
+                                     wopts.truncation, wopts.scheme)
+    return PointAnalysis(table=table, monitor_model=plan.monitor_model,
+                         weights=weights, plan=plan)
 
 
 def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
@@ -472,14 +409,15 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
     """Point estimates plus percentile bootstrap intervals.
 
     Subjects are resampled with replacement (clones move with their
-    subject); every replicate refits the monitoring model, recomputes
-    weights, refits both MSMs, and restandardizes. Replicates that fail to
-    fit are skipped; more than ``max_failed_fraction`` of failures raises
+    subject) and every replicate is one :meth:`Plan.run` of the point
+    estimate's plan with the resample's multiplicities: it refits the
+    monitoring model, recomputes the weights, refits both MSMs (warm-started
+    from the point fits) and restandardizes. Replicates that fail to fit
+    are skipped; more than ``max_failed_fraction`` of failures raises
     :class:`BootstrapUnstable`. Replicates in which an MSM pinned an
     event-free baseline level (see :func:`_fit_horizon_msm`) count as
-    successes and are reported in ``table.n_pinned``. Deterministic given
-    the master seed; replicate workers are capped by the RCDS_THREADS
-    environment variable.
+    successes and are reported in ``table.n_pinned``. Replicates run one
+    after another and are deterministic given the master seed.
     """
     if B < 0:
         raise ConfigError("B must be >= 0")
@@ -487,52 +425,26 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
     table = point.table
     if B == 0:
         return point
-    horizons = point.weighted.ds.horizons
     n = cohort.n_subjects
-    seeds = np.random.SeedSequence(seed).spawn(B)
-
-    fast = (wopts.scheme == "censoring" and wopts.numerator == "one"
-            and wopts.truncation is None and wopts.weighting == "ip")
-    engine = None
-    if fast:
-        engine = _BootstrapEngine(cohort, grid, spec, wopts, horizons)
-        engine.fit(None, warm=True)  # seed the warm starts from the full data
-
-    def one(b):
-        rng = np.random.default_rng(seeds[b])
-        idx = rng.integers(0, n, n)
+    ok = []
+    for ss in np.random.SeedSequence(seed).spawn(B):
+        idx = np.random.default_rng(ss).integers(0, n, n)
         mult = np.bincount(idx, minlength=n).astype(np.float64)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateResponse)
             try:
-                if engine is not None:
-                    fits = engine.fit(mult)
-                else:
-                    fits = _msm_fits(cohort, grid, spec, wopts, horizons, mult)
-                risk, usage = _curves(fits, cohort, grid, spec, mult)
+                ok.append(point.plan.run(mult))
             except _REPLICATE_ERRORS:
-                return None
-        return risk, usage, any(f.pinned for f in fits)
+                pass
 
-    workers = int(os.environ.get("RCDS_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one, range(B)))
-    else:
-        results = [one(b) for b in range(B)]
-
-    ok = [r for r in results if r is not None]
     n_failed = B - len(ok)
     if n_failed > max_failed_fraction * B:
         raise BootstrapUnstable(
             f"{n_failed} of {B} bootstrap replicates failed to fit"
         )
-    risks = np.array([r[0] for r in ok])
-    usages = np.array([r[1] for r in ok])
-    table.risk_lo = np.percentile(risks, 2.5, axis=0)
-    table.risk_hi = np.percentile(risks, 97.5, axis=0)
-    table.usage_lo = np.percentile(usages, 2.5, axis=0)
-    table.usage_hi = np.percentile(usages, 97.5, axis=0)
+    risks, usages = (np.array([r[i] for r in ok]) for i in (0, 1))
+    table.risk_lo, table.risk_hi = np.percentile(risks, [2.5, 97.5], axis=0)
+    table.usage_lo, table.usage_hi = np.percentile(usages, [2.5, 97.5], axis=0)
     table.risk_se = np.std(risks, axis=0, ddof=1) if len(ok) > 1 else \
         np.zeros(len(grid))
     table.usage_se = np.std(usages, axis=0, ddof=1) if len(ok) > 1 else \

@@ -15,6 +15,7 @@ failure onset, dropout.
 """
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .cohort import (
     _REASON_CODE,
 )
 from .errors import ConfigError
+from .strategies import window_bounds
 
 BAND_EDGES = (250.0, 400.0)
 BAND_LEVELS = ("lt250", "250to399", "ge400")
@@ -130,6 +132,9 @@ class DgpParams:
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown DGP parameters: {sorted(unknown)}")
+        bad = sorted(k for k, v in d.items() if not isinstance(v, numbers.Real))
+        if bad:
+            raise ConfigError(f"DGP parameters must be numbers: {bad}")
         p = cls(**d)
         p.validate()
         return p
@@ -159,19 +164,8 @@ def _observational_decision(params):
 
 
 def _forced_decision(params, strategy, rule):
-    lo_b, hi_b = strategy.window_below
-    lo_a, hi_a = strategy.window_above
-    lo_o, hi_o = strategy.override_window
-
-    def windows(last_marker, override):
-        ovr = override == 1
-        below = last_marker < strategy.x
-        lo = np.where(ovr, lo_o, np.where(below, lo_b, lo_a))
-        hi = np.where(ovr, hi_o, np.where(below, hi_b, hi_a))
-        return lo, hi
-
     def decide(t, last_marker, override, gap, u):
-        lo, hi = windows(last_marker, override)
+        lo, hi = window_bounds(strategy, last_marker, override)
         if rule == "earliest":
             return gap >= lo, None
         if rule == "latest":

@@ -21,7 +21,11 @@ DEFAULT_WINDOW_OVERRIDE = (2, 7)
 
 
 def _check_window(name, win):
-    lo, hi = int(win[0]), int(win[1])
+    try:
+        lo, hi = (int(v) for v in win)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be two whole months, got {win!r}") \
+            from None
     if not (1 <= lo <= hi):
         raise ConfigError(f"{name} must satisfy 1 <= lo <= hi, got {win}")
     return lo, hi
@@ -90,25 +94,34 @@ class StrategyGrid:
         return self.strategies[i]
 
 
-def applicable_window(strategy, row):
-    """Window in force given a row's observed state.
+def window_bounds(strategy, last_marker, override):
+    """Permitted-gap window ``(lo, hi)`` in force, elementwise over states.
 
-    Override takes precedence; otherwise the carried-forward marker decides
-    (values at or above the threshold use the "above" window). Raises
-    :class:`UndefinedHistory` when no marker has ever been observed and no
-    override is active.
+    The override flag takes precedence; otherwise the carried-forward marker
+    decides, and values at or above the threshold use the "above" window.
     """
-    if row.override_flag == 1:
-        return strategy.override_window
-    marker = row.last_observed_marker
-    if np.isnan(marker):
+    (lo_o, hi_o), (lo_b, hi_b), (lo_a, hi_a) = (
+        strategy.override_window, strategy.window_below, strategy.window_above)
+    ovr = np.asarray(override) == 1
+    below = np.asarray(last_marker) < strategy.x
+    lo = np.where(ovr, lo_o, np.where(below, lo_b, lo_a))
+    hi = np.where(ovr, hi_o, np.where(below, hi_b, hi_a))
+    return lo, hi
+
+
+def applicable_window(strategy, row):
+    """Window in force given a row's observed state (see :func:`window_bounds`).
+
+    Raises :class:`UndefinedHistory` when no marker has ever been observed
+    and no override is active.
+    """
+    if row.override_flag != 1 and np.isnan(row.last_observed_marker):
         raise UndefinedHistory(
             f"no observed marker at or before t={row.t} and no override; "
             "the strategy window is undefined"
         )
-    if marker < strategy.x:
-        return strategy.window_below
-    return strategy.window_above
+    lo, hi = window_bounds(strategy, row.last_observed_marker, row.override_flag)
+    return int(lo), int(hi)
 
 
 def consistency_horizon(strategy, record):
@@ -151,15 +164,8 @@ def horizon_matrix(cohort, grid):
     big = cohort.horizon + 1
     n, k = cohort.n_subjects, len(grid)
     out = np.empty((n, k), dtype=np.int64)
-    ovr = prev_ovr == 1
-    s0 = grid[0]
-    lo_o, hi_o = s0.override_window
-    lo_b, hi_b = s0.window_below
-    lo_a, hi_a = s0.window_above
     for j, strat in enumerate(grid):
-        below = prev_last < strat.x
-        lo = np.where(ovr, lo_o, np.where(below, lo_b, lo_a))
-        hi = np.where(ovr, hi_o, np.where(below, hi_b, hi_a))
+        lo, hi = window_bounds(strat, prev_last, prev_ovr)
         dev = (gap > hi) | (monitored & (gap < lo))
         # month 0 only deviates if the entry gap already exceeds hi
         dev[starts] = gap[starts] > hi[starts]

@@ -25,10 +25,12 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .cohort import baseline_design
 from .errors import ConfigError, NonConvergence, PositivityViolation, SeparationError
 from .glm import BINOMIAL_LOGIT, DesignMatrix, fit_glm, predict, rcs_basis
+from .strategies import window_bounds
 
 PROB_FLOOR = 1e-6
 
@@ -159,67 +161,96 @@ def _monitor_design(cohort, spec, state, marker_knots, case_weights=None):
     return DesignMatrix(np.column_stack(cols), names, weights=case_weights)
 
 
-def _separating_feature(columns, coef):
-    """The feature with the largest coefficient, ignoring the intercept,
-    which diverges along with whichever feature separates the decision."""
-    k = 1 + int(np.argmax(np.abs(coef[1:]))) if len(columns) > 1 else 0
-    return columns[k]
+def _separation(columns, coef):
+    """The :class:`SeparationError` for coefficients that ran past 15 in
+    magnitude, or None. It names the feature with the largest coefficient,
+    ignoring the intercept, which diverges along with whichever feature
+    separates the decision."""
+    if coef is None or np.max(np.abs(coef)) <= 15:
+        return None
+    feature = columns[1 + int(np.argmax(np.abs(coef[1:])))
+                      if len(columns) > 1 else 0]
+    return SeparationError(
+        f"feature {feature!r} appears to separate the monitoring decision "
+        "perfectly", feature=feature)
 
 
-def fit_monitor_model(cohort, spec=MonitorFeatureSpec(), multiplicity=None):
+@dataclass
+class MonitorDesign:
+    """The monitoring model's design over a cohort's decision months: the
+    effective feature spec, its marker knots, the feature columns, the
+    response and each row's subject. It does not depend on case weights, so
+    one design serves the point fit and every bootstrap replicate."""
+
+    spec: MonitorFeatureSpec
+    knots: np.ndarray | None
+    matrix: DesignMatrix
+    monitored: np.ndarray
+    subject: np.ndarray
+
+    def probabilities(self, model):
+        """Fitted P(monitor = 1) of ``model`` at every decision month."""
+        return expit(_without(self.matrix, model.dropped).X @ model.fit.coef)
+
+
+def monitor_design(cohort, spec=MonitorFeatureSpec()):
+    """The :class:`MonitorDesign` of a cohort under a declared feature spec."""
+    state = _decision_state(cohort)
+    if state["gap"].size == 0:
+        raise SeparationError("cohort has no decision person-months")
+    spec, knots = _marker_knots(spec, state["marker"])
+    return MonitorDesign(spec=spec, knots=knots,
+                         matrix=_monitor_design(cohort, spec, state, knots),
+                         monitored=state["monitored"],
+                         subject=state["subject"])
+
+
+def fit_monitor_model(cohort, spec=MonitorFeatureSpec(), multiplicity=None,
+                      design=None, start=None, compute_se=True):
     """Pooled logistic regression of the monitoring decision on observed history.
 
     ``multiplicity`` carries per-subject bootstrap counts as case weights.
     Declared features that are constant over the decision months with
     positive case weight carry no information and are dropped; their names
-    are recorded in ``MonitorModel.dropped``. Raises
+    are recorded in ``MonitorModel.dropped``. ``design`` is the cohort's
+    :func:`monitor_design` under ``spec`` when the caller has built it
+    already, ``start`` warm-starts IRLS from coefficients of the full design
+    (ignored when a column is dropped), and ``compute_se`` asks for standard
+    errors. Raises
     :class:`SeparationError` when the decision is degenerate or a feature
     separates it perfectly.
     """
-    state = _decision_state(cohort)
-    if state["gap"].size == 0:
-        raise SeparationError("cohort has no decision person-months")
-    mon = state["monitored"]
-    case = None
+    if design is None:
+        design = monitor_design(cohort, spec)
+    mon = design.monitored
+    case = np.ones(mon.size)
     if multiplicity is not None:
-        multiplicity = np.asarray(multiplicity, dtype=np.float64)
-        case = multiplicity[state["subject"]]
-        pos = case > 0
-        has_mon = np.any(mon & pos)
-        has_non = np.any(~mon & pos)
-    else:
-        has_mon = bool(mon.any())
-        has_non = bool((~mon).any())
-    if not (has_mon and has_non):
+        case = np.asarray(multiplicity, dtype=np.float64)[design.subject]
+    pos = case > 0
+    if not (np.any(mon & pos) and np.any(~mon & pos)):
         raise SeparationError(
             "monitoring response is degenerate: need at least one monitored "
             "and one unmonitored person-month"
         )
-    spec, knots = _marker_knots(spec, state["marker"])
-    design = _monitor_design(cohort, spec, state, knots, case)
-    dropped = _constant_columns(design)
-    design = _without(design, dropped)
+    matrix = dataclasses.replace(design.matrix, weights=case)
+    dropped = _constant_columns(matrix)
+    if dropped:
+        matrix = _without(matrix, dropped)
+        start = None
     try:
-        fit = fit_glm(design, mon.astype(np.float64), BINOMIAL_LOGIT)
+        fit = fit_glm(matrix, mon.astype(np.float64), BINOMIAL_LOGIT,
+                      compute_se=compute_se, start=start)
     except NonConvergence as err:
-        last = err.trajectory[-1] if err.trajectory else None
-        if last is not None and np.max(np.abs(last)) > 15:
-            feature = _separating_feature(design.columns, last)
-            raise SeparationError(
-                f"feature {feature!r} appears to separate the monitoring "
-                "decision perfectly",
-                feature=feature,
-            ) from err
+        separation = _separation(matrix.columns, err.trajectory[-1]
+                                 if err.trajectory else None)
+        if separation is not None:
+            raise separation from err
         raise
-    if np.max(np.abs(fit.coef)) > 15:
-        feature = _separating_feature(design.columns, fit.coef)
-        raise SeparationError(
-            f"feature {feature!r} appears to separate the monitoring decision "
-            "perfectly",
-            feature=feature,
-        )
-    return MonitorModel(fit=fit, spec=spec, marker_knots=knots,
-                        columns=design.columns, n_decisions=int(mon.size),
+    separation = _separation(matrix.columns, fit.coef)
+    if separation is not None:
+        raise separation
+    return MonitorModel(fit=fit, spec=design.spec, marker_knots=design.knots,
+                        columns=matrix.columns, n_decisions=int(mon.size),
                         dropped=dropped)
 
 
@@ -249,7 +280,7 @@ def marginal_rates(cohort, multiplicity=None):
 class _WeightContext:
     """Shared per-row quantities for weight-factor construction."""
 
-    def __init__(self, cohort, model, numerator, multiplicity=None):
+    def __init__(self, cohort, model, numerator, multiplicity=None, p1=None):
         self.cohort = cohort
         prev_last, prev_ovr, gap = cohort.prev_state()
         self.prev_last = prev_last
@@ -258,8 +289,9 @@ class _WeightContext:
         self.decision = cohort.decision_rows()
         self.monitored = cohort.monitor == 1
         self.subject = cohort.subject_index_per_row()
-        p1 = np.full(cohort.n_rows, np.nan)
-        p1[self.decision] = decision_probabilities(model, cohort)
+        if p1 is None:  # else fitted probabilities aligned with cohort rows
+            p1 = np.full(cohort.n_rows, np.nan)
+            p1[self.decision] = decision_probabilities(model, cohort)
         self.p1 = p1
         if numerator == "one":
             self.num1 = np.ones(cohort.n_rows)
@@ -318,13 +350,7 @@ def _censoring_factor_paths(ctx, strategy):
     it). Trajectories impossible under the within-window regime get weight
     zero from the offending month on.
     """
-    lo_o, hi_o = strategy.override_window
-    lo_b, hi_b = strategy.window_below
-    lo_a, hi_a = strategy.window_above
-    ovr = ctx.prev_ovr == 1
-    below = ctx.prev_last < strategy.x
-    lo = np.where(ovr, lo_o, np.where(below, lo_b, lo_a))
-    hi = np.where(ovr, hi_o, np.where(below, hi_b, hi_a))
+    lo, hi = window_bounds(strategy, ctx.prev_last, ctx.prev_ovr)
     early = ctx.decision & (ctx.gap < lo)
     due = ctx.decision & (ctx.gap == hi)
     ctx.check_floor(early & (1.0 - ctx.p1 < PROB_FLOOR),
@@ -340,100 +366,113 @@ def _censoring_factor_paths(ctx, strategy):
     return np.multiply.accumulate(ctx.scatter(factor, 1.0), axis=1)
 
 
+def _factor_paths(ctx, grid, scheme):
+    """``(j, cumulative weight paths)`` for every strategy of the grid; under
+    the decision scheme all strategies share one set of paths."""
+    if scheme == "decision":
+        paths = _decision_factor_paths(ctx)
+        return ((j, paths) for j in range(len(grid)))
+    if scheme != "censoring":
+        raise ConfigError(f"unknown weight scheme {scheme!r}")
+    return ((j, _censoring_factor_paths(ctx, s)) for j, s in enumerate(grid))
+
+
 def clone_horizon_weights(cohort, model, grid, numerator="one",
                           scheme="censoring", multiplicity=None):
     """(n_subjects, n_strategies) weights at the horizon month."""
     ctx = _WeightContext(cohort, model, numerator, multiplicity)
     out = np.empty((cohort.n_subjects, len(grid)))
-    if scheme == "decision":
-        out[:] = _decision_factor_paths(ctx)[:, -1][:, None]
-        return out
-    if scheme != "censoring":
-        raise ConfigError(f"unknown weight scheme {scheme!r}")
-    for j, strat in enumerate(grid):
-        out[:, j] = _censoring_factor_paths(ctx, strat)[:, -1]
+    for j, paths in _factor_paths(ctx, grid, scheme):
+        out[:, j] = paths[:, -1]
     return out
 
 
-class CensoringWeightPlan:
-    """Replicate-invariant layout of the censoring-scheme weight factors.
+class _FactorRows:
+    """Cohort rows of one factor kind, concatenated over the plan's segments
+    (``off`` bounds each), with their subjects."""
 
-    For every strategy, records which cohort rows contribute a
-    1/(1 - p) factor (gap below the window with no visit), which contribute
-    1/p (required visit taken), and which clones are pinned at weight zero
-    (a premature visit or a missed required visit). Only the fitted
-    probabilities change across bootstrap replicates, so horizon weights
-    reduce to per-subject sums of log-probabilities over these fixed rows.
+    def __init__(self, masks, subject):
+        rows = [np.flatnonzero(m) for m in masks]
+        self.off = np.concatenate([[0], np.cumsum([r.size for r in rows])])
+        self.rows = np.concatenate(rows)
+        self.sub = subject[self.rows]
+
+    def segment(self, j):
+        return slice(self.off[j], self.off[j + 1])
+
+
+class CensoringWeightPlan:
+    """Replicate-invariant layout of the weight factors, under either scheme.
+
+    Factor rows are the decision months whose factor is not one. Under the
+    ``censoring`` scheme each strategy has its own: the early months (gap
+    below the window's lo) contribute num/(1 - p) without a visit, the due
+    months (gap at hi) contribute num/p with the required visit, and a
+    premature or a missed required visit pins the clone at weight zero.
+    Under the ``decision`` scheme every decision month is a factor row,
+    num/(1 - p) without a visit and num/p with one, the same for every
+    strategy. Only the fitted probabilities and the numerator change across
+    bootstrap replicates, so horizon weights reduce to per-subject sums of
+    log-factors over these fixed rows.
     """
 
-    def __init__(self, cohort, grid):
-        self.cohort = cohort
-        self.grid = grid
+    def __init__(self, cohort, grid, scheme="censoring"):
+        self.cohort, self.grid, self.scheme = cohort, grid, scheme
         prev_last, prev_ovr, gap = cohort.prev_state()
         decision = cohort.decision_rows()
         mon = cohort.monitor == 1
+        if scheme == "decision":  # early: no visit, due: a visit
+            masks = [(decision & ~mon, decision & mon)]
+        elif scheme == "censoring":
+            masks = []
+            for strat in grid:
+                lo, hi = window_bounds(strat, prev_last, prev_ovr)
+                masks.append((decision & (gap < lo), decision & (gap == hi)))
+        else:
+            raise ConfigError(f"unknown weight scheme {scheme!r}")
         subject = cohort.subject_index_per_row()
-        n, k = cohort.n_subjects, len(grid)
-        low_rows, low_sub, low_off = [], [], [0]
-        hit_rows, hit_sub, hit_off = [], [], [0]
-        self.zeroed = np.zeros((n, k), dtype=bool)
-        ovr = prev_ovr == 1
-        for j, strat in enumerate(grid):
-            lo_o, hi_o = strat.override_window
-            lo_b, hi_b = strat.window_below
-            lo_a, hi_a = strat.window_above
-            below = prev_last < strat.x
-            lo = np.where(ovr, lo_o, np.where(below, lo_b, lo_a))
-            hi = np.where(ovr, hi_o, np.where(below, hi_b, hi_a))
-            early = decision & (gap < lo)
-            due = decision & (gap == hi)
-            rows = np.flatnonzero(early & ~mon)
-            low_rows.append(rows)
-            low_sub.append(subject[rows])
-            low_off.append(low_off[-1] + rows.size)
-            rows = np.flatnonzero(due & mon)
-            hit_rows.append(rows)
-            hit_sub.append(subject[rows])
-            hit_off.append(hit_off[-1] + rows.size)
-            dead = (early & mon) | (due & ~mon)
-            self.zeroed[subject[dead], j] = True
-        self.low_rows = np.concatenate(low_rows) if low_rows else np.empty(0, int)
-        self.low_sub = np.concatenate(low_sub) if low_sub else np.empty(0, int)
-        self.low_off = np.array(low_off)
-        self.hit_rows = np.concatenate(hit_rows) if hit_rows else np.empty(0, int)
-        self.hit_sub = np.concatenate(hit_sub) if hit_sub else np.empty(0, int)
-        self.hit_off = np.array(hit_off)
+        self.low = _FactorRows([e & ~mon for e, _ in masks], subject)
+        self.hit = _FactorRows([d & mon for _, d in masks], subject)
+        self.zeroed = np.zeros((cohort.n_subjects, len(masks)), dtype=bool)
+        for j, (early, due) in enumerate(masks):
+            self.zeroed[subject[(early & mon) | (due & ~mon)], j] = True
+        # rows held to the probability floor, under any strategy
+        self.early_rows = np.flatnonzero(np.any([e for e, _ in masks], axis=0))
+        self.due_rows = np.flatnonzero(np.any([d for _, d in masks], axis=0))
 
-    def horizon_weights(self, p1_rows):
+    def horizon_weights(self, p1_rows, rates=None):
         """(n_subjects, n_strategies) horizon weights given fitted per-row
-        monitoring probabilities (aligned with cohort rows)."""
-        n, k = self.cohort.n_subjects, len(self.grid)
-        p_low = 1.0 - p1_rows[self.low_rows]
-        p_hit = p1_rows[self.hit_rows]
-        bad = (p_low < PROB_FLOOR) | ~np.isfinite(p_low)
-        if np.any(bad):
-            raise PositivityViolation(
-                f"{int(bad.sum())} person-months have fitted probability of "
-                f"withholding a premature visit below {PROB_FLOOR:g}"
-            )
-        bad = (p_hit < PROB_FLOOR) | ~np.isfinite(p_hit)
-        if np.any(bad):
-            raise PositivityViolation(
-                f"{int(bad.sum())} person-months have fitted probability of "
-                f"the required visit below {PROB_FLOOR:g}"
-            )
-        log_low = np.log(p_low)
-        log_hit = np.log(p_hit)
-        out = np.zeros((n, k))
-        for j in range(k):
-            a, b = self.low_off[j], self.low_off[j + 1]
-            logw = np.bincount(self.low_sub[a:b], weights=log_low[a:b],
-                               minlength=n)
-            a, b = self.hit_off[j], self.hit_off[j + 1]
-            logw += np.bincount(self.hit_sub[a:b], weights=log_hit[a:b],
-                                minlength=n)
+        monitoring probabilities (aligned with cohort rows) and, for the
+        ``marginal`` numerator, the per-month rates of :func:`marginal_rates`.
+
+        The positivity floor is the row-level rule of :func:`attach_weights`:
+        when an early or due month falls below it, the row-level paths are
+        built until they raise, naming the same first offenders.
+        """
+        if (np.any(1.0 - p1_rows[self.early_rows] < PROB_FLOOR)
+                or np.any(p1_rows[self.due_rows] < PROB_FLOOR)):
+            ctx = _WeightContext(self.cohort, None, "one", p1=p1_rows)
+            for _ in _factor_paths(ctx, self.grid, self.scheme):
+                pass
+        low, hit = self.low, self.hit
+        log_low = np.log(1.0 - p1_rows[low.rows])
+        log_hit = np.log(p1_rows[hit.rows])
+        if rates is not None:
+            t = self.cohort.t
+            with np.errstate(divide="ignore"):
+                log_low -= np.log(1.0 - rates[t[low.rows]])
+                log_hit -= np.log(rates[t[hit.rows]])
+        n = self.cohort.n_subjects
+        out = np.zeros(self.zeroed.shape)
+        for j in range(out.shape[1]):
+            seg = low.segment(j)
+            logw = np.bincount(low.sub[seg], weights=log_low[seg], minlength=n)
+            seg = hit.segment(j)
+            logw += np.bincount(hit.sub[seg], weights=log_hit[seg], minlength=n)
             out[:, j] = np.exp(-logw)
         out[self.zeroed] = 0.0
+        if self.scheme == "decision":
+            out = np.repeat(out, len(self.grid), axis=1)
         return out
 
 
@@ -467,18 +506,10 @@ def attach_weights(ds, model, numerator="one", truncation=None,
     """
     cohort = ds.cohort
     ctx = _WeightContext(cohort, model, numerator)
-    sub = ds.subject_idx
     w = np.empty(ds.n_rows)
-    if scheme == "decision":
-        paths = _decision_factor_paths(ctx)
-        w[:] = paths[sub, ds.t]
-    elif scheme == "censoring":
-        for j, strat in enumerate(ds.grid):
-            rows = ds.x_idx == j
-            paths = _censoring_factor_paths(ctx, strat)
-            w[rows] = paths[sub[rows], ds.t[rows]]
-    else:
-        raise ConfigError(f"unknown weight scheme {scheme!r}")
+    for j, paths in _factor_paths(ctx, ds.grid, scheme):
+        rows = ds.x_idx == j
+        w[rows] = paths[ds.subject_idx[rows], ds.t[rows]]
     truncated_fraction = 0.0
     if truncation is not None:
         if not (0 < truncation <= 100):
@@ -517,7 +548,44 @@ class WeightSummary:
 
 def weight_summary(wds):
     """Distribution of weights over at-risk rows, for the run report."""
-    w = wds.w[wds.ds.at_risk == 1]
+    return _summary(wds.w[wds.ds.at_risk == 1], wds.truncated_fraction)
+
+
+def at_risk_weight_summary(cohort, model, grid, horizons, numerator="one",
+                           truncation=None, scheme="censoring"):
+    """:func:`weight_summary` of :func:`attach_weights` over
+    ``expand(cohort, grid)``, computed without the expansion.
+
+    The clone-month weights are gathered from each strategy's cumulative
+    factor path at the months ``expand`` emits and scattered in its
+    (subject, x, t) order, so every statistic equals the row-level one bit
+    for bit. ``model`` None stands for unit weights.
+    """
+    fue = cohort.followup_end[:, None]
+    last = np.minimum(horizons, fue)  # each clone's last row, as in expand
+    size = (last + 1).ravel()
+    start = (np.cumsum(size) - size).reshape(last.shape)
+    at_risk = np.ones(int(size.sum()), dtype=bool)
+    at_risk[(start + last)[horizons <= fue]] = False  # the censoring months
+    if model is None:
+        return _summary(np.ones(int(at_risk.sum())), 0.0)
+    ctx = _WeightContext(cohort, model, numerator)
+    months = np.arange(cohort.horizon + 1)
+    w = np.empty(at_risk.size)
+    for j, paths in _factor_paths(ctx, grid, scheme):
+        rows = months <= last[:, j, None]
+        w[(start[:, j, None] + months)[rows]] = paths[rows]
+    truncated_fraction = 0.0
+    at_horizon = (start + cohort.horizon)[
+        (horizons > cohort.horizon) & (fue == cohort.horizon)]
+    if truncation is not None and truncation < 100 and at_horizon.size:
+        cap = np.percentile(w[at_horizon], truncation)
+        truncated_fraction = float(np.mean(w > cap))
+        w = np.minimum(w, cap)
+    return _summary(w[at_risk], truncated_fraction)
+
+
+def _summary(w, truncated_fraction):
     if w.size == 0:
         w = np.array([np.nan])
     return WeightSummary(
@@ -525,5 +593,5 @@ def weight_summary(wds):
         p25=float(np.percentile(w, 25)), median=float(np.percentile(w, 50)),
         mean=float(np.mean(w)), p75=float(np.percentile(w, 75)),
         p99=float(np.percentile(w, 99)), maximum=float(np.max(w)),
-        truncated_fraction=wds.truncated_fraction,
+        truncated_fraction=truncated_fraction,
     )

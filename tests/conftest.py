@@ -7,8 +7,14 @@ hand month-by-month and are frozen in FIXTURE_HORIZONS.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rcds import BaselineField, BaselineSchema, Cohort, SubjectRecord, TimeRow
+
+# property tests draw the same examples on every run
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          print_blob=True)
+settings.load_profile("deterministic")
 
 FIXTURE_K = 12
 

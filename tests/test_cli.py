@@ -1,0 +1,119 @@
+"""End-to-end runs of every CLI mode on tiny configs: exit status, byte-identical
+reruns, the weight scheme reaching the estimator, and error codes on bad input."""
+
+import filecmp
+
+import pytest
+import yaml
+
+import rcds.cli
+from rcds.cli import main
+
+# at n = 1000 one of the two replicates fails: without a declared schema
+# `sex` is continuous and an event-free value is not pinned
+SMALL = {"n": 1500, "seed": 5}
+
+
+def write_config(path, config):
+    path.write_text(yaml.safe_dump(config))
+    return str(path)
+
+
+def run(tmp_path, name, config, capsys):
+    """Run the config's mode into ``tmp_path/name``; returns (status, stderr)."""
+    cfg = write_config(tmp_path / f"{name}.yaml", config)
+    status = main([config["mode"], "--config", cfg,
+                   "--out", str(tmp_path / name)])
+    return status, capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cohort_csv(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cohort")
+    cfg = write_config(tmp / "sim.yaml", {"mode": "simulate", **SMALL})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp / "out")]) == 0
+    return str(tmp / "out" / "cohort.csv")
+
+
+def mode_config(mode, cohort_csv):
+    if mode == "simulate":
+        return {"mode": "simulate", **SMALL}
+    if mode == "oracle":
+        return {"mode": "oracle", "seed": 5, "n_mc": 2000}
+    if mode == "analyze":
+        return {"mode": "analyze", "seed": 5, "input": cohort_csv,
+                "kappa": 4.5, "bootstrap": 2}
+    if mode == "frontier":
+        return {"mode": "frontier", "seed": 5, "input": cohort_csv,
+                "kappa_grid": [4.0, 4.5, 5.0]}
+    return {"mode": "coverage", "seed": 5, "n": 1500, "n_cohorts": 1,
+            "bootstrap": 2, "oracle_n_mc": 2000,
+            "msm": {"baseline_terms": ["sex", "age"]}}
+
+
+@pytest.mark.parametrize("mode", ["simulate", "oracle", "analyze", "frontier",
+                                  "coverage"])
+def test_mode_reruns_byte_identical(tmp_path, cohort_csv, capsys, mode):
+    config = mode_config(mode, cohort_csv)
+    assert run(tmp_path, "a", config, capsys)[0] == 0
+    assert run(tmp_path, "b", config, capsys)[0] == 0
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert files
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "a", tmp_path / "b",
+                                               files, shallow=False)
+    assert match == files and not mismatch and not errors
+
+
+def test_decision_scheme_reaches_estimator(tmp_path, cohort_csv, capsys):
+    reports = []
+    for scheme in ("censoring", "decision"):
+        config = {"mode": "analyze", "seed": 5, "input": cohort_csv,
+                  "kappa": 4.5, "weights": {"scheme": scheme}}
+        assert run(tmp_path, scheme, config, capsys)[0] == 0
+        reports.append((tmp_path / scheme / "report.csv").read_bytes())
+    assert reports[0] != reports[1]
+
+
+BAD_INPUTS = {
+    "missing_kappa": {"mode": "analyze", "seed": 5},
+    "bootstrap_not_a_number": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                               "bootstrap": "many"},
+    "kappa_not_a_number": {"mode": "analyze", "seed": 5, "kappa": "high"},
+    "truncation_not_a_number": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                                "weights": {"truncation": "top"}},
+    "unknown_scheme": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                       "weights": {"scheme": "both"}},
+    "window_not_a_number": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                            "grid": {"window_below": ["two", 7]}},
+    "dgp_value_not_a_number": {"mode": "simulate", "seed": 5,
+                               "dgp": {"mon_gap": "steep"}},
+    "oracle_rule_unknown": {"mode": "oracle", "seed": 5, "n_mc": 2000,
+                            "rule": "conditional"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_config_ends_with_error_code(tmp_path, cohort_csv, capsys, name):
+    config = dict(BAD_INPUTS[name])
+    if config["mode"] == "analyze":
+        config["input"] = cohort_csv
+    status, err = run(tmp_path, name, config, capsys)
+    assert status != 0
+    assert err.splitlines()[-1] == "error_code=CONFIG_ERROR"
+
+
+def test_missing_config_file_ends_with_error_code(tmp_path, capsys):
+    status = main(["analyze", "--config", str(tmp_path / "absent.yaml")])
+    assert status != 0
+    assert capsys.readouterr().err.splitlines()[-1] == "error_code=CONFIG_ERROR"
+
+
+def test_unexpected_fault_ends_with_base_error_code(tmp_path, capsys,
+                                                    monkeypatch):
+    def broken(config):
+        raise RuntimeError("fault")
+
+    monkeypatch.setattr(rcds.cli, "run", broken)
+    status, err = run(tmp_path, "fault", {"mode": "simulate", **SMALL}, capsys)
+    assert status != 0
+    assert err.splitlines()[-1] == "error_code=ERROR"

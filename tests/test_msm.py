@@ -10,6 +10,8 @@ from rcds import (
     DegenerateResponse,
     DgpParams,
     MsmSpec,
+    Plan,
+    PositivityViolation,
     StrategyGrid,
     WeightOptions,
     analyze_cohort,
@@ -20,10 +22,15 @@ from rcds import (
     simulate_cohort,
     standardize,
 )
+from rcds.expansion import horizon_table
 from rcds.glm import predict, DesignMatrix
-from rcds.msm import _BootstrapEngine, _curves_for, attach_weights_unit
-from rcds.strategies import horizon_matrix
-from rcds.weights import attach_weights, fit_monitor_model
+from rcds.msm import _fit_horizon_msm
+from rcds.weights import (
+    WeightedExpandedDataset,
+    attach_weights,
+    clone_horizon_weights,
+    fit_monitor_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +48,119 @@ def weighted(sim_cohort, small_grid):
     model = fit_monitor_model(sim_cohort)
     return attach_weights(expand(sim_cohort, small_grid), model,
                           numerator="one", scheme="censoring")
+
+
+def resample(cohort, seed):
+    n = cohort.n_subjects
+    rng = np.random.default_rng(seed)
+    return np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+
+
+def reference_point(cohort, grid, spec, wopts):
+    """Row-level point estimate: expand, weight every clone-month, fit the
+    MSMs on the horizon rows and standardize."""
+    ds = expand(cohort, grid)
+    if wopts.weighting == "none":
+        wds = WeightedExpandedDataset(
+            ds=ds, w=np.ones(ds.n_rows), numerator="one", scheme="none",
+            truncation=None, truncated_fraction=0.0)
+    else:
+        model = fit_monitor_model(cohort, wopts.monitor_spec)
+        wds = attach_weights(ds, model, wopts.numerator, wopts.truncation,
+                             wopts.scheme)
+    return tuple(standardize(f(wds, spec), cohort, grid, spec)
+                 for f in (fit_outcome_msm, fit_resource_msm))
+
+
+def reference_replicate(cohort, grid, spec, wopts, mult):
+    """One replicate from the reference pieces: monitoring refit and clone
+    weights under the multiplicities, truncation over the resampled horizon
+    weights, and the row-level MSM fit."""
+    ht = horizon_table(cohort, grid)
+    if wopts.weighting == "none":
+        w = np.ones(ht.subject_idx.size)
+    else:
+        model = fit_monitor_model(cohort, wopts.monitor_spec, mult)
+        w = clone_horizon_weights(cohort, model, grid, wopts.numerator,
+                                  wopts.scheme, mult)[ht.subject_idx, ht.x_idx]
+    if wopts.truncation is not None:
+        w = np.minimum(w, np.percentile(
+            np.repeat(w, mult[ht.subject_idx].astype(int)), wopts.truncation))
+    w = w * mult[ht.subject_idx]
+    return tuple(
+        standardize(_fit_horizon_msm(cohort, grid, spec, ht.subject_idx,
+                                     ht.x_idx, r, w), cohort, grid, spec, mult)
+        for r in (ht.y, ht.d))
+
+
+def assert_close(got, want, rtol=1e-10):
+    for g, r in zip(got, want):
+        np.testing.assert_allclose(g, r, rtol=rtol, atol=0)
+
+
+WEIGHT_OPTIONS = [
+    WeightOptions(scheme=scheme, numerator=num, truncation=trunc)
+    for scheme in ("censoring", "decision") for num in ("one", "marginal")
+    for trunc in (None, 99.0)
+] + [WeightOptions(weighting="none")]
+
+
+def _wopts_id(w):
+    if w.weighting == "none":
+        return "unweighted"
+    return f"{w.scheme}-{w.numerator}-{w.truncation}"
+
+
+class TestPlanEquivalence:
+    @pytest.mark.parametrize("wopts", WEIGHT_OPTIONS, ids=_wopts_id)
+    def test_point_matches_row_level(self, sim_cohort, small_grid, wopts):
+        plan = Plan(sim_cohort, small_grid, MsmSpec(), wopts)
+        risk, usage, pinned = plan.run(None)
+        assert not pinned
+        assert_close((risk, usage),
+                     reference_point(sim_cohort, small_grid, MsmSpec(), wopts))
+
+    @pytest.mark.parametrize("wopts", WEIGHT_OPTIONS, ids=_wopts_id)
+    def test_replicate_matches_reference(self, sim_cohort, small_grid, wopts):
+        mult = resample(sim_cohort, 21)
+        plan = Plan(sim_cohort, small_grid, MsmSpec(), wopts)
+        plan.run(None)  # warm starts, as in the bootstrap
+        risk, usage, _ = plan.run(mult)
+        assert_close((risk, usage), reference_replicate(
+            sim_cohort, small_grid, MsmSpec(), wopts, mult))
+
+    def test_warm_starts_are_deterministic(self, sim_cohort, small_grid):
+        wopts = WeightOptions(truncation=99.0)
+        mult = resample(sim_cohort, 22)
+        warm = Plan(sim_cohort, small_grid, MsmSpec(), wopts)
+        warm.run(None)
+        assert all(s is not None for s in warm.starts)
+        first, again = warm.run(mult), warm.run(mult)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        cold = Plan(sim_cohort, small_grid, MsmSpec(), wopts).run(mult)
+        assert_close(first[:2], cold[:2])
+
+    # a gap coefficient of 30 makes early visits certain, one of -3 makes
+    # due visits impossible
+    @pytest.mark.parametrize("scheme", ["censoring", "decision"])
+    @pytest.mark.parametrize("gap_coef", [30.0, -3.0])
+    def test_positivity_floor_names_offenders(self, sim_cohort, small_grid,
+                                              scheme, gap_coef):
+        # one floor rule in the plan and in the row-level weights
+        plan = Plan(sim_cohort, small_grid, MsmSpec(),
+                    WeightOptions(scheme=scheme))
+        model = fit_monitor_model(sim_cohort)
+        model.fit.coef = model.fit.coef.copy()
+        model.fit.coef[model.columns.index("gap")] = gap_coef
+        p1 = np.full(sim_cohort.n_rows, np.nan)
+        p1[sim_cohort.decision_rows()] = plan.monitor.probabilities(model)
+        with pytest.raises(PositivityViolation) as err:
+            plan.factors.horizon_weights(p1)
+        ds = expand(sim_cohort, small_grid)
+        with pytest.raises(PositivityViolation) as ref:
+            attach_weights(ds, model, scheme=scheme)
+        assert str(err.value) == str(ref.value)
+        assert err.value.rows == ref.value.rows
 
 
 class TestMsmFits:
@@ -178,19 +298,18 @@ class TestPinnedLevels:
         mult = np.where(in_level & (cohort.outcome_y == 1), 0.0, 1.0)
         wopts = WeightOptions(numerator="one")
         spec = MsmSpec()
-        horizons = horizon_matrix(cohort, grid)
-        engine = _BootstrapEngine(cohort, grid, spec, wopts, horizons)
-        fit_y, fit_d = engine.fit(mult)
+        plan = Plan(cohort, grid, spec, wopts)
+        _, fit_y, fit_d = plan.fit(mult)
         assert fit_y.pinned == (level,)
         assert fit_d.pinned == ()
         kept = [f"{field}={lv}" for lv in f.levels if f"{field}={lv}" != level]
         assert kept[0] not in fit_y.columns  # the new reference level
         assert all(c in fit_y.columns for c in kept[1:])
 
-        r1, u1 = engine.run(mult)
-        r2, u2 = _curves_for(cohort, grid, spec, wopts, horizons, mult)
-        assert np.allclose(r1, r2, rtol=1e-8)
-        assert np.allclose(u1, u2, rtol=1e-8)
+        r1, u1, pinned = plan.run(mult)
+        assert pinned
+        assert_close((r1, u1),
+                     reference_replicate(cohort, grid, spec, wopts, mult))
 
         # pinned subjects predict exp(DEGENERATE_ETA), the rest the fit
         from rcds.cohort import baseline_design
@@ -227,12 +346,11 @@ class TestMonitorDesign:
         model = fit_monitor_model(sim_cohort, multiplicity=mult)
         assert model.dropped == ("override",)
         assert "override" not in model.columns
-        engine = _BootstrapEngine(sim_cohort, small_grid, MsmSpec(),
-                                  WeightOptions(numerator="one"),
-                                  horizon_matrix(sim_cohort, small_grid))
-        fit = engine._fit_monitor(mult)
+        plan = Plan(sim_cohort, small_grid)
+        plan.run(None)  # a warm start for the full design, not for this one
+        fit = plan.fit(mult)[0].fit
         assert fit.columns == model.columns
-        assert np.allclose(fit.coef, model.fit.coef, rtol=1e-8)
+        assert np.array_equal(fit.coef, model.fit.coef)
 
     def test_marker_knot_fallback_in_bootstrap(self):
         # a constant marker: the spline knots tie, the marker falls back to
@@ -275,47 +393,27 @@ class TestBootstrap:
 
     def test_monitor_model_varies_across_replicates(self, sim_cohort,
                                                     small_grid):
-        wopts = WeightOptions(numerator="one")
-        horizons = horizon_matrix(sim_cohort, small_grid)
-        engine = _BootstrapEngine(sim_cohort, small_grid, MsmSpec(), wopts,
-                                  horizons)
-        coefs = []
-        for seed in range(3):
-            rng = np.random.default_rng(seed)
-            mult = np.bincount(
-                rng.integers(0, sim_cohort.n_subjects, sim_cohort.n_subjects),
-                minlength=sim_cohort.n_subjects).astype(float)
-            coefs.append(engine._fit_monitor(mult).coef)
+        plan = Plan(sim_cohort, small_grid)
+        coefs = [plan.fit(resample(sim_cohort, seed))[0].fit.coef
+                 for seed in range(3)]
         assert not np.allclose(coefs[0], coefs[1])
         assert not np.allclose(coefs[1], coefs[2])
 
     def test_engine_matches_reference_replicate(self, sim_cohort, small_grid):
+        # the bootstrap's replicate under the default options
         wopts = WeightOptions(numerator="one")
-        spec = MsmSpec()
-        horizons = horizon_matrix(sim_cohort, small_grid)
-        engine = _BootstrapEngine(sim_cohort, small_grid, spec, wopts,
-                                  horizons)
-        rng = np.random.default_rng(21)
-        mult = np.bincount(
-            rng.integers(0, sim_cohort.n_subjects, sim_cohort.n_subjects),
-            minlength=sim_cohort.n_subjects).astype(float)
-        r1, u1 = engine.run(mult)
-        r2, u2 = _curves_for(sim_cohort, small_grid, spec, wopts, horizons,
-                             mult)
-        assert np.allclose(r1, r2, rtol=1e-8)
-        assert np.allclose(u1, u2, rtol=1e-8)
+        mult = resample(sim_cohort, 21)
+        plan = Plan(sim_cohort, small_grid, MsmSpec(), wopts)
+        r, u, _ = plan.run(mult)
+        assert_close((r, u), reference_replicate(sim_cohort, small_grid,
+                                                 MsmSpec(), wopts, mult))
 
     def test_engine_point_matches_row_level_analysis(self, sim_cohort,
                                                      small_grid):
         wopts = WeightOptions(numerator="one")
-        spec = MsmSpec()
-        horizons = horizon_matrix(sim_cohort, small_grid)
-        engine = _BootstrapEngine(sim_cohort, small_grid, spec, wopts,
-                                  horizons)
-        r, u = engine.run(None)
-        pt = analyze_cohort(sim_cohort, small_grid, spec, wopts).table
-        assert np.allclose(r, pt.risk, rtol=1e-8)
-        assert np.allclose(u, pt.usage, rtol=1e-8)
+        pt = analyze_cohort(sim_cohort, small_grid, MsmSpec(), wopts).table
+        assert_close((pt.risk, pt.usage),
+                     reference_point(sim_cohort, small_grid, MsmSpec(), wopts))
 
     def test_deterministic_given_seed(self, sim_cohort, small_grid):
         wopts = WeightOptions(numerator="one")

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rcds import (
     Cohort,
     ConfigError,
     StrategyGrid,
+    SubjectRecord,
     ThresholdStrategy,
     UndefinedHistory,
     applicable_window,
@@ -15,7 +18,13 @@ from rcds import (
 )
 from rcds.cohort import TimeRow
 
-from conftest import FIXTURE_K, FIXTURE_SCHEMA, fixture_horizons, make_fixture_records
+from conftest import (
+    FIXTURE_K,
+    FIXTURE_SCHEMA,
+    _rows,
+    fixture_horizons,
+    make_fixture_records,
+)
 
 
 def row(t=5, monitor=0, last=300.0, since=3, override=0):
@@ -131,6 +140,54 @@ class TestHorizonMatrix:
             rec = cohort.record(i)
             for j, strat in enumerate(grid):
                 assert mat[i, j] == consistency_horizon(strat, rec)
+
+
+# markers on the thresholds' own 50-unit lattice, so ties with x occur
+MARKERS = tuple(float(m) for m in range(150, 551, 50))
+
+
+@st.composite
+def small_records(draw):
+    records = []
+    for i in range(draw(st.integers(1, 6))):
+        end = draw(st.integers(0, FIXTURE_K))
+        spec = []
+        for t in range(end + 1):
+            visit = t == 0 or draw(st.booleans())
+            spec.append((t, int(visit),
+                         draw(st.sampled_from(MARKERS)) if visit else np.nan,
+                         draw(st.sampled_from((0, 1)))))
+        rows = _rows(spec)
+        records.append(SubjectRecord(
+            subject_id=f"s{i}", baseline={"sex": 0.0, "age": 40.0}, rows=rows,
+            outcome_y=0.0 if end == FIXTURE_K else float("nan"),
+            d_total=sum(r.monitor for r in rows), followup_end=end,
+            end_reason="administrative_end" if end == FIXTURE_K else "lost",
+            horizon=FIXTURE_K))
+    return records
+
+
+@st.composite
+def window_triples(draw):
+    def window():
+        lo = draw(st.integers(1, 8))
+        return lo, draw(st.integers(lo, 14))
+
+    below, above, override = window(), window(), window()
+    if below[1] > above[1]:
+        below, above = above, below
+    return below, above, override
+
+
+class TestHorizonMatrixProperty:
+    @given(small_records(), window_triples(),
+           st.sets(st.sampled_from(MARKERS), min_size=1, max_size=4))
+    def test_equals_consistency_horizon(self, records, windows, xs):
+        cohort = Cohort.from_records(records, FIXTURE_SCHEMA, FIXTURE_K)
+        grid = StrategyGrid(tuple(ThresholdStrategy(x, *windows)
+                                  for x in sorted(xs)))
+        want = [[consistency_horizon(s, r) for s in grid] for r in records]
+        assert horizon_matrix(cohort, grid).tolist() == want
 
 
 class TestStrategyGrid:

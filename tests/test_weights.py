@@ -23,6 +23,7 @@ from rcds import (
     weight_summary,
 )
 from rcds.weights import (
+    at_risk_weight_summary,
     clone_horizon_weights,
     decision_probabilities,
     marginal_rates,
@@ -306,6 +307,21 @@ class TestSummaries:
         # month 3: s1 visits, s2 and s3 do not
         assert rates[3] == pytest.approx(1 / 3)
         assert np.isnan(rates[0]) or rates[0] >= 0  # month 0 has no decisions
+
+    @pytest.mark.parametrize("scheme,numerator,truncation", [
+        ("censoring", "one", None), ("censoring", "one", 99.0),
+        ("decision", "one", None), ("decision", "marginal", 99.0),
+        ("censoring", "marginal", 100.0)])
+    def test_at_risk_summary_equals_row_level(self, sim_cohort, scheme,
+                                              numerator, truncation):
+        grid = StrategyGrid.default(x_step=50)
+        model = fit_monitor_model(sim_cohort)
+        ds = expand(sim_cohort, grid)
+        want = weight_summary(attach_weights(ds, model, numerator, truncation,
+                                             scheme))
+        got = at_risk_weight_summary(sim_cohort, model, grid, ds.horizons,
+                                     numerator, truncation, scheme)
+        assert got == want  # bit for bit, the mean included
 
     def test_weight_summary_fields(self, sim_cohort):
         grid = StrategyGrid.default(x_step=100)
