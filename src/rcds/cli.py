@@ -86,10 +86,13 @@ def _schema_from(cfg):
 
 
 def _load_cohort(cfg):
+    horizon = cfg.raw.get("horizon")
+    if horizon is not None:
+        horizon = _number(cfg.raw, "horizon", kind=int)
     return rio.ingest_cohort(
         cfg.raw["input"],
         schema=_schema_from(cfg),
-        horizon=cfg.raw.get("horizon"),
+        horizon=horizon,
     )
 
 

@@ -5,6 +5,10 @@ is the baseline visit: every subject enters with a measured marker value
 (mirroring eligibility screening), so ``last_observed_marker`` is always
 defined from the start. ``months_since_last_monitor`` is 0 at baseline and
 follows the reset/increment recurrence afterwards.
+
+Both derived columns, and ``d_total``, follow one carry-forward rule,
+:func:`carry_forward`: ingest builds them with it and
+:meth:`Cohort.validate` checks them against it.
 """
 
 from dataclasses import dataclass, field
@@ -87,6 +91,21 @@ class SubjectRecord:
     horizon: int
 
 
+def carry_forward(monitor, observed_marker, offsets):
+    """The derived columns of the carry-forward rule, from the measurements.
+
+    Returns ``(last_observed_marker, months_since, d_total)``: each row's
+    marker from its subject's latest monitored row so far, the months since
+    that row, and each subject's count of monitored rows. Every subject's
+    first row must be monitored; the rows of one whose first row is not get
+    values from an earlier subject.
+    """
+    idx = np.arange(monitor.size)
+    last_idx = np.maximum.accumulate(np.where(monitor == 1, idx, 0))
+    d_total = np.add.reduceat(monitor, offsets[:-1], dtype=np.int64)
+    return observed_marker[last_idx], idx - last_idx, d_total
+
+
 class Cohort:
     """Columnar store of subject records sharing one baseline schema."""
 
@@ -148,64 +167,47 @@ class Cohort:
         if np.any((self.override_flag != 0) & (self.override_flag != 1)):
             raise ConfigError("override_flag must be binary")
 
-        for i in range(n):
+        # per-subject checks, in order: the first failing subject is
+        # reported with its first failing check
+        starts = self.offsets[:-1]
+
+        def per_subject(row_mask):
+            return np.logical_or.reduceat(row_mask, starts)
+
+        pos = np.arange(self.n_rows) - self.offsets[self.subject_index_per_row()]
+        mon, obs, got_m = self.monitor, self.observed_marker, self.months_since
+        measured = ~np.isnan(obs)
+        last, since, d_total = carry_forward(mon, obs, self.offsets)
+        got = self.last_observed_marker
+        carry_bad = (np.isnan(last) != np.isnan(got)) | ~np.isclose(
+            np.nan_to_num(last), np.nan_to_num(got))
+        checks = (
+            (per_subject(self.t != pos),
+             "months must be 0..followup_end with no gaps"),
+            (self.d_total != d_total,
+             "d_total does not equal the monitored-row count"),
+            (per_subject((mon == 1) & ~measured),
+             "monitored months must record a marker value"),
+            (per_subject((mon == 0) & measured),
+             "marker recorded on an unmonitored month"),
+            (per_subject(np.isinf(obs)), "marker values must be finite"),
+            (mon[starts] != 1, "baseline month must be monitored (entry "
+                               "requires a measured marker)"),
+            (per_subject(carry_bad), "last_observed_marker must carry the "
+                                     "most recent measurement forward"),
+            (got_m[starts] != 0,
+             "months_since_last_monitor must be 0 on a monitored month"),
+            (per_subject(got_m != since), "months_since_last_monitor breaks "
+                                          "the reset/increment rule at t={k}"),
+        )
+        failed = np.array([mask for mask, _ in checks])
+        bad = failed.any(axis=0)
+        if bad.any():
+            i = int(np.argmax(bad))
             lo, hi = self.offsets[i], self.offsets[i + 1]
-            ts = self.t[lo:hi]
-            if not np.array_equal(ts, np.arange(self.followup_end[i] + 1)):
-                raise ConfigError(
-                    f"subject {self.subject_ids[i]}: months must be 0..followup_end "
-                    "with no gaps"
-                )
-            mon = self.monitor[lo:hi]
-            if self.d_total[i] != int(mon.sum()):
-                raise ConfigError(
-                    f"subject {self.subject_ids[i]}: d_total does not equal the "
-                    "monitored-row count"
-                )
-            obs = self.observed_marker[lo:hi]
-            if np.any(np.isnan(obs[mon == 1])):
-                raise ConfigError(
-                    f"subject {self.subject_ids[i]}: monitored months must record "
-                    "a marker value"
-                )
-            if np.any(~np.isnan(obs[mon == 0])):
-                raise ConfigError(
-                    f"subject {self.subject_ids[i]}: marker recorded on an "
-                    "unmonitored month"
-                )
-            if mon[0] != 1:
-                raise ConfigError(
-                    f"subject {self.subject_ids[i]}: baseline month must be "
-                    "monitored (entry requires a measured marker)"
-                )
-            # carried-forward marker
-            carry = np.where(mon == 1, obs, np.nan)
-            expected_last = np.empty(hi - lo)
-            cur = np.nan
-            for k in range(hi - lo):
-                if not np.isnan(carry[k]):
-                    cur = carry[k]
-                expected_last[k] = cur
-            got = self.last_observed_marker[lo:hi]
-            if not np.array_equal(np.isnan(expected_last), np.isnan(got)) or \
-                    not np.allclose(np.nan_to_num(expected_last), np.nan_to_num(got)):
-                raise ConfigError(
-                    f"subject {self.subject_ids[i]}: last_observed_marker must "
-                    "carry the most recent measurement forward"
-                )
-            m = self.months_since[lo:hi]
-            if mon[0] == 1 and m[0] != 0:
-                raise ConfigError(
-                    f"subject {self.subject_ids[i]}: months_since_last_monitor "
-                    "must be 0 on a monitored month"
-                )
-            for k in range(1, hi - lo):
-                want = 0 if mon[k] == 1 else m[k - 1] + 1
-                if m[k] != want:
-                    raise ConfigError(
-                        f"subject {self.subject_ids[i]}: months_since_last_monitor "
-                        f"breaks the reset/increment rule at t={k}"
-                    )
+            k = int(np.argmax(got_m[lo:hi] != since[lo:hi]))
+            message = checks[int(np.argmax(failed[:, i]))][1].format(k=k)
+            raise ConfigError(f"subject {self.subject_ids[i]}: {message}")
 
     # ------------------------------------------------------------------
     # record-level views

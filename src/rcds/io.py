@@ -6,19 +6,19 @@ timestamps, so identical inputs produce byte-identical artifacts.
 
 import csv
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .cohort import (
-    CATEGORICAL,
     CONTINUOUS,
-    END_REASONS,
     BaselineField,
     BaselineSchema,
     Cohort,
     _REASON_CODE,
+    carry_forward,
 )
 from .errors import ConfigError, IngestError
 
@@ -67,42 +67,68 @@ def cohort_to_csv(cohort, path):
                 w.writerow(row + base)
 
 
-class _Violations:
-    def __init__(self):
-        self.items = []
+def _parse(cells, convert, dtype):
+    """``convert`` over a list of cells: the values (0 where a cell fails)
+    and ``{index: message}`` of the failing cells, including integers beyond
+    64 bits."""
+    try:
+        return np.fromiter(map(convert, cells), dtype, len(cells)), {}
+    except (ValueError, OverflowError):
+        pass
+    values, errors = np.zeros(len(cells), dtype), {}
+    for i, cell in enumerate(cells):
+        try:
+            values[i] = convert(cell)
+        except ValueError as err:
+            errors[i] = str(err)
+        except OverflowError:
+            errors[i] = f"integer out of range: {cell!r}"
+    return values, errors
 
-    def add(self, line_no, message):
-        if len(self.items) < MAX_VIOLATIONS:
-            self.items.append((line_no, message))
 
-    def raise_if_any(self, path):
-        if self.items:
-            listing = "; ".join(f"line {ln}: {msg}" for ln, msg in self.items)
-            raise IngestError(
-                f"{path}: {len(self.items)} violation(s) (first "
-                f"{MAX_VIOLATIONS} listed): {listing}",
-                violations=self.items,
-            )
+def _raise_violations(path, found):
+    """Raise the first ``MAX_VIOLATIONS`` of ``(line, check, message)``
+    triples, ordered by line and then check, if there are any."""
+    items = [(line, msg) for line, _, msg in sorted(found)[:MAX_VIOLATIONS]]
+    if items:
+        listing = "; ".join(f"line {ln}: {msg}" for ln, msg in items)
+        raise IngestError(
+            f"{path}: {len(items)} violation(s) (first {MAX_VIOLATIONS} "
+            f"listed): {listing}",
+            violations=items,
+        )
 
 
 def ingest_cohort(path, schema=None, horizon=None):
     """Parse and validate a cohort CSV.
 
-    Derived fields (carried-forward marker, months since last visit) are
-    reconstructed from the measurements. Baseline columns follow the declared
-    ``schema``; without one, every ``baseline_*`` column is treated as
-    continuous. ``horizon`` defaults to the largest followup_end present.
-    Structural violations raise :class:`IngestError` with line numbers,
-    fail-fast after the first 20.
+    Rows may come in any order. Subjects are numbered by their first row in
+    the file (a row with the wrong field count or a malformed numeric field
+    does not count), and each subject's rows are sorted by month. Derived
+    fields (carried-forward marker, months since last visit, visit count)
+    are rebuilt from the measurements by :func:`carry_forward`. Baseline
+    columns follow the declared ``schema``; without one, every
+    ``baseline_*`` column is treated as continuous. ``horizon`` defaults to
+    the largest followup_end present.
+
+    Violations raise :class:`IngestError` with line numbers, which count CSV
+    rows from the header as line 1. Row checks run first: if any row fails,
+    the error lists the first 20 violations by line and, within a line, in
+    the order of the checks. Only then run the subject checks, one violation
+    per subject at its first line, for the first 20 failing subjects.
     """
     path = Path(path)
+    widths = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: empty file") from None
-        rows = list(reader)
+        # one flat list of fields: each row list dies at once, so the cyclic
+        # GC never walks hundreds of thousands of live rows
+        fields = list(chain.from_iterable(
+            widths.append(len(row)) or row for row in reader))
 
     fixed = COHORT_FIXED_COLUMNS
     if header[: len(fixed)] != fixed:
@@ -123,130 +149,146 @@ def ingest_cohort(path, schema=None, horizon=None):
             f"schema {schema.names}"
         )
 
-    viol = _Violations()
-    subjects = {}
-    order = []
-    for idx, row in enumerate(rows):
-        line = idx + 2
-        if len(row) != len(header):
-            viol.add(line, f"expected {len(header)} fields, got {len(row)}")
-            continue
-        sid = row[0]
-        try:
-            t = int(row[1])
-            monitor = int(row[2])
-            obs = float(row[3]) if row[3] != "" else np.nan
-            override = int(row[4])
-            fue = int(row[5])
-        except ValueError as err:
-            viol.add(line, f"malformed numeric field: {err}")
-            continue
-        reason = row[6]
-        y_raw = row[7]
-        if sid not in subjects:
-            subjects[sid] = {
-                "rows": {}, "fue": fue, "reason": reason, "y": None,
-                "base": row[8:], "first_line": line,
-            }
-            order.append(sid)
-        rec = subjects[sid]
-        if t in rec["rows"]:
-            viol.add(line, f"duplicated (subject, t) = ({sid}, {t})")
-            continue
-        if fue != rec["fue"]:
-            viol.add(line, f"followup_end changes within subject {sid}")
-        if reason != rec["reason"]:
-            viol.add(line, f"end_reason changes within subject {sid}")
-        if row[8:] != rec["base"]:
-            viol.add(line, f"baseline values change within subject {sid}")
-        if monitor not in (0, 1):
-            viol.add(line, "monitor must be 0 or 1")
-            continue
-        if override not in (0, 1):
-            viol.add(line, "override_flag must be 0 or 1")
-            continue
-        if monitor == 1 and np.isnan(obs):
-            viol.add(line, "monitored month lacks an observed_marker")
-        if monitor == 0 and not np.isnan(obs):
-            viol.add(line, "observed_marker present on an unmonitored month")
-        if reason not in END_REASONS:
-            viol.add(line, f"unknown end_reason {reason!r}")
-            continue
-        if y_raw != "":
-            if t != fue:
-                viol.add(line, "outcome_y populated before the last row")
-            if y_raw not in ("0", "1"):
-                viol.add(line, f"outcome_y must be 0 or 1, got {y_raw!r}")
-            else:
-                rec["y"] = float(y_raw)
-        rec["rows"][t] = (monitor, obs, override)
-        if len(viol.items) >= MAX_VIOLATIONS:
-            break
-    viol.raise_if_any(path)
+    # row checks, in the order a row meets them; a row failing a check
+    # marked "skip" meets no later check and is not stored
+    found, position = [], count()
 
-    if not order:
+    def add(mask, template, *args):
+        k = next(position)
+        found.extend((line, k, template.format(*xs)) for line, *xs in zip(
+            lines[mask].tolist(), *(a[mask].tolist() for a in args)))
+
+    ncol = len(header)
+    widths = np.array(widths, dtype=np.int64)
+    lines = np.arange(widths.size) + 2
+    fit = widths == ncol
+    add(~fit, f"expected {ncol} fields, got {{}}", widths)  # skip
+    cells = np.array(fields, dtype=object)[
+        (np.cumsum(widths) - widths)[fit, None] + np.arange(ncol)]
+    del fields
+    lines = lines[fit]
+
+    parsed = [_parse(cells[:, j].tolist(), convert, dtype) for j, convert, dtype
+              in ((1, int, np.int64), (2, int, np.int64),
+                  (3, lambda c: float(c) if c != "" else np.nan, np.float64),
+                  (4, int, np.int64), (5, int, np.int64))]
+    t, monitor, obs, override, fue = (values for values, _ in parsed)
+    message = np.full(lines.size, None, dtype=object)
+    for _, errors in reversed(parsed):  # the first failing field's message
+        message[list(errors)] = list(errors.values())
+    malformed = np.not_equal(message, None)
+    add(malformed, "malformed numeric field: {}", message)  # skip
+    if malformed.any():
+        cells, lines, t, monitor, obs, override, fue = (
+            a[~malformed] for a in (cells, lines, t, monitor, obs, override,
+                                    fue))
+
+    sids = cells[:, 0].tolist()
+    ids = list(dict.fromkeys(sids))
+    code = np.fromiter(map(dict(zip(ids, range(len(ids)))).__getitem__, sids),
+                       np.int64, len(sids))
+    first = np.unique(code, return_index=True)[1]  # each subject's first row
+    reason = cells[:, 6]
+    reason_code = np.fromiter(
+        map(_REASON_CODE.get, reason, repeat(-1)), np.int64, len(reason))
+    binary_monitor = (monitor == 0) | (monitor == 1)
+    binary_override = (override == 0) | (override == 1)
+    known_reason = reason_code >= 0
+
+    # a repeated (subject, t) is a duplicate once an earlier row of it got
+    # past the monitor, override and end_reason checks and was stored
+    order = np.lexsort((t, code))  # stable: file order within a month
+    stored = (binary_monitor & binary_override & known_reason)[order]
+    before = np.cumsum(stored) - stored
+    sorted_code, sorted_t = code[order], t[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = ((sorted_code[1:] != sorted_code[:-1])
+                  | (sorted_t[1:] != sorted_t[:-1]))
+    dup = np.empty(order.size, dtype=bool)
+    dup[order] = before > before[starts][np.cumsum(starts) - 1]
+
+    sid = cells[:, 0]
+    add(dup, "duplicated (subject, t) = ({}, {})", sid, t)  # skip
+    live = ~dup
+    add(live & (fue != fue[first][code]),
+        "followup_end changes within subject {}", sid)
+    add(live & (reason != reason[first][code]),
+        "end_reason changes within subject {}", sid)
+    add(live & (cells[:, 8:] != cells[first[code], 8:]).any(axis=1),
+        "baseline values change within subject {}", sid)
+    add(live & ~binary_monitor, "monitor must be 0 or 1")  # skip
+    live &= binary_monitor
+    add(live & ~binary_override, "override_flag must be 0 or 1")  # skip
+    live &= binary_override
+    measured = ~np.isnan(obs)
+    add(live & (monitor == 1) & ~measured,
+        "monitored month lacks an observed_marker")
+    add(live & (monitor == 0) & measured,
+        "observed_marker present on an unmonitored month")
+    add(live & np.isinf(obs), "observed_marker must be finite, got {!r}", obs)
+    add(live & ~known_reason, "unknown end_reason {!r}", reason)  # skip
+    live &= known_reason
+    y_raw = cells[:, 7]
+    has_y = live & (y_raw != "")
+    add(has_y & (t != fue), "outcome_y populated before the last row")
+    add(has_y & (y_raw != "0") & (y_raw != "1"),
+        "outcome_y must be 0 or 1, got {!r}", y_raw)
+    _raise_violations(path, found)
+
+    # subject checks, once every row passed the row checks and was stored: a
+    # subject is reported at its first line with its first failing check
+    if not ids:
         raise IngestError(f"{path}: no data rows")
-    fues = [subjects[s]["fue"] for s in order]
-    K = int(max(fues)) if horizon is None else int(horizon)
+    n = len(ids)
+    fue = fue[first]
+    K = int(fue.max()) if horizon is None else int(horizon)
+    t, monitor, obs, override = (a[order] for a in (t, monitor, obs, override))
+    size = np.bincount(code, minlength=n)
+    offsets = np.concatenate([[0], np.cumsum(size)])
+    in_order = t == np.arange(t.size) - np.repeat(offsets[:-1], size)
+    base = np.empty((n, len(base_cols)))
+    base_bad = np.zeros(n, dtype=bool)
+    for j in range(len(base_cols)):
+        base[:, j], errors = _parse(cells[first, 8 + j].tolist(), float,
+                                    np.float64)
+        base_bad[list(errors)] = True
+    has_outcome = np.zeros(n, dtype=bool)
+    has_outcome[code[has_y]] = True
+    checks = (
+        ((fue < 0) | (fue > K), "followup_end {fue} outside [0, {K}]"),
+        ((size != fue + 1) | ~np.logical_and.reduceat(in_order, offsets[:-1]),
+         "subject {sid}: month gap/extras (missing {missing}, extra {extra})"),
+        (monitor[offsets[:-1]] != 1,
+         "subject {sid}: baseline month must be monitored"),
+        (has_outcome & (fue != K), "subject {sid}: outcome recorded but "
+                                   "follow-up ended at {fue} < horizon {K}"),
+        (base_bad, "subject {sid}: malformed baseline value"),
+    )
+    failed = np.array([mask for mask, _ in checks])
+    for i in np.flatnonzero(failed.any(axis=0))[:MAX_VIOLATIONS].tolist():
+        months = set(t[offsets[i]:offsets[i + 1]].tolist())
+        f = int(fue[i])
+        # at most len(months) of 0..f are present: the first three missing
+        # ones lie below len(months) + 3
+        missing = [k for k in range(min(f + 1, len(months) + 3))
+                   if k not in months][:3]
+        extra = sorted(k for k in months if k < 0 or k > f)[:3]
+        message = checks[int(np.argmax(failed[:, i]))][1].format(
+            sid=ids[i], fue=f, K=K, missing=missing, extra=extra)
+        found.append((int(lines[first[i]]), 0, message))
+    _raise_violations(path, found)
 
-    ids, base, fue_arr, reason_arr, y_arr, d_arr = [], [], [], [], [], []
-    t_flat, mon_flat, obs_flat, last_flat, m_flat, ovr_flat = [], [], [], [], [], []
-    for sid in order:
-        rec = subjects[sid]
-        fue = rec["fue"]
-        line = rec["first_line"]
-        if fue < 0 or fue > K:
-            viol.add(line, f"followup_end {fue} outside [0, {K}]")
-            continue
-        expected = set(range(fue + 1))
-        got = set(rec["rows"])
-        if got != expected:
-            missing = sorted(expected - got)[:3]
-            extra = sorted(got - expected)[:3]
-            viol.add(line, f"subject {sid}: month gap/extras "
-                           f"(missing {missing}, extra {extra})")
-            continue
-        if rec["rows"][0][0] != 1:
-            viol.add(line, f"subject {sid}: baseline month must be monitored")
-            continue
-        if rec["y"] is not None and fue != K:
-            viol.add(line, f"subject {sid}: outcome recorded but follow-up "
-                           f"ended at {fue} < horizon {K}")
-            continue
-        try:
-            bvals = [float(v) for v in rec["base"]]
-        except ValueError:
-            viol.add(line, f"subject {sid}: malformed baseline value")
-            continue
-        ids.append(sid)
-        base.append(bvals)
-        fue_arr.append(fue)
-        reason_arr.append(_REASON_CODE[rec["reason"]])
-        y_arr.append(np.nan if rec["y"] is None else rec["y"])
-        last, msince, d = np.nan, 0, 0
-        for t in range(fue + 1):
-            monitor, obs, override = rec["rows"][t]
-            if monitor == 1:
-                last, msince, d = obs, 0, d + 1
-            elif t > 0:
-                msince += 1
-            t_flat.append(t)
-            mon_flat.append(monitor)
-            obs_flat.append(obs)
-            last_flat.append(last)
-            m_flat.append(msince)
-            ovr_flat.append(override)
-        d_arr.append(d)
-    viol.raise_if_any(path)
-
+    outcome_y = np.full(n, np.nan)
+    outcome_y[code[has_y]] = (y_raw[has_y] == "1").astype(np.float64)
+    last, since, d_total = carry_forward(monitor, obs, offsets)
     try:
         return Cohort(
-            subject_ids=ids, baseline=np.array(base, dtype=np.float64),
-            schema=schema, horizon=K, followup_end=fue_arr,
-            end_reason=reason_arr, outcome_y=y_arr, d_total=d_arr, t=t_flat,
-            monitor=mon_flat, observed_marker=obs_flat,
-            last_observed_marker=last_flat, months_since=m_flat,
-            override_flag=ovr_flat,
+            subject_ids=ids, baseline=base,
+            schema=schema, horizon=K, followup_end=fue,
+            end_reason=reason_code[first], outcome_y=outcome_y,
+            d_total=d_total, t=t, monitor=monitor, observed_marker=obs,
+            last_observed_marker=last, months_since=since,
+            override_flag=override,
         )
     except ConfigError as err:
         raise IngestError(f"{path}: {err}") from err

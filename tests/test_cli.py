@@ -83,6 +83,8 @@ BAD_INPUTS = {
                                 "weights": {"truncation": "top"}},
     "unknown_scheme": {"mode": "analyze", "seed": 5, "kappa": 4.5,
                        "weights": {"scheme": "both"}},
+    "horizon_not_a_number": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                             "horizon": "abc"},
     "window_not_a_number": {"mode": "analyze", "seed": 5, "kappa": 4.5,
                             "grid": {"window_below": ["two", 7]}},
     "dgp_value_not_a_number": {"mode": "simulate", "seed": 5,

@@ -1,7 +1,13 @@
-"""Cohort container invariants and record round-trips."""
+"""Cohort container invariants and record round-trips.
+
+``reference_validate`` is the per-subject loop the columnar
+:meth:`Cohort.validate` replaced, kept as the reference it must match.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcds import Cohort, ConfigError
 from rcds.cohort import SubjectRecord, TimeRow, baseline_design
@@ -91,3 +97,173 @@ def test_baseline_design_layout(fixture_cohort):
     assert names2 == ["age"]
     with pytest.raises(ConfigError):
         baseline_design(fixture_cohort, ["nope"])
+
+
+# ----------------------------------------------------------------------
+# the per-subject reference and the validate branches
+# ----------------------------------------------------------------------
+def reference_validate(c):
+    """The loop version of ``Cohort.validate``, plus the finite-marker rule
+    (marked below)."""
+    n = c.n_subjects
+    if c.baseline.shape[0] != n:
+        raise ConfigError("baseline rows do not match subject count")
+    c.schema.validate_values(c.baseline)
+    if len(set(c.subject_ids)) != n:
+        raise ConfigError("duplicate subject ids")
+    if np.any(c.followup_end < 0) or np.any(c.followup_end > c.horizon):
+        raise ConfigError("followup_end must lie in [0, horizon]")
+    if c.offsets[-1] != c.n_rows:
+        raise ConfigError("row blocks do not match followup_end")
+    present = ~np.isnan(c.outcome_y)
+    if np.any(present & (c.followup_end != c.horizon)):
+        raise ConfigError("outcome recorded for a subject that left early")
+    ok_y = np.isnan(c.outcome_y) | (c.outcome_y == 0) | (c.outcome_y == 1)
+    if not np.all(ok_y):
+        raise ConfigError("outcome_y must be 0, 1, or missing")
+    if np.any((c.monitor != 0) & (c.monitor != 1)):
+        raise ConfigError("monitor must be binary")
+    if np.any((c.override_flag != 0) & (c.override_flag != 1)):
+        raise ConfigError("override_flag must be binary")
+
+    for i in range(n):
+        lo, hi = c.offsets[i], c.offsets[i + 1]
+        sid = c.subject_ids[i]
+        ts = c.t[lo:hi]
+        if not np.array_equal(ts, np.arange(c.followup_end[i] + 1)):
+            raise ConfigError(f"subject {sid}: months must be 0..followup_end "
+                              "with no gaps")
+        mon = c.monitor[lo:hi]
+        if c.d_total[i] != int(mon.sum()):
+            raise ConfigError(f"subject {sid}: d_total does not equal the "
+                              "monitored-row count")
+        obs = c.observed_marker[lo:hi]
+        if np.any(np.isnan(obs[mon == 1])):
+            raise ConfigError(f"subject {sid}: monitored months must record "
+                              "a marker value")
+        if np.any(~np.isnan(obs[mon == 0])):
+            raise ConfigError(f"subject {sid}: marker recorded on an "
+                              "unmonitored month")
+        # the finite-marker rule, added after the loop was replaced
+        if np.any(np.isinf(obs)):
+            raise ConfigError(f"subject {sid}: marker values must be finite")
+        if mon[0] != 1:
+            raise ConfigError(f"subject {sid}: baseline month must be "
+                              "monitored (entry requires a measured marker)")
+        carry = np.where(mon == 1, obs, np.nan)
+        expected_last = np.empty(hi - lo)
+        cur = np.nan
+        for k in range(hi - lo):
+            if not np.isnan(carry[k]):
+                cur = carry[k]
+            expected_last[k] = cur
+        got = c.last_observed_marker[lo:hi]
+        if not np.array_equal(np.isnan(expected_last), np.isnan(got)) or \
+                not np.allclose(np.nan_to_num(expected_last),
+                                np.nan_to_num(got)):
+            raise ConfigError(f"subject {sid}: last_observed_marker must carry "
+                              "the most recent measurement forward")
+        m = c.months_since[lo:hi]
+        if mon[0] == 1 and m[0] != 0:
+            raise ConfigError(f"subject {sid}: months_since_last_monitor must "
+                              "be 0 on a monitored month")
+        for k in range(1, hi - lo):
+            want = 0 if mon[k] == 1 else m[k - 1] + 1
+            if m[k] != want:
+                raise ConfigError(
+                    f"subject {sid}: months_since_last_monitor breaks the "
+                    f"reset/increment rule at t={k}")
+
+
+ROW_ARRAYS = ("t", "monitor", "observed_marker", "last_observed_marker",
+              "months_since", "override_flag")
+SUBJECT_ARRAYS = ("followup_end", "outcome_y", "d_total")
+
+
+def edited(cohort, *edits):
+    """An unvalidated copy of ``cohort`` with each ``(array, index, value)``
+    edit applied."""
+    arrays = {name: getattr(cohort, name).copy()
+              for name in ROW_ARRAYS + SUBJECT_ARRAYS}
+    for name, index, value in edits:
+        arrays[name][index] = value
+    return Cohort(subject_ids=cohort.subject_ids, baseline=cohort.baseline,
+                  schema=cohort.schema, horizon=cohort.horizon,
+                  end_reason=cohort.end_reason, validate=False, **arrays)
+
+
+def validate_error(cohort):
+    with pytest.raises(ConfigError) as info:
+        cohort.validate()
+    return str(info.value)
+
+
+# rows of the fixture cohort: s1 at 0-12, s2 at 13-25, s3 (followup_end 11)
+# at 26-37
+@pytest.mark.parametrize("edits, message", [
+    ((("t", 18, 6),), "subject s2: months must be 0..followup_end with no gaps"),
+    ((("observed_marker", 3, np.nan),),
+     "subject s1: monitored months must record a marker value"),
+    ((("observed_marker", 27, 400.0),),
+     "subject s3: marker recorded on an unmonitored month"),
+    ((("observed_marker", 3, np.inf), ("last_observed_marker", 3, np.inf)),
+     "subject s1: marker values must be finite"),
+    ((("months_since", 13, 1),),
+     "subject s2: months_since_last_monitor must be 0 on a monitored month"),
+    ((("months_since", 33, 8), ("months_since", 20, 9)),
+     "subject s2: months_since_last_monitor breaks the reset/increment rule "
+     "at t=7"),
+    ((("months_since", 30, 5),),
+     "subject s3: months_since_last_monitor breaks the reset/increment rule "
+     "at t=4"),
+])
+def test_validate_branches(fixture_cohort, edits, message):
+    bad = edited(fixture_cohort, *edits)
+    assert validate_error(bad) == message
+    with pytest.raises(ConfigError) as info:
+        reference_validate(bad)
+    assert str(info.value) == message
+
+
+def test_first_bad_subject_is_reported(fixture_cohort):
+    # s3 fails an earlier check than s2; the earlier subject is reported
+    bad = edited(fixture_cohort, ("months_since", 20, 9), ("t", 30, 3))
+    assert validate_error(bad) == (
+        "subject s2: months_since_last_monitor breaks the reset/increment rule "
+        "at t=7")
+
+
+EDIT_VALUES = {
+    "t": (-1, 0, 1, 5, 12, 13),
+    "monitor": (0, 1, 2),
+    "observed_marker": (np.nan, np.inf, -np.inf, 100.0, 250.0),
+    "last_observed_marker": (np.nan, np.inf, 100.0, 100.0005, 101.0, 400.0),
+    "months_since": (-1, 0, 1, 2, 3, 9),
+    "override_flag": (0, 1, 2),
+    "followup_end": (-1, 11, 12, 13),
+    "outcome_y": (np.nan, 0.0, 1.0, 0.5),
+    "d_total": (0, 3, 5),
+}
+
+
+@st.composite
+def array_edits(draw):
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(EDIT_VALUES)))
+        size = 3 if name in SUBJECT_ARRAYS else 38
+        edits.append((name, draw(st.integers(0, size - 1)),
+                      draw(st.sampled_from(EDIT_VALUES[name]))))
+    return edits
+
+
+@settings(max_examples=500)
+@given(array_edits())
+def test_validate_matches_per_subject_reference(fixture_cohort, edits):
+    bad = edited(fixture_cohort, *edits)
+    try:
+        reference_validate(bad)
+    except ConfigError as err:
+        assert validate_error(bad) == str(err)
+    else:
+        bad.validate()
