@@ -127,7 +127,7 @@ def run(config):
         params = _dgp_from(config.section("dgp"), seed)
         grid = _grid_from(config.section("grid"))
         n_mc = _number(config.raw, "n_mc", 100_000, int)
-        rule = config.raw.get("rule", "earliest")
+        rule = config.raw.get("rule", "natural")
         truth = oracle_truth(params, grid, n_mc, rule=rule, seed=seed)
         rio.truth_to_csv(truth, out / "truth.csv")
         print(f"wrote {out / 'truth.csv'} (rule={rule}, n_mc={n_mc})")

@@ -167,6 +167,23 @@ def score(design, y, coef, family):
 
 
 def _solve_wls(X, z, wts, columns):
+    """Weighted least squares through the Cholesky factor L of X'WX; diag(L)
+    equals |diag(R)| of the QR of W^(1/2)X. Forming X'WX squares the condition
+    number, so when the factorization fails or diag(L) spans more than 1e6,
+    :func:`_solve_qr` takes the step, and its rank rule names the column."""
+    Xw = X * wts[:, None]
+    try:
+        L = np.linalg.cholesky(Xw.T @ X)
+        diag = np.diag(L)
+        if diag.min() >= 1e-6 * diag.max():  # False for NaN too
+            beta = np.linalg.solve(L.T, np.linalg.solve(L, Xw.T @ z))
+            return beta, float(diag.max() / diag.min())
+    except np.linalg.LinAlgError:
+        pass
+    return _solve_qr(X, z, wts, columns)
+
+
+def _solve_qr(X, z, wts, columns):
     """Weighted least squares via QR; raises RankError if deficient."""
     sw = np.sqrt(wts)
     A = X * sw[:, None]
@@ -181,9 +198,7 @@ def _solve_wls(X, z, wts, columns):
             "dependent on earlier columns",
             column=columns[bad],
         )
-    beta = np.linalg.solve(R, Q.T @ b)
-    cond = float(diag.max() / diag.min())
-    return beta, cond
+    return np.linalg.solve(R, Q.T @ b), float(diag.max() / diag.min())
 
 
 def fit_glm(design, response, family, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,

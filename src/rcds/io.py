@@ -7,6 +7,7 @@ timestamps, so identical inputs produce byte-identical artifacts.
 import csv
 from dataclasses import dataclass
 from itertools import chain, count, repeat
+from math import isnan
 from pathlib import Path
 
 import numpy as np
@@ -31,40 +32,48 @@ COHORT_FIXED_COLUMNS = [
 
 
 def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, float) and np.isnan(v):
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return "" if isnan(v) else repr(v)
+
+
+def _csv_field(text):
+    """``text`` as a field of a ``csv.writer`` row (minimal quoting)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def cohort_to_csv(cohort, path):
-    """Write one row per subject-month in the flat cohort schema."""
-    base_cols = [f"baseline_{n}" for n in cohort.schema.names]
+    """Write one row per subject-month in the flat cohort schema, as
+    ``csv.writer`` would, building the text a column at a time."""
+    sub = np.repeat(np.arange(cohort.n_subjects), np.diff(cohort.offsets))
+    fue, y = cohort.followup_end, cohort.outcome_y
+
+    def per_subject(texts):
+        return np.array(texts, dtype=object)[sub]
+
+    def integers(values):
+        distinct, at = np.unique(values, return_inverse=True)
+        return np.array(list(map(str, distinct.tolist())), dtype=object)[at]
+
+    outcome = np.where(cohort.t == fue[sub], per_subject(
+        ["" if isnan(v) else str(int(v)) for v in y.tolist()]), "")
+    columns = [
+        per_subject([_csv_field(str(s)) for s in cohort.subject_ids]),
+        integers(cohort.t), integers(cohort.monitor),
+        list(map(_fmt, cohort.observed_marker.tolist())),
+        integers(cohort.override_flag),
+        per_subject([f"{int(f)},{cohort.end_reason_name(i)}"
+                     for i, f in enumerate(fue.tolist())]),
+        outcome,
+    ]
+    if cohort.schema.names:
+        columns.append(per_subject(
+            [",".join(map(repr, row)) for row in cohort.baseline.tolist()]))
+    header = COHORT_FIXED_COLUMNS + [f"baseline_{n}" for n in cohort.schema.names]
+    lines = chain([",".join(map(_csv_field, header))],
+                  map(",".join, zip(*columns)))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(COHORT_FIXED_COLUMNS + base_cols)
-        for i in range(cohort.n_subjects):
-            lo, hi = cohort.offsets[i], cohort.offsets[i + 1]
-            fue = int(cohort.followup_end[i])
-            base = [repr(float(v)) for v in cohort.baseline[i]]
-            y = cohort.outcome_y[i]
-            for k in range(lo, hi):
-                t = int(cohort.t[k])
-                obs = float(cohort.observed_marker[k])
-                row = [
-                    cohort.subject_ids[i],
-                    t,
-                    int(cohort.monitor[k]),
-                    "" if np.isnan(obs) else repr(obs),
-                    int(cohort.override_flag[k]),
-                    fue,
-                    cohort.end_reason_name(i),
-                    ("" if (t != fue or np.isnan(y)) else str(int(y))),
-                ]
-                w.writerow(row + base)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _parse(cells, convert, dtype):
@@ -330,31 +339,6 @@ def truth_to_csv(truth, path):
                 _fmt(float(truth.usage[i])),
                 _fmt(float(truth.usage_mcse[i])),
             ])
-
-
-def expanded_to_csv(ds, path, weights=None):
-    """Audit dump of the person-strategy-month table."""
-    xs = ds.grid.xs
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["subject_id", "x", "t", "at_risk", "censored_this_month",
-                  "response_d", "response_y"]
-        if weights is not None:
-            header.append("weight")
-        w.writerow(header)
-        for k in range(ds.n_rows):
-            row = [
-                ds.cohort.subject_ids[ds.subject_idx[k]],
-                _fmt(float(xs[ds.x_idx[k]])),
-                int(ds.t[k]),
-                int(ds.at_risk[k]),
-                int(ds.censored_this_month[k]),
-                int(ds.response_d[k]),
-                _fmt(float(ds.response_y[k])),
-            ]
-            if weights is not None:
-                row.append(_fmt(float(weights[k])))
-            w.writerow(row)
 
 
 def schema_from_config(block):

@@ -387,58 +387,67 @@ def clone_horizon_weights(cohort, model, grid, numerator="one",
     return out
 
 
-class _FactorRows:
-    """Cohort rows of one factor kind, concatenated over the plan's segments
-    (``off`` bounds each), with their subjects."""
-
-    def __init__(self, masks, subject):
-        rows = [np.flatnonzero(m) for m in masks]
-        self.off = np.concatenate([[0], np.cumsum([r.size for r in rows])])
-        self.rows = np.concatenate(rows)
-        self.sub = subject[self.rows]
-
-    def segment(self, j):
-        return slice(self.off[j], self.off[j + 1])
+def _sweep(above, below):
+    """Per-(subject, strategy j) totals of (subject, column) cells: a cell of
+    ``above`` reaches every j up to its column, one of ``below`` j from it."""
+    return np.cumsum(above[:, ::-1], axis=1)[:, ::-1] + np.cumsum(below, axis=1)
 
 
 class CensoringWeightPlan:
     """Replicate-invariant layout of the weight factors, under either scheme.
 
-    Factor rows are the decision months whose factor is not one. Under the
-    ``censoring`` scheme each strategy has its own: the early months (gap
-    below the window's lo) contribute num/(1 - p) without a visit, the due
-    months (gap at hi) contribute num/p with the required visit, and a
-    premature or a missed required visit pins the clone at weight zero.
-    Under the ``decision`` scheme every decision month is a factor row,
-    num/(1 - p) without a visit and num/p with one, the same for every
-    strategy. Only the fitted probabilities and the numerator change across
-    bootstrap replicates, so horizon weights reduce to per-subject sums of
-    log-factors over these fixed rows.
+    Factor rows are the decision months whose factor is not one: under the
+    ``censoring`` scheme the early months (gap below the window's lo) give
+    num/(1 - p) without a visit and the due months (gap at hi) num/p with the
+    required visit, while a premature or a missed required visit pins the
+    clone at zero; under the ``decision`` scheme every decision month gives
+    num/(1 - p) or num/p, for every strategy.
+
+    A grid's strategies share their windows, so with ``jstar`` the number of
+    thresholds at or below a month's carried-forward marker, strategies
+    ``j < jstar`` apply the above window and ``j >= jstar`` the below one,
+    and an override month the override window for every j. The horizon
+    log-weight under j therefore sums each subject's above-window factors
+    with ``jstar > j`` and below-window ones with ``jstar <= j``: exactly a
+    reverse cumulative sum and a cumulative sum along j of per-(subject,
+    jstar) totals (:func:`_sweep`), with the additions in another order than
+    a sum per strategy. A replicate changes only the probabilities and the
+    numerator: one log per decision month and two bincounts.
     """
 
     def __init__(self, cohort, grid, scheme="censoring"):
         self.cohort, self.grid, self.scheme = cohort, grid, scheme
         prev_last, prev_ovr, gap = cohort.prev_state()
-        decision = cohort.decision_rows()
-        mon = cohort.monitor == 1
+        dec = np.flatnonzero(cohort.decision_rows())
+        mon = cohort.monitor[dec] == 1
+        n, k = cohort.n_subjects, len(grid)
+        cell = cohort.subject_index_per_row()[dec] * k
+        # (early months, due months, cells) of the above, then below sweep
         if scheme == "decision":  # early: no visit, due: a visit
-            masks = [(decision & ~mon, decision & mon)]
+            none = np.zeros(dec.size, dtype=bool)
+            sides = [(none, none, cell), (~mon, mon, cell)]
         elif scheme == "censoring":
-            masks = []
-            for strat in grid:
-                lo, hi = window_bounds(strat, prev_last, prev_ovr)
-                masks.append((decision & (gap < lo), decision & (gap == hi)))
+            s, g, ovr = grid[0], gap[dec], prev_ovr[dec] == 1
+            jstar = np.searchsorted(grid.xs, prev_last[dec], "right")
+            (lo_a, hi_a), (lo_b, hi_b), (lo_o, hi_o) = (
+                s.window_above, s.window_below, s.override_window)
+            above, below = ~ovr & (jstar > 0), ovr | (jstar < k)
+            lo, hi = np.where(ovr, lo_o, lo_b), np.where(ovr, hi_o, hi_b)
+            sides = [(above & (g < lo_a), above & (g == hi_a), cell + jstar - 1),
+                     (below & (g < lo), below & (g == hi),
+                      np.where(ovr, cell, cell + jstar))]
         else:
             raise ConfigError(f"unknown weight scheme {scheme!r}")
-        subject = cohort.subject_index_per_row()
-        self.low = _FactorRows([e & ~mon for e, _ in masks], subject)
-        self.hit = _FactorRows([d & mon for _, d in masks], subject)
-        self.zeroed = np.zeros((cohort.n_subjects, len(masks)), dtype=bool)
-        for j, (early, due) in enumerate(masks):
-            self.zeroed[subject[(early & mon) | (due & ~mon)], j] = True
+        self.rows, self.mon = dec, mon  # decision months, and their visits
+        self.cells = [(np.flatnonzero(f), at[f]) for f, at in (
+            ((early & ~mon) | (due & mon), at) for early, due, at in sides)]
+        self.zeroed = _sweep(*(
+            np.bincount(at[(early & mon) | (due & ~mon)],
+                        minlength=n * k).reshape(n, k)
+            for early, due, at in sides)) > 0
         # rows held to the probability floor, under any strategy
-        self.early_rows = np.flatnonzero(np.any([e for e, _ in masks], axis=0))
-        self.due_rows = np.flatnonzero(np.any([d for _, d in masks], axis=0))
+        self.early_rows = dec[sides[0][0] | sides[1][0]]
+        self.due_rows = dec[sides[0][1] | sides[1][1]]
 
     def horizon_weights(self, p1_rows, rates=None):
         """(n_subjects, n_strategies) horizon weights given fitted per-row
@@ -454,25 +463,17 @@ class CensoringWeightPlan:
             ctx = _WeightContext(self.cohort, None, "one", p1=p1_rows)
             for _ in _factor_paths(ctx, self.grid, self.scheme):
                 pass
-        low, hit = self.low, self.hit
-        log_low = np.log(1.0 - p1_rows[low.rows])
-        log_hit = np.log(p1_rows[hit.rows])
-        if rates is not None:
-            t = self.cohort.t
-            with np.errstate(divide="ignore"):
-                log_low -= np.log(1.0 - rates[t[low.rows]])
-                log_hit -= np.log(rates[t[hit.rows]])
-        n = self.cohort.n_subjects
-        out = np.zeros(self.zeroed.shape)
-        for j in range(out.shape[1]):
-            seg = low.segment(j)
-            logw = np.bincount(low.sub[seg], weights=log_low[seg], minlength=n)
-            seg = hit.segment(j)
-            logw += np.bincount(hit.sub[seg], weights=log_hit[seg], minlength=n)
-            out[:, j] = np.exp(-logw)
+        p = p1_rows[self.rows]
+        with np.errstate(divide="ignore"):  # only factor rows are summed
+            log_f = np.log(np.where(self.mon, p, 1.0 - p))
+            if rates is not None:
+                r = rates[self.cohort.t[self.rows]]
+                log_f -= np.log(np.where(self.mon, r, 1.0 - r))
+        n, k = self.zeroed.shape
+        out = np.exp(-_sweep(*(
+            np.bincount(at, weights=log_f[pos], minlength=n * k).reshape(n, k)
+            for pos, at in self.cells)))
         out[self.zeroed] = 0.0
-        if self.scheme == "decision":
-            out = np.repeat(out, len(self.grid), axis=1)
         return out
 
 

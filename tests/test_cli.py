@@ -2,6 +2,10 @@
 reruns, the weight scheme reaching the estimator, and error codes on bad input."""
 
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -72,6 +76,30 @@ def test_decision_scheme_reaches_estimator(tmp_path, cohort_csv, capsys):
         assert run(tmp_path, scheme, config, capsys)[0] == 0
         reports.append((tmp_path / scheme / "report.csv").read_bytes())
     assert reports[0] != reports[1]
+
+
+def test_oracle_defaults_to_natural_rule(tmp_path, capsys):
+    # the rule the censoring weights target; earliest is a different estimand
+    base = {"mode": "oracle", "seed": 5, "n_mc": 2000,
+            "grid": {"x_step": 100}}
+    truths = {}
+    for rule in (None, "natural", "earliest"):
+        config = dict(base) if rule is None else {**base, "rule": rule}
+        assert run(tmp_path, str(rule), config, capsys)[0] == 0
+        truths[rule] = (tmp_path / str(rule) / "truth.csv").read_bytes()
+    assert truths[None] == truths["natural"]
+    assert truths[None] != truths["earliest"]
+
+
+def test_cli_import_loads_no_scipy_solvers():
+    # every CLI run pays its imports before any work
+    src = Path(rcds.cli.__file__).parents[1]
+    code = ("import sys, rcds.cli; print(' '.join(m for m in "
+            "('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.split() == []
 
 
 BAD_INPUTS = {

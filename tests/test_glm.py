@@ -1,11 +1,26 @@
 """GLM fitter and spline-basis tests, backed by independent numerical oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 from scipy.special import expit, gammaln, xlogy
 
-from rcds import ConfigError, DesignMatrix, NonConvergence, RankError, SchemaError
+import rcds.glm
+from rcds import (
+    ConfigError,
+    DesignMatrix,
+    DgpParams,
+    MsmSpec,
+    NonConvergence,
+    Plan,
+    RankError,
+    SchemaError,
+    StrategyGrid,
+    WeightOptions,
+    simulate_cohort,
+)
 from rcds.glm import (
     BINOMIAL_LOGIT,
     POISSON_LOG,
@@ -125,6 +140,147 @@ class TestFitGlm:
             fit_glm(d, [0.0, 0.5, 1.0], BINOMIAL_LOGIT)
         with pytest.raises(ConfigError):
             fit_glm(d, [1.0, -2.0, 0.0], POISSON_LOG)
+
+
+def reference_solve_wls(X, z, wts, columns):
+    """The weighted least-squares step by QR of the scaled design, as IRLS
+    solved it before the normal equations."""
+    sw = np.sqrt(wts)
+    A = X * sw[:, None]
+    b = z * sw
+    Q, R = np.linalg.qr(A, mode="reduced")
+    diag = np.abs(np.diag(R))
+    dmax = diag.max() if diag.size else 0.0
+    if dmax == 0.0 or np.any(diag < 1e-10 * dmax):
+        bad = int(np.argmin(diag / (dmax if dmax > 0 else 1.0)))
+        raise RankError(
+            f"design is rank deficient; column {columns[bad]!r} is linearly "
+            "dependent on earlier columns",
+            column=columns[bad],
+        )
+    beta = np.linalg.solve(R, Q.T @ b)
+    cond = float(diag.max() / diag.min())
+    return beta, cond
+
+
+def reference_fit(monkeypatch, *args, **kwargs):
+    """``fit_glm`` with every IRLS step taken by :func:`reference_solve_wls`."""
+    with monkeypatch.context() as m:
+        m.setattr(rcds.glm, "_solve_wls", reference_solve_wls)
+        return fit_glm(*args, **kwargs)
+
+
+def qr_calls(monkeypatch):
+    """Count the IRLS steps that fall back to the QR solve."""
+    calls = []
+    qr = rcds.glm._solve_qr
+
+    def spy(*args):
+        calls.append(args)
+        return qr(*args)
+
+    monkeypatch.setattr(rcds.glm, "_solve_qr", spy)
+    return calls
+
+
+def near_collinear(eps, seed=7, n=200):
+    """A full-rank design whose third column is the second plus ``eps``
+    times noise, its case weights and a Poisson response."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=n), rng.normal(size=n)
+    X = np.column_stack([np.ones(n), u, u + eps * v])
+    w = rng.uniform(0.5, 2.0, size=n)
+    y = rng.poisson(np.exp(0.3 + 0.5 * u)).astype(float)
+    return DesignMatrix(X, ["intercept", "u", "u_eps"], weights=w), y
+
+
+def qr_diagonal_ratio(design):
+    R = np.linalg.qr(design.X * np.sqrt(design.weights)[:, None], mode="r")
+    d = np.abs(np.diag(R))
+    return d.min() / d.max()
+
+
+class TestNormalEquations:
+    """The Cholesky step against the QR step it replaced."""
+
+    @pytest.fixture(scope="class")
+    def designs(self):
+        # the monitoring and both MSM designs of a 4k cohort, weighted by
+        # one bootstrap resample's multiplicities
+        cohort = simulate_cohort(DgpParams(), 4000, seed=3)
+        n = cohort.n_subjects
+        rng = np.random.default_rng(1)
+        mult = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+        plan = Plan(cohort, StrategyGrid.default(), MsmSpec(), WeightOptions())
+        mon = plan.monitor
+        out = [(dataclasses.replace(mon.matrix, weights=mult[mon.subject]),
+                mon.monitored.astype(float), BINOMIAL_LOGIT)]
+        ht, msm = plan.ht, plan.msm_design
+        for r in (ht.y, ht.d.astype(float)):
+            kept = ~np.isnan(r)
+            out.append((DesignMatrix(msm.X, msm.columns,
+                                     np.where(kept, mult[ht.subject_idx], 0.0)),
+                        np.where(kept, r, 0.0), POISSON_LOG))
+        return out
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["monitor", "outcome",
+                                                       "resource"])
+    def test_matches_qr_on_estimator_designs(self, monkeypatch, designs,
+                                             which):
+        design, y, family = designs[which]
+        calls = qr_calls(monkeypatch)
+        got = fit_glm(design, y, family)
+        assert not calls  # well-conditioned: no step falls back
+        want = reference_fit(monkeypatch, design, y, family)
+        assert got.iterations == want.iterations
+        np.testing.assert_allclose(got.coef, want.coef, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(got.se, want.se, rtol=1e-10, atol=0)
+        assert got.cond == pytest.approx(want.cond, rel=1e-10)
+        assert got.deviance == pytest.approx(want.deviance, rel=1e-10)
+
+    def test_small_diagonal_ratio_takes_qr_and_fits(self, monkeypatch):
+        design, y = near_collinear(1e-7)
+        assert 1e-10 < qr_diagonal_ratio(design) < 1e-6
+        calls = qr_calls(monkeypatch)
+        fit = fit_glm(design, y, POISSON_LOG)
+        assert fit.converged
+        assert len(calls) == fit.iterations  # every step fell back
+        want = reference_fit(monkeypatch, design, y, POISSON_LOG)
+        assert np.array_equal(fit.coef, want.coef)
+
+    def test_gram_not_positive_definite_falls_back(self, monkeypatch):
+        design, y = near_collinear(1e-8)
+        assert qr_diagonal_ratio(design) > 1e-10
+        X, w = design.X, design.weights
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky((X * w[:, None]).T @ X)
+        calls = qr_calls(monkeypatch)
+        fit = fit_glm(design, y, POISSON_LOG)
+        assert fit.converged and len(calls) == fit.iterations
+        want = reference_fit(monkeypatch, design, y, POISSON_LOG)
+        assert np.array_equal(fit.coef, want.coef)
+
+    @pytest.mark.parametrize("make", [
+        lambda a, b: [np.ones_like(a), a, b, a + b],
+        lambda a, b: [np.ones_like(a), a, 2.0 * a, b],
+        lambda a, b: [np.ones_like(a), 3.0 * np.ones_like(a), a],
+        lambda a, b: [np.ones_like(a), a, np.zeros_like(a), b],
+    ], ids=["sum", "multiple", "constant", "zero"])
+    def test_collinear_design_names_the_reference_column(self, monkeypatch,
+                                                         make):
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=60), rng.normal(size=60)
+        cols = make(a, b)
+        design = DesignMatrix(np.column_stack(cols),
+                              [f"c{j}" for j in range(len(cols))],
+                              weights=rng.integers(0, 4, size=60).astype(float))
+        y = rng.poisson(1.0, size=60).astype(float)
+        with pytest.raises(RankError) as want:
+            reference_fit(monkeypatch, design, y, POISSON_LOG)
+        with pytest.raises(RankError) as got:
+            fit_glm(design, y, POISSON_LOG)
+        assert got.value.column == want.value.column
+        assert str(got.value) == str(want.value)
 
 
 class TestPredict:

@@ -3,7 +3,8 @@ reference on random corruptions, and the CSV round trip.
 
 The golden table below was captured from the row-by-row ingest that the
 columnar one replaced; ``reference_ingest`` is that loop, kept as the
-reference the property tests compare against.
+reference the property tests compare against. ``reference_cohort_to_csv`` is
+likewise the row-by-row writer that the column-wise one replaced.
 """
 
 import csv
@@ -739,3 +740,51 @@ def test_csv_round_trip(workdir, drawn, rnd):
     first_seen = [by_id[sid] for sid in dict.fromkeys(r[0] for r in rows)]
     assert_same_cohort(ingest_cohort(path, schema=FIXTURE_SCHEMA, horizon=K),
                        Cohort.from_records(first_seen, FIXTURE_SCHEMA, K))
+
+
+def reference_cohort_to_csv(cohort, path):
+    """The row-by-row writer: a ``csv.writer`` row per subject-month."""
+    base_cols = [f"baseline_{n}" for n in cohort.schema.names]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(COHORT_FIXED_COLUMNS + base_cols)
+        for i in range(cohort.n_subjects):
+            lo, hi = cohort.offsets[i], cohort.offsets[i + 1]
+            fue = int(cohort.followup_end[i])
+            base = [repr(float(v)) for v in cohort.baseline[i]]
+            y = cohort.outcome_y[i]
+            for k in range(lo, hi):
+                t = int(cohort.t[k])
+                obs = float(cohort.observed_marker[k])
+                row = [
+                    cohort.subject_ids[i],
+                    t,
+                    int(cohort.monitor[k]),
+                    "" if np.isnan(obs) else repr(obs),
+                    int(cohort.override_flag[k]),
+                    fue,
+                    cohort.end_reason_name(i),
+                    ("" if (t != fue or np.isnan(y)) else str(int(y))),
+                ]
+                w.writerow(row + base)
+
+
+@given(random_cohorts())
+def test_writer_matches_row_writer(workdir, drawn):
+    records, K = drawn
+    cohort = Cohort.from_records(records, FIXTURE_SCHEMA, K)
+    got, want = workdir / "columns.csv", workdir / "rows.csv"
+    cohort_to_csv(cohort, got)
+    reference_cohort_to_csv(cohort, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_writer_matches_row_writer_without_baseline(workdir):
+    records = make_fixture_records()
+    for r in records:
+        r.baseline.clear()
+    cohort = Cohort.from_records(records, BaselineSchema(fields=()), FIXTURE_K)
+    got, want = workdir / "columns.csv", workdir / "rows.csv"
+    cohort_to_csv(cohort, got)
+    reference_cohort_to_csv(cohort, want)
+    assert got.read_bytes() == want.read_bytes()

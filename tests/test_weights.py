@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import logit
 from scipy.stats import chi2
 
@@ -22,12 +24,16 @@ from rcds import (
     simulate_cohort,
     weight_summary,
 )
+from rcds.cohort import Cohort, SubjectRecord
 from rcds.weights import (
+    CensoringWeightPlan,
     at_risk_weight_summary,
     clone_horizon_weights,
     decision_probabilities,
     marginal_rates,
 )
+
+from conftest import FIXTURE_SCHEMA, _rows
 
 
 @pytest.fixture(scope="module")
@@ -333,3 +339,64 @@ class TestSummaries:
         d = s.to_dict()
         assert set(d) == {"n", "min", "p25", "median", "mean", "p75", "p99",
                           "max", "truncated_fraction"}
+
+
+THRESHOLDS = (200.0, 250.0, 300.0)
+
+
+@st.composite
+def crossing_cases(draw):
+    """A small cohort with decision months whose markers often equal a
+    threshold, with override months; a grid of one to three of those thresholds under windows drawn
+    small enough that below and above often share a bound; a monitoring
+    model with probabilities well inside the floor; and positive
+    multiplicities."""
+    K = draw(st.integers(1, 8))
+    markers = st.sampled_from((190.0, 200.0, 225.0, 250.0, 300.0, 320.0))
+    records = []
+    for i in range(draw(st.integers(1, 6))):
+        end = draw(st.integers(1 if i == 0 else 0, K))  # a decision month
+        spec = [(t, int(t == 0 or draw(st.booleans())), draw(markers),
+                 draw(st.sampled_from((0, 0, 1)))) for t in range(end + 1)]
+        rows = _rows(spec)
+        records.append(SubjectRecord(
+            subject_id=f"p{i}", baseline={"sex": 0.0, "age": 40.0},
+            rows=rows, outcome_y=0.0 if end == K else np.nan,
+            d_total=sum(r.monitor for r in rows), followup_end=end,
+            end_reason="administrative_end" if end == K else "lost",
+            horizon=K))
+    cohort = Cohort.from_records(records, FIXTURE_SCHEMA, K)
+    lo_b, lo_a, lo_o = (draw(st.integers(1, 4)) for _ in range(3))
+    hi_b = draw(st.integers(lo_b, 5))
+    hi_a = draw(st.integers(max(lo_a, hi_b), 6))
+    hi_o = draw(st.integers(lo_o, 5))
+    xs = sorted(draw(st.sets(st.sampled_from(THRESHOLDS), min_size=1)))
+    grid = StrategyGrid(tuple(
+        ThresholdStrategy(x, (lo_b, hi_b), (lo_a, hi_a), (lo_o, hi_o))
+        for x in xs))
+    coef = [draw(st.floats(-1.0, 1.0)), draw(st.floats(-0.004, 0.004)),
+            draw(st.floats(-0.5, 0.5)), draw(st.floats(-1.0, 1.0))]
+    columns = ["intercept", "marker", "gap", "override"]
+    model = MonitorModel(
+        fit=GlmFit(coef=np.array(coef), columns=columns,
+                   family="binomial_logit", converged=True, iterations=0,
+                   deviance=0.0, loglik=0.0, cond=1.0),
+        spec=LINEAR_SPEC, marker_knots=None, columns=columns, n_decisions=0)
+    mult = np.array(draw(st.lists(st.integers(1, 3), min_size=len(records),
+                                  max_size=len(records))), dtype=np.float64)
+    return cohort, grid, model, mult
+
+
+@pytest.mark.parametrize("scheme", ["censoring", "decision"])
+@pytest.mark.parametrize("numerator", ["one", "marginal"])
+@given(case=crossing_cases())
+def test_crossing_index_matches_row_level(scheme, numerator, case):
+    cohort, grid, model, mult = case
+    want = clone_horizon_weights(cohort, model, grid, numerator, scheme, mult)
+    p1 = np.full(cohort.n_rows, np.nan)
+    p1[cohort.decision_rows()] = decision_probabilities(model, cohort)
+    rates = marginal_rates(cohort, mult) if numerator == "marginal" else None
+    got = CensoringWeightPlan(cohort, grid, scheme).horizon_weights(p1, rates)
+    assert got.shape == want.shape
+    assert np.array_equal(got == 0, want == 0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
