@@ -28,7 +28,7 @@ from .errors import (
     SeparationError,
     UndefinedHistory,
 )
-from .expansion import ExpandedDataset, expand, horizon_responses, horizon_table
+from .expansion import ExpandedDataset, expand, horizon_table
 from .glm import DesignMatrix, GlmFit, fit_glm, predict, rcs_basis
 from .msm import (
     DoseResponseTable,
@@ -37,8 +37,6 @@ from .msm import (
     WeightOptions,
     analyze_cohort,
     bootstrap_pipeline,
-    fit_outcome_msm,
-    fit_resource_msm,
     standardize,
 )
 from .optimize import ConstrainedSelection, frontier, select
@@ -64,7 +62,6 @@ from .weights import (
     MonitorModel,
     attach_weights,
     fit_monitor_model,
-    weight_summary,
 )
 
 __version__ = "0.1.0"

@@ -59,7 +59,14 @@ def _msm_from(block):
     )
 
 
+WEIGHT_KEYS = ("truncation", "weighting", "features")
+
+
 def _wopts_from(block):
+    for key in block:
+        if key not in WEIGHT_KEYS:
+            raise ConfigError(f"unknown weights key {key!r}; the weights "
+                              f"block takes {', '.join(WEIGHT_KEYS)}")
     feat = block.get("features", {})
     spec = MonitorFeatureSpec(
         marker=feat.get("marker", "rcs"),
@@ -71,11 +78,9 @@ def _wopts_from(block):
         baseline=tuple(feat.get("baseline", ())),
     )
     return WeightOptions(
-        numerator=block.get("numerator", "one"),
         truncation=None if block.get("truncation") is None
         else _number(block, "truncation"),
         weighting=block.get("weighting", "ip"),
-        scheme=block.get("scheme", "censoring"),
         monitor_spec=spec,
     )
 

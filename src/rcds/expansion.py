@@ -108,23 +108,10 @@ class HorizonTable:
     uncensored: np.ndarray  # (n_subjects, n_strategies) bool
 
 
-def horizon_responses(ds):
-    """Horizon responses read off an expanded dataset, one row per clone
-    still at risk at the horizon month."""
-    K = ds.horizon
-    mask = (ds.t == K) & (ds.at_risk == 1)
-    return HorizonTable(
-        subject_idx=ds.subject_idx[mask],
-        x_idx=ds.x_idx[mask],
-        y=ds.response_y[mask],
-        d=ds.response_d[mask].astype(np.float64),
-        uncensored=(ds.horizons > K) & (ds.cohort.followup_end[:, None] == K),
-    )
-
-
 def horizon_table(cohort, grid, horizons=None):
-    """Direct computation of :func:`horizon_responses` without materializing
-    person-strategy-month rows; the estimator plan's horizon rows."""
+    """The horizon rows of :func:`expand`, one per clone still at risk at the
+    horizon month, computed without materializing person-strategy-month
+    rows; the estimator plan's horizon rows."""
     if horizons is None:
         horizons = horizon_matrix(cohort, grid)
     K = cohort.horizon

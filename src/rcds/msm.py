@@ -10,14 +10,11 @@ baseline distribution.
 
 The estimator runs through one :class:`Plan` per cohort. The plan builds
 once what does not depend on the case weights: the horizon table, the
-monitoring design and its marker knots, the weight-factor row layout and the
-MSM design. ``Plan.run(None)`` is the point estimate; the subject-level
-bootstrap calls ``Plan.run(multiplicity)`` per replicate, which refits the
-monitoring model, rebuilds the weights and refits both MSMs. Every weight
-option (scheme, numerator, truncation, unweighted) takes this path. The
-row-level functions :func:`fit_outcome_msm` and :func:`fit_resource_msm`
-fit the same MSMs on an expanded, weighted dataset; they are kept as the
-reference the plan is tested against.
+monitoring design and its marker knots, the censoring-weight factor layout
+and the MSM design. ``Plan.run(None)`` is the point estimate; the
+subject-level bootstrap calls ``Plan.run(multiplicity)`` per replicate, which
+refits the monitoring model, rebuilds the weights and refits both MSMs.
+Weighted or not, truncated or not, every run takes this path.
 """
 
 import warnings
@@ -43,7 +40,6 @@ from .weights import (
     MonitorFeatureSpec,
     at_risk_weight_summary,
     fit_monitor_model,
-    marginal_rates,
     monitor_design,
 )
 
@@ -73,20 +69,16 @@ class MsmSpec:
 
 @dataclass
 class WeightOptions:
-    """How inverse-probability weights are built for the MSM stage."""
+    """How inverse-probability weights are built for the MSM stage: the
+    censoring weights of :mod:`rcds.weights`, or none at all."""
 
-    numerator: str = "one"        # "one" | "marginal"
     truncation: float | None = None
     weighting: str = "ip"         # "ip" | "none" (diagnostic, unweighted)
-    scheme: str = "censoring"     # "censoring" | "decision"
     monitor_spec: MonitorFeatureSpec = MonitorFeatureSpec()
 
     def __post_init__(self):
-        for name, allowed in (("numerator", ("one", "marginal")),
-                              ("weighting", ("ip", "none")),
-                              ("scheme", ("censoring", "decision"))):
-            if getattr(self, name) not in allowed:
-                raise ConfigError(f"{name} must be one of {allowed}")
+        if self.weighting not in ("ip", "none"):
+            raise ConfigError("weighting must be one of ('ip', 'none')")
         if self.truncation is not None and not 0 < self.truncation <= 100:
             raise ConfigError("truncation percentile must be in (0, 100]")
 
@@ -225,23 +217,6 @@ def _fit_horizon_msm(cohort, grid, spec, subject_idx, x_idx, response, weights,
     return fit
 
 
-def _fit_at_horizon(wds, spec, response):
-    ds = wds.ds
-    mask = (ds.t == ds.horizon) & (ds.at_risk == 1)
-    return _fit_horizon_msm(ds.cohort, ds.grid, spec, ds.subject_idx[mask],
-                            ds.x_idx[mask], response[mask], wds.w[mask])
-
-
-def fit_outcome_msm(wds, spec=MsmSpec()):
-    """Outcome MSM: weighted Poisson regression of failure at the horizon."""
-    return _fit_at_horizon(wds, spec, wds.ds.response_y)
-
-
-def fit_resource_msm(wds, spec=MsmSpec()):
-    """Resource MSM: weighted log-linear regression of the measurement count."""
-    return _fit_at_horizon(wds, spec, wds.ds.response_d.astype(np.float64))
-
-
 def standardize(fit, cohort, grid, spec=MsmSpec(), multiplicity=None):
     """Standardized mean per threshold over the empirical baseline distribution.
 
@@ -290,12 +265,12 @@ class Plan:
     """One cohort's estimator, with everything its runs share built once.
 
     The plan holds the horizon table, the monitoring design with its marker
-    knots, the weight-factor row layout of the chosen scheme and the MSM
-    design. :meth:`run` fits the monitoring model with the run's case
-    weights, builds the horizon weights from the fixed factor rows
-    (numerator, truncation), fits both MSMs on the fixed design with the
-    run's weights and standardizes them: the point estimate and every
-    bootstrap replicate take this one path, whatever the weight options.
+    knots, the censoring-weight factor layout and the MSM design.
+    :meth:`run` fits the monitoring model with the run's case weights,
+    builds the horizon weights from the fixed factor rows (and truncates
+    them), fits both MSMs on the fixed design with the run's weights and
+    standardizes them: the point estimate and every bootstrap replicate
+    take this one path, whatever the weight options.
     """
 
     def __init__(self, cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
@@ -310,7 +285,7 @@ class Plan:
         self.monitor = self.factors = None
         if wopts.weighting == "ip":
             self.monitor = monitor_design(cohort, wopts.monitor_spec)
-            self.factors = CensoringWeightPlan(cohort, grid, wopts.scheme)
+            self.factors = CensoringWeightPlan(cohort, grid)
         self.monitor_model = None  # the point estimate's, once run
         self.starts = (None, None, None)  # monitor, outcome, resource
 
@@ -327,10 +302,7 @@ class Plan:
                                       compute_se=multiplicity is None)
             p1 = np.full(self.cohort.n_rows, np.nan)
             p1[self.cohort.decision_rows()] = self.monitor.probabilities(model)
-            rates = marginal_rates(self.cohort, multiplicity) \
-                if wopts.numerator == "marginal" else None
-            w = self.factors.horizon_weights(p1, rates)[ht.subject_idx,
-                                                        ht.x_idx]
+            w = self.factors.horizon_weights(p1)[ht.subject_idx, ht.x_idx]
         if wopts.truncation is not None and w.size:
             cap = np.percentile(
                 np.repeat(w, multiplicity[ht.subject_idx].astype(np.int64))
@@ -398,8 +370,7 @@ def analyze_cohort(cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
     n_atrisk = plan.ht.uncensored.sum(axis=0)
     table = DoseResponseTable.point_only(grid.xs, risk, usage, n_atrisk)
     weights = at_risk_weight_summary(cohort, plan.monitor_model, grid,
-                                     plan.horizons, wopts.numerator,
-                                     wopts.truncation, wopts.scheme)
+                                     plan.horizons, wopts.truncation)
     return PointAnalysis(table=table, monitor_model=plan.monitor_model,
                          weights=weights, plan=plan)
 

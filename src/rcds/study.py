@@ -28,7 +28,7 @@ class CoverageResult:
 
 
 def run_coverage(params, grid, x_value, n_cohorts, n, B, seed,
-                 spec=None, wopts=WeightOptions(numerator="one"),
+                 spec=None, wopts=WeightOptions(),
                  oracle_n_mc=200_000, oracle_rule="natural",
                  progress=None):
     """Empirical coverage of the bootstrap risk interval at one threshold.

@@ -6,19 +6,16 @@ by the state observed the month before: carried-forward marker, months since
 the last visit, override flag, and optionally calendar month and baseline
 covariates.
 
-Two weighting schemes are available. The default, ``censoring``, inverts the
-probability of *remaining consistent* with a clone's strategy: months inside
-the permitted window contribute factor one; months where the gap sits below
-the window's lo (a visit would censor) contribute num/(1 - p); months where
-the gap reaches hi (a missed visit dooms the clone) contribute num/p, and
-trajectories the within-protocol regime cannot produce get weight zero. This
-makes the weighted clone population reproduce the observational process
-conditioned month-by-month to the strategy's windows, the same regime the
-``natural`` oracle rule simulates. The ``decision`` scheme inverts the
-probability of every observed decision (factors num/f at all months); it is
-the classical construction for point-window (deterministic) strategies, where
-the two schemes coincide exactly, and its weights depend on (subject, t)
-only.
+The weights invert the probability of *remaining consistent* with a clone's
+strategy (artificial censoring, as in Cain et al. 2010): months inside the
+permitted window contribute factor one; months where the gap sits below the
+window's lo (a visit would censor) contribute 1/(1 - p); months where the gap
+reaches hi (a missed visit dooms the clone) contribute 1/p, and trajectories
+the within-protocol regime cannot produce get weight zero. Each such factor
+has conditional mean one given the past, so the weighted clone population
+reproduces the observational process conditioned month-by-month to the
+strategy's windows: the regime the ``natural`` oracle rule simulates, and so
+the estimand the oracle checks.
 """
 
 import dataclasses
@@ -261,26 +258,10 @@ def decision_probabilities(model, cohort):
     return predict(model.fit, _without(design, model.dropped))
 
 
-def marginal_rates(cohort, multiplicity=None):
-    """Per-month monitoring rates over decision rows; the stabilizing
-    numerator (a saturated-in-month logistic model)."""
-    state = _decision_state(cohort)
-    K = cohort.horizon
-    w = np.ones(state["t"].size)
-    if multiplicity is not None:
-        w = np.asarray(multiplicity, dtype=np.float64)[state["subject"]]
-    tot = np.bincount(state["t"], weights=w, minlength=K + 1)
-    hit = np.bincount(state["t"], weights=w * state["monitored"], minlength=K + 1)
-    rates = np.full(K + 1, np.nan)
-    nz = tot > 0
-    rates[nz] = hit[nz] / tot[nz]
-    return rates
-
-
 class _WeightContext:
     """Shared per-row quantities for weight-factor construction."""
 
-    def __init__(self, cohort, model, numerator, multiplicity=None, p1=None):
+    def __init__(self, cohort, model, p1=None):
         self.cohort = cohort
         prev_last, prev_ovr, gap = cohort.prev_state()
         self.prev_last = prev_last
@@ -293,16 +274,6 @@ class _WeightContext:
             p1 = np.full(cohort.n_rows, np.nan)
             p1[self.decision] = decision_probabilities(model, cohort)
         self.p1 = p1
-        if numerator == "one":
-            self.num1 = np.ones(cohort.n_rows)
-            self.num0 = np.ones(cohort.n_rows)
-        elif numerator == "marginal":
-            rates = marginal_rates(cohort, multiplicity)
-            r = rates[cohort.t]
-            self.num1 = r
-            self.num0 = 1.0 - r
-        else:
-            raise ConfigError(f"unknown numerator {numerator!r}")
 
     def scatter(self, flat, fill):
         """Spread a flat per-row array into a dense (n_subjects, K+1) matrix."""
@@ -324,31 +295,15 @@ class _WeightContext:
         )
 
 
-def _decision_factor_paths(ctx):
-    """Cumulative num/f weights of the observed decisions, per subject-month.
-
-    The baseline month is a protocol visit (factor one). Returns a dense
-    (n_subjects, horizon + 1) matrix of cumulative weights.
-    """
-    mon = ctx.monitored & ctx.decision
-    non = ~ctx.monitored & ctx.decision
-    denom = np.where(ctx.monitored, ctx.p1, 1.0 - ctx.p1)
-    ctx.check_floor(ctx.decision & (denom < PROB_FLOOR), "the observed decision")
-    factor = np.ones(ctx.cohort.n_rows)
-    factor[mon] = ctx.num1[mon] / ctx.p1[mon]
-    factor[non] = ctx.num0[non] / (1.0 - ctx.p1[non])
-    return np.multiply.accumulate(ctx.scatter(factor, 1.0), axis=1)
-
-
 def _censoring_factor_paths(ctx, strategy):
     """Cumulative inverse-probability-of-remaining-consistent weights for one
     strategy's clones, per subject-month.
 
     Months with the gap inside [lo, hi) contribute factor one; gap < lo
-    contributes num0/(1 - p) when unmonitored (a visit would censor the
-    clone); gap = hi contributes num1/p when monitored (a missed visit dooms
-    it). Trajectories impossible under the within-window regime get weight
-    zero from the offending month on.
+    contributes 1/(1 - p) when unmonitored (a visit would censor the clone);
+    gap = hi contributes 1/p when monitored (a missed visit dooms it).
+    Trajectories impossible under the within-window regime get weight zero
+    from the offending month on.
     """
     lo, hi = window_bounds(strategy, ctx.prev_last, ctx.prev_ovr)
     early = ctx.decision & (ctx.gap < lo)
@@ -358,32 +313,20 @@ def _censoring_factor_paths(ctx, strategy):
     ctx.check_floor(due & (ctx.p1 < PROB_FLOOR), "the required visit")
     factor = np.ones(ctx.cohort.n_rows)
     m = early & ~ctx.monitored
-    factor[m] = ctx.num0[m] / (1.0 - ctx.p1[m])
+    factor[m] = 1.0 / (1.0 - ctx.p1[m])
     factor[early & ctx.monitored] = 0.0  # premature visit: censored anyway
     m = due & ctx.monitored
-    factor[m] = ctx.num1[m] / ctx.p1[m]
+    factor[m] = 1.0 / ctx.p1[m]
     factor[due & ~ctx.monitored] = 0.0   # doomed to over-wait next month
     return np.multiply.accumulate(ctx.scatter(factor, 1.0), axis=1)
 
 
-def _factor_paths(ctx, grid, scheme):
-    """``(j, cumulative weight paths)`` for every strategy of the grid; under
-    the decision scheme all strategies share one set of paths."""
-    if scheme == "decision":
-        paths = _decision_factor_paths(ctx)
-        return ((j, paths) for j in range(len(grid)))
-    if scheme != "censoring":
-        raise ConfigError(f"unknown weight scheme {scheme!r}")
-    return ((j, _censoring_factor_paths(ctx, s)) for j, s in enumerate(grid))
-
-
-def clone_horizon_weights(cohort, model, grid, numerator="one",
-                          scheme="censoring", multiplicity=None):
+def clone_horizon_weights(cohort, model, grid):
     """(n_subjects, n_strategies) weights at the horizon month."""
-    ctx = _WeightContext(cohort, model, numerator, multiplicity)
+    ctx = _WeightContext(cohort, model)
     out = np.empty((cohort.n_subjects, len(grid)))
-    for j, paths in _factor_paths(ctx, grid, scheme):
-        out[:, j] = paths[:, -1]
+    for j, s in enumerate(grid):
+        out[:, j] = _censoring_factor_paths(ctx, s)[:, -1]
     return out
 
 
@@ -394,14 +337,12 @@ def _sweep(above, below):
 
 
 class CensoringWeightPlan:
-    """Replicate-invariant layout of the weight factors, under either scheme.
+    """Replicate-invariant layout of the censoring-weight factors.
 
-    Factor rows are the decision months whose factor is not one: under the
-    ``censoring`` scheme the early months (gap below the window's lo) give
-    num/(1 - p) without a visit and the due months (gap at hi) num/p with the
-    required visit, while a premature or a missed required visit pins the
-    clone at zero; under the ``decision`` scheme every decision month gives
-    num/(1 - p) or num/p, for every strategy.
+    Factor rows are the decision months whose factor is not one: the early
+    months (gap below the window's lo) give 1/(1 - p) without a visit and
+    the due months (gap at hi) 1/p with the required visit, while a
+    premature or a missed required visit pins the clone at zero.
 
     A grid's strategies share their windows, so with ``jstar`` the number of
     thresholds at or below a month's carried-forward marker, strategies
@@ -411,33 +352,27 @@ class CensoringWeightPlan:
     with ``jstar > j`` and below-window ones with ``jstar <= j``: exactly a
     reverse cumulative sum and a cumulative sum along j of per-(subject,
     jstar) totals (:func:`_sweep`), with the additions in another order than
-    a sum per strategy. A replicate changes only the probabilities and the
-    numerator: one log per decision month and two bincounts.
+    a sum per strategy. A replicate changes only the probabilities: one log
+    per decision month and two bincounts.
     """
 
-    def __init__(self, cohort, grid, scheme="censoring"):
-        self.cohort, self.grid, self.scheme = cohort, grid, scheme
+    def __init__(self, cohort, grid):
+        self.cohort, self.grid = cohort, grid
         prev_last, prev_ovr, gap = cohort.prev_state()
         dec = np.flatnonzero(cohort.decision_rows())
         mon = cohort.monitor[dec] == 1
         n, k = cohort.n_subjects, len(grid)
         cell = cohort.subject_index_per_row()[dec] * k
+        s, g, ovr = grid[0], gap[dec], prev_ovr[dec] == 1
+        jstar = np.searchsorted(grid.xs, prev_last[dec], "right")
+        (lo_a, hi_a), (lo_b, hi_b), (lo_o, hi_o) = (
+            s.window_above, s.window_below, s.override_window)
+        above, below = ~ovr & (jstar > 0), ovr | (jstar < k)
+        lo, hi = np.where(ovr, lo_o, lo_b), np.where(ovr, hi_o, hi_b)
         # (early months, due months, cells) of the above, then below sweep
-        if scheme == "decision":  # early: no visit, due: a visit
-            none = np.zeros(dec.size, dtype=bool)
-            sides = [(none, none, cell), (~mon, mon, cell)]
-        elif scheme == "censoring":
-            s, g, ovr = grid[0], gap[dec], prev_ovr[dec] == 1
-            jstar = np.searchsorted(grid.xs, prev_last[dec], "right")
-            (lo_a, hi_a), (lo_b, hi_b), (lo_o, hi_o) = (
-                s.window_above, s.window_below, s.override_window)
-            above, below = ~ovr & (jstar > 0), ovr | (jstar < k)
-            lo, hi = np.where(ovr, lo_o, lo_b), np.where(ovr, hi_o, hi_b)
-            sides = [(above & (g < lo_a), above & (g == hi_a), cell + jstar - 1),
-                     (below & (g < lo), below & (g == hi),
-                      np.where(ovr, cell, cell + jstar))]
-        else:
-            raise ConfigError(f"unknown weight scheme {scheme!r}")
+        sides = [(above & (g < lo_a), above & (g == hi_a), cell + jstar - 1),
+                 (below & (g < lo), below & (g == hi),
+                  np.where(ovr, cell, cell + jstar))]
         self.rows, self.mon = dec, mon  # decision months, and their visits
         self.cells = [(np.flatnonzero(f), at[f]) for f, at in (
             ((early & ~mon) | (due & mon), at) for early, due, at in sides)]
@@ -449,10 +384,9 @@ class CensoringWeightPlan:
         self.early_rows = dec[sides[0][0] | sides[1][0]]
         self.due_rows = dec[sides[0][1] | sides[1][1]]
 
-    def horizon_weights(self, p1_rows, rates=None):
+    def horizon_weights(self, p1_rows):
         """(n_subjects, n_strategies) horizon weights given fitted per-row
-        monitoring probabilities (aligned with cohort rows) and, for the
-        ``marginal`` numerator, the per-month rates of :func:`marginal_rates`.
+        monitoring probabilities (aligned with cohort rows).
 
         The positivity floor is the row-level rule of :func:`attach_weights`:
         when an early or due month falls below it, the row-level paths are
@@ -460,15 +394,12 @@ class CensoringWeightPlan:
         """
         if (np.any(1.0 - p1_rows[self.early_rows] < PROB_FLOOR)
                 or np.any(p1_rows[self.due_rows] < PROB_FLOOR)):
-            ctx = _WeightContext(self.cohort, None, "one", p1=p1_rows)
-            for _ in _factor_paths(ctx, self.grid, self.scheme):
-                pass
+            ctx = _WeightContext(self.cohort, None, p1=p1_rows)
+            for s in self.grid:
+                _censoring_factor_paths(ctx, s)
         p = p1_rows[self.rows]
         with np.errstate(divide="ignore"):  # only factor rows are summed
             log_f = np.log(np.where(self.mon, p, 1.0 - p))
-            if rates is not None:
-                r = rates[self.cohort.t[self.rows]]
-                log_f -= np.log(np.where(self.mon, r, 1.0 - r))
         n, k = self.zeroed.shape
         out = np.exp(-_sweep(*(
             np.bincount(at, weights=log_f[pos], minlength=n * k).reshape(n, k)
@@ -483,8 +414,6 @@ class WeightedExpandedDataset:
 
     ds: object
     w: np.ndarray
-    numerator: str
-    scheme: str
     truncation: float | None
     truncated_fraction: float
     model: MonitorModel = field(repr=False, default=None)
@@ -493,11 +422,9 @@ class WeightedExpandedDataset:
         return getattr(self.ds, name)
 
 
-def attach_weights(ds, model, numerator="one", truncation=None,
-                   scheme="censoring"):
+def attach_weights(ds, model, truncation=None):
     """Attach cumulative IP weights to every expanded row.
 
-    ``scheme`` picks the weighting construction (see the module docstring);
     ``truncation`` caps weights at the given percentile of the at-risk
     horizon-row weight distribution, and percentile 100 leaves the weights
     untouched exactly: earlier-month rows of censored clones may exceed the
@@ -505,10 +432,10 @@ def attach_weights(ds, model, numerator="one", truncation=None,
     :class:`PositivityViolation` when a fitted probability at a
     weight-relevant month falls below the floor.
     """
-    cohort = ds.cohort
-    ctx = _WeightContext(cohort, model, numerator)
+    ctx = _WeightContext(ds.cohort, model)
     w = np.empty(ds.n_rows)
-    for j, paths in _factor_paths(ctx, ds.grid, scheme):
+    for j, s in enumerate(ds.grid):
+        paths = _censoring_factor_paths(ctx, s)
         rows = ds.x_idx == j
         w[rows] = paths[ds.subject_idx[rows], ds.t[rows]]
     truncated_fraction = 0.0
@@ -521,7 +448,7 @@ def attach_weights(ds, model, numerator="one", truncation=None,
             truncated_fraction = float(np.mean(w > cap))
             w = np.minimum(w, cap)
     return WeightedExpandedDataset(
-        ds=ds, w=w, numerator=numerator, scheme=scheme, truncation=truncation,
+        ds=ds, w=w, truncation=truncation,
         truncated_fraction=truncated_fraction, model=model,
     )
 
@@ -547,15 +474,10 @@ class WeightSummary:
         }
 
 
-def weight_summary(wds):
-    """Distribution of weights over at-risk rows, for the run report."""
-    return _summary(wds.w[wds.ds.at_risk == 1], wds.truncated_fraction)
-
-
-def at_risk_weight_summary(cohort, model, grid, horizons, numerator="one",
-                           truncation=None, scheme="censoring"):
-    """:func:`weight_summary` of :func:`attach_weights` over
-    ``expand(cohort, grid)``, computed without the expansion.
+def at_risk_weight_summary(cohort, model, grid, horizons, truncation=None):
+    """Distribution of the weights of :func:`attach_weights` over the
+    at-risk rows of ``expand(cohort, grid)``, for the run report, computed
+    without the expansion.
 
     The clone-month weights are gathered from each strategy's cumulative
     factor path at the months ``expand`` emits and scattered in its
@@ -570,12 +492,13 @@ def at_risk_weight_summary(cohort, model, grid, horizons, numerator="one",
     at_risk[(start + last)[horizons <= fue]] = False  # the censoring months
     if model is None:
         return _summary(np.ones(int(at_risk.sum())), 0.0)
-    ctx = _WeightContext(cohort, model, numerator)
+    ctx = _WeightContext(cohort, model)
     months = np.arange(cohort.horizon + 1)
     w = np.empty(at_risk.size)
-    for j, paths in _factor_paths(ctx, grid, scheme):
+    for j, s in enumerate(grid):
         rows = months <= last[:, j, None]
-        w[(start[:, j, None] + months)[rows]] = paths[rows]
+        w[(start[:, j, None] + months)[rows]] = \
+            _censoring_factor_paths(ctx, s)[rows]
     truncated_fraction = 0.0
     at_horizon = (start + cohort.horizon)[
         (horizons > cohort.horizon) & (fue == cohort.horizon)]
@@ -589,10 +512,10 @@ def at_risk_weight_summary(cohort, model, grid, horizons, numerator="one",
 def _summary(w, truncated_fraction):
     if w.size == 0:
         w = np.array([np.nan])
+    p25, median, p75, p99 = np.percentile(w, [25, 50, 75, 99])
     return WeightSummary(
-        n=int(w.size), minimum=float(np.min(w)),
-        p25=float(np.percentile(w, 25)), median=float(np.percentile(w, 50)),
-        mean=float(np.mean(w)), p75=float(np.percentile(w, 75)),
-        p99=float(np.percentile(w, 99)), maximum=float(np.max(w)),
+        n=int(w.size), minimum=float(np.min(w)), p25=float(p25),
+        median=float(median), mean=float(np.mean(w)), p75=float(p75),
+        p99=float(p99), maximum=float(np.max(w)),
         truncated_fraction=truncated_fraction,
     )

@@ -1,5 +1,5 @@
 """End-to-end runs of every CLI mode on tiny configs: exit status, byte-identical
-reruns, the weight scheme reaching the estimator, and error codes on bad input."""
+reruns, unknown weights keys refused by name, and error codes on bad input."""
 
 import filecmp
 import os
@@ -68,14 +68,19 @@ def test_mode_reruns_byte_identical(tmp_path, cohort_csv, capsys, mode):
     assert match == files and not mismatch and not errors
 
 
-def test_decision_scheme_reaches_estimator(tmp_path, cohort_csv, capsys):
-    reports = []
-    for scheme in ("censoring", "decision"):
-        config = {"mode": "analyze", "seed": 5, "input": cohort_csv,
-                  "kappa": 4.5, "weights": {"scheme": scheme}}
-        assert run(tmp_path, scheme, config, capsys)[0] == 0
-        reports.append((tmp_path / scheme / "report.csv").read_bytes())
-    assert reports[0] != reports[1]
+@pytest.mark.parametrize("key,value", [("scheme", "censoring"),
+                                       ("numerator", "one"),
+                                       ("trunction", 99)])
+def test_unknown_weights_key_is_named(tmp_path, cohort_csv, capsys, key,
+                                      value):
+    # removed options are refused whatever their value, as are typos
+    config = {"mode": "analyze", "seed": 5, "input": cohort_csv,
+              "kappa": 4.5, "weights": {"truncation": 99, key: value}}
+    status, err = run(tmp_path, key, config, capsys)
+    assert status != 0
+    assert f"unknown weights key {key!r}" in err
+    assert err.splitlines()[-1] == "error_code=CONFIG_ERROR"
+    assert not (tmp_path / key / "report.csv").exists()
 
 
 def test_oracle_defaults_to_natural_rule(tmp_path, capsys):
@@ -111,6 +116,12 @@ BAD_INPUTS = {
                                 "weights": {"truncation": "top"}},
     "unknown_scheme": {"mode": "analyze", "seed": 5, "kappa": 4.5,
                        "weights": {"scheme": "both"}},
+    "scheme_decision": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                        "weights": {"scheme": "decision"}},
+    "numerator_marginal": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                           "weights": {"numerator": "marginal"}},
+    "misspelled_weights_key": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                               "weights": {"trunction": 99}},
     "horizon_not_a_number": {"mode": "analyze", "seed": 5, "kappa": 4.5,
                              "horizon": "abc"},
     "window_not_a_number": {"mode": "analyze", "seed": 5, "kappa": 4.5,

@@ -8,13 +8,13 @@ from rcds import (
     StrategyGrid,
     ThresholdStrategy,
     expand,
-    horizon_responses,
     horizon_table,
     simulate_cohort,
     simulate_forced,
 )
 
 from conftest import FIXTURE_K, fixture_horizons
+from reference import horizon_responses
 
 
 @pytest.fixture(scope="module")

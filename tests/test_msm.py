@@ -17,8 +17,6 @@ from rcds import (
     analyze_cohort,
     bootstrap_pipeline,
     expand,
-    fit_outcome_msm,
-    fit_resource_msm,
     simulate_cohort,
     standardize,
 )
@@ -31,6 +29,8 @@ from rcds.weights import (
     clone_horizon_weights,
     fit_monitor_model,
 )
+
+from reference import fit_outcome_msm, fit_resource_msm
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +46,7 @@ def sim_cohort():
 @pytest.fixture(scope="module")
 def weighted(sim_cohort, small_grid):
     model = fit_monitor_model(sim_cohort)
-    return attach_weights(expand(sim_cohort, small_grid), model,
-                          numerator="one", scheme="censoring")
+    return attach_weights(expand(sim_cohort, small_grid), model)
 
 
 def resample(cohort, seed):
@@ -62,12 +61,11 @@ def reference_point(cohort, grid, spec, wopts):
     ds = expand(cohort, grid)
     if wopts.weighting == "none":
         wds = WeightedExpandedDataset(
-            ds=ds, w=np.ones(ds.n_rows), numerator="one", scheme="none",
-            truncation=None, truncated_fraction=0.0)
+            ds=ds, w=np.ones(ds.n_rows), truncation=None,
+            truncated_fraction=0.0)
     else:
         model = fit_monitor_model(cohort, wopts.monitor_spec)
-        wds = attach_weights(ds, model, wopts.numerator, wopts.truncation,
-                             wopts.scheme)
+        wds = attach_weights(ds, model, wopts.truncation)
     return tuple(standardize(f(wds, spec), cohort, grid, spec)
                  for f in (fit_outcome_msm, fit_resource_msm))
 
@@ -81,8 +79,8 @@ def reference_replicate(cohort, grid, spec, wopts, mult):
         w = np.ones(ht.subject_idx.size)
     else:
         model = fit_monitor_model(cohort, wopts.monitor_spec, mult)
-        w = clone_horizon_weights(cohort, model, grid, wopts.numerator,
-                                  wopts.scheme, mult)[ht.subject_idx, ht.x_idx]
+        w = clone_horizon_weights(cohort, model, grid)[ht.subject_idx,
+                                                       ht.x_idx]
     if wopts.truncation is not None:
         w = np.minimum(w, np.percentile(
             np.repeat(w, mult[ht.subject_idx].astype(int)), wopts.truncation))
@@ -98,17 +96,15 @@ def assert_close(got, want, rtol=1e-10):
         np.testing.assert_allclose(g, r, rtol=rtol, atol=0)
 
 
-WEIGHT_OPTIONS = [
-    WeightOptions(scheme=scheme, numerator=num, truncation=trunc)
-    for scheme in ("censoring", "decision") for num in ("one", "marginal")
-    for trunc in (None, 99.0)
-] + [WeightOptions(weighting="none")]
+WEIGHT_OPTIONS = [WeightOptions(truncation=trunc) for trunc in (None, 99.0)] \
+    + [WeightOptions(weighting="none")]
 
 
 def _wopts_id(w):
+    # censoring weights with a unit numerator, the one IP weighting
     if w.weighting == "none":
         return "unweighted"
-    return f"{w.scheme}-{w.numerator}-{w.truncation}"
+    return f"censoring-one-{w.truncation}"
 
 
 class TestPlanEquivalence:
@@ -142,13 +138,12 @@ class TestPlanEquivalence:
 
     # a gap coefficient of 30 makes early visits certain, one of -3 makes
     # due visits impossible
-    @pytest.mark.parametrize("scheme", ["censoring", "decision"])
-    @pytest.mark.parametrize("gap_coef", [30.0, -3.0])
+    @pytest.mark.parametrize("gap_coef", [30.0, -3.0],
+                             ids=lambda c: f"{c}-censoring")
     def test_positivity_floor_names_offenders(self, sim_cohort, small_grid,
-                                              scheme, gap_coef):
+                                              gap_coef):
         # one floor rule in the plan and in the row-level weights
-        plan = Plan(sim_cohort, small_grid, MsmSpec(),
-                    WeightOptions(scheme=scheme))
+        plan = Plan(sim_cohort, small_grid, MsmSpec(), WeightOptions())
         model = fit_monitor_model(sim_cohort)
         model.fit.coef = model.fit.coef.copy()
         model.fit.coef[model.columns.index("gap")] = gap_coef
@@ -158,7 +153,7 @@ class TestPlanEquivalence:
             plan.factors.horizon_weights(p1)
         ds = expand(sim_cohort, small_grid)
         with pytest.raises(PositivityViolation) as ref:
-            attach_weights(ds, model, scheme=scheme)
+            attach_weights(ds, model)
         assert str(err.value) == str(ref.value)
         assert err.value.rows == ref.value.rows
 
@@ -201,7 +196,7 @@ class TestMsmFits:
         grid = StrategyGrid.default(x_step=100)
         point = bootstrap_pipeline(cohort, grid,
                                    MsmSpec(baseline_terms=["sex", "age"]),
-                                   WeightOptions(numerator="one"),
+                                   WeightOptions(),
                                    B=60, seed=3)
         t = point.table
         spread = t.risk.max() - t.risk.min()
@@ -213,7 +208,7 @@ class TestMsmFits:
         grid = StrategyGrid.default(x_step=100, window_below=(3, 8),
                                     window_above=(3, 8), override_window=(3, 8))
         point = bootstrap_pipeline(cohort, grid, MsmSpec(),
-                                   WeightOptions(numerator="one"),
+                                   WeightOptions(),
                                    B=60, seed=4)
         t = point.table
         spread = t.usage.max() - t.usage.min()
@@ -296,7 +291,7 @@ class TestPinnedLevels:
         level = f"{field}={f.levels[code]}"
         in_level = cohort.baseline[:, j] == code
         mult = np.where(in_level & (cohort.outcome_y == 1), 0.0, 1.0)
-        wopts = WeightOptions(numerator="one")
+        wopts = WeightOptions()
         spec = MsmSpec()
         plan = Plan(cohort, grid, spec, wopts)
         _, fit_y, fit_d = plan.fit(mult)
@@ -328,7 +323,7 @@ class TestPinnedLevels:
     def test_bootstrap_reports_pinned_replicates(self, coinciding):
         cohort, grid = coinciding
         t = bootstrap_pipeline(cohort, grid, MsmSpec(),
-                               WeightOptions(numerator="one"), B=60,
+                               WeightOptions(), B=60,
                                seed=4).table
         assert t.n_failed == 0
         assert t.n_pinned == 8
@@ -361,7 +356,7 @@ class TestMonitorDesign:
         cohort = simulate_cohort(p, 1500, seed=76)
         grid = StrategyGrid.default(x_start=380, x_stop=500, x_step=40)
         point = bootstrap_pipeline(cohort, grid, MsmSpec(),
-                                   WeightOptions(numerator="one"), B=3,
+                                   WeightOptions(), B=3,
                                    seed=7)
         assert point.monitor_model.dropped == ("marker",)
         assert point.table.n_failed == 0
@@ -370,7 +365,7 @@ class TestMonitorDesign:
 class TestBootstrap:
     def test_b1_degenerate_interval(self, sim_cohort, small_grid):
         point = bootstrap_pipeline(sim_cohort, small_grid, MsmSpec(),
-                                   WeightOptions(numerator="one"),
+                                   WeightOptions(),
                                    B=1, seed=11)
         t = point.table
         assert np.allclose(t.risk_lo, t.risk_hi)
@@ -385,7 +380,7 @@ class TestBootstrap:
         from rcds.simulate import SIM_SCHEMA
         doubled = Cohort.from_records(doubled_records, SIM_SCHEMA,
                                       sim_cohort.horizon)
-        wopts = WeightOptions(numerator="one")
+        wopts = WeightOptions()
         a = analyze_cohort(sim_cohort, small_grid, MsmSpec(), wopts).table
         b = analyze_cohort(doubled, small_grid, MsmSpec(), wopts).table
         assert np.allclose(a.risk, b.risk, atol=1e-9)
@@ -401,7 +396,7 @@ class TestBootstrap:
 
     def test_engine_matches_reference_replicate(self, sim_cohort, small_grid):
         # the bootstrap's replicate under the default options
-        wopts = WeightOptions(numerator="one")
+        wopts = WeightOptions()
         mult = resample(sim_cohort, 21)
         plan = Plan(sim_cohort, small_grid, MsmSpec(), wopts)
         r, u, _ = plan.run(mult)
@@ -410,34 +405,16 @@ class TestBootstrap:
 
     def test_engine_point_matches_row_level_analysis(self, sim_cohort,
                                                      small_grid):
-        wopts = WeightOptions(numerator="one")
+        wopts = WeightOptions()
         pt = analyze_cohort(sim_cohort, small_grid, MsmSpec(), wopts).table
         assert_close((pt.risk, pt.usage),
                      reference_point(sim_cohort, small_grid, MsmSpec(), wopts))
 
     def test_deterministic_given_seed(self, sim_cohort, small_grid):
-        wopts = WeightOptions(numerator="one")
+        wopts = WeightOptions()
         a = bootstrap_pipeline(sim_cohort, small_grid, MsmSpec(), wopts,
                                B=20, seed=5).table
         b = bootstrap_pipeline(sim_cohort, small_grid, MsmSpec(), wopts,
                                B=20, seed=5).table
         assert np.array_equal(a.risk_lo, b.risk_lo)
         assert np.array_equal(a.usage_hi, b.usage_hi)
-
-    def test_weighted_matches_unweighted_under_randomized_monitoring(self):
-        # decision-scheme weights are flat when monitoring ignores history
-        from scipy.special import logit
-
-        p = DgpParams(mon_intercept=float(logit(0.25)), mon_marker=0.0,
-                      mon_gap=0.0, mon_override=0.0)
-        cohort = simulate_cohort(p, 4000, seed=75)
-        grid = StrategyGrid.default(x_step=100)
-        spec = MsmSpec(baseline_terms=None)
-        weighted = bootstrap_pipeline(
-            cohort, grid, spec,
-            WeightOptions(numerator="marginal", scheme="decision"),
-            B=60, seed=6).table
-        unweighted = analyze_cohort(
-            cohort, grid, spec, WeightOptions(weighting="none")).table
-        gap = np.abs(weighted.risk - unweighted.risk)
-        assert np.all(gap <= 2 * np.maximum(weighted.risk_se, 1e-3))

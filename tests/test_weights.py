@@ -22,18 +22,18 @@ from rcds import (
     expand,
     fit_monitor_model,
     simulate_cohort,
-    weight_summary,
 )
 from rcds.cohort import Cohort, SubjectRecord
 from rcds.weights import (
     CensoringWeightPlan,
+    _summary,
     at_risk_weight_summary,
     clone_horizon_weights,
     decision_probabilities,
-    marginal_rates,
 )
 
 from conftest import FIXTURE_SCHEMA, _rows
+from reference import weight_summary
 
 
 @pytest.fixture(scope="module")
@@ -133,33 +133,25 @@ class TestFitMonitorModel:
 
 
 class TestWeightAlgebra:
-    def test_toy_product_formula_decision_scheme(self, fixture_cohort):
-        # decision-scheme weights multiply 1/f per observed decision:
-        # with fitted probabilities replaced by 0.5 then 0.25 the cumulative
-        # weight is 8
-        factors = np.array([1.0, 1 / 0.5, 1 / 0.25])
-        assert np.cumprod(factors)[-1] == 8.0
-
     def test_telescoping_row_exact(self, fixture_cohort):
         grid = StrategyGrid.default(x_step=60)
         model = fit_monitor_model(fixture_cohort, LINEAR_SPEC)
         ds = expand(fixture_cohort, grid)
-        for scheme in ("censoring", "decision"):
-            wds = attach_weights(ds, model, numerator="one", scheme=scheme)
-            probs = np.full(fixture_cohort.n_rows, np.nan)
-            probs[fixture_cohort.decision_rows()] = decision_probabilities(
-                model, fixture_cohort)
-            for i in range(fixture_cohort.n_subjects):
-                for j in range(len(grid)):
-                    rows = np.flatnonzero((ds.subject_idx == i) & (ds.x_idx == j))
-                    w = wds.w[rows]
-                    f = self._factors(fixture_cohort, grid[j], probs, i,
-                                      ds.t[rows], scheme)
-                    for k in range(1, w.size):
-                        assert w[k] == w[k - 1] * f[k]
+        wds = attach_weights(ds, model)
+        probs = np.full(fixture_cohort.n_rows, np.nan)
+        probs[fixture_cohort.decision_rows()] = decision_probabilities(
+            model, fixture_cohort)
+        for i in range(fixture_cohort.n_subjects):
+            for j in range(len(grid)):
+                rows = np.flatnonzero((ds.subject_idx == i) & (ds.x_idx == j))
+                w = wds.w[rows]
+                f = self._factors(fixture_cohort, grid[j], probs, i,
+                                  ds.t[rows])
+                for k in range(1, w.size):
+                    assert w[k] == w[k - 1] * f[k]
 
     @staticmethod
-    def _factors(cohort, strat, probs, i, ts, scheme):
+    def _factors(cohort, strat, probs, i, ts):
         lo_off = cohort.offsets[i]
         prev_last, prev_ovr, gap = cohort.prev_state()
         out = np.ones(ts.size)
@@ -169,9 +161,6 @@ class TestWeightAlgebra:
             r = lo_off + t
             p = probs[r]
             mon = cohort.monitor[r] == 1
-            if scheme == "decision":
-                out[k] = 1 / p if mon else 1 / (1 - p)
-                continue
             if prev_ovr[r] == 1:
                 lo, hi = strat.override_window
             elif prev_last[r] < strat.x:
@@ -187,40 +176,34 @@ class TestWeightAlgebra:
                 out[k] = 1.0
         return out
 
-    def test_decision_weights_identical_across_clones(self, fixture_cohort):
-        grid = StrategyGrid.default(x_step=50)
-        model = fit_monitor_model(fixture_cohort, LINEAR_SPEC)
-        ds = expand(fixture_cohort, grid)
-        wds = attach_weights(ds, model, scheme="decision")
-        for i in range(fixture_cohort.n_subjects):
-            for t in range(int(fixture_cohort.followup_end[i]) + 1):
-                rows = (ds.subject_idx == i) & (ds.t == t)
-                vals = np.unique(wds.w[rows])
-                assert vals.size == 1
-
     def test_schemes_coincide_for_point_windows(self):
         # with lo == hi every month is a risk month and the censoring factors
-        # reduce to inverse decision probabilities on consistent clones
+        # reduce to inverse decision probabilities on consistent clones: the
+        # product over every decision month of 1/p after a visit and
+        # 1/(1 - p) after none
         p = DgpParams()
         cohort = simulate_cohort(p, 800, seed=77)
         grid = StrategyGrid.default(x_step=100, window_below=(3, 3),
                                     window_above=(9, 9), override_window=(3, 3))
         model = fit_monitor_model(cohort, LINEAR_SPEC)
-        dec = clone_horizon_weights(cohort, model, grid, "one", "decision")
-        cen = clone_horizon_weights(cohort, model, grid, "one", "censoring")
+        cen = clone_horizon_weights(cohort, model, grid)
+        dec = cohort.decision_rows()
+        p1 = decision_probabilities(model, cohort)
+        factor = np.ones(cohort.n_rows)
+        factor[dec] = 1.0 / np.where(cohort.monitor[dec] == 1, p1, 1.0 - p1)
+        inverse = np.multiply.reduceat(factor, cohort.offsets[:-1])
         from rcds import horizon_table
         ht = horizon_table(cohort, grid)
-        if ht.subject_idx.size:
-            a = dec[ht.subject_idx, ht.x_idx]
-            b = cen[ht.subject_idx, ht.x_idx]
-            assert np.allclose(a, b, rtol=1e-12)
+        assert ht.subject_idx.size > 0
+        np.testing.assert_allclose(cen[ht.subject_idx, ht.x_idx],
+                                   inverse[ht.subject_idx], rtol=1e-12, atol=0)
 
     def test_truncation_at_100_is_identity(self, sim_cohort):
         grid = StrategyGrid.default(x_step=60)
         model = fit_monitor_model(sim_cohort, LINEAR_SPEC)
         ds = expand(sim_cohort, grid)
-        plain = attach_weights(ds, model, numerator="one")
-        capped = attach_weights(ds, model, numerator="one", truncation=100.0)
+        plain = attach_weights(ds, model)
+        capped = attach_weights(ds, model, truncation=100.0)
         assert np.array_equal(plain.w, capped.w)
         assert capped.truncated_fraction == 0.0
 
@@ -228,18 +211,21 @@ class TestWeightAlgebra:
         grid = StrategyGrid.default(x_step=60)
         model = fit_monitor_model(sim_cohort, LINEAR_SPEC)
         ds = expand(sim_cohort, grid)
-        plain = attach_weights(ds, model, numerator="one")
-        capped = attach_weights(ds, model, numerator="one", truncation=95.0)
+        plain = attach_weights(ds, model)
+        capped = attach_weights(ds, model, truncation=95.0)
         assert capped.w.max() < plain.w.max()
         assert capped.truncated_fraction > 0.0
         assert np.all(capped.w <= plain.w)
 
     def test_stabilized_decision_mean_near_one(self):
-        # E[W] = 1 for stabilized decision weights, checked exactly: one
-        # subject per decision path of a short horizon with a fixed latent
-        # marker path, each carrying its probability under the model as its
-        # multiplicity, so the marginal numerator is the model's marginal
-        # monitoring rate and sum(P * W) is the expectation
+        # E[W] = 1 for the censoring weights of every strategy; with a unit
+        # numerator it holds exactly, without stabilization. Checked
+        # exactly: one subject per decision path of a short horizon with a
+        # fixed latent marker path, each carrying its probability under the
+        # model, so sum(P * W) is the expectation. It holds by the tower
+        # property: each early or due factor has conditional mean one given
+        # the past. The thresholds cut through the marker path, so clones
+        # switch between the below and above windows
         from conftest import FIXTURE_SCHEMA
         from rcds.cohort import Cohort, SubjectRecord, TimeRow
 
@@ -268,11 +254,12 @@ class TestWeightAlgebra:
         p1 = decision_probabilities(model, cohort)
         visited = cohort.monitor[cohort.decision_rows()] == 1
         prob = np.where(visited, p1, 1.0 - p1).reshape(-1, K).prod(axis=1)
-        grid = StrategyGrid.default(x_step=300)
-        w = clone_horizon_weights(cohort, model, grid, "marginal", "decision",
-                                  multiplicity=prob)
-        assert w[:, 0].max() > 100  # heavy-tailed, as in a long cohort
-        assert abs(np.sum(prob * w[:, 0]) - 1.0) < 1e-12
+        grid = StrategyGrid.default(x_step=50, window_below=(1, 2),
+                                    window_above=(2, 4))
+        w = clone_horizon_weights(cohort, model, grid)
+        assert w.max() > 100  # heavy-tailed, as in a long cohort
+        for j in range(len(grid)):
+            assert abs(np.sum(prob * w[:, j]) - 1.0) < 1e-12, grid.xs[j]
 
     def test_self_consistent_deterministic_model_gives_unit_weights(self):
         # monitoring near-deterministic given gap: a visit is due at gap 4
@@ -291,7 +278,7 @@ class TestWeightAlgebra:
         assert np.all((gap[visits] >= window[0]) & (gap[visits] <= window[1]))
         grid = StrategyGrid(strategies=(
             ThresholdStrategy(300.0, window, window, window),))
-        w = clone_horizon_weights(cohort, model, grid, "one", "censoring")
+        w = clone_horizon_weights(cohort, model, grid)
         full = cohort.followup_end == cohort.horizon
         assert np.allclose(w[full, 0], 1.0, atol=1e-3)
 
@@ -303,31 +290,30 @@ class TestWeightAlgebra:
         model.fit.coef[k] = 30.0  # drives required-visit probabilities to ~1
         ds = expand(fixture_cohort, grid)
         with pytest.raises(PositivityViolation) as err:
-            attach_weights(ds, model, scheme="censoring")
+            attach_weights(ds, model)
         assert err.value.rows
 
 
 class TestSummaries:
-    def test_marginal_rates_are_decision_month_rates(self, fixture_cohort):
-        rates = marginal_rates(fixture_cohort)
-        # month 3: s1 visits, s2 and s3 do not
-        assert rates[3] == pytest.approx(1 / 3)
-        assert np.isnan(rates[0]) or rates[0] >= 0  # month 0 has no decisions
-
-    @pytest.mark.parametrize("scheme,numerator,truncation", [
-        ("censoring", "one", None), ("censoring", "one", 99.0),
-        ("decision", "one", None), ("decision", "marginal", 99.0),
-        ("censoring", "marginal", 100.0)])
-    def test_at_risk_summary_equals_row_level(self, sim_cohort, scheme,
-                                              numerator, truncation):
+    @pytest.mark.parametrize("truncation", [None, 99.0, 100.0],
+                             ids=lambda t: f"censoring-one-{t}")
+    def test_at_risk_summary_equals_row_level(self, sim_cohort, truncation):
         grid = StrategyGrid.default(x_step=50)
         model = fit_monitor_model(sim_cohort)
         ds = expand(sim_cohort, grid)
-        want = weight_summary(attach_weights(ds, model, numerator, truncation,
-                                             scheme))
+        want = weight_summary(attach_weights(ds, model, truncation))
         got = at_risk_weight_summary(sim_cohort, model, grid, ds.horizons,
-                                     numerator, truncation, scheme)
+                                     truncation)
         assert got == want  # bit for bit, the mean included
+
+    def test_one_percentile_pass_equals_separate_calls(self, sim_cohort):
+        grid = StrategyGrid.default(x_step=50)
+        wds = attach_weights(expand(sim_cohort, grid),
+                             fit_monitor_model(sim_cohort))
+        w = wds.w[wds.ds.at_risk == 1]
+        s = _summary(w, 0.0)
+        assert (s.p25, s.median, s.p75, s.p99) == tuple(
+            float(np.percentile(w, q)) for q in (25, 50, 75, 99))
 
     def test_weight_summary_fields(self, sim_cohort):
         grid = StrategyGrid.default(x_step=100)
@@ -347,10 +333,10 @@ THRESHOLDS = (200.0, 250.0, 300.0)
 @st.composite
 def crossing_cases(draw):
     """A small cohort with decision months whose markers often equal a
-    threshold, with override months; a grid of one to three of those thresholds under windows drawn
-    small enough that below and above often share a bound; a monitoring
-    model with probabilities well inside the floor; and positive
-    multiplicities."""
+    threshold, with override months; a grid of one to three of those
+    thresholds under windows drawn small enough that below and above often
+    share a bound; and a monitoring model with probabilities well inside the
+    floor."""
     K = draw(st.integers(1, 8))
     markers = st.sampled_from((190.0, 200.0, 225.0, 250.0, 300.0, 320.0))
     records = []
@@ -382,21 +368,18 @@ def crossing_cases(draw):
                    family="binomial_logit", converged=True, iterations=0,
                    deviance=0.0, loglik=0.0, cond=1.0),
         spec=LINEAR_SPEC, marker_knots=None, columns=columns, n_decisions=0)
-    mult = np.array(draw(st.lists(st.integers(1, 3), min_size=len(records),
-                                  max_size=len(records))), dtype=np.float64)
-    return cohort, grid, model, mult
+    return cohort, grid, model
 
 
-@pytest.mark.parametrize("scheme", ["censoring", "decision"])
-@pytest.mark.parametrize("numerator", ["one", "marginal"])
+# the id names the one weight construction: unit numerator, censoring scheme
+@pytest.mark.parametrize("construction", ["one-censoring"])
 @given(case=crossing_cases())
-def test_crossing_index_matches_row_level(scheme, numerator, case):
-    cohort, grid, model, mult = case
-    want = clone_horizon_weights(cohort, model, grid, numerator, scheme, mult)
+def test_crossing_index_matches_row_level(construction, case):
+    cohort, grid, model = case
+    want = clone_horizon_weights(cohort, model, grid)
     p1 = np.full(cohort.n_rows, np.nan)
     p1[cohort.decision_rows()] = decision_probabilities(model, cohort)
-    rates = marginal_rates(cohort, mult) if numerator == "marginal" else None
-    got = CensoringWeightPlan(cohort, grid, scheme).horizon_weights(p1, rates)
+    got = CensoringWeightPlan(cohort, grid).horizon_weights(p1)
     assert got.shape == want.shape
     assert np.array_equal(got == 0, want == 0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
