@@ -8,6 +8,7 @@ an infeasible selection is a reported status, not an error.
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -60,14 +61,24 @@ def _msm_from(block):
 
 
 WEIGHT_KEYS = ("truncation", "weighting", "features")
+FEATURE_KEYS = tuple(f.name for f in dataclasses.fields(MonitorFeatureSpec))
+
+
+def _known_keys(block, keys, what):
+    """``block``, once every key of it is one of ``keys``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{what} must be a mapping, got {block!r}")
+    for key in block:
+        if key not in keys:
+            raise ConfigError(f"unknown {what} key {key!r}; the {what} "
+                              f"block takes {', '.join(keys)}")
+    return block
 
 
 def _wopts_from(block):
-    for key in block:
-        if key not in WEIGHT_KEYS:
-            raise ConfigError(f"unknown weights key {key!r}; the weights "
-                              f"block takes {', '.join(WEIGHT_KEYS)}")
-    feat = block.get("features", {})
+    _known_keys(block, WEIGHT_KEYS, "weights")
+    feat = _known_keys(block.get("features", {}), FEATURE_KEYS,
+                       "weights.features")
     spec = MonitorFeatureSpec(
         marker=feat.get("marker", "rcs"),
         marker_knots=_number(feat, "marker_knots", 3, int),

@@ -63,7 +63,12 @@ class DesignMatrix:
 
 @dataclass
 class GlmFit:
-    """Coefficients and diagnostics from one IRLS fit."""
+    """Coefficients and diagnostics from one IRLS fit.
+
+    ``se``, ``deviance`` and ``loglik`` are computed only for a fit asked
+    for standard errors (``compute_se``); otherwise they are None, NaN and
+    NaN, which spares a bootstrap replicate a pass over every row.
+    """
 
     coef: np.ndarray
     columns: list[str]
@@ -209,7 +214,8 @@ def fit_glm(design, response, family, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
     ``tol``; raises :class:`NonConvergence` (with the coefficient
     trajectory) after ``max_iter`` iterations and :class:`RankError` on a
     rank-deficient design. ``start`` warm-starts the linear predictor from a
-    coefficient vector.
+    coefficient vector. ``compute_se`` asks for the standard errors, the
+    deviance and the log-likelihood (see :class:`GlmFit`).
     """
     y = _check_response(response, family, design.n)
     X, w = design.X, design.weights
@@ -255,9 +261,9 @@ def fit_glm(design, response, family, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
             trajectory=history,
         )
 
-    mu = _mu_eta(eta, family)
-    se = None
+    se, dev, loglik = None, np.nan, np.nan
     if compute_se:
+        mu = _mu_eta(eta, family)
         if family == BINOMIAL_LOGIT:
             wk = w * mu * (1 - mu)
         else:
@@ -267,6 +273,8 @@ def fit_glm(design, response, family, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
             se = np.sqrt(np.diag(np.linalg.inv(info)))
         except np.linalg.LinAlgError:
             se = np.full(p, np.nan)
+        dev = deviance(y, mu, w, family)
+        loglik = log_likelihood(y, mu, w, family)
 
     return GlmFit(
         coef=beta,
@@ -274,8 +282,8 @@ def fit_glm(design, response, family, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
         family=family,
         converged=converged,
         iterations=it,
-        deviance=deviance(y, mu, w, family),
-        loglik=log_likelihood(y, mu, w, family),
+        deviance=dev,
+        loglik=loglik,
         cond=cond,
         se=se,
         history=history,

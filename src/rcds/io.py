@@ -363,7 +363,16 @@ class RunConfig:
     raw: dict
 
     def section(self, name, default=None):
-        return self.raw.get(name, {} if default is None else default)
+        """The config's ``name`` block, ``default`` (an empty mapping for
+        None) when absent; a block present with another type than the
+        default's is a :class:`ConfigError` that names it."""
+        default = {} if default is None else default
+        block = self.raw.get(name, default)
+        if not isinstance(block, type(default)):
+            kind = "a mapping" if isinstance(default, dict) else "a list"
+            raise ConfigError(f"config section {name!r} must be {kind}, "
+                              f"got {block!r}")
+        return block
 
 
 def load_config(path):

@@ -157,23 +157,24 @@ def monitor_probability(params, last_marker, gap, override):
 
 
 def _observational_decision(params):
-    def decide(t, last_marker, override, gap, u):
-        p = monitor_probability(params, last_marker, gap, override)
-        return u < p, p
+    def decide(last_marker, override, gap, u):
+        return u < monitor_probability(params, last_marker, gap, override)
     return decide
 
 
 def _forced_decision(params, strategy, rule):
-    def decide(t, last_marker, override, gap, u):
+    """Visits forced into the windows of ``strategy``, one strategy or a grid
+    stacked along the leading axis (see :func:`window_bounds`)."""
+    def decide(last_marker, override, gap, u):
         lo, hi = window_bounds(strategy, last_marker, override)
         if rule == "earliest":
-            return gap >= lo, None
+            return gap >= lo
         if rule == "latest":
-            return gap >= hi, None
+            return gap >= hi
         # natural: observational timing conditioned to the permitted window
         p = monitor_probability(params, last_marker, gap, override)
         p = np.where(gap < lo, 0.0, np.where(gap >= hi, 1.0, p))
-        return u < p, None
+        return u < p
     return decide
 
 
@@ -190,63 +191,48 @@ def _draws(seed_key, n, horizon):
     }
 
 
-def _run_kernel(params, n, draws, decide, keep_probs=False):
-    """Shared transition kernel; observational and forced modes differ only
-    in the monitoring decision rule passed in."""
-    K = params.horizon
-    U = params.marker_init_mean + params.marker_init_sd * draws["normal"][:, 0]
-    last = U.copy()
-    m = np.zeros(n, dtype=np.int64)
-    clock = np.zeros(n, dtype=np.int64)
-    flare = np.zeros(n, dtype=bool)
-    failed = np.zeros(n, dtype=bool)
-    override = np.zeros(n, dtype=np.int8)
-    fue = np.full(n, K, dtype=np.int64)
+def _kernel(params, draws, decide, k=1, rows=slice(None)):
+    """The transition kernel, over a stack of ``k`` strategies at once.
 
-    mon = np.zeros((n, K + 1), dtype=np.int8)
-    obs = np.full((n, K + 1), np.nan)
-    lastm = np.empty((n, K + 1))
-    msince = np.zeros((n, K + 1), dtype=np.int64)
-    ovr = np.zeros((n, K + 1), dtype=np.int8)
-    probs = np.full((n, K + 1), np.nan) if keep_probs else None
-
-    mon[:, 0] = 1
-    obs[:, 0] = U
-    lastm[:, 0] = U
-    base_marker = U.copy()
-
-    for t in range(1, K + 1):
+    State arrays are (k, b) over the b subjects that ``rows`` selects. Every
+    strategy in the stack reads the same draws (common random numbers) and
+    only ``decide`` tells them apart; the latent marker does not depend on
+    decisions, so it is one (b,) array broadcast over the stack. Yields, for
+    months t = 0..K, the marker and the (k, b) visit, carried-forward
+    marker, months since the last visit and override flag after month t,
+    and the failure state; month 0 is the baseline visit. Yielded arrays are
+    not written again, except ``failed``, which accumulates in place. Loss
+    to follow-up depends on its draws alone and is left to the caller.
+    """
+    normal, flare_u, monitor_u, rescue_u, fail_u = (
+        draws[key][rows] for key in ("normal", "flare", "monitor", "rescue",
+                                     "fail"))
+    U = params.marker_init_mean + params.marker_init_sd * normal[:, 0]
+    shape = (k, U.size)
+    last = np.broadcast_to(U, shape)
+    m = np.zeros(shape, dtype=np.int64)
+    clock = np.zeros(shape, dtype=np.int64)
+    flare = np.zeros(shape, dtype=bool)
+    failed = np.zeros(shape, dtype=bool)
+    override = np.zeros(shape, dtype=np.int8)
+    yield U, np.ones(shape, dtype=bool), last, m, override, failed
+    for t in range(1, params.horizon + 1):
         U = (params.drift_intercept + params.drift_slope * U
-             + params.drift_sd * draws["normal"][:, t])
-        flare |= (~flare) & (draws["flare"][:, t] < params.override_hazard)
+             + params.drift_sd * normal[:, t])
+        flare |= flare_u[:, t] < params.override_hazard
         gap = m + 1
-        visit, p = decide(t, last, override, gap, draws["monitor"][:, t])
-        if keep_probs:
-            probs[:, t] = p
-        reset = visit & (draws["rescue"][:, t] < params.resuppress_prob)
+        visit = decide(last, override, gap, monitor_u[:, t])
+        reset = visit & (rescue_u[:, t] < params.resuppress_prob)
         detected = visit & (failed | flare)
         clock = np.where(reset, 0, clock + 1)
-        p_fail = expit(params.fail_intercept + params.fail_clock * clock
-                       + params.fail_marker * U)
-        failed |= (~failed) & (draws["fail"][:, t] < p_fail)
+        failed |= fail_u[:, t] < expit(params.fail_intercept
+                                       + params.fail_clock * clock
+                                       + params.fail_marker * U)
         last = np.where(visit, U, last)
         override = np.where(visit, detected.astype(np.int8), override)
-        flare = np.where(visit, False, flare)
+        flare &= ~visit
         m = np.where(visit, 0, gap)
-        mon[:, t] = visit
-        obs[:, t] = np.where(visit, U, np.nan)
-        lastm[:, t] = last
-        msince[:, t] = m
-        ovr[:, t] = override
-        if t < K:
-            drop = (draws["dropout"][:, t] < params.dropout_hazard) & (fue == K)
-            fue = np.where(drop, t, fue)
-
-    return {
-        "mon": mon, "obs": obs, "last": lastm, "msince": msince, "ovr": ovr,
-        "fue": fue, "failed": failed, "base_marker": base_marker,
-        "probs": probs,
-    }
+        yield U, visit, last, m, override, failed
 
 
 def _baseline_values(draws, base_marker):
@@ -262,21 +248,38 @@ def _norm_ppf(u):
     return ndtri(np.clip(u, 1e-12, 1 - 1e-12))
 
 
-def _pack_cohort(params, raw, draws):
+def _cohort(params, draws, decide):
+    """Run the kernel on a stack of one, record the monthly histories and
+    pack them into a :class:`Cohort`, cut at each subject's loss to
+    follow-up: the first month t < K whose dropout draw falls below the
+    hazard."""
     K = params.horizon
-    n = raw["fue"].size
-    fue = raw["fue"]
+    n = draws["normal"].shape[0]
+    mon = np.empty((n, K + 1), dtype=np.int8)
+    obs = np.empty((n, K + 1))
+    lastm = np.empty((n, K + 1))
+    msince = np.empty((n, K + 1), dtype=np.int64)
+    ovr = np.empty((n, K + 1), dtype=np.int8)
+    for t, (U, visit, last, m, override, failed) in enumerate(
+            _kernel(params, draws, decide)):
+        mon[:, t] = visit[0]
+        obs[:, t] = np.where(visit[0], U, np.nan)
+        lastm[:, t] = last[0]
+        msince[:, t] = m[0]
+        ovr[:, t] = override[0]
+    drop = draws["dropout"][:, 1:K] < params.dropout_hazard
+    fue = np.where(drop.any(axis=1), drop.argmax(axis=1) + 1, K)
     tgrid = np.arange(K + 1)
     keep = tgrid[None, :] <= fue[:, None]
-    y = np.where(fue == K, raw["failed"].astype(np.float64), np.nan)
+    y = np.where(fue == K, failed[0].astype(np.float64), np.nan)
     reason = np.where(
         fue == K, _REASON_CODE["administrative_end"], _REASON_CODE["lost"]
     )
-    d_total = (raw["mon"] * keep).sum(axis=1)
+    d_total = (mon * keep).sum(axis=1)
     t_flat = np.broadcast_to(tgrid, (n, K + 1))[keep]
     return Cohort(
         subject_ids=[f"s{i:07d}" for i in range(n)],
-        baseline=_baseline_values(draws, raw["base_marker"]),
+        baseline=_baseline_values(draws, obs[:, 0]),
         schema=SIM_SCHEMA,
         horizon=K,
         followup_end=fue,
@@ -284,11 +287,11 @@ def _pack_cohort(params, raw, draws):
         outcome_y=y,
         d_total=d_total,
         t=t_flat,
-        monitor=raw["mon"][keep],
-        observed_marker=raw["obs"][keep],
-        last_observed_marker=raw["last"][keep],
-        months_since=raw["msince"][keep],
-        override_flag=raw["ovr"][keep],
+        monitor=mon[keep],
+        observed_marker=obs[keep],
+        last_observed_marker=lastm[keep],
+        months_since=msince[keep],
+        override_flag=ovr[keep],
         validate=False,
     )
 
@@ -306,8 +309,7 @@ def simulate_cohort(params, n, seed=None):
         raise ConfigError("n must be at least 1")
     key = (params.seed if seed is None else seed, 0)
     draws = _draws(key, n, params.horizon)
-    raw = _run_kernel(params, n, draws, _observational_decision(params))
-    return _pack_cohort(params, raw, draws)
+    return _cohort(params, draws, _observational_decision(params))
 
 
 def simulate_forced(params, strategy, n, rule="earliest", seed=None):
@@ -328,8 +330,7 @@ def simulate_forced(params, strategy, n, rule="earliest", seed=None):
         raise ConfigError(f"unknown forced rule {rule!r}")
     key = (params.seed if seed is None else seed, 1)
     draws = _draws(key, n, params.horizon)
-    raw = _run_kernel(params, n, draws, _forced_decision(params, strategy, rule))
-    return _pack_cohort(params, raw, draws)
+    return _cohort(params, draws, _forced_decision(params, strategy, rule))
 
 
 @dataclass
@@ -345,17 +346,28 @@ class TruthTable:
     n_mc: int
 
 
-def oracle_truth(params, grid, n_mc, rule="earliest", seed=None):
+ORACLE_BLOCK = 1 << 15  # strategy-subject cells the oracle steps at once
+
+
+def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
     """Ground-truth counterfactual (risk, usage) per strategy by forced Monte
     Carlo.
 
-    Every subject is forced onto each strategy in turn with the chosen
-    within-window visit rule (``earliest``, ``latest``, or ``natural``),
-    reusing one set of random draws across thresholds (common random
-    numbers). The MC standard error is the per-subject sample sd divided by
-    sqrt(n_mc). Loss to follow-up is independent of everything in this
-    process, so forced runs disable it rather than discard truncated
-    subjects; the counterfactual means are unchanged.
+    Every subject is forced onto each strategy with the chosen within-window
+    visit rule (``earliest``, ``latest``, or ``natural``), reusing one set of
+    random draws across thresholds (common random numbers). The MC standard
+    error is the per-subject sample sd divided by sqrt(n_mc). Loss to
+    follow-up is independent of everything in this process, so the oracle
+    ignores it rather than discard truncated subjects; the counterfactual
+    means are unchanged.
+
+    All k strategies of the grid step together through the one transition
+    kernel, in blocks of about ``ORACLE_BLOCK`` strategy-subject cells
+    (about ``ORACLE_BLOCK / k`` subjects each), small enough to stay in
+    cache. Beyond the draws, six (n_mc, K + 1) float arrays, the oracle
+    keeps one failure flag and one visit count per strategy and subject:
+    about 2 k n_mc bytes. Each strategy's means and SEs reduce its own
+    contiguous row of n_mc values, so blocking does not change them.
     """
     params.validate()
     if n_mc < 1000:
@@ -363,24 +375,26 @@ def oracle_truth(params, grid, n_mc, rule="earliest", seed=None):
     if rule not in ORACLE_RULES:
         raise ConfigError(f"unknown oracle rule {rule!r}")
     key = (params.seed if seed is None else seed, 2)
-    xs = grid.xs
-
-    noloss = params.replace(dropout_hazard=0.0)
     draws = _draws(key, n_mc, params.horizon)
-    risk = np.empty(len(grid))
-    usage = np.empty(len(grid))
-    risk_se = np.empty(len(grid))
-    usage_se = np.empty(len(grid))
-    for j, strat in enumerate(grid):
-        raw = _run_kernel(noloss, n_mc, draws,
-                          _forced_decision(noloss, strat, rule))
-        y = raw["failed"].astype(np.float64)
-        d = raw["mon"].sum(axis=1).astype(np.float64)
+    decide = _forced_decision(params, grid, rule)
+    k = len(grid)
+    failed = np.empty((k, n_mc), dtype=bool)
+    visits = np.zeros((k, n_mc), dtype=np.min_scalar_type(params.horizon + 1))
+    step = max(1, ORACLE_BLOCK // max(k, 1))
+    for start in range(0, n_mc if k else 0, step):  # an empty grid: no steps
+        rows = slice(start, start + step)
+        for _, visit, _, _, _, fail in _kernel(params, draws, decide, k, rows):
+            visits[:, rows] += visit
+        failed[:, rows] = fail
+    risk, risk_se, usage, usage_se = (np.empty(k) for _ in range(4))
+    for j in range(k):
+        y = failed[j].astype(np.float64)
+        d = visits[j].astype(np.float64)
         risk[j] = y.mean()
         usage[j] = d.mean()
         risk_se[j] = y.std(ddof=1) / np.sqrt(n_mc)
         usage_se[j] = d.std(ddof=1) / np.sqrt(n_mc)
-    return TruthTable(xs, risk, risk_se, usage, usage_se, rule, n_mc)
+    return TruthTable(grid.xs, risk, risk_se, usage, usage_se, rule, n_mc)
 
 
 @dataclass

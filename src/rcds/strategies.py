@@ -99,11 +99,18 @@ def window_bounds(strategy, last_marker, override):
 
     The override flag takes precedence; otherwise the carried-forward marker
     decides, and values at or above the threshold use the "above" window.
+    ``strategy`` may also be a nonempty :class:`StrategyGrid`: its thresholds
+    then form a column, and the states broadcast against it to one row per
+    strategy.
     """
+    if isinstance(strategy, StrategyGrid):
+        x, strategy = strategy.xs[:, None], strategy[0]
+    else:
+        x = strategy.x
     (lo_o, hi_o), (lo_b, hi_b), (lo_a, hi_a) = (
         strategy.override_window, strategy.window_below, strategy.window_above)
     ovr = np.asarray(override) == 1
-    below = np.asarray(last_marker) < strategy.x
+    below = np.asarray(last_marker) < x
     lo = np.where(ovr, lo_o, np.where(below, lo_b, lo_a))
     hi = np.where(ovr, hi_o, np.where(below, hi_b, hi_a))
     return lo, hi

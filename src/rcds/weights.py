@@ -104,17 +104,6 @@ def _marker_knots(spec, marker):
     return spec, knots
 
 
-def _constant_columns(design):
-    """Names of the non-intercept columns that are constant over the rows
-    with positive case weight; such a column is collinear with the intercept."""
-    X = design.X
-    pos = design.weights > 0
-    if not pos.all():
-        X = X[pos]
-    const = np.all(X == X[:1], axis=0)
-    return tuple(nm for nm, c in zip(design.columns[1:], const[1:]) if c)
-
-
 def _without(design, names):
     """The design less the named columns, with the same rows and weights."""
     if not names:
@@ -177,17 +166,35 @@ class MonitorDesign:
     """The monitoring model's design over a cohort's decision months: the
     effective feature spec, its marker knots, the feature columns, the
     response and each row's subject. It does not depend on case weights, so
-    one design serves the point fit and every bootstrap replicate."""
+    one design serves the point fit and every bootstrap replicate.
+
+    ``ranges`` holds, for every subject with decision months, its index and
+    the least and greatest value of each column over its rows, so that a
+    replicate finds its constant columns from subjects, not rows.
+    """
 
     spec: MonitorFeatureSpec
     knots: np.ndarray | None
     matrix: DesignMatrix
     monitored: np.ndarray
     subject: np.ndarray
+    ranges: tuple
 
     def probabilities(self, model):
         """Fitted P(monitor = 1) of ``model`` at every decision month."""
         return expit(_without(self.matrix, model.dropped).X @ model.fit.coef)
+
+    def constant_columns(self, multiplicity=None):
+        """Names of the non-intercept columns that are constant over the rows
+        of subjects with positive multiplicity (all subjects for None); such
+        a column is collinear with the intercept."""
+        owner, lo, hi = self.ranges
+        if multiplicity is not None:
+            pos = multiplicity[owner] > 0
+            lo, hi = lo[pos], hi[pos]
+        const = lo.min(axis=0) == hi.max(axis=0)
+        return tuple(nm for nm, c in zip(self.matrix.columns[1:], const[1:])
+                     if c)
 
 
 def monitor_design(cohort, spec=MonitorFeatureSpec()):
@@ -196,10 +203,14 @@ def monitor_design(cohort, spec=MonitorFeatureSpec()):
     if state["gap"].size == 0:
         raise SeparationError("cohort has no decision person-months")
     spec, knots = _marker_knots(spec, state["marker"])
-    return MonitorDesign(spec=spec, knots=knots,
-                         matrix=_monitor_design(cohort, spec, state, knots),
-                         monitored=state["monitored"],
-                         subject=state["subject"])
+    matrix = _monitor_design(cohort, spec, state, knots)
+    subject = state["subject"]  # rows grouped by subject, as in the cohort
+    starts = np.flatnonzero(np.r_[True, subject[1:] != subject[:-1]])
+    return MonitorDesign(spec=spec, knots=knots, matrix=matrix,
+                         monitored=state["monitored"], subject=subject,
+                         ranges=(subject[starts],
+                                 np.minimum.reduceat(matrix.X, starts),
+                                 np.maximum.reduceat(matrix.X, starts)))
 
 
 def fit_monitor_model(cohort, spec=MonitorFeatureSpec(), multiplicity=None,
@@ -222,7 +233,8 @@ def fit_monitor_model(cohort, spec=MonitorFeatureSpec(), multiplicity=None,
     mon = design.monitored
     case = np.ones(mon.size)
     if multiplicity is not None:
-        case = np.asarray(multiplicity, dtype=np.float64)[design.subject]
+        multiplicity = np.asarray(multiplicity, dtype=np.float64)
+        case = multiplicity[design.subject]
     pos = case > 0
     if not (np.any(mon & pos) and np.any(~mon & pos)):
         raise SeparationError(
@@ -230,7 +242,7 @@ def fit_monitor_model(cohort, spec=MonitorFeatureSpec(), multiplicity=None,
             "and one unmonitored person-month"
         )
     matrix = dataclasses.replace(design.matrix, weights=case)
-    dropped = _constant_columns(matrix)
+    dropped = design.constant_columns(multiplicity)
     if dropped:
         matrix = _without(matrix, dropped)
         start = None

@@ -1,15 +1,32 @@
-"""The row-level estimator pieces that no CLI path runs, kept as test oracles.
+"""Earlier, simpler forms of program pieces, kept as test oracles.
 
-They read the MSM responses and weights off the expanded person-strategy-month
-dataset of :func:`rcds.expand` and :func:`rcds.weights.attach_weights`; the
-estimator plan (:class:`rcds.Plan`) and the report's
+The row-level estimator pieces that no CLI path runs read the MSM responses
+and weights off the expanded person-strategy-month dataset of
+:func:`rcds.expand` and :func:`rcds.weights.attach_weights`; the estimator
+plan (:class:`rcds.Plan`) and the report's
 :func:`rcds.weights.at_risk_weight_summary` are tested against them.
+
+The simulator's one-strategy-at-a-time transition kernel, its cohort packer
+and its per-threshold oracle loop are the reference for the strategy-stacked
+kernel of :mod:`rcds.simulate`, and the row scan for constant columns is the
+reference for :meth:`rcds.weights.MonitorDesign.constant_columns`.
 """
 
 import numpy as np
+from scipy.special import expit
 
+from rcds.cohort import _REASON_CODE, Cohort
+from rcds.errors import ConfigError
 from rcds.expansion import HorizonTable
 from rcds.msm import MsmSpec, _fit_horizon_msm
+from rcds.simulate import (
+    ORACLE_RULES,
+    SIM_SCHEMA,
+    TruthTable,
+    _baseline_values,
+    _draws,
+    monitor_probability,
+)
 from rcds.weights import _summary
 
 
@@ -47,3 +64,194 @@ def fit_outcome_msm(wds, spec=MsmSpec()):
 def fit_resource_msm(wds, spec=MsmSpec()):
     """Resource MSM: weighted log-linear regression of the measurement count."""
     return _fit_at_horizon(wds, spec, wds.ds.response_d.astype(np.float64))
+
+
+def constant_columns(design):
+    """Names of the non-intercept columns that are constant over the rows
+    with positive case weight; such a column is collinear with the intercept."""
+    X = design.X
+    pos = design.weights > 0
+    if not pos.all():
+        X = X[pos]
+    const = np.all(X == X[:1], axis=0)
+    return tuple(nm for nm, c in zip(design.columns[1:], const[1:]) if c)
+
+
+def window_bounds(strategy, last_marker, override):
+    """Permitted-gap window ``(lo, hi)`` in force, elementwise over states.
+
+    The override flag takes precedence; otherwise the carried-forward marker
+    decides, and values at or above the threshold use the "above" window.
+    """
+    (lo_o, hi_o), (lo_b, hi_b), (lo_a, hi_a) = (
+        strategy.override_window, strategy.window_below, strategy.window_above)
+    ovr = np.asarray(override) == 1
+    below = np.asarray(last_marker) < strategy.x
+    lo = np.where(ovr, lo_o, np.where(below, lo_b, lo_a))
+    hi = np.where(ovr, hi_o, np.where(below, hi_b, hi_a))
+    return lo, hi
+
+
+def _observational_decision(params):
+    def decide(t, last_marker, override, gap, u):
+        p = monitor_probability(params, last_marker, gap, override)
+        return u < p, p
+    return decide
+
+
+def _forced_decision(params, strategy, rule):
+    def decide(t, last_marker, override, gap, u):
+        lo, hi = window_bounds(strategy, last_marker, override)
+        if rule == "earliest":
+            return gap >= lo, None
+        if rule == "latest":
+            return gap >= hi, None
+        # natural: observational timing conditioned to the permitted window
+        p = monitor_probability(params, last_marker, gap, override)
+        p = np.where(gap < lo, 0.0, np.where(gap >= hi, 1.0, p))
+        return u < p, None
+    return decide
+
+
+def _run_kernel(params, n, draws, decide, keep_probs=False):
+    """Shared transition kernel; observational and forced modes differ only
+    in the monitoring decision rule passed in."""
+    K = params.horizon
+    U = params.marker_init_mean + params.marker_init_sd * draws["normal"][:, 0]
+    last = U.copy()
+    m = np.zeros(n, dtype=np.int64)
+    clock = np.zeros(n, dtype=np.int64)
+    flare = np.zeros(n, dtype=bool)
+    failed = np.zeros(n, dtype=bool)
+    override = np.zeros(n, dtype=np.int8)
+    fue = np.full(n, K, dtype=np.int64)
+
+    mon = np.zeros((n, K + 1), dtype=np.int8)
+    obs = np.full((n, K + 1), np.nan)
+    lastm = np.empty((n, K + 1))
+    msince = np.zeros((n, K + 1), dtype=np.int64)
+    ovr = np.zeros((n, K + 1), dtype=np.int8)
+    probs = np.full((n, K + 1), np.nan) if keep_probs else None
+
+    mon[:, 0] = 1
+    obs[:, 0] = U
+    lastm[:, 0] = U
+    base_marker = U.copy()
+
+    for t in range(1, K + 1):
+        U = (params.drift_intercept + params.drift_slope * U
+             + params.drift_sd * draws["normal"][:, t])
+        flare |= (~flare) & (draws["flare"][:, t] < params.override_hazard)
+        gap = m + 1
+        visit, p = decide(t, last, override, gap, draws["monitor"][:, t])
+        if keep_probs:
+            probs[:, t] = p
+        reset = visit & (draws["rescue"][:, t] < params.resuppress_prob)
+        detected = visit & (failed | flare)
+        clock = np.where(reset, 0, clock + 1)
+        p_fail = expit(params.fail_intercept + params.fail_clock * clock
+                       + params.fail_marker * U)
+        failed |= (~failed) & (draws["fail"][:, t] < p_fail)
+        last = np.where(visit, U, last)
+        override = np.where(visit, detected.astype(np.int8), override)
+        flare = np.where(visit, False, flare)
+        m = np.where(visit, 0, gap)
+        mon[:, t] = visit
+        obs[:, t] = np.where(visit, U, np.nan)
+        lastm[:, t] = last
+        msince[:, t] = m
+        ovr[:, t] = override
+        if t < K:
+            drop = (draws["dropout"][:, t] < params.dropout_hazard) & (fue == K)
+            fue = np.where(drop, t, fue)
+
+    return {
+        "mon": mon, "obs": obs, "last": lastm, "msince": msince, "ovr": ovr,
+        "fue": fue, "failed": failed, "base_marker": base_marker,
+        "probs": probs,
+    }
+
+
+def _pack_cohort(params, raw, draws):
+    K = params.horizon
+    n = raw["fue"].size
+    fue = raw["fue"]
+    tgrid = np.arange(K + 1)
+    keep = tgrid[None, :] <= fue[:, None]
+    y = np.where(fue == K, raw["failed"].astype(np.float64), np.nan)
+    reason = np.where(
+        fue == K, _REASON_CODE["administrative_end"], _REASON_CODE["lost"]
+    )
+    d_total = (raw["mon"] * keep).sum(axis=1)
+    t_flat = np.broadcast_to(tgrid, (n, K + 1))[keep]
+    return Cohort(
+        subject_ids=[f"s{i:07d}" for i in range(n)],
+        baseline=_baseline_values(draws, raw["base_marker"]),
+        schema=SIM_SCHEMA,
+        horizon=K,
+        followup_end=fue,
+        end_reason=reason,
+        outcome_y=y,
+        d_total=d_total,
+        t=t_flat,
+        monitor=raw["mon"][keep],
+        observed_marker=raw["obs"][keep],
+        last_observed_marker=raw["last"][keep],
+        months_since=raw["msince"][keep],
+        override_flag=raw["ovr"][keep],
+        validate=False,
+    )
+
+
+def simulate_cohort(params, n, seed=None):
+    """The observational cohort, one subject vector at a time."""
+    key = (params.seed if seed is None else seed, 0)
+    draws = _draws(key, n, params.horizon)
+    raw = _run_kernel(params, n, draws, _observational_decision(params))
+    return _pack_cohort(params, raw, draws)
+
+
+def simulate_forced(params, strategy, n, rule="earliest", seed=None):
+    """The forced cohort, one subject vector at a time."""
+    key = (params.seed if seed is None else seed, 1)
+    draws = _draws(key, n, params.horizon)
+    raw = _run_kernel(params, n, draws, _forced_decision(params, strategy, rule))
+    return _pack_cohort(params, raw, draws)
+
+
+def oracle_truth(params, grid, n_mc, rule="earliest", seed=None):
+    """Ground-truth counterfactual (risk, usage) per strategy by forced Monte
+    Carlo.
+
+    Every subject is forced onto each strategy in turn with the chosen
+    within-window visit rule (``earliest``, ``latest``, or ``natural``),
+    reusing one set of random draws across thresholds (common random
+    numbers). The MC standard error is the per-subject sample sd divided by
+    sqrt(n_mc). Loss to follow-up is independent of everything in this
+    process, so forced runs disable it rather than discard truncated
+    subjects; the counterfactual means are unchanged.
+    """
+    params.validate()
+    if n_mc < 1000:
+        raise ConfigError("oracle needs n_mc >= 1000")
+    if rule not in ORACLE_RULES:
+        raise ConfigError(f"unknown oracle rule {rule!r}")
+    key = (params.seed if seed is None else seed, 2)
+    xs = grid.xs
+
+    noloss = params.replace(dropout_hazard=0.0)
+    draws = _draws(key, n_mc, params.horizon)
+    risk = np.empty(len(grid))
+    usage = np.empty(len(grid))
+    risk_se = np.empty(len(grid))
+    usage_se = np.empty(len(grid))
+    for j, strat in enumerate(grid):
+        raw = _run_kernel(noloss, n_mc, draws,
+                          _forced_decision(noloss, strat, rule))
+        y = raw["failed"].astype(np.float64)
+        d = raw["mon"].sum(axis=1).astype(np.float64)
+        risk[j] = y.mean()
+        usage[j] = d.mean()
+        risk_se[j] = y.std(ddof=1) / np.sqrt(n_mc)
+        usage_se[j] = d.std(ddof=1) / np.sqrt(n_mc)
+    return TruthTable(xs, risk, risk_se, usage, usage_se, rule, n_mc)

@@ -130,7 +130,29 @@ BAD_INPUTS = {
                                "dgp": {"mon_gap": "steep"}},
     "oracle_rule_unknown": {"mode": "oracle", "seed": 5, "n_mc": 2000,
                             "rule": "conditional"},
+    "weights_null": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                     "weights": None},
+    "weights_list": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                     "weights": ["truncation"]},
+    "features_not_a_mapping": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                               "weights": {"features": 3}},
+    "misspelled_features_key": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                                "weights": {"features": {"markr": "linear"}}},
 }
+
+
+@pytest.mark.parametrize("name,named", [
+    ("weights_null", "config section 'weights' must be a mapping"),
+    ("weights_list", "config section 'weights' must be a mapping"),
+    ("features_not_a_mapping", "weights.features must be a mapping"),
+    ("misspelled_features_key", "unknown weights.features key 'markr'"),
+])
+def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
+                                    named):
+    config = {**BAD_INPUTS[name], "input": cohort_csv}
+    status, err = run(tmp_path, name, config, capsys)
+    assert status != 0
+    assert named in err
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))

@@ -1,5 +1,6 @@
 """MSM fitting, standardization, and bootstrap behavior."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -24,12 +25,15 @@ from rcds.expansion import horizon_table
 from rcds.glm import predict, DesignMatrix
 from rcds.msm import _fit_horizon_msm
 from rcds.weights import (
+    MonitorFeatureSpec,
     WeightedExpandedDataset,
     attach_weights,
     clone_horizon_weights,
     fit_monitor_model,
+    monitor_design,
 )
 
+import reference
 from reference import fit_outcome_msm, fit_resource_msm
 
 
@@ -346,6 +350,36 @@ class TestMonitorDesign:
         fit = plan.fit(mult)[0].fit
         assert fit.columns == model.columns
         assert np.array_equal(fit.coef, model.fit.coef)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_constant_columns_match_row_scan(self, sim_cohort, seed):
+        # random multiplicities, some of which zero out a whole level: a
+        # calendar era, men, the override flag, or all but a few subjects
+        spec = MonitorFeatureSpec(gap="categorical", gap_cap=6,
+                                  month="linear", baseline=("sex", "calendar"))
+        design = monitor_design(sim_cohort, spec)
+        sub = sim_cohort.subject_index_per_row()
+        ever_override = np.bincount(sub, weights=sim_cohort.override_flag,
+                                    minlength=sim_cohort.n_subjects) > 0
+        sex, calendar = sim_cohort.baseline[:, 0], sim_cohort.baseline[:, 3]
+        rng = np.random.default_rng(seed)
+        few = np.zeros(sim_cohort.n_subjects, dtype=bool)
+        few[rng.choice(sim_cohort.n_subjects, 3, replace=False)] = True
+        dropped = set()
+        era = 1 + seed % 3  # a level other than the reference era0
+        for keep in (None, calendar != era, sex != 1, ~ever_override, few):
+            mult = rng.integers(0, 4, sim_cohort.n_subjects).astype(float)
+            if keep is not None:
+                mult[~keep] = 0.0
+                mult[keep & (mult == 0)] = 1.0
+            got = design.constant_columns(mult)
+            rows = dataclasses.replace(design.matrix,
+                                       weights=mult[design.subject])
+            assert got == reference.constant_columns(rows)
+            dropped.update(got)
+        assert design.constant_columns(None) == \
+            reference.constant_columns(design.matrix)
+        assert {f"calendar=era{era}", "sex=male", "override"} <= dropped
 
     def test_marker_knot_fallback_in_bootstrap(self):
         # a constant marker: the spline knots tie, the marker falls back to

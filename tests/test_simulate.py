@@ -17,6 +17,9 @@ from rcds import (
     simulate_cohort,
     simulate_forced,
 )
+from rcds.simulate import ORACLE_BLOCK
+
+import reference
 
 
 def cohorts_equal(a, b):
@@ -209,6 +212,15 @@ class TestOracle:
         assert np.array_equal(a.usage, b.usage)
         assert np.array_equal(a.risk_mcse, b.risk_mcse)
 
+    def test_defaults_to_natural_rule(self):
+        # the regime the censoring weights target, as in the CLI
+        grid = StrategyGrid.default(x_step=150)
+        default = oracle_truth(DgpParams(), grid, 2000, seed=9)
+        natural = oracle_truth(DgpParams(), grid, 2000, rule="natural", seed=9)
+        assert default.rule == "natural"
+        assert np.array_equal(default.risk, natural.risk)
+        assert np.array_equal(default.usage, natural.usage)
+
     def test_rules_are_ordered_on_usage(self):
         # earliest visits cannot use fewer measurements than latest
         p = DgpParams()
@@ -216,3 +228,68 @@ class TestOracle:
         early = oracle_truth(p, grid, 20_000, rule="earliest", seed=5)
         late = oracle_truth(p, grid, 20_000, rule="latest", seed=5)
         assert np.all(early.usage > late.usage)
+
+
+# a marker that sits on the threshold 350 every month: ``<`` and ``<=`` in the
+# window lookup disagree on every decision
+ON_THRESHOLD = DgpParams(marker_init_mean=350.0, marker_init_sd=0.0,
+                         drift_intercept=350.0, drift_slope=0.0, drift_sd=0.0)
+
+
+def truths_equal(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in (
+        "xs", "risk", "risk_mcse", "usage", "usage_mcse"))
+
+
+def block_sizes(grid):
+    """Draw counts below one oracle block of subjects, equal to one, and
+    not a multiple of one."""
+    per = ORACLE_BLOCK // len(grid)
+    assert per > 1000, "the cases need blocks of more than 1000 subjects"
+    return 1000, per, per + 1000
+
+
+class TestStackedKernel:
+    """The strategy-stacked kernel against the one-strategy-at-a-time
+    kernel and per-threshold oracle loop it replaced (tests/reference.py),
+    bit for bit."""
+
+    GRIDS = {"default": StrategyGrid.default(),
+             "one-threshold": StrategyGrid.default(x_start=350, x_stop=350)}
+
+    @pytest.mark.parametrize("rule", ["natural", "earliest", "latest"])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_oracle_equals_per_threshold_loop(self, grid, rule):
+        grid = self.GRIDS[grid]
+        for n_mc in block_sizes(grid):
+            got = oracle_truth(DgpParams(), grid, n_mc, rule=rule, seed=9)
+            want = reference.oracle_truth(DgpParams(), grid, n_mc, rule=rule,
+                                          seed=9)
+            assert truths_equal(got, want), n_mc
+
+    @pytest.mark.parametrize("rule", ["natural", "earliest", "latest"])
+    def test_oracle_equals_loop_with_marker_on_threshold(self, rule):
+        grid = StrategyGrid.default(x_step=50)
+        got = oracle_truth(ON_THRESHOLD, grid, 2000, rule=rule, seed=9)
+        want = reference.oracle_truth(ON_THRESHOLD, grid, 2000, rule=rule,
+                                      seed=9)
+        assert truths_equal(got, want)
+
+    @pytest.mark.parametrize("params", [DgpParams(), ON_THRESHOLD],
+                             ids=["default", "on-threshold"])
+    def test_cohort_equals_reference_kernel(self, params):
+        got = simulate_cohort(params, 3000, seed=4)
+        want = reference.simulate_cohort(params, 3000, seed=4)
+        assert cohorts_equal(got, want)
+        assert np.array_equal(got.end_reason, want.end_reason)
+
+    @pytest.mark.parametrize("rule", ["natural", "earliest", "latest"])
+    @pytest.mark.parametrize("params", [DgpParams(), ON_THRESHOLD],
+                             ids=["default", "on-threshold"])
+    def test_forced_equals_reference_kernel(self, params, rule):
+        strat = ThresholdStrategy(350.0)
+        got = simulate_forced(params, strat, 2000, rule=rule, seed=4)
+        want = reference.simulate_forced(params, strat, 2000, rule=rule,
+                                         seed=4)
+        assert cohorts_equal(got, want)
+        assert np.array_equal(got.end_reason, want.end_reason)
