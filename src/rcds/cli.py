@@ -35,33 +35,23 @@ def _number(block, key, default=None, kind=float):
         raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
 
 
-def _grid_from(block):
-    return StrategyGrid.default(
-        x_start=_number(block, "x_start", 200),
-        x_stop=_number(block, "x_stop", 500),
-        x_step=_number(block, "x_step", 10),
-        window_below=tuple(block.get("window_below", (2, 7))),
-        window_above=tuple(block.get("window_above", (8, 13))),
-        override_window=tuple(block.get("override_window", (2, 7))),
-    )
-
-
-def _dgp_from(block, seed):
-    d = dict(block)
-    d.setdefault("seed", seed)
-    return DgpParams.from_dict(d)
-
-
-def _msm_from(block):
-    knots = block.get("strategy_knots")
-    return MsmSpec(
-        strategy_knots=tuple(knots) if knots else None,
-        baseline_terms=block.get("baseline_terms", "all"),
-    )
+def _listed(block, key, kind, what):
+    """``block[key]`` as a tuple of ``kind``, empty when absent or null; any
+    other value that is not a list of such items is a :class:`ConfigError`."""
+    value = [] if block.get(key) is None else block[key]
+    if isinstance(value, list):
+        try:
+            return tuple(kind(v) for v in value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key!r} must be a list of {what}, got {value!r}")
 
 
 WEIGHT_KEYS = ("truncation", "weighting", "features")
 FEATURE_KEYS = tuple(f.name for f in dataclasses.fields(MonitorFeatureSpec))
+GRID_KEYS = ("x_start", "x_stop", "x_step", "window_below", "window_above",
+             "override_window")
+MSM_KEYS = ("strategy_knots", "baseline_terms")
 
 
 def _known_keys(block, keys, what):
@@ -75,6 +65,34 @@ def _known_keys(block, keys, what):
     return block
 
 
+def _grid_from(block):
+    _known_keys(block, GRID_KEYS, "grid")
+    return StrategyGrid.default(
+        x_start=_number(block, "x_start", 200),
+        x_stop=_number(block, "x_stop", 500),
+        x_step=_number(block, "x_step", 10),
+        window_below=block.get("window_below", (2, 7)),
+        window_above=block.get("window_above", (8, 13)),
+        override_window=block.get("override_window", (2, 7)),
+    )
+
+
+def _dgp_from(block, seed):
+    d = dict(block)
+    d.setdefault("seed", seed)
+    return DgpParams.from_dict(d)
+
+
+def _msm_from(block):
+    _known_keys(block, MSM_KEYS, "msm")
+    return MsmSpec(
+        strategy_knots=_listed(block, "strategy_knots", float, "numbers")
+        or None,
+        baseline_terms="all" if block.get("baseline_terms", "all") == "all"
+        else _listed(block, "baseline_terms", str, "names"),
+    )
+
+
 def _wopts_from(block):
     _known_keys(block, WEIGHT_KEYS, "weights")
     feat = _known_keys(block.get("features", {}), FEATURE_KEYS,
@@ -84,9 +102,9 @@ def _wopts_from(block):
         marker_knots=_number(feat, "marker_knots", 3, int),
         gap=feat.get("gap", "linear"),
         gap_cap=_number(feat, "gap_cap", 13, int),
-        override=bool(feat.get("override", True)),
+        override=feat.get("override", True),
         month=feat.get("month", "none"),
-        baseline=tuple(feat.get("baseline", ())),
+        baseline=_listed(feat, "baseline", str, "names"),
     )
     return WeightOptions(
         truncation=None if block.get("truncation") is None

@@ -108,14 +108,13 @@ class HorizonTable:
     uncensored: np.ndarray  # (n_subjects, n_strategies) bool
 
 
-def horizon_table(cohort, grid, horizons=None):
+def horizon_table(cohort, grid):
     """The horizon rows of :func:`expand`, one per clone still at risk at the
     horizon month, computed without materializing person-strategy-month
     rows; the estimator plan's horizon rows."""
-    if horizons is None:
-        horizons = horizon_matrix(cohort, grid)
     K = cohort.horizon
-    uncensored = (horizons > K) & (cohort.followup_end[:, None] == K)
+    uncensored = ((horizon_matrix(cohort, grid) > K)
+                  & (cohort.followup_end[:, None] == K))
     sub, xi = np.nonzero(uncensored)
     return HorizonTable(
         subject_idx=sub,

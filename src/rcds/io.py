@@ -343,7 +343,10 @@ def truth_to_csv(truth, path):
 
 def schema_from_config(block):
     fields = []
-    for item in block:
+    for i, item in enumerate(block, 1):
+        if not (isinstance(item, dict) and "name" in item):
+            raise ConfigError(f"baseline_schema entry {i} must be a mapping "
+                              f"with a 'name', got {item!r}")
         kind = item.get("kind", CONTINUOUS)
         levels = tuple(item.get("levels", ()))
         fields.append(BaselineField(item["name"], kind, levels))

@@ -34,11 +34,10 @@ from .errors import (
 )
 from .expansion import horizon_table
 from .glm import POISSON_LOG, DesignMatrix, GlmFit, fit_glm, rcs_basis
-from .strategies import horizon_matrix
 from .weights import (
     CensoringWeightPlan,
     MonitorFeatureSpec,
-    at_risk_weight_summary,
+    _summary,
     fit_monitor_model,
     monitor_design,
 )
@@ -275,8 +274,7 @@ class Plan:
 
     def __init__(self, cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
         self.cohort, self.grid, self.spec, self.wopts = cohort, grid, spec, wopts
-        self.horizons = horizon_matrix(cohort, grid)
-        self.ht = horizon_table(cohort, grid, self.horizons)
+        self.ht = horizon_table(cohort, grid)
         base_X, base_names = baseline_design(cohort, spec.baseline_terms)
         self.msm_design = _msm_design(
             grid.xs[self.ht.x_idx], spec.knots_for(grid),
@@ -286,13 +284,15 @@ class Plan:
         if wopts.weighting == "ip":
             self.monitor = monitor_design(cohort, wopts.monitor_spec)
             self.factors = CensoringWeightPlan(cohort, grid)
-        self.monitor_model = None  # the point estimate's, once run
+        # the point run's monitoring model and WeightSummary, once run
+        self.monitor_model = self.weights = None
         self.starts = (None, None, None)  # monitor, outcome, resource
 
     def _horizon_weights(self, multiplicity):
-        """Case weights of the horizon rows, and the monitoring model."""
+        """Case weights of the horizon rows, the monitoring model, and the
+        share of the rows whose weight the truncation cap lowered."""
         ht, wopts = self.ht, self.wopts
-        model = None
+        model, lowered = None, 0.0
         if self.monitor is None:
             w = np.ones(ht.subject_idx.size)
         else:
@@ -309,19 +309,21 @@ class Plan:
                 if multiplicity is not None else w,
                 wopts.truncation,
             )
+            lowered = float(np.mean(w > cap))
             w = np.minimum(w, cap)
         if multiplicity is not None:
             w = w * multiplicity[ht.subject_idx]
-        return w, model
+        return w, model, lowered
 
     def fit(self, multiplicity=None):
         """The monitoring model (None when unweighted) and the outcome and
         resource MSM fits for one set of subject multiplicities.
 
         ``None`` gives the point fits; they are kept as :attr:`monitor_model`
-        and as warm starts for the replicates that follow.
+        and as warm starts for the replicates that follow, and the summary of
+        the horizon weights they fit as :attr:`weights`.
         """
-        w, model = self._horizon_weights(multiplicity)
+        w, model, lowered = self._horizon_weights(multiplicity)
         ht = self.ht
         fit_y, fit_d = (
             _fit_horizon_msm(self.cohort, self.grid, self.spec, ht.subject_idx,
@@ -330,7 +332,7 @@ class Plan:
             for response, start in ((ht.y, self.starts[1]),
                                     (ht.d, self.starts[2])))
         if multiplicity is None:
-            self.monitor_model = model
+            self.monitor_model, self.weights = model, _summary(w, lowered)
             columns = self.msm_design.columns
             self.starts = (
                 None if model is None else
@@ -361,18 +363,16 @@ class PointAnalysis:
 def analyze_cohort(cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
     """Point estimates: :meth:`Plan.run` without multiplicities; no bootstrap.
 
-    The weight diagnostics describe the full person-strategy-month table,
-    as :func:`rcds.weights.at_risk_weight_summary` reads it off the
-    strategies' factor paths.
+    The weight diagnostics describe the weights both MSMs fit: one per clone
+    still uncensored at the horizon, truncated as configured (unit weights
+    when unweighted).
     """
     plan = Plan(cohort, grid, spec, wopts)
     risk, usage, _ = plan.run(None)
     n_atrisk = plan.ht.uncensored.sum(axis=0)
     table = DoseResponseTable.point_only(grid.xs, risk, usage, n_atrisk)
-    weights = at_risk_weight_summary(cohort, plan.monitor_model, grid,
-                                     plan.horizons, wopts.truncation)
     return PointAnalysis(table=table, monitor_model=plan.monitor_model,
-                         weights=weights, plan=plan)
+                         weights=plan.weights, plan=plan)
 
 
 def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),

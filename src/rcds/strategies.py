@@ -73,7 +73,13 @@ class StrategyGrid:
                 window_below=DEFAULT_WINDOW_BELOW,
                 window_above=DEFAULT_WINDOW_ABOVE,
                 override_window=DEFAULT_WINDOW_OVERRIDE):
+        if not x_step > 0:
+            raise ConfigError(f"x_step must be positive, got {x_step!r}")
         xs = np.arange(x_start, x_stop + 0.5 * x_step, x_step)
+        if xs.size == 0:
+            raise ConfigError(f"no threshold from x_start {x_start!r} to "
+                              f"x_stop {x_stop!r} in steps of x_step "
+                              f"{x_step!r}")
         return cls(tuple(
             ThresholdStrategy(float(x), window_below, window_above,
                               override_window)

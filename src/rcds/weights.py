@@ -51,6 +51,9 @@ class MonitorFeatureSpec:
             raise ConfigError(f"unknown gap feature {self.gap!r}")
         if self.month not in ("none", "linear"):
             raise ConfigError(f"unknown month feature {self.month!r}")
+        if not isinstance(self.override, bool):
+            raise ConfigError(
+                f"override feature must be true or false, got {self.override!r}")
         if self.marker == "rcs" and self.marker_knots < 3:
             raise ConfigError("marker_knots must be >= 3 for a spline")
 
@@ -484,41 +487,6 @@ class WeightSummary:
             "p99": self.p99, "max": self.maximum,
             "truncated_fraction": self.truncated_fraction,
         }
-
-
-def at_risk_weight_summary(cohort, model, grid, horizons, truncation=None):
-    """Distribution of the weights of :func:`attach_weights` over the
-    at-risk rows of ``expand(cohort, grid)``, for the run report, computed
-    without the expansion.
-
-    The clone-month weights are gathered from each strategy's cumulative
-    factor path at the months ``expand`` emits and scattered in its
-    (subject, x, t) order, so every statistic equals the row-level one bit
-    for bit. ``model`` None stands for unit weights.
-    """
-    fue = cohort.followup_end[:, None]
-    last = np.minimum(horizons, fue)  # each clone's last row, as in expand
-    size = (last + 1).ravel()
-    start = (np.cumsum(size) - size).reshape(last.shape)
-    at_risk = np.ones(int(size.sum()), dtype=bool)
-    at_risk[(start + last)[horizons <= fue]] = False  # the censoring months
-    if model is None:
-        return _summary(np.ones(int(at_risk.sum())), 0.0)
-    ctx = _WeightContext(cohort, model)
-    months = np.arange(cohort.horizon + 1)
-    w = np.empty(at_risk.size)
-    for j, s in enumerate(grid):
-        rows = months <= last[:, j, None]
-        w[(start[:, j, None] + months)[rows]] = \
-            _censoring_factor_paths(ctx, s)[rows]
-    truncated_fraction = 0.0
-    at_horizon = (start + cohort.horizon)[
-        (horizons > cohort.horizon) & (fue == cohort.horizon)]
-    if truncation is not None and truncation < 100 and at_horizon.size:
-        cap = np.percentile(w[at_horizon], truncation)
-        truncated_fraction = float(np.mean(w > cap))
-        w = np.minimum(w, cap)
-    return _summary(w[at_risk], truncated_fraction)
 
 
 def _summary(w, truncated_fraction):

@@ -3,8 +3,7 @@
 The row-level estimator pieces that no CLI path runs read the MSM responses
 and weights off the expanded person-strategy-month dataset of
 :func:`rcds.expand` and :func:`rcds.weights.attach_weights`; the estimator
-plan (:class:`rcds.Plan`) and the report's
-:func:`rcds.weights.at_risk_weight_summary` are tested against them.
+plan (:class:`rcds.Plan`) is tested against them.
 
 The simulator's one-strategy-at-a-time transition kernel, its cohort packer
 and its per-threshold oracle loop are the reference for the strategy-stacked

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI mode on tiny configs: exit status, byte-identical
-reruns, unknown weights keys refused by name, and error codes on bad input."""
+reruns, unknown keys and bad values refused by name, and error codes on bad
+input."""
 
 import filecmp
 import os
@@ -138,6 +139,32 @@ BAD_INPUTS = {
                                "weights": {"features": 3}},
     "misspelled_features_key": {"mode": "analyze", "seed": 5, "kappa": 4.5,
                                 "weights": {"features": {"markr": "linear"}}},
+    "schema_entry_not_a_mapping": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                                   "baseline_schema": ["sex"]},
+    "schema_entry_without_name": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                                  "baseline_schema": [{"kind": "continuous"}]},
+    "misspelled_grid_key": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                            "grid": {"x_setp": 100}},
+    "misspelled_msm_key": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                           "msm": {"baseline_term": ["sex"]}},
+    "window_not_a_pair": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                          "grid": {"window_below": 3}},
+    "baseline_terms_not_a_list": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                                  "msm": {"baseline_terms": 3}},
+    "strategy_knots_not_a_list": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                                  "msm": {"strategy_knots": 3}},
+    "features_baseline_not_a_list": {
+        "mode": "analyze", "seed": 5, "kappa": 4.5,
+        "weights": {"features": {"baseline": 3}}},
+    "features_override_not_a_boolean": {
+        "mode": "analyze", "seed": 5, "kappa": 4.5,
+        "weights": {"features": {"override": "no"}}},
+    "x_step_zero": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                    "grid": {"x_step": 0}},
+    "x_step_negative": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                        "grid": {"x_step": -10}},
+    "grid_range_empty": {"mode": "oracle", "seed": 5, "n_mc": 2000,
+                         "grid": {"x_start": 500, "x_stop": 200}},
 }
 
 
@@ -150,6 +177,34 @@ BAD_INPUTS = {
 def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
                                     named):
     config = {**BAD_INPUTS[name], "input": cohort_csv}
+    status, err = run(tmp_path, name, config, capsys)
+    assert status != 0
+    assert named in err
+
+
+@pytest.mark.parametrize("name,named", [
+    ("schema_entry_not_a_mapping",
+     "baseline_schema entry 1 must be a mapping with a 'name', got 'sex'"),
+    ("schema_entry_without_name", "baseline_schema entry 1 must be a mapping"),
+    ("misspelled_grid_key", "unknown grid key 'x_setp'"),
+    ("misspelled_msm_key", "unknown msm key 'baseline_term'"),
+    ("window_not_a_pair", "window_below must be two whole months, got 3"),
+    ("baseline_terms_not_a_list",
+     "'baseline_terms' must be a list of names, got 3"),
+    ("strategy_knots_not_a_list",
+     "'strategy_knots' must be a list of numbers, got 3"),
+    ("features_baseline_not_a_list",
+     "'baseline' must be a list of names, got 3"),
+    ("features_override_not_a_boolean",
+     "override feature must be true or false, got 'no'"),
+    ("x_step_zero", "x_step must be positive, got 0.0"),
+    ("x_step_negative", "x_step must be positive, got -10.0"),
+    ("grid_range_empty", "no threshold from x_start 500.0 to x_stop 200.0"),
+])
+def test_bad_config_value_is_named(tmp_path, cohort_csv, capsys, name, named):
+    config = dict(BAD_INPUTS[name])
+    if config["mode"] == "analyze":
+        config["input"] = cohort_csv
     status, err = run(tmp_path, name, config, capsys)
     assert status != 0
     assert named in err

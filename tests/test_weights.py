@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import logit
 from scipy.stats import chi2
 
+import rcds.weights
 from rcds import (
     DgpParams,
     GlmFit,
@@ -18,7 +19,10 @@ from rcds import (
     SeparationError,
     StrategyGrid,
     ThresholdStrategy,
+    WeightOptions,
+    analyze_cohort,
     attach_weights,
+    bootstrap_pipeline,
     expand,
     fit_monitor_model,
     simulate_cohort,
@@ -27,7 +31,6 @@ from rcds.cohort import Cohort, SubjectRecord
 from rcds.weights import (
     CensoringWeightPlan,
     _summary,
-    at_risk_weight_summary,
     clone_horizon_weights,
     decision_probabilities,
 )
@@ -297,14 +300,52 @@ class TestWeightAlgebra:
 class TestSummaries:
     @pytest.mark.parametrize("truncation", [None, 99.0, 100.0],
                              ids=lambda t: f"censoring-one-{t}")
-    def test_at_risk_summary_equals_row_level(self, sim_cohort, truncation):
+    def test_report_summary_is_of_fitted_horizon_weights(self, sim_cohort,
+                                                         truncation):
+        # the report describes the weights both MSMs fit: the row-level
+        # horizon weights of the clones uncensored at the horizon, capped at
+        # the percentile of those same rows
         grid = StrategyGrid.default(x_step=50)
-        model = fit_monitor_model(sim_cohort)
-        ds = expand(sim_cohort, grid)
-        want = weight_summary(attach_weights(ds, model, truncation))
-        got = at_risk_weight_summary(sim_cohort, model, grid, ds.horizons,
-                                     truncation)
-        assert got == want  # bit for bit, the mean included
+        point = analyze_cohort(sim_cohort, grid,
+                               wopts=WeightOptions(truncation=truncation))
+        ht = point.plan.ht
+        w = clone_horizon_weights(sim_cohort, point.monitor_model,
+                                  grid)[ht.subject_idx, ht.x_idx]
+        lowered = 0.0
+        if truncation is not None:
+            cap = np.percentile(w, truncation)
+            lowered = float(np.mean(w > cap))
+            w = np.minimum(w, cap)
+        assert (lowered > 0) == (truncation == 99.0)
+        want, got = _summary(w, lowered).to_dict(), point.weights.to_dict()
+        exact = ("n", "truncated_fraction")
+        assert [got[f] for f in exact] == [want[f] for f in exact]
+        assert got["n"] == ht.subject_idx.size
+        np.testing.assert_allclose(
+            [got[f] for f in got if f not in exact],
+            [want[f] for f in want if f not in exact], rtol=1e-12, atol=0)
+
+    def test_unweighted_summary_is_unit_weights_at_horizon(self, sim_cohort):
+        grid = StrategyGrid.default(x_step=50)
+        point = analyze_cohort(sim_cohort, grid,
+                               wopts=WeightOptions(weighting="none"))
+        assert point.weights == _summary(np.ones(point.plan.ht.x_idx.size),
+                                         0.0)
+
+    def test_no_run_builds_row_level_weights(self, sim_cohort, monkeypatch):
+        # the plan's horizon weights are the only ones a run computes; the
+        # row-level paths serve the tests and the positivity-floor message
+        def row_level(ctx, strategy):
+            raise AssertionError("row-level factor paths built")
+
+        monkeypatch.setattr(rcds.weights, "_censoring_factor_paths",
+                            row_level)
+        grid = StrategyGrid.default(x_step=50)
+        for wopts in (WeightOptions(), WeightOptions(truncation=99.0)):
+            analyze_cohort(sim_cohort, grid, wopts=wopts)
+            point = bootstrap_pipeline(sim_cohort, grid, wopts=wopts, B=2,
+                                       seed=3)
+            assert point.table.n_boot == 2 and point.table.n_failed == 0
 
     def test_one_percentile_pass_equals_separate_calls(self, sim_cohort):
         grid = StrategyGrid.default(x_step=50)
