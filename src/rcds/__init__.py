@@ -52,8 +52,6 @@ from .simulate import (
 from .strategies import (
     StrategyGrid,
     ThresholdStrategy,
-    applicable_window,
-    consistency_horizon,
     horizon_matrix,
 )
 from .study import run_coverage

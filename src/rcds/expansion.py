@@ -108,12 +108,13 @@ class HorizonTable:
     uncensored: np.ndarray  # (n_subjects, n_strategies) bool
 
 
-def horizon_table(cohort, grid):
+def horizon_table(cohort, grid, cells=None):
     """The horizon rows of :func:`expand`, one per clone still at risk at the
     horizon month, computed without materializing person-strategy-month
-    rows; the estimator plan's horizon rows."""
+    rows; the estimator plan's horizon rows. ``cells`` is the cohort's
+    :class:`rcds.strategies.WindowCells` under ``grid``, when built."""
     K = cohort.horizon
-    uncensored = ((horizon_matrix(cohort, grid) > K)
+    uncensored = ((horizon_matrix(cohort, grid, cells) > K)
                   & (cohort.followup_end[:, None] == K))
     sub, xi = np.nonzero(uncensored)
     return HorizonTable(

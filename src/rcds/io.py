@@ -347,9 +347,13 @@ def schema_from_config(block):
         if not (isinstance(item, dict) and "name" in item):
             raise ConfigError(f"baseline_schema entry {i} must be a mapping "
                               f"with a 'name', got {item!r}")
-        kind = item.get("kind", CONTINUOUS)
-        levels = tuple(item.get("levels", ()))
-        fields.append(BaselineField(item["name"], kind, levels))
+        levels = item.get("levels", [])
+        if not (isinstance(levels, (list, tuple))
+                and all(isinstance(v, str) for v in levels)):
+            raise ConfigError(f"baseline_schema entry {i} 'levels' must be "
+                              f"a list of strings, got {levels!r}")
+        fields.append(BaselineField(item["name"], item.get("kind", CONTINUOUS),
+                                    tuple(levels)))
     return BaselineSchema(fields=tuple(fields))
 
 

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .expansion import horizon_table
 from .glm import POISSON_LOG, DesignMatrix, GlmFit, fit_glm, rcs_basis
+from .strategies import WindowCells
 from .weights import (
     CensoringWeightPlan,
     MonitorFeatureSpec,
@@ -274,7 +275,8 @@ class Plan:
 
     def __init__(self, cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
         self.cohort, self.grid, self.spec, self.wopts = cohort, grid, spec, wopts
-        self.ht = horizon_table(cohort, grid)
+        cells = WindowCells(cohort, grid)
+        self.ht = horizon_table(cohort, grid, cells)
         base_X, base_names = baseline_design(cohort, spec.baseline_terms)
         self.msm_design = _msm_design(
             grid.xs[self.ht.x_idx], spec.knots_for(grid),
@@ -282,8 +284,8 @@ class Plan:
             np.ones(self.ht.x_idx.size))
         self.monitor = self.factors = None
         if wopts.weighting == "ip":
-            self.monitor = monitor_design(cohort, wopts.monitor_spec)
-            self.factors = CensoringWeightPlan(cohort, grid)
+            self.monitor = monitor_design(cohort, wopts.monitor_spec, cells)
+            self.factors = CensoringWeightPlan(cells)
         # the point run's monitoring model and WeightSummary, once run
         self.monitor_model = self.weights = None
         self.starts = (None, None, None)  # monitor, outcome, resource
@@ -301,7 +303,7 @@ class Plan:
                                       start=self.starts[0],
                                       compute_se=multiplicity is None)
             p1 = np.full(self.cohort.n_rows, np.nan)
-            p1[self.cohort.decision_rows()] = self.monitor.probabilities(model)
+            p1[self.factors.rows] = self.monitor.probabilities(model)
             w = self.factors.horizon_weights(p1)[ht.subject_idx, ht.x_idx]
         if wopts.truncation is not None and w.size:
             cap = np.percentile(

@@ -6,10 +6,12 @@ last observed marker sits below the threshold ``x``, ``window_above`` at or
 above it, and ``override_window`` whenever the override flag is raised.
 Subject data deviate from a strategy the first month the running gap
 exceeds the applicable ``hi``, or a visit happens before the gap reaches
-``lo``.
+``lo``; the window of month t is the one in force at t - 1, and month 0
+deviates only if the entry gap is already past ``hi``.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,11 +23,12 @@ DEFAULT_WINDOW_OVERRIDE = (2, 7)
 
 
 def _check_window(name, win):
-    try:
-        lo, hi = (int(v) for v in win)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be two whole months, got {win!r}") \
-            from None
+    if not (isinstance(win, (list, tuple)) and len(win) == 2 and all(
+            isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and float(v).is_integer()
+            for v in win)):
+        raise ConfigError(f"{name} must be two whole months, got {win!r}")
+    lo, hi = (int(v) for v in win)
     if not (1 <= lo <= hi):
         raise ConfigError(f"{name} must satisfy 1 <= lo <= hi, got {win}")
     return lo, hi
@@ -122,66 +125,73 @@ def window_bounds(strategy, last_marker, override):
     return lo, hi
 
 
-def applicable_window(strategy, row):
-    """Window in force given a row's observed state (see :func:`window_bounds`).
+class WindowCells:
+    """A cohort's pre-decision state (see :meth:`rcds.cohort.Cohort.prev_state`),
+    with each month keyed by its (subject, ``jstar``) cell under a grid.
 
-    Raises :class:`UndefinedHistory` when no marker has ever been observed
-    and no override is active.
+    A grid's strategies share their windows, so with ``jstar`` the number of
+    thresholds at or below a month's carried-forward marker, strategies
+    ``j < jstar`` apply the above window, ``j >= jstar`` the below one, and
+    an override month the override window for every j. One layout serves the
+    horizon matrix, the monitoring design and the censoring-weight plan.
     """
-    if row.override_flag != 1 and np.isnan(row.last_observed_marker):
-        raise UndefinedHistory(
-            f"no observed marker at or before t={row.t} and no override; "
-            "the strategy window is undefined"
-        )
-    lo, hi = window_bounds(strategy, row.last_observed_marker, row.override_flag)
-    return int(lo), int(hi)
+
+    def __init__(self, cohort, grid=StrategyGrid(())):
+        self.cohort, self.grid = cohort, grid
+        self.marker, self.override, self.gap = cohort.prev_state()
+        self.subject = cohort.subject_index_per_row()
+        dec = cohort.decision_rows()
+        self.decision, self.entry = np.flatnonzero(dec), np.flatnonzero(~dec)
+        self.jstar = np.searchsorted(grid.xs, self.marker, "right")
+
+    @cached_property
+    def decision_sides(self):
+        return self.sides(self.decision)
+
+    def sides(self, rows):
+        """``(mask, lo, hi, cell)`` of the given rows on the above, then the
+        below side. An above cell reaches the strategies up to its column, a
+        below cell (column 0 for override months) those from it on."""
+        k, s = len(self.grid), self.grid[0]
+        ovr, jstar = self.override[rows] == 1, self.jstar[rows]
+        cell = self.subject[rows] * k
+        (lo_a, hi_a), (lo_b, hi_b), (lo_o, hi_o) = (
+            s.window_above, s.window_below, s.override_window)
+        return ((~ovr & (jstar > 0), lo_a, hi_a, cell + jstar - 1),
+                (ovr | (jstar < k), np.where(ovr, lo_o, lo_b),
+                 np.where(ovr, hi_o, hi_b), np.where(ovr, cell, cell + jstar)))
 
 
-def consistency_horizon(strategy, record):
-    """First month the record deviates from the strategy, or horizon + 1.
+def sweep(above, below, op=np.add):
+    """Per-(subject, strategy j) reduction by ``op`` of (subject, column)
+    cells: a cell of ``above`` reaches every j up to its column, one of
+    ``below`` j from it."""
+    return op(op.accumulate(above[:, ::-1], axis=1)[:, ::-1],
+              op.accumulate(below, axis=1))
 
-    The decision at month t is governed by the state observed at t - 1:
-    deviation happens when the pre-decision gap exceeds the applicable
-    window's ``hi`` (monitoring overdue, whether or not a visit happens that
-    month) or when a visit occurs with the gap still below ``lo``. Month 0
-    can only deviate if the record enters with ``months_since_last_monitor``
-    already past the window.
+
+def horizon_matrix(cohort, grid, cells=None):
+    """Consistency horizons, one row per subject, one column per x: the first
+    month the subject's data deviate from the strategy, or ``horizon + 1``.
+
+    The earliest deviating month of each (subject, ``jstar``) cell reaches
+    the strategies of its side by a cumulative minimum (:func:`sweep`).
+    ``cells`` is the cohort's :class:`WindowCells` under ``grid``, if built.
     """
-    rows = record.rows
-    first = rows[0]
-    lo, hi = applicable_window(strategy, first)
-    if first.months_since_last_monitor > hi:
-        return 0
-    for prev, row in zip(rows, rows[1:]):
-        lo, hi = applicable_window(strategy, prev)
-        gap = prev.months_since_last_monitor + 1
-        if gap > hi:
-            return row.t
-        if row.monitor == 1 and gap < lo:
-            return row.t
-    return record.horizon + 1
-
-
-def horizon_matrix(cohort, grid):
-    """Vectorized consistency horizons, one row per subject, one column per x.
-
-    Equals ``consistency_horizon`` applied to every (subject, strategy) pair;
-    months with no deviation through follow-up yield ``horizon + 1``.
-    """
-    prev_last, prev_ovr, gap = cohort.prev_state()
-    if np.any(np.isnan(prev_last)):
+    if cells is None:
+        cells = WindowCells(cohort, grid)
+    if np.any(np.isnan(cells.marker)):
         raise UndefinedHistory("cohort has rows with no marker history")
-    t = cohort.t
-    monitored = cohort.monitor == 1
-    starts = cohort.offsets[:-1]
-    big = cohort.horizon + 1
     n, k = cohort.n_subjects, len(grid)
-    out = np.empty((n, k), dtype=np.int64)
-    for j, strat in enumerate(grid):
-        lo, hi = window_bounds(strat, prev_last, prev_ovr)
-        dev = (gap > hi) | (monitored & (gap < lo))
-        # month 0 only deviates if the entry gap already exceeds hi
-        dev[starts] = gap[starts] > hi[starts]
-        month = np.where(dev, t, big)
-        out[:, j] = np.minimum.reduceat(month, starts)
-    return out
+    if k == 0:
+        return np.empty((n, 0), dtype=np.int64)
+    first = np.full((2, n * k), cohort.horizon + 1, dtype=np.int64)
+    dec, entry = cells.decision, cells.entry
+    for rows, sides, visit in (
+            (dec, cells.decision_sides, cohort.monitor[dec] == 1),
+            (entry, cells.sides(entry), False)):  # month 0 has no decision
+        gap, t = cells.gap[rows], cohort.t[rows]
+        for month, (on_side, lo, hi, at) in zip(first, sides):
+            dev = on_side & ((gap > hi) | (visit & (gap < lo)))
+            np.minimum.at(month, at[dev], t[dev])
+    return sweep(*first.reshape(2, n, k), op=np.minimum)

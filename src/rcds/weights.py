@@ -27,7 +27,7 @@ from scipy.special import expit
 from .cohort import baseline_design
 from .errors import ConfigError, NonConvergence, PositivityViolation, SeparationError
 from .glm import BINOMIAL_LOGIT, DesignMatrix, fit_glm, predict, rcs_basis
-from .strategies import window_bounds
+from .strategies import WindowCells, sweep, window_bounds
 
 PROB_FLOOR = 1e-6
 
@@ -78,17 +78,15 @@ class MonitorModel:
         return self.fit.iterations
 
 
-def _decision_state(cohort):
-    prev_last, prev_ovr, gap = cohort.prev_state()
-    dec = cohort.decision_rows()
+def _decision_state(cells):
+    dec = cells.decision
     return {
-        "marker": prev_last[dec],
-        "gap": gap[dec].astype(np.float64),
-        "override": prev_ovr[dec].astype(np.float64),
-        "month": cohort.t[dec].astype(np.float64),
-        "subject": cohort.subject_index_per_row()[dec],
-        "monitored": (cohort.monitor[dec] == 1),
-        "t": cohort.t[dec],
+        "marker": cells.marker[dec],
+        "gap": cells.gap[dec].astype(np.float64),
+        "override": cells.override[dec].astype(np.float64),
+        "month": cells.cohort.t[dec].astype(np.float64),
+        "subject": cells.subject[dec],
+        "monitored": (cells.cohort.monitor[dec] == 1),
     }
 
 
@@ -200,9 +198,11 @@ class MonitorDesign:
                      if c)
 
 
-def monitor_design(cohort, spec=MonitorFeatureSpec()):
-    """The :class:`MonitorDesign` of a cohort under a declared feature spec."""
-    state = _decision_state(cohort)
+def monitor_design(cohort, spec=MonitorFeatureSpec(), cells=None):
+    """The :class:`MonitorDesign` of a cohort under a declared feature spec;
+    ``cells`` is the cohort's :class:`WindowCells` when the caller has built
+    it already."""
+    state = _decision_state(WindowCells(cohort) if cells is None else cells)
     if state["gap"].size == 0:
         raise SeparationError("cohort has no decision person-months")
     spec, knots = _marker_knots(spec, state["marker"])
@@ -268,7 +268,7 @@ def fit_monitor_model(cohort, spec=MonitorFeatureSpec(), multiplicity=None,
 
 def decision_probabilities(model, cohort):
     """Fitted P(monitor = 1) at every decision month of a cohort."""
-    state = _decision_state(cohort)
+    state = _decision_state(WindowCells(cohort))
     design = _monitor_design(cohort, model.spec, state, model.marker_knots)
     return predict(model.fit, _without(design, model.dropped))
 
@@ -345,12 +345,6 @@ def clone_horizon_weights(cohort, model, grid):
     return out
 
 
-def _sweep(above, below):
-    """Per-(subject, strategy j) totals of (subject, column) cells: a cell of
-    ``above`` reaches every j up to its column, one of ``below`` j from it."""
-    return np.cumsum(above[:, ::-1], axis=1)[:, ::-1] + np.cumsum(below, axis=1)
-
-
 class CensoringWeightPlan:
     """Replicate-invariant layout of the censoring-weight factors.
 
@@ -359,39 +353,28 @@ class CensoringWeightPlan:
     the due months (gap at hi) 1/p with the required visit, while a
     premature or a missed required visit pins the clone at zero.
 
-    A grid's strategies share their windows, so with ``jstar`` the number of
-    thresholds at or below a month's carried-forward marker, strategies
-    ``j < jstar`` apply the above window and ``j >= jstar`` the below one,
-    and an override month the override window for every j. The horizon
-    log-weight under j therefore sums each subject's above-window factors
-    with ``jstar > j`` and below-window ones with ``jstar <= j``: exactly a
+    On the cohort's :class:`rcds.strategies.WindowCells`, the horizon
+    log-weight under j sums each subject's above-window factors with
+    ``jstar > j`` and below-window ones with ``jstar <= j``: exactly a
     reverse cumulative sum and a cumulative sum along j of per-(subject,
-    jstar) totals (:func:`_sweep`), with the additions in another order than
-    a sum per strategy. A replicate changes only the probabilities: one log
-    per decision month and two bincounts.
+    jstar) totals (:func:`rcds.strategies.sweep`), with the additions in
+    another order than a sum per strategy. A replicate changes only the
+    probabilities: one log per decision month and two bincounts.
     """
 
-    def __init__(self, cohort, grid):
-        self.cohort, self.grid = cohort, grid
-        prev_last, prev_ovr, gap = cohort.prev_state()
-        dec = np.flatnonzero(cohort.decision_rows())
-        mon = cohort.monitor[dec] == 1
-        n, k = cohort.n_subjects, len(grid)
-        cell = cohort.subject_index_per_row()[dec] * k
-        s, g, ovr = grid[0], gap[dec], prev_ovr[dec] == 1
-        jstar = np.searchsorted(grid.xs, prev_last[dec], "right")
-        (lo_a, hi_a), (lo_b, hi_b), (lo_o, hi_o) = (
-            s.window_above, s.window_below, s.override_window)
-        above, below = ~ovr & (jstar > 0), ovr | (jstar < k)
-        lo, hi = np.where(ovr, lo_o, lo_b), np.where(ovr, hi_o, hi_b)
+    def __init__(self, cells):
+        self.cohort, self.grid = cells.cohort, cells.grid
+        dec = cells.decision
+        mon = self.cohort.monitor[dec] == 1
+        n, k = self.cohort.n_subjects, len(self.grid)
+        g = cells.gap[dec]
         # (early months, due months, cells) of the above, then below sweep
-        sides = [(above & (g < lo_a), above & (g == hi_a), cell + jstar - 1),
-                 (below & (g < lo), below & (g == hi),
-                  np.where(ovr, cell, cell + jstar))]
+        sides = [(on & (g < lo), on & (g == hi), at)
+                 for on, lo, hi, at in cells.decision_sides]
         self.rows, self.mon = dec, mon  # decision months, and their visits
         self.cells = [(np.flatnonzero(f), at[f]) for f, at in (
             ((early & ~mon) | (due & mon), at) for early, due, at in sides)]
-        self.zeroed = _sweep(*(
+        self.zeroed = sweep(*(
             np.bincount(at[(early & mon) | (due & ~mon)],
                         minlength=n * k).reshape(n, k)
             for early, due, at in sides)) > 0
@@ -416,7 +399,7 @@ class CensoringWeightPlan:
         with np.errstate(divide="ignore"):  # only factor rows are summed
             log_f = np.log(np.where(self.mon, p, 1.0 - p))
         n, k = self.zeroed.shape
-        out = np.exp(-_sweep(*(
+        out = np.exp(-sweep(*(
             np.bincount(at, weights=log_f[pos], minlength=n * k).reshape(n, k)
             for pos, at in self.cells)))
         out[self.zeroed] = 0.0

@@ -5,6 +5,10 @@ and weights off the expanded person-strategy-month dataset of
 :func:`rcds.expand` and :func:`rcds.weights.attach_weights`; the estimator
 plan (:class:`rcds.Plan`) is tested against them.
 
+The record-level consistency horizon and the per-strategy pass over every
+cohort row are the references for the cell sweeps of
+:func:`rcds.strategies.horizon_matrix`.
+
 The simulator's one-strategy-at-a-time transition kernel, its cohort packer
 and its per-threshold oracle loop are the reference for the strategy-stacked
 kernel of :mod:`rcds.simulate`, and the row scan for constant columns is the
@@ -15,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from rcds.cohort import _REASON_CODE, Cohort
-from rcds.errors import ConfigError
+from rcds.errors import ConfigError, UndefinedHistory
 from rcds.expansion import HorizonTable
 from rcds.msm import MsmSpec, _fit_horizon_msm
 from rcds.simulate import (
@@ -89,6 +93,71 @@ def window_bounds(strategy, last_marker, override):
     lo = np.where(ovr, lo_o, np.where(below, lo_b, lo_a))
     hi = np.where(ovr, hi_o, np.where(below, hi_b, hi_a))
     return lo, hi
+
+
+def applicable_window(strategy, row):
+    """Window in force given a row's observed state (see :func:`window_bounds`).
+
+    Raises :class:`UndefinedHistory` when no marker has ever been observed
+    and no override is active.
+    """
+    if row.override_flag != 1 and np.isnan(row.last_observed_marker):
+        raise UndefinedHistory(
+            f"no observed marker at or before t={row.t} and no override; "
+            "the strategy window is undefined"
+        )
+    lo, hi = window_bounds(strategy, row.last_observed_marker, row.override_flag)
+    return int(lo), int(hi)
+
+
+def consistency_horizon(strategy, record):
+    """First month the record deviates from the strategy, or horizon + 1.
+
+    The decision at month t is governed by the state observed at t - 1:
+    deviation happens when the pre-decision gap exceeds the applicable
+    window's ``hi`` (monitoring overdue, whether or not a visit happens that
+    month) or when a visit occurs with the gap still below ``lo``. Month 0
+    can only deviate if the record enters with ``months_since_last_monitor``
+    already past the window.
+    """
+    rows = record.rows
+    first = rows[0]
+    lo, hi = applicable_window(strategy, first)
+    if first.months_since_last_monitor > hi:
+        return 0
+    for prev, row in zip(rows, rows[1:]):
+        lo, hi = applicable_window(strategy, prev)
+        gap = prev.months_since_last_monitor + 1
+        if gap > hi:
+            return row.t
+        if row.monitor == 1 and gap < lo:
+            return row.t
+    return record.horizon + 1
+
+
+def per_strategy_horizon_matrix(cohort, grid):
+    """Vectorized consistency horizons, one row per subject, one column per x.
+
+    Equals ``consistency_horizon`` applied to every (subject, strategy) pair;
+    months with no deviation through follow-up yield ``horizon + 1``.
+    """
+    prev_last, prev_ovr, gap = cohort.prev_state()
+    if np.any(np.isnan(prev_last)):
+        raise UndefinedHistory("cohort has rows with no marker history")
+    t = cohort.t
+    monitored = cohort.monitor == 1
+    starts = cohort.offsets[:-1]
+    big = cohort.horizon + 1
+    n, k = cohort.n_subjects, len(grid)
+    out = np.empty((n, k), dtype=np.int64)
+    for j, strat in enumerate(grid):
+        lo, hi = window_bounds(strat, prev_last, prev_ovr)
+        dev = (gap > hi) | (monitored & (gap < lo))
+        # month 0 only deviates if the entry gap already exceeds hi
+        dev[starts] = gap[starts] > hi[starts]
+        month = np.where(dev, t, big)
+        out[:, j] = np.minimum.reduceat(month, starts)
+    return out
 
 
 def _observational_decision(params):

@@ -165,6 +165,20 @@ BAD_INPUTS = {
                         "grid": {"x_step": -10}},
     "grid_range_empty": {"mode": "oracle", "seed": 5, "n_mc": 2000,
                          "grid": {"x_start": 500, "x_stop": 200}},
+    "window_a_string": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                        "grid": {"window_below": "27"}},
+    "window_fraction": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                        "grid": {"window_below": [2.5, 7]}},
+    "window_boolean": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                       "grid": {"window_below": [True, 7]}},
+    "levels_not_a_list": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                          "baseline_schema": [{"name": "sex",
+                                               "kind": "categorical",
+                                               "levels": 3}]},
+    "levels_a_string": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                        "baseline_schema": [{"name": "sex",
+                                             "kind": "categorical",
+                                             "levels": "ab"}]},
 }
 
 
@@ -200,6 +214,14 @@ def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
     ("x_step_zero", "x_step must be positive, got 0.0"),
     ("x_step_negative", "x_step must be positive, got -10.0"),
     ("grid_range_empty", "no threshold from x_start 500.0 to x_stop 200.0"),
+    ("window_a_string", "window_below must be two whole months, got '27'"),
+    ("window_fraction", "window_below must be two whole months, got [2.5, 7]"),
+    ("window_boolean",
+     "window_below must be two whole months, got [True, 7]"),
+    ("levels_not_a_list",
+     "baseline_schema entry 1 'levels' must be a list of strings, got 3"),
+    ("levels_a_string",
+     "baseline_schema entry 1 'levels' must be a list of strings, got 'ab'"),
 ])
 def test_bad_config_value_is_named(tmp_path, cohort_csv, capsys, name, named):
     config = dict(BAD_INPUTS[name])

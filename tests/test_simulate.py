@@ -168,7 +168,7 @@ class TestSimulateForced:
         assert np.all(cohort.d_total == 1 + p.horizon // 2)
 
     def test_forced_cohort_consistent_by_construction(self):
-        from rcds import consistency_horizon
+        from reference import consistency_horizon
 
         p = DgpParams()
         for rule in ("earliest", "latest", "natural"):

@@ -12,8 +12,6 @@ from rcds import (
     SubjectRecord,
     ThresholdStrategy,
     UndefinedHistory,
-    applicable_window,
-    consistency_horizon,
     horizon_matrix,
 )
 from rcds.cohort import TimeRow
@@ -24,6 +22,11 @@ from conftest import (
     _rows,
     fixture_horizons,
     make_fixture_records,
+)
+from reference import (
+    applicable_window,
+    consistency_horizon,
+    per_strategy_horizon_matrix,
 )
 
 
@@ -142,6 +145,59 @@ class TestHorizonMatrix:
                 assert mat[i, j] == consistency_horizon(strat, rec)
 
 
+class TestHorizonMatrixGate:
+    """The cell sweeps against the per-strategy pass over every row."""
+
+    @pytest.fixture(scope="class")
+    def cohorts(self):
+        from rcds import DgpParams, simulate_cohort
+
+        return {seed: simulate_cohort(DgpParams(), 4000, seed=seed)
+                for seed in (1, 2)}
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_default_grid_at_cohort_scale(self, cohorts, seed):
+        grid = StrategyGrid.default()
+        got = horizon_matrix(cohorts[seed], grid)
+        assert np.array_equal(got, per_strategy_horizon_matrix(cohorts[seed],
+                                                               grid))
+
+    def test_one_threshold(self, cohorts):
+        grid = StrategyGrid((ThresholdStrategy(350.0),))
+        assert np.array_equal(horizon_matrix(cohorts[1], grid),
+                              per_strategy_horizon_matrix(cohorts[1], grid))
+
+    def test_thresholds_on_observed_markers(self, cohorts):
+        cohort = cohorts[2]
+        markers = np.unique(cohort.observed_marker[cohort.monitor == 1])
+        xs = markers[np.linspace(0, markers.size - 1, 12).astype(int)]
+        grid = StrategyGrid(tuple(ThresholdStrategy(float(x)) for x in xs))
+        assert np.isin(grid.xs, cohort.last_observed_marker).all()
+        assert np.array_equal(horizon_matrix(cohort, grid),
+                              per_strategy_horizon_matrix(cohort, grid))
+
+    def test_empty_grid(self, cohorts):
+        got = horizon_matrix(cohorts[1], StrategyGrid(()))
+        assert got.shape == (4000, 0)
+        assert np.array_equal(got, per_strategy_horizon_matrix(
+            cohorts[1], StrategyGrid(())))
+
+    def test_no_pass_per_strategy(self, monkeypatch):
+        import rcds.strategies
+        from rcds import DgpParams, Plan, horizon_table, simulate_cohort
+
+        def one_strategy_pass(*args):
+            raise AssertionError("the estimator loops over strategies")
+
+        cohort = simulate_cohort(DgpParams(), 1000, seed=1)
+        grid = StrategyGrid.default()
+        monkeypatch.setattr(rcds.strategies, "window_bounds", one_strategy_pass)
+        assert horizon_matrix(cohort, grid).shape == (1000, len(grid))
+        assert horizon_table(cohort, grid).uncensored.shape == (1000, len(grid))
+        risk, usage, _ = Plan(cohort, grid).run(None)
+        assert np.all(np.isfinite(risk)) and np.all(np.isfinite(usage))
+
+
 # markers on the thresholds' own 50-unit lattice, so ties with x occur
 MARKERS = tuple(float(m) for m in range(150, 551, 50))
 
@@ -201,6 +257,16 @@ class TestStrategyGrid:
         with pytest.raises(ConfigError):
             StrategyGrid(strategies=(ThresholdStrategy(300.0),
                                      ThresholdStrategy(300.0)))
+
+    @pytest.mark.parametrize("window", ["27", (2.5, 7), (True, 7), (2, 7, 9),
+                                        [2], 3, None])
+    def test_window_must_be_two_whole_months(self, window):
+        with pytest.raises(ConfigError, match="window_below must be two whole"):
+            StrategyGrid.default(window_below=window)
+
+    def test_whole_floats_are_whole_months(self):
+        grid = StrategyGrid.default(window_below=[2.0, 7.0])
+        assert grid[0].window_below == (2, 7)
 
     def test_mixed_windows_rejected(self):
         with pytest.raises(ConfigError):

@@ -28,6 +28,7 @@ from rcds import (
     simulate_cohort,
 )
 from rcds.cohort import Cohort, SubjectRecord
+from rcds.strategies import WindowCells
 from rcds.weights import (
     CensoringWeightPlan,
     _summary,
@@ -420,7 +421,7 @@ def test_crossing_index_matches_row_level(construction, case):
     want = clone_horizon_weights(cohort, model, grid)
     p1 = np.full(cohort.n_rows, np.nan)
     p1[cohort.decision_rows()] = decision_probabilities(model, cohort)
-    got = CensoringWeightPlan(cohort, grid).horizon_weights(p1)
+    got = CensoringWeightPlan(WindowCells(cohort, grid)).horizon_weights(p1)
     assert got.shape == want.shape
     assert np.array_equal(got == 0, want == 0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
