@@ -45,7 +45,6 @@ from .simulate import (
     TruthTable,
     monitor_probability,
     oracle_truth,
-    positivity_audit,
     simulate_cohort,
     simulate_forced,
 )

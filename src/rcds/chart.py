@@ -24,17 +24,30 @@ def _f(v):
 def _ticks(lo, hi, n=6):
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return raw
+    return np.linspace(lo, hi, n)
+
+
+def _text(x, y, body, size, anchor=None, fill=None):
+    anchor = "" if anchor is None else f' text-anchor="{anchor}"'
+    fill = "" if fill is None else f' fill="{fill}"'
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{fill}>{body}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke, width, dash=None):
+    dash = "" if dash is None else f' stroke-dasharray="{dash}"'
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"{dash}/>')
 
 
 def render_chart(table, kappa, selection=None, title="Risk and usage by threshold"):
     """Render the dose-response table and cap into a standalone SVG string."""
-    xs = np.asarray(table.xs, dtype=float)
-    order = np.argsort(xs)
-    xs = xs[order]
-    risk = np.asarray(table.risk, dtype=float)[order]
-    usage = np.asarray(table.usage, dtype=float)[order]
+    order = np.argsort(np.asarray(table.xs, dtype=float))
+
+    def ascending(values):
+        return np.asarray(values, dtype=float)[order]
+
+    xs, risk, usage = map(ascending, (table.xs, table.risk, table.usage))
 
     x_lo, x_hi = float(xs.min()), float(xs.max())
     if x_hi == x_lo:
@@ -44,6 +57,7 @@ def render_chart(table, kappa, selection=None, title="Risk and usage by threshol
 
     pw = WIDTH - ML - MR
     ph = HEIGHT - MT - MB
+    right, bottom = ML + pw, MT + ph
 
     def sx(v):
         return ML + (v - x_lo) / (x_hi - x_lo) * pw
@@ -54,26 +68,23 @@ def render_chart(table, kappa, selection=None, title="Risk and usage by threshol
     def su(v):
         return MT + ph - v / u_hi * ph
 
+    def points(at, values, scale):
+        return [f"{_f(sx(x))},{_f(scale(v))}" for x, v in zip(at, values)]
+
+    # (curve, band low, band high, vertical scale, colour): risk, then usage
+    curves = ((risk, table.risk_lo, table.risk_hi, sr, RISK_COLOR),
+              (usage, table.usage_lo, table.usage_hi, su, USAGE_COLOR))
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        _text(f"{WIDTH / 2:.1f}", 24, title, 16, "middle"),
     ]
 
     # feasible region: contiguous x-ranges with usage <= kappa
-    feasible = usage <= kappa
-    runs = []
-    start = None
-    for i, ok in enumerate(feasible):
-        if ok and start is None:
-            start = i
-        if (not ok or i == len(feasible) - 1) and start is not None:
-            end = i if ok else i - 1
-            runs.append((start, end))
-            start = None
-    for a, b in runs:
+    edges = np.flatnonzero(np.diff(np.r_[0, usage <= kappa, 0]))
+    for a, b in zip(edges[::2], edges[1::2] - 1):
         x0, x1 = sx(xs[a]), sx(xs[b])
         if x1 > x0:
             parts.append(
@@ -82,129 +93,65 @@ def render_chart(table, kappa, selection=None, title="Risk and usage by threshol
             )
 
     # axes
-    parts.append(
-        f'<line x1="{ML}" y1="{MT + ph}" x2="{ML + pw}" y2="{MT + ph}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{ML}" y1="{MT}" x2="{ML}" y2="{MT + ph}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{ML + pw}" y1="{MT}" x2="{ML + pw}" y2="{MT + ph}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    for v in _ticks(x_lo, x_hi):
-        parts.append(
-            f'<text x="{_f(sx(v))}" y="{MT + ph + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{v:.0f}</text>'
-        )
-    for v in _ticks(0, r_hi):
-        parts.append(
-            f'<text x="{ML - 8}" y="{_f(sr(v) + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" '
-            f'fill="{RISK_COLOR}">{v:.3f}</text>'
-        )
-    for v in _ticks(0, u_hi):
-        parts.append(
-            f'<text x="{ML + pw + 8}" y="{_f(su(v) + 4)}" text-anchor="start" '
-            f'font-family="sans-serif" font-size="11" '
-            f'fill="{USAGE_COLOR}">{v:.2f}</text>'
-        )
-    parts.append(
-        f'<text x="{ML + pw / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="12">threshold</text>'
-    )
+    for x1, y1, x2, y2 in ((ML, bottom, right, bottom), (ML, MT, ML, bottom),
+                           (right, MT, right, bottom)):
+        parts.append(_line(x1, y1, x2, y2, "black", 1))
+    for lo, hi, at, fmt, anchor, fill in (
+            (x_lo, x_hi, lambda v: (_f(sx(v)), bottom + 18), ".0f", "middle",
+             None),
+            (0, r_hi, lambda v: (ML - 8, _f(sr(v) + 4)), ".3f", "end",
+             RISK_COLOR),
+            (0, u_hi, lambda v: (right + 8, _f(su(v) + 4)), ".2f", "start",
+             USAGE_COLOR)):
+        for v in _ticks(lo, hi):
+            parts.append(_text(*at(v), format(v, fmt), 11, anchor, fill))
+    parts.append(_text(f"{ML + pw / 2:.1f}", HEIGHT - 14, "threshold", 12,
+                       "middle"))
 
     # confidence bands when present
-    if not np.all(np.isnan(np.asarray(table.risk_lo, dtype=float))):
-        rl = np.asarray(table.risk_lo, dtype=float)[order]
-        rh = np.asarray(table.risk_hi, dtype=float)[order]
-        pts = [f"{_f(sx(x))},{_f(sr(v))}" for x, v in zip(xs, rh)]
-        pts += [f"{_f(sx(x))},{_f(sr(v))}" for x, v in zip(xs[::-1], rl[::-1])]
-        parts.append(
-            f'<polygon points="{" ".join(pts)}" fill="{RISK_COLOR}" '
-            'opacity="0.12"/>'
-        )
-    if not np.all(np.isnan(np.asarray(table.usage_lo, dtype=float))):
-        ul = np.asarray(table.usage_lo, dtype=float)[order]
-        uh = np.asarray(table.usage_hi, dtype=float)[order]
-        pts = [f"{_f(sx(x))},{_f(su(v))}" for x, v in zip(xs, uh)]
-        pts += [f"{_f(sx(x))},{_f(su(v))}" for x, v in zip(xs[::-1], ul[::-1])]
-        parts.append(
-            f'<polygon points="{" ".join(pts)}" fill="{USAGE_COLOR}" '
-            'opacity="0.12"/>'
-        )
+    for _, lo, hi, scale, color in curves:
+        if not np.all(np.isnan(np.asarray(lo, dtype=float))):
+            pts = points(xs, ascending(hi), scale) \
+                + points(xs[::-1], ascending(lo)[::-1], scale)
+            parts.append(f'<polygon points="{" ".join(pts)}" fill="{color}" '
+                         'opacity="0.12"/>')
 
     # curves (points when the table has a single row)
-    risk_pts = [f"{_f(sx(x))},{_f(sr(v))}" for x, v in zip(xs, risk)]
-    usage_pts = [f"{_f(sx(x))},{_f(su(v))}" for x, v in zip(xs, usage)]
     if len(xs) > 1:
-        parts.append(
-            f'<polyline points="{" ".join(risk_pts)}" fill="none" '
-            f'stroke="{RISK_COLOR}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<polyline points="{" ".join(usage_pts)}" fill="none" '
-            f'stroke="{USAGE_COLOR}" stroke-width="2"/>'
-        )
-    for x, v in zip(xs, risk):
-        parts.append(
-            f'<circle cx="{_f(sx(x))}" cy="{_f(sr(v))}" r="2.5" '
-            f'fill="{RISK_COLOR}"/>'
-        )
-    for x, v in zip(xs, usage):
-        parts.append(
-            f'<circle cx="{_f(sx(x))}" cy="{_f(su(v))}" r="2.5" '
-            f'fill="{USAGE_COLOR}"/>'
-        )
+        for values, _, _, scale, color in curves:
+            parts.append(
+                f'<polyline points="{" ".join(points(xs, values, scale))}" '
+                f'fill="none" stroke="{color}" stroke-width="2"/>'
+            )
+    for values, _, _, scale, color in curves:
+        for x, v in zip(xs, values):
+            parts.append(f'<circle cx="{_f(sx(x))}" cy="{_f(scale(v))}" '
+                         f'r="2.5" fill="{color}"/>')
 
     # resource cap on the usage axis
-    parts.append(
-        f'<line x1="{ML}" y1="{_f(su(kappa))}" x2="{ML + pw}" '
-        f'y2="{_f(su(kappa))}" stroke="{KAPPA_COLOR}" stroke-width="1.5" '
-        'stroke-dasharray="6,4"/>'
-    )
-    parts.append(
-        f'<text x="{ML + pw - 4}" y="{_f(su(kappa) - 6)}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11" fill="{KAPPA_COLOR}">'
-        f'cap = {kappa:g}</text>'
-    )
+    cap = su(kappa)
+    parts.append(_line(ML, _f(cap), right, _f(cap), KAPPA_COLOR, 1.5, "6,4"))
+    parts.append(_text(right - 4, _f(cap - 6), f"cap = {kappa:g}", 11, "end",
+                       KAPPA_COLOR))
 
     # chosen threshold
     if selection is not None and selection.chosen_x is not None:
-        cx = sx(selection.chosen_x)
+        cx = _f(sx(selection.chosen_x))
+        parts.append(_line(cx, MT, cx, bottom, CHOSEN_COLOR, 1, "3,3"))
         parts.append(
-            f'<line x1="{_f(cx)}" y1="{MT}" x2="{_f(cx)}" y2="{MT + ph}" '
-            f'stroke="{CHOSEN_COLOR}" stroke-width="1" stroke-dasharray="3,3"/>'
-        )
-        parts.append(
-            f'<circle cx="{_f(cx)}" cy="{_f(sr(selection.chosen_risk))}" '
+            f'<circle cx="{cx}" cy="{_f(sr(selection.chosen_risk))}" '
             f'r="5" fill="none" stroke="{CHOSEN_COLOR}" stroke-width="2"/>'
         )
-        parts.append(
-            f'<text x="{_f(cx)}" y="{MT - 6}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" fill="{CHOSEN_COLOR}">'
-            f'chosen x = {selection.chosen_x:g}</text>'
-        )
+        parts.append(_text(cx, MT - 6, f"chosen x = {selection.chosen_x:g}",
+                           12, "middle", CHOSEN_COLOR))
 
     # legend
-    parts.append(
-        f'<rect x="{ML + 10}" y="{MT + 8}" width="12" height="3" '
-        f'fill="{RISK_COLOR}"/>'
-    )
-    parts.append(
-        f'<text x="{ML + 28}" y="{MT + 13}" font-family="sans-serif" '
-        f'font-size="11">risk at horizon (left)</text>'
-    )
-    parts.append(
-        f'<rect x="{ML + 10}" y="{MT + 24}" width="12" height="3" '
-        f'fill="{USAGE_COLOR}"/>'
-    )
-    parts.append(
-        f'<text x="{ML + 28}" y="{MT + 29}" font-family="sans-serif" '
-        f'font-size="11">expected measurements (right)</text>'
-    )
+    for dy, color, label in ((8, RISK_COLOR, "risk at horizon (left)"),
+                             (24, USAGE_COLOR,
+                              "expected measurements (right)")):
+        parts.append(f'<rect x="{ML + 10}" y="{MT + dy}" width="12" '
+                     f'height="3" fill="{color}"/>')
+        parts.append(_text(ML + 28, MT + dy + 5, label, 11))
 
     parts.append("</svg>")
     return "\n".join(parts)

@@ -7,7 +7,6 @@ an infeasible selection is a reported status, not an error.
 """
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -47,6 +46,22 @@ def _listed(block, key, kind, what):
     raise ConfigError(f"{key!r} must be a list of {what}, got {value!r}")
 
 
+def _integer(block, key):
+    return _number(block, key, kind=int)
+
+
+def _names(block, key):
+    return _listed(block, key, str, "names")
+
+
+def _present(block, keys, readers):
+    """The entries of ``block`` among ``keys``, each read by its reader in
+    ``readers`` or taken as written. An absent key is left out, so the
+    callee's own default applies."""
+    return {key: readers[key](block, key) if key in readers else block[key]
+            for key in keys if key in block}
+
+
 WEIGHT_KEYS = ("truncation", "weighting", "features")
 FEATURE_KEYS = tuple(f.name for f in dataclasses.fields(MonitorFeatureSpec))
 GRID_KEYS = ("x_start", "x_stop", "x_step", "window_below", "window_above",
@@ -67,14 +82,8 @@ def _known_keys(block, keys, what):
 
 def _grid_from(block):
     _known_keys(block, GRID_KEYS, "grid")
-    return StrategyGrid.default(
-        x_start=_number(block, "x_start", 200),
-        x_stop=_number(block, "x_stop", 500),
-        x_step=_number(block, "x_step", 10),
-        window_below=block.get("window_below", (2, 7)),
-        window_above=block.get("window_above", (8, 13)),
-        override_window=block.get("override_window", (2, 7)),
-    )
+    return StrategyGrid.default(**_present(block, GRID_KEYS, {
+        "x_start": _number, "x_stop": _number, "x_step": _number}))
 
 
 def _dgp_from(block, seed):
@@ -85,33 +94,21 @@ def _dgp_from(block, seed):
 
 def _msm_from(block):
     _known_keys(block, MSM_KEYS, "msm")
-    return MsmSpec(
-        strategy_knots=_listed(block, "strategy_knots", float, "numbers")
-        or None,
-        baseline_terms="all" if block.get("baseline_terms", "all") == "all"
-        else _listed(block, "baseline_terms", str, "names"),
-    )
+    return MsmSpec(**_present(block, MSM_KEYS, {
+        "strategy_knots": lambda b, k: _listed(b, k, float, "numbers") or None,
+        "baseline_terms": lambda b, k: "all" if b[k] == "all"
+        else _names(b, k)}))
 
 
 def _wopts_from(block):
     _known_keys(block, WEIGHT_KEYS, "weights")
     feat = _known_keys(block.get("features", {}), FEATURE_KEYS,
                        "weights.features")
-    spec = MonitorFeatureSpec(
-        marker=feat.get("marker", "rcs"),
-        marker_knots=_number(feat, "marker_knots", 3, int),
-        gap=feat.get("gap", "linear"),
-        gap_cap=_number(feat, "gap_cap", 13, int),
-        override=feat.get("override", True),
-        month=feat.get("month", "none"),
-        baseline=_listed(feat, "baseline", str, "names"),
-    )
-    return WeightOptions(
-        truncation=None if block.get("truncation") is None
-        else _number(block, "truncation"),
-        weighting=block.get("weighting", "ip"),
-        monitor_spec=spec,
-    )
+    spec = MonitorFeatureSpec(**_present(feat, FEATURE_KEYS, {
+        "marker_knots": _integer, "gap_cap": _integer, "baseline": _names}))
+    return WeightOptions(monitor_spec=spec, **_present(
+        block, ("truncation", "weighting"),
+        {"truncation": lambda b, k: None if b[k] is None else _number(b, k)}))
 
 
 def _schema_from(cfg):
@@ -161,10 +158,10 @@ def run(config):
         params = _dgp_from(config.section("dgp"), seed)
         grid = _grid_from(config.section("grid"))
         n_mc = _number(config.raw, "n_mc", 100_000, int)
-        rule = config.raw.get("rule", "natural")
-        truth = oracle_truth(params, grid, n_mc, rule=rule, seed=seed)
+        truth = oracle_truth(params, grid, n_mc, seed=seed,
+                             **_present(config.raw, ("rule",), {}))
         rio.truth_to_csv(truth, out / "truth.csv")
-        print(f"wrote {out / 'truth.csv'} (rule={rule}, n_mc={n_mc})")
+        print(f"wrote {out / 'truth.csv'} (rule={truth.rule}, n_mc={n_mc})")
         return 0
 
     if config.mode in ("analyze", "frontier"):
@@ -205,35 +202,20 @@ def run(config):
         fr = frontier(table, kappas)
         rio.report_to_csv(table, out / "report.csv",
                           selection=fr.selections[-1])
-        with open(out / "frontier.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["kappa", "status", "chosen_x", "chosen_risk",
-                        "chosen_usage"])
-            for s in fr.selections:
-                w.writerow([
-                    repr(float(s.kappa)), s.status,
-                    "" if s.chosen_x is None else repr(float(s.chosen_x)),
-                    "" if s.chosen_risk is None else repr(float(s.chosen_risk)),
-                    "" if s.chosen_usage is None else repr(float(s.chosen_usage)),
-                ])
-        rio.dump_yaml(
-            {"steps": [
-                {"kappa_from": st.kappa_from, "kappa_to": st.kappa_to,
-                 "x_from": st.x_from, "x_to": st.x_to,
-                 "risk_change": st.risk_change,
-                 "usage_change": st.usage_change,
-                 "risk_per_usage": st.risk_per_usage}
-                for st in fr.steps
-            ]},
-            out / "frontier.yaml",
-        )
+        rio.write_csv(out / "frontier.csv", ["kappa", "status", "chosen_x",
+                                             "chosen_risk", "chosen_usage"],
+                      ([s.kappa, s.status, s.chosen_x, s.chosen_risk,
+                        s.chosen_usage] for s in fr.selections))
+        rio.dump_yaml({"steps": [dataclasses.asdict(st) for st in fr.steps]},
+                      out / "frontier.yaml")
         print(f"wrote {out / 'frontier.csv'} ({len(kappas)} caps)")
         return 0
 
     if config.mode == "coverage":
         params = _dgp_from(config.section("dgp"), seed)
         grid = _grid_from(config.section("grid"))
-        spec = _msm_from(config.section("msm"))
+        spec = _msm_from(config.section("msm")) if "msm" in config.raw \
+            else None
         wopts = _wopts_from(config.section("weights"))
         res = run_coverage(
             params, grid,
@@ -242,15 +224,12 @@ def run(config):
             n=_number(config.raw, "n", 2000, int),
             B=_number(config.raw, "bootstrap", 200, int),
             seed=seed, spec=spec, wopts=wopts,
-            oracle_n_mc=_number(config.raw, "oracle_n_mc", 200_000, int),
-            oracle_rule=config.raw.get("oracle_rule", "natural"),
+            **_present(config.raw, ("oracle_n_mc", "oracle_rule"),
+                       {"oracle_n_mc": _integer}),
         )
-        with open(out / "coverage.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cohort", "risk", "risk_lo", "risk_hi", "covered"])
-            for r in res.rows:
-                w.writerow([r["cohort"], repr(r["risk"]), repr(r["risk_lo"]),
-                            repr(r["risk_hi"]), r["covered"]])
+        header = ["cohort", "risk", "risk_lo", "risk_hi", "covered"]
+        rio.write_csv(out / "coverage.csv", header,
+                      ([r[key] for key in header] for r in res.rows))
         rio.dump_yaml(res.to_dict(), out / "coverage.yaml")
         print(f"coverage: {res.coverage:.3f}")
         return 0
@@ -264,7 +243,7 @@ def build_parser():
         description="Resource-constrained dynamic monitoring strategies",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "oracle", "analyze", "frontier", "coverage"):
+    for name in rio.MODES:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None)

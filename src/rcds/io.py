@@ -303,42 +303,36 @@ def ingest_cohort(path, schema=None, horizon=None):
         raise IngestError(f"{path}: {err}") from err
 
 
+def write_csv(path, header, rows):
+    """Write ``header`` and then each of ``rows`` with one ``csv.writer``,
+    which writes None as an empty field and a float as its ``repr``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def report_to_csv(table, path, selection=None):
     """Table-style report, rows ordered by descending threshold."""
-    feasible = None
+    feasible = [""] * table.xs.size
     if selection is not None:
         fset = set(float(v) for v in selection.feasible_x)
         feasible = [1 if float(x) in fset else 0 for x in table.xs]
-    order = np.argsort(-table.xs)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "risk", "risk_lo", "risk_hi", "usage", "usage_lo",
-                    "usage_hi", "feasible"])
-        for i in order:
-            w.writerow([
-                _fmt(float(table.xs[i])),
-                _fmt(float(table.risk[i])),
-                _fmt(float(table.risk_lo[i])),
-                _fmt(float(table.risk_hi[i])),
-                _fmt(float(table.usage[i])),
-                _fmt(float(table.usage_lo[i])),
-                _fmt(float(table.usage_hi[i])),
-                "" if feasible is None else feasible[i],
-            ])
+    columns = (table.xs, table.risk, table.risk_lo, table.risk_hi,
+               table.usage, table.usage_lo, table.usage_hi)
+    write_csv(path, ["x", "risk", "risk_lo", "risk_hi", "usage", "usage_lo",
+                     "usage_hi", "feasible"],
+              ([_fmt(float(c[i])) for c in columns] + [feasible[i]]
+               for i in np.argsort(-table.xs)))
 
 
 def truth_to_csv(truth, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "risk_true", "risk_mcse", "usage_true", "usage_mcse"])
-        for i in range(truth.xs.size):
-            w.writerow([
-                _fmt(float(truth.xs[i])),
-                _fmt(float(truth.risk[i])),
-                _fmt(float(truth.risk_mcse[i])),
-                _fmt(float(truth.usage[i])),
-                _fmt(float(truth.usage_mcse[i])),
-            ])
+    columns = (truth.xs, truth.risk, truth.risk_mcse, truth.usage,
+               truth.usage_mcse)
+    write_csv(path, ["x", "risk_true", "risk_mcse", "usage_true",
+                     "usage_mcse"],
+              ([_fmt(float(c[i])) for c in columns]
+               for i in range(truth.xs.size)))
 
 
 def schema_from_config(block):

@@ -395,61 +395,3 @@ def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
         risk_se[j] = y.std(ddof=1) / np.sqrt(n_mc)
         usage_se[j] = d.std(ddof=1) / np.sqrt(n_mc)
     return TruthTable(grid.xs, risk, risk_se, usage, usage_se, rule, n_mc)
-
-
-@dataclass
-class PositivityAudit:
-    """Empirical monitoring frequencies over coarsened history cells."""
-
-    cells: list
-    min_cell: int
-    bounds: tuple
-    ok: bool
-    violations: list
-
-
-def positivity_audit(cohort, marker_quantiles=(0.2, 0.4, 0.6, 0.8),
-                     gap_edges=(2, 3, 4, 5, 7, 10, 14), min_cell=50,
-                     bounds=(0.01, 0.99)):
-    """Check that every well-occupied coarsened history cell has an interior
-    empirical monitoring frequency.
-
-    Cells are (marker band x gap band x override) combinations over decision
-    months (t >= 1). Cells with fewer than ``min_cell`` person-months are
-    reported but not judged.
-    """
-    prev_last, prev_ovr, gap = cohort.prev_state()
-    dec = cohort.decision_rows()
-    last_d = prev_last[dec]
-    gap_d = gap[dec]
-    ovr_d = prev_ovr[dec]
-    mon_d = (cohort.monitor[dec] == 1).astype(np.float64)
-
-    edges = np.quantile(last_d, marker_quantiles)
-    mk = np.digitize(last_d, edges)
-    gp = np.digitize(gap_d, np.asarray(gap_edges))
-    n_mk = len(edges) + 1
-    n_gp = len(gap_edges) + 1
-    cell = (mk * n_gp + gp) * 2 + ovr_d
-    n_cells = n_mk * n_gp * 2
-    counts = np.bincount(cell, minlength=n_cells)
-    hits = np.bincount(cell, weights=mon_d, minlength=n_cells)
-
-    cells, violations = [], []
-    lo, hi = bounds
-    for c in range(n_cells):
-        if counts[c] == 0:
-            continue
-        freq = hits[c] / counts[c]
-        mk_i, rest = divmod(c, n_gp * 2)
-        gp_i, ovr_i = divmod(rest, 2)
-        rec = {
-            "marker_band": int(mk_i), "gap_band": int(gp_i),
-            "override": int(ovr_i), "count": int(counts[c]),
-            "monitor_freq": float(freq),
-        }
-        cells.append(rec)
-        if counts[c] >= min_cell and not (lo < freq < hi):
-            violations.append(rec)
-    return PositivityAudit(cells=cells, min_cell=min_cell, bounds=bounds,
-                           ok=not violations, violations=violations)

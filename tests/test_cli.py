@@ -84,6 +84,28 @@ def test_unknown_weights_key_is_named(tmp_path, cohort_csv, capsys, key,
     assert not (tmp_path / key / "report.csv").exists()
 
 
+def test_frontier_leaves_infeasible_caps_blank(tmp_path, cohort_csv, capsys):
+    config = {"mode": "frontier", "seed": 5, "input": cohort_csv,
+              "kappa_grid": [0.5, 4.5]}
+    assert run(tmp_path, "fr", config, capsys)[0] == 0
+    lines = (tmp_path / "fr" / "frontier.csv").read_text().splitlines()
+    assert lines[:2] == ["kappa,status,chosen_x,chosen_risk,chosen_usage",
+                         "0.5,infeasible,,,"]
+    assert lines[2].startswith("4.5,ok,")
+
+
+def test_coverage_without_msm_uses_run_coverage_default(tmp_path, capsys):
+    # run_coverage adjusts for sex and age unless told otherwise
+    base = {"mode": "coverage", "seed": 5, "n": 800, "n_cohorts": 2,
+            "bootstrap": 2, "oracle_n_mc": 2000}
+    assert run(tmp_path, "default", base, capsys)[0] == 0
+    config = {**base, "msm": {"baseline_terms": ["sex", "age"]}}
+    assert run(tmp_path, "sex_age", config, capsys)[0] == 0
+    for name in ("coverage.csv", "coverage.yaml"):
+        assert ((tmp_path / "default" / name).read_bytes()
+                == (tmp_path / "sex_age" / name).read_bytes())
+
+
 def test_oracle_defaults_to_natural_rule(tmp_path, capsys):
     # the rule the censoring weights target; earliest is a different estimand
     base = {"mode": "oracle", "seed": 5, "n_mc": 2000,

@@ -1,5 +1,6 @@
 """Cohort CSV ingest: the error contract on malformed files, a row-loop
-reference on random corruptions, and the CSV round trip.
+reference on random corruptions, and the CSV round trip; and the exact text
+of the report and truth CSVs.
 
 The golden table below was captured from the row-by-row ingest that the
 columnar one replaced; ``reference_ingest`` is that loop, kept as the
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcds import Cohort, IngestError
+from rcds import Cohort, DoseResponseTable, IngestError, TruthTable, select
 from rcds.cohort import (
     CONTINUOUS,
     END_REASONS,
@@ -24,7 +25,14 @@ from rcds.cohort import (
     _REASON_CODE,
 )
 from rcds.errors import ConfigError
-from rcds.io import COHORT_FIXED_COLUMNS, cohort_to_csv, ingest_cohort
+from rcds.io import (
+    COHORT_FIXED_COLUMNS,
+    cohort_to_csv,
+    ingest_cohort,
+    report_to_csv,
+    truth_to_csv,
+    write_csv,
+)
 
 from conftest import FIXTURE_K, FIXTURE_SCHEMA, _rows, make_fixture_records
 
@@ -788,3 +796,54 @@ def test_writer_matches_row_writer_without_baseline(workdir):
     cohort_to_csv(cohort, got)
     reference_cohort_to_csv(cohort, want)
     assert got.read_bytes() == want.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# report and truth writers
+# ----------------------------------------------------------------------
+def test_write_csv_cells(tmp_path):
+    # frontier.csv and coverage.csv rely on these conversions
+    write_csv(tmp_path / "t.csv", ["a", "b", "c"],
+              [[0.1, None, float("nan")], [1, "x,y", 2.5]])
+    assert (tmp_path / "t.csv").read_bytes().decode() == (
+        "a,b,c\r\n0.1,,nan\r\n1,\"x,y\",2.5\r\n")
+
+
+def point_table():
+    xs = np.array([200.0, 300.0])
+    return DoseResponseTable.point_only(xs, np.array([0.05, 0.1]),
+                                        np.array([5.5, 3.25]),
+                                        np.array([10, 10]))
+
+
+def test_report_without_selection_leaves_feasible_and_intervals_blank(
+        tmp_path):
+    report_to_csv(point_table(), tmp_path / "report.csv")
+    assert (tmp_path / "report.csv").read_bytes().decode() == (
+        "x,risk,risk_lo,risk_hi,usage,usage_lo,usage_hi,feasible\r\n"
+        "300.0,0.1,,,3.25,,,\r\n"
+        "200.0,0.05,,,5.5,,,\r\n")
+
+
+def test_report_marks_feasible_thresholds(tmp_path):
+    t = point_table()
+    t.risk_lo = np.array([0.04, np.nan])
+    report_to_csv(t, tmp_path / "report.csv", selection=select(t, 4.0))
+    assert (tmp_path / "report.csv").read_bytes().decode() == (
+        "x,risk,risk_lo,risk_hi,usage,usage_lo,usage_hi,feasible\r\n"
+        "300.0,0.1,,,3.25,,,1\r\n"
+        "200.0,0.05,0.04,,5.5,,,0\r\n")
+
+
+def test_truth_keeps_header_and_formatting(tmp_path):
+    truth = TruthTable(xs=np.array([200.0, 250.0]),
+                       risk=np.array([0.1, 1 / 3]),
+                       risk_mcse=np.array([0.001, np.nan]),
+                       usage=np.array([4.0, 3.5]),
+                       usage_mcse=np.array([0.01, 0.02]),
+                       rule="natural", n_mc=100)
+    truth_to_csv(truth, tmp_path / "truth.csv")
+    assert (tmp_path / "truth.csv").read_bytes().decode() == (
+        "x,risk_true,risk_mcse,usage_true,usage_mcse\r\n"
+        "200.0,0.1,0.001,4.0,0.01\r\n"
+        "250.0,0.3333333333333333,,3.5,0.02\r\n")

@@ -1,4 +1,4 @@
-"""Simulator determinism, exchangeability boundary, positivity, and oracle checks."""
+"""Simulator determinism, exchangeability boundary, and oracle checks."""
 
 import dataclasses
 
@@ -13,7 +13,6 @@ from rcds import (
     ThresholdStrategy,
     monitor_probability,
     oracle_truth,
-    positivity_audit,
     simulate_cohort,
     simulate_forced,
 )
@@ -140,20 +139,6 @@ class TestExchangeabilityBoundary:
             400, seed=13)
         assert np.array_equal(a.monitor, b.monitor)
         assert not np.array_equal(a.outcome_y, b.outcome_y, equal_nan=True)
-
-
-class TestPositivityAudit:
-    def test_default_dgp_passes(self):
-        cohort = simulate_cohort(DgpParams(), 10_000, seed=3)
-        audit = positivity_audit(cohort)
-        assert audit.ok, audit.violations
-
-    def test_audit_flags_degenerate_monitoring(self):
-        p = DgpParams(mon_intercept=-6.5, mon_marker=0.0, mon_gap=0.0,
-                      mon_override=0.0)
-        cohort = simulate_cohort(p, 10_000, seed=3)
-        audit = positivity_audit(cohort)
-        assert not audit.ok
 
 
 class TestSimulateForced:
