@@ -1,8 +1,9 @@
 """Standalone SVG chart: risk and usage curves against the threshold grid.
 
 Dual-axis line chart with the resource cap drawn on the usage axis, the
-feasible region shaded, and the chosen threshold marked. Pure string
-assembly with fixed-precision numbers, so output is byte-stable.
+feasible region shaded, and the chosen threshold marked. Each vertical axis
+reaches above its curve and the finite upper bounds of its bootstrap band.
+Pure string assembly with fixed-precision numbers, so output is byte-stable.
 """
 
 import numpy as np
@@ -40,6 +41,12 @@ def _line(x1, y1, x2, y2, stroke, width, dash=None):
             f'stroke="{stroke}" stroke-width="{width}"{dash}/>')
 
 
+def _top(values, band_hi):
+    """The largest of ``values`` and the finite upper band bounds."""
+    band_hi = np.asarray(band_hi, dtype=float)
+    return float(np.nanmax(np.r_[values, band_hi[np.isfinite(band_hi)]]))
+
+
 def render_chart(table, kappa, selection=None, title="Risk and usage by threshold"):
     """Render the dose-response table and cap into a standalone SVG string."""
     order = np.argsort(np.asarray(table.xs, dtype=float))
@@ -52,8 +59,8 @@ def render_chart(table, kappa, selection=None, title="Risk and usage by threshol
     x_lo, x_hi = float(xs.min()), float(xs.max())
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    r_hi = max(float(np.nanmax(risk)) * 1.2, 1e-6)
-    u_hi = max(float(np.nanmax(usage)), float(kappa)) * 1.15
+    r_hi = max(_top(risk, table.risk_hi) * 1.2, 1e-6)
+    u_hi = max(_top(usage, table.usage_hi), float(kappa)) * 1.15
 
     pw = WIDTH - ML - MR
     ph = HEIGHT - MT - MB

@@ -3,12 +3,13 @@
 A cohort is a set of subjects observed on a monthly grid t = 0..K. Row t = 0
 is the baseline visit: every subject enters with a measured marker value
 (mirroring eligibility screening), so ``last_observed_marker`` is always
-defined from the start. ``months_since_last_monitor`` is 0 at baseline and
-follows the reset/increment recurrence afterwards.
+defined from the start. ``months_since`` is 0 at baseline and follows the
+reset/increment recurrence afterwards.
 
-Both derived columns, and ``d_total``, follow one carry-forward rule,
-:func:`carry_forward`: ingest builds them with it and
-:meth:`Cohort.validate` checks them against it.
+A cohort is built from measurements only. Both derived columns, and
+``d_total``, follow one carry-forward rule, :func:`carry_forward`, which
+:class:`Cohort` applies once :meth:`Cohort.validate` has passed the
+measurements.
 """
 
 from dataclasses import dataclass, field
@@ -72,8 +73,6 @@ class TimeRow:
     t: int
     monitor: int
     observed_marker: float  # nan when not measured this month
-    last_observed_marker: float
-    months_since_last_monitor: int
     override_flag: int
 
 
@@ -85,7 +84,6 @@ class SubjectRecord:
     baseline: dict
     rows: list
     outcome_y: float  # nan when missing
-    d_total: int
     followup_end: int
     end_reason: str
     horizon: int
@@ -97,8 +95,8 @@ def carry_forward(monitor, observed_marker, offsets):
     Returns ``(last_observed_marker, months_since, d_total)``: each row's
     marker from its subject's latest monitored row so far, the months since
     that row, and each subject's count of monitored rows. Every subject's
-    first row must be monitored; the rows of one whose first row is not get
-    values from an earlier subject.
+    first row must be monitored, as :meth:`Cohort.validate` ensures; the
+    rows of one whose first row is not get values from an earlier subject.
     """
     idx = np.arange(monitor.size)
     last_idx = np.maximum.accumulate(np.where(monitor == 1, idx, 0))
@@ -107,12 +105,16 @@ def carry_forward(monitor, observed_marker, offsets):
 
 
 class Cohort:
-    """Columnar store of subject records sharing one baseline schema."""
+    """Columnar store of subject records sharing one baseline schema.
+
+    Built from the measurements, which must pass :meth:`validate`; the
+    carried-forward marker, months since the last visit and visit count
+    then follow from them by :func:`carry_forward`.
+    """
 
     def __init__(self, subject_ids, baseline, schema, horizon, followup_end,
-                 end_reason, outcome_y, d_total, t, monitor, observed_marker,
-                 last_observed_marker, months_since, override_flag,
-                 validate=True):
+                 end_reason, outcome_y, t, monitor, observed_marker,
+                 override_flag):
         self.subject_ids = list(subject_ids)
         self.baseline = np.asarray(baseline, dtype=np.float64)
         self.schema = schema
@@ -120,19 +122,16 @@ class Cohort:
         self.followup_end = np.asarray(followup_end, dtype=np.int64)
         self.end_reason = np.asarray(end_reason, dtype=np.int8)
         self.outcome_y = np.asarray(outcome_y, dtype=np.float64)
-        self.d_total = np.asarray(d_total, dtype=np.int64)
         self.t = np.asarray(t, dtype=np.int64)
         self.monitor = np.asarray(monitor, dtype=np.int8)
         self.observed_marker = np.asarray(observed_marker, dtype=np.float64)
-        self.last_observed_marker = np.asarray(last_observed_marker,
-                                               dtype=np.float64)
-        self.months_since = np.asarray(months_since, dtype=np.int64)
         self.override_flag = np.asarray(override_flag, dtype=np.int8)
         self.offsets = np.concatenate(
             [[0], np.cumsum(self.followup_end + 1)]
         ).astype(np.int64)
-        if validate:
-            self.validate()
+        self.validate()
+        self.last_observed_marker, self.months_since, self.d_total = \
+            carry_forward(self.monitor, self.observed_marker, self.offsets)
 
     @property
     def n_subjects(self):
@@ -175,17 +174,11 @@ class Cohort:
             return np.logical_or.reduceat(row_mask, starts)
 
         pos = np.arange(self.n_rows) - self.offsets[self.subject_index_per_row()]
-        mon, obs, got_m = self.monitor, self.observed_marker, self.months_since
+        mon, obs = self.monitor, self.observed_marker
         measured = ~np.isnan(obs)
-        last, since, d_total = carry_forward(mon, obs, self.offsets)
-        got = self.last_observed_marker
-        carry_bad = (np.isnan(last) != np.isnan(got)) | ~np.isclose(
-            np.nan_to_num(last), np.nan_to_num(got))
         checks = (
             (per_subject(self.t != pos),
              "months must be 0..followup_end with no gaps"),
-            (self.d_total != d_total,
-             "d_total does not equal the monitored-row count"),
             (per_subject((mon == 1) & ~measured),
              "monitored months must record a marker value"),
             (per_subject((mon == 0) & measured),
@@ -193,20 +186,12 @@ class Cohort:
             (per_subject(np.isinf(obs)), "marker values must be finite"),
             (mon[starts] != 1, "baseline month must be monitored (entry "
                                "requires a measured marker)"),
-            (per_subject(carry_bad), "last_observed_marker must carry the "
-                                     "most recent measurement forward"),
-            (got_m[starts] != 0,
-             "months_since_last_monitor must be 0 on a monitored month"),
-            (per_subject(got_m != since), "months_since_last_monitor breaks "
-                                          "the reset/increment rule at t={k}"),
         )
         failed = np.array([mask for mask, _ in checks])
         bad = failed.any(axis=0)
         if bad.any():
             i = int(np.argmax(bad))
-            lo, hi = self.offsets[i], self.offsets[i + 1]
-            k = int(np.argmax(got_m[lo:hi] != since[lo:hi]))
-            message = checks[int(np.argmax(failed[:, i]))][1].format(k=k)
+            message = checks[int(np.argmax(failed[:, i]))][1]
             raise ConfigError(f"subject {self.subject_ids[i]}: {message}")
 
     # ------------------------------------------------------------------
@@ -219,8 +204,6 @@ class Cohort:
                 t=int(self.t[k]),
                 monitor=int(self.monitor[k]),
                 observed_marker=float(self.observed_marker[k]),
-                last_observed_marker=float(self.last_observed_marker[k]),
-                months_since_last_monitor=int(self.months_since[k]),
                 override_flag=int(self.override_flag[k]),
             )
             for k in range(lo, hi)
@@ -234,7 +217,6 @@ class Cohort:
             baseline=baseline,
             rows=rows,
             outcome_y=float(self.outcome_y[i]),
-            d_total=int(self.d_total[i]),
             followup_end=int(self.followup_end[i]),
             end_reason=self.end_reason_name(i),
             horizon=self.horizon,
@@ -245,30 +227,28 @@ class Cohort:
 
     @classmethod
     def from_records(cls, records, schema, horizon):
+        """A cohort from records (:class:`SubjectRecord`), which carry
+        measurements only; the cohort derives the rest."""
         if not records:
             raise ConfigError("cannot build a cohort from zero records")
-        ids, base, fue, reason, y, d = [], [], [], [], [], []
-        t, mon, obs, last, msince, ovr = [], [], [], [], [], []
+        ids, base, fue, reason, y = [], [], [], [], []
+        t, mon, obs, ovr = [], [], [], []
         for r in records:
             ids.append(r.subject_id)
             base.append([r.baseline[f.name] for f in schema.fields])
             fue.append(r.followup_end)
             reason.append(_REASON_CODE[r.end_reason])
             y.append(np.nan if r.outcome_y is None else r.outcome_y)
-            d.append(r.d_total)
             for row in r.rows:
                 t.append(row.t)
                 mon.append(row.monitor)
                 obs.append(row.observed_marker)
-                last.append(row.last_observed_marker)
-                msince.append(row.months_since_last_monitor)
                 ovr.append(row.override_flag)
         return cls(
             subject_ids=ids, baseline=np.array(base, dtype=np.float64),
             schema=schema, horizon=horizon, followup_end=fue,
-            end_reason=reason, outcome_y=y, d_total=d, t=t, monitor=mon,
-            observed_marker=obs, last_observed_marker=last,
-            months_since=msince, override_flag=ovr,
+            end_reason=reason, outcome_y=y, t=t, monitor=mon,
+            observed_marker=obs, override_flag=ovr,
         )
 
     # ------------------------------------------------------------------

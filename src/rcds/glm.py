@@ -206,16 +206,16 @@ def _solve_qr(X, z, wts, columns):
     return np.linalg.solve(R, Q.T @ b), float(diag.max() / diag.min())
 
 
-def fit_glm(design, response, family, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-            compute_se=True, start=None):
+def fit_glm(design, response, family, compute_se=True, start=None):
     """Fit a weighted GLM by iteratively reweighted least squares.
 
     Converges when the largest relative coefficient change drops below
-    ``tol``; raises :class:`NonConvergence` (with the coefficient
-    trajectory) after ``max_iter`` iterations and :class:`RankError` on a
-    rank-deficient design. ``start`` warm-starts the linear predictor from a
-    coefficient vector. ``compute_se`` asks for the standard errors, the
-    deviance and the log-likelihood (see :class:`GlmFit`).
+    ``DEFAULT_TOL``; raises :class:`NonConvergence` (with the coefficient
+    trajectory) after ``DEFAULT_MAX_ITER`` iterations and
+    :class:`RankError` on a rank-deficient design. ``start`` warm-starts
+    the linear predictor from a coefficient vector. ``compute_se`` asks for
+    the standard errors, the deviance and the log-likelihood (see
+    :class:`GlmFit`).
     """
     y = _check_response(response, family, design.n)
     X, w = design.X, design.weights
@@ -237,7 +237,7 @@ def fit_glm(design, response, family, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
     cond = np.nan
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         mu = _mu_eta(eta, family)
         if family == BINOMIAL_LOGIT:
             var = mu * (1 - mu)
@@ -251,12 +251,12 @@ def fit_glm(design, response, family, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
         history.append(beta_new.copy())
         beta = beta_new
         eta = X @ beta
-        if delta <= tol * scale_ref:
+        if delta <= DEFAULT_TOL * scale_ref:
             converged = True
             break
     if not converged:
         raise NonConvergence(
-            f"IRLS did not converge in {max_iter} iterations "
+            f"IRLS did not converge in {DEFAULT_MAX_ITER} iterations "
             f"(last step {delta:.3e})",
             trajectory=history,
         )

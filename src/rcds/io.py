@@ -19,7 +19,6 @@ from .cohort import (
     BaselineSchema,
     Cohort,
     _REASON_CODE,
-    carry_forward,
 )
 from .errors import ConfigError, IngestError
 
@@ -113,12 +112,12 @@ def ingest_cohort(path, schema=None, horizon=None):
 
     Rows may come in any order. Subjects are numbered by their first row in
     the file (a row with the wrong field count or a malformed numeric field
-    does not count), and each subject's rows are sorted by month. Derived
-    fields (carried-forward marker, months since last visit, visit count)
-    are rebuilt from the measurements by :func:`carry_forward`. Baseline
-    columns follow the declared ``schema``; without one, every
-    ``baseline_*`` column is treated as continuous. ``horizon`` defaults to
-    the largest followup_end present.
+    does not count), and each subject's rows are sorted by month. Only the
+    measurements are read: :class:`Cohort` derives the carried-forward
+    marker, months since the last visit and visit count. Baseline columns
+    follow the declared ``schema``; without one, every ``baseline_*``
+    column is treated as continuous. ``horizon`` defaults to the largest
+    followup_end present.
 
     Violations raise :class:`IngestError` with line numbers, which count CSV
     rows from the header as line 1. Row checks run first: if any row fails,
@@ -289,15 +288,12 @@ def ingest_cohort(path, schema=None, horizon=None):
 
     outcome_y = np.full(n, np.nan)
     outcome_y[code[has_y]] = (y_raw[has_y] == "1").astype(np.float64)
-    last, since, d_total = carry_forward(monitor, obs, offsets)
     try:
         return Cohort(
             subject_ids=ids, baseline=base,
             schema=schema, horizon=K, followup_end=fue,
             end_reason=reason_code[first], outcome_y=outcome_y,
-            d_total=d_total, t=t, monitor=monitor, observed_marker=obs,
-            last_observed_marker=last, months_since=since,
-            override_flag=override,
+            t=t, monitor=monitor, observed_marker=obs, override_flag=override,
         )
     except ConfigError as err:
         raise IngestError(f"{path}: {err}") from err

@@ -44,6 +44,7 @@ from .weights import (
 )
 
 DEGENERATE_ETA = -30.0
+MAX_FAILED_FRACTION = 0.05  # of bootstrap replicates that may fail to fit
 
 
 @dataclass(frozen=True)
@@ -378,7 +379,7 @@ def analyze_cohort(cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
 
 
 def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
-                       B=200, seed=0, max_failed_fraction=0.05):
+                       B=200, seed=0):
     """Point estimates plus percentile bootstrap intervals.
 
     Subjects are resampled with replacement (clones move with their
@@ -386,7 +387,7 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
     estimate's plan with the resample's multiplicities: it refits the
     monitoring model, recomputes the weights, refits both MSMs (warm-started
     from the point fits) and restandardizes. Replicates that fail to fit
-    are skipped; more than ``max_failed_fraction`` of failures raises
+    are skipped; more than ``MAX_FAILED_FRACTION`` of failures raises
     :class:`BootstrapUnstable`. Replicates in which an MSM pinned an
     event-free baseline level (see :func:`_fit_horizon_msm`) count as
     successes and are reported in ``table.n_pinned``. Replicates run one
@@ -411,7 +412,7 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
                 pass
 
     n_failed = B - len(ok)
-    if n_failed > max_failed_fraction * B:
+    if n_failed > MAX_FAILED_FRACTION * B:
         raise BootstrapUnstable(
             f"{n_failed} of {B} bootstrap replicates failed to fit"
         )

@@ -1,7 +1,7 @@
 """Constrained selection of the optimal strategy from a dose-response table.
 
 Feasibility is usage <= kappa (non-strict); among feasible thresholds the
-risk extremum wins, with ties broken by smaller usage and then smaller
+lowest risk wins, with ties broken by smaller usage and then smaller
 threshold. Selection operates on standardized point estimates only;
 intervals are reported alongside but never alter the choice.
 """
@@ -13,7 +13,6 @@ import numpy as np
 from .errors import ConfigError
 
 MINIMIZE_RISK = "minimize_risk"
-MAXIMIZE_BENEFIT = "maximize_benefit"
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -22,7 +21,6 @@ STATUS_INFEASIBLE = "infeasible"
 @dataclass
 class ConstrainedSelection:
     kappa: float
-    objective: str
     status: str
     feasible_x: np.ndarray
     chosen_x: float | None
@@ -36,7 +34,7 @@ class ConstrainedSelection:
     def to_dict(self):
         return {
             "kappa": float(self.kappa),
-            "objective": self.objective,
+            "objective": MINIMIZE_RISK,
             "status": self.status,
             "feasible_x": [float(v) for v in self.feasible_x],
             "chosen_x": None if self.chosen_x is None else float(self.chosen_x),
@@ -45,8 +43,8 @@ class ConstrainedSelection:
         }
 
 
-def select(table, kappa, objective=MINIMIZE_RISK):
-    """Pick the best-threshold strategy whose expected usage respects the cap.
+def select(table, kappa):
+    """Pick the lowest-risk strategy whose expected usage respects the cap.
 
     An empty feasible set is a status, not an error. Order-independent: the
     same selection comes back however the table rows are permuted.
@@ -55,8 +53,6 @@ def select(table, kappa, objective=MINIMIZE_RISK):
         raise ConfigError("dose-response table is empty")
     if not np.isfinite(kappa) or kappa <= 0:
         raise ConfigError("kappa must be a positive number")
-    if objective not in (MINIMIZE_RISK, MAXIMIZE_BENEFIT):
-        raise ConfigError(f"unknown objective {objective!r}")
 
     order = np.argsort(table.xs, kind="stable")
     xs = table.xs[order]
@@ -67,20 +63,19 @@ def select(table, kappa, objective=MINIMIZE_RISK):
     feasible_x = xs[feasible]
     if not np.any(feasible):
         return ConstrainedSelection(
-            kappa=kappa, objective=objective, status=STATUS_INFEASIBLE,
+            kappa=kappa, status=STATUS_INFEASIBLE,
             feasible_x=feasible_x, chosen_x=None, chosen_risk=None,
             chosen_usage=None,
         )
     r = risk[feasible]
     u = usage[feasible]
     x = xs[feasible]
-    best = r.min() if objective == MINIMIZE_RISK else r.max()
-    tied = np.isclose(r, best, rtol=0.0, atol=0.0) | (r == best)
+    tied = r == r.min()
     # ties: smaller usage, then smaller threshold (xs already ascending)
     cand = np.lexsort((x[tied], u[tied]))
     pick = np.flatnonzero(tied)[cand[0]]
     return ConstrainedSelection(
-        kappa=kappa, objective=objective, status=STATUS_OK,
+        kappa=kappa, status=STATUS_OK,
         feasible_x=feasible_x, chosen_x=float(x[pick]),
         chosen_risk=float(r[pick]), chosen_usage=float(u[pick]),
     )
@@ -105,7 +100,7 @@ class FrontierResult:
     steps: list
 
 
-def frontier(table, kappa_grid, objective=MINIMIZE_RISK):
+def frontier(table, kappa_grid):
     """Apply :func:`select` over a grid of caps and summarize the increments.
 
     For consecutive caps whose selections differ, the incremental risk
@@ -115,7 +110,7 @@ def frontier(table, kappa_grid, objective=MINIMIZE_RISK):
     kappa_grid = list(kappa_grid)
     if not kappa_grid:
         raise ConfigError("kappa grid is empty")
-    selections = [select(table, k, objective) for k in kappa_grid]
+    selections = [select(table, k) for k in kappa_grid]
     steps = []
     for a, b in zip(selections, selections[1:]):
         if a.chosen_x == b.chosen_x:

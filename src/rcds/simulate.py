@@ -42,7 +42,6 @@ SIM_SCHEMA = BaselineSchema(fields=(
     BaselineField("calendar", CATEGORICAL, ("era0", "era1", "era2", "era3")),
 ))
 
-ORACLE_RULES = ("earliest", "latest", "natural")
 FORCED_RULES = ("earliest", "latest", "natural")
 
 
@@ -198,11 +197,11 @@ def _kernel(params, draws, decide, k=1, rows=slice(None)):
     strategy in the stack reads the same draws (common random numbers) and
     only ``decide`` tells them apart; the latent marker does not depend on
     decisions, so it is one (b,) array broadcast over the stack. Yields, for
-    months t = 0..K, the marker and the (k, b) visit, carried-forward
-    marker, months since the last visit and override flag after month t,
-    and the failure state; month 0 is the baseline visit. Yielded arrays are
-    not written again, except ``failed``, which accumulates in place. Loss
-    to follow-up depends on its draws alone and is left to the caller.
+    months t = 0..K, the marker and the (k, b) visit and override flag after
+    month t, and the failure state; month 0 is the baseline visit. Yielded
+    arrays are not written again, except ``failed``, which accumulates in
+    place. Loss to follow-up depends on its draws alone and is left to the
+    caller.
     """
     normal, flare_u, monitor_u, rescue_u, fail_u = (
         draws[key][rows] for key in ("normal", "flare", "monitor", "rescue",
@@ -215,7 +214,7 @@ def _kernel(params, draws, decide, k=1, rows=slice(None)):
     flare = np.zeros(shape, dtype=bool)
     failed = np.zeros(shape, dtype=bool)
     override = np.zeros(shape, dtype=np.int8)
-    yield U, np.ones(shape, dtype=bool), last, m, override, failed
+    yield U, np.ones(shape, dtype=bool), override, failed
     for t in range(1, params.horizon + 1):
         U = (params.drift_intercept + params.drift_slope * U
              + params.drift_sd * normal[:, t])
@@ -232,7 +231,7 @@ def _kernel(params, draws, decide, k=1, rows=slice(None)):
         override = np.where(visit, detected.astype(np.int8), override)
         flare &= ~visit
         m = np.where(visit, 0, gap)
-        yield U, visit, last, m, override, failed
+        yield U, visit, override, failed
 
 
 def _baseline_values(draws, base_marker):
@@ -249,23 +248,19 @@ def _norm_ppf(u):
 
 
 def _cohort(params, draws, decide):
-    """Run the kernel on a stack of one, record the monthly histories and
-    pack them into a :class:`Cohort`, cut at each subject's loss to
+    """Run the kernel on a stack of one, record the monthly measurements
+    and pack them into a :class:`Cohort`, cut at each subject's loss to
     follow-up: the first month t < K whose dropout draw falls below the
     hazard."""
     K = params.horizon
     n = draws["normal"].shape[0]
     mon = np.empty((n, K + 1), dtype=np.int8)
     obs = np.empty((n, K + 1))
-    lastm = np.empty((n, K + 1))
-    msince = np.empty((n, K + 1), dtype=np.int64)
     ovr = np.empty((n, K + 1), dtype=np.int8)
-    for t, (U, visit, last, m, override, failed) in enumerate(
+    for t, (U, visit, override, failed) in enumerate(
             _kernel(params, draws, decide)):
         mon[:, t] = visit[0]
         obs[:, t] = np.where(visit[0], U, np.nan)
-        lastm[:, t] = last[0]
-        msince[:, t] = m[0]
         ovr[:, t] = override[0]
     drop = draws["dropout"][:, 1:K] < params.dropout_hazard
     fue = np.where(drop.any(axis=1), drop.argmax(axis=1) + 1, K)
@@ -275,7 +270,6 @@ def _cohort(params, draws, decide):
     reason = np.where(
         fue == K, _REASON_CODE["administrative_end"], _REASON_CODE["lost"]
     )
-    d_total = (mon * keep).sum(axis=1)
     t_flat = np.broadcast_to(tgrid, (n, K + 1))[keep]
     return Cohort(
         subject_ids=[f"s{i:07d}" for i in range(n)],
@@ -285,14 +279,10 @@ def _cohort(params, draws, decide):
         followup_end=fue,
         end_reason=reason,
         outcome_y=y,
-        d_total=d_total,
         t=t_flat,
         monitor=mon[keep],
         observed_marker=obs[keep],
-        last_observed_marker=lastm[keep],
-        months_since=msince[keep],
         override_flag=ovr[keep],
-        validate=False,
     )
 
 
@@ -372,7 +362,7 @@ def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
     params.validate()
     if n_mc < 1000:
         raise ConfigError("oracle needs n_mc >= 1000")
-    if rule not in ORACLE_RULES:
+    if rule not in FORCED_RULES:
         raise ConfigError(f"unknown oracle rule {rule!r}")
     key = (params.seed if seed is None else seed, 2)
     draws = _draws(key, n_mc, params.horizon)
@@ -383,7 +373,7 @@ def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
     step = max(1, ORACLE_BLOCK // max(k, 1))
     for start in range(0, n_mc if k else 0, step):  # an empty grid: no steps
         rows = slice(start, start + step)
-        for _, visit, _, _, _, fail in _kernel(params, draws, decide, k, rows):
+        for _, visit, _, fail in _kernel(params, draws, decide, k, rows):
             visits[:, rows] += visit
         failed[:, rows] = fail
     risk, risk_se, usage, usage_se = (np.empty(k) for _ in range(4))

@@ -25,24 +25,12 @@ FIXTURE_SCHEMA = BaselineSchema(fields=(
 
 
 def _rows(spec):
-    """Build TimeRows from (t, monitor, observed, override) tuples, deriving
-    the carried marker and months-since fields."""
-    rows = []
-    last = np.nan
-    since = 0
-    for t, monitor, observed, override in spec:
-        if monitor:
-            last = observed
-            since = 0
-        elif t > 0:
-            since += 1
-        rows.append(TimeRow(
-            t=t, monitor=monitor,
-            observed_marker=observed if monitor else float("nan"),
-            last_observed_marker=last,
-            months_since_last_monitor=since, override_flag=override,
-        ))
-    return rows
+    """Build TimeRows from (t, monitor, observed, override) tuples; the
+    observed marker of an unmonitored month is dropped."""
+    return [TimeRow(t=t, monitor=monitor,
+                    observed_marker=observed if monitor else float("nan"),
+                    override_flag=override)
+            for t, monitor, observed, override in spec]
 
 
 def make_fixture_records():
@@ -54,7 +42,7 @@ def make_fixture_records():
         s1_spec.append((t, 1 if t in markers else 0, markers.get(t, np.nan), 0))
     s1 = SubjectRecord(
         subject_id="s1", baseline={"sex": 0.0, "age": 41.0},
-        rows=_rows(s1_spec), outcome_y=0.0, d_total=5, followup_end=12,
+        rows=_rows(s1_spec), outcome_y=0.0, followup_end=12,
         end_reason="administrative_end", horizon=FIXTURE_K,
     )
 
@@ -70,7 +58,7 @@ def make_fixture_records():
         s2_spec.append((t, 1 if t in markers else 0, markers.get(t, np.nan), 0))
     s2 = SubjectRecord(
         subject_id="s2", baseline={"sex": 1.0, "age": 36.5},
-        rows=_rows(s2_spec), outcome_y=1.0, d_total=3, followup_end=12,
+        rows=_rows(s2_spec), outcome_y=1.0, followup_end=12,
         end_reason="administrative_end", horizon=FIXTURE_K,
     )
 
@@ -88,8 +76,8 @@ def make_fixture_records():
     ]
     s3 = SubjectRecord(
         subject_id="s3", baseline={"sex": 0.0, "age": 52.0},
-        rows=_rows(s3_spec), outcome_y=float("nan"), d_total=3,
-        followup_end=11, end_reason="lost", horizon=FIXTURE_K,
+        rows=_rows(s3_spec), outcome_y=float("nan"), followup_end=11,
+        end_reason="lost", horizon=FIXTURE_K,
     )
     return [s1, s2, s3]
 

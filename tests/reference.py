@@ -5,9 +5,11 @@ and weights off the expanded person-strategy-month dataset of
 :func:`rcds.expand` and :func:`rcds.weights.attach_weights`; the estimator
 plan (:class:`rcds.Plan`) is tested against them.
 
-The record-level consistency horizon and the per-strategy pass over every
-cohort row are the references for the cell sweeps of
-:func:`rcds.strategies.horizon_matrix`.
+The month-by-month walk of one subject's visits is the reference for the
+carried-forward columns that :class:`rcds.Cohort` derives with
+:func:`rcds.cohort.carry_forward`. The record-level consistency horizon and
+the per-strategy pass over every cohort row are the references for the cell
+sweeps of :func:`rcds.strategies.horizon_matrix`.
 
 The simulator's one-strategy-at-a-time transition kernel, its cohort packer
 and its per-threshold oracle loop are the reference for the strategy-stacked
@@ -23,7 +25,7 @@ from rcds.errors import ConfigError, UndefinedHistory
 from rcds.expansion import HorizonTable
 from rcds.msm import MsmSpec, _fit_horizon_msm
 from rcds.simulate import (
-    ORACLE_RULES,
+    FORCED_RULES,
     SIM_SCHEMA,
     TruthTable,
     _baseline_values,
@@ -95,18 +97,47 @@ def window_bounds(strategy, last_marker, override):
     return lo, hi
 
 
-def applicable_window(strategy, row):
-    """Window in force given a row's observed state (see :func:`window_bounds`).
+def carried_history(monitor, observed_marker):
+    """One subject's carried-forward marker and months since the last visit
+    per month, and its visit count, walked month by month from the
+    monitored entry month."""
+    last, since = [], []
+    for visit, marker in zip(monitor, observed_marker):
+        if visit == 1:
+            current, gap = marker, 0
+        else:
+            gap += 1
+        last.append(current)
+        since.append(gap)
+    return last, since, sum(int(v) for v in monitor)
+
+
+def carried_columns(cohort):
+    """``(last_observed_marker, months_since, d_total)`` of ``cohort``, one
+    subject at a time by :func:`carried_history`."""
+    last, since, d_total = [], [], []
+    for lo, hi in zip(cohort.offsets[:-1], cohort.offsets[1:]):
+        a, b, d = carried_history(cohort.monitor[lo:hi],
+                                  cohort.observed_marker[lo:hi])
+        last += a
+        since += b
+        d_total.append(d)
+    return (np.array(last, dtype=np.float64), np.array(since, dtype=np.int64),
+            np.array(d_total, dtype=np.int64))
+
+
+def applicable_window(strategy, last_marker, override_flag):
+    """Window in force given an observed state (see :func:`window_bounds`).
 
     Raises :class:`UndefinedHistory` when no marker has ever been observed
     and no override is active.
     """
-    if row.override_flag != 1 and np.isnan(row.last_observed_marker):
+    if override_flag != 1 and np.isnan(last_marker):
         raise UndefinedHistory(
-            f"no observed marker at or before t={row.t} and no override; "
-            "the strategy window is undefined"
+            "no observed marker and no override; the strategy window is "
+            "undefined"
         )
-    lo, hi = window_bounds(strategy, row.last_observed_marker, row.override_flag)
+    lo, hi = window_bounds(strategy, last_marker, override_flag)
     return int(lo), int(hi)
 
 
@@ -117,21 +148,17 @@ def consistency_horizon(strategy, record):
     deviation happens when the pre-decision gap exceeds the applicable
     window's ``hi`` (monitoring overdue, whether or not a visit happens that
     month) or when a visit occurs with the gap still below ``lo``. Month 0
-    can only deviate if the record enters with ``months_since_last_monitor``
-    already past the window.
+    never deviates: a record enters at a visit.
     """
     rows = record.rows
-    first = rows[0]
-    lo, hi = applicable_window(strategy, first)
-    if first.months_since_last_monitor > hi:
-        return 0
-    for prev, row in zip(rows, rows[1:]):
-        lo, hi = applicable_window(strategy, prev)
-        gap = prev.months_since_last_monitor + 1
-        if gap > hi:
-            return row.t
-        if row.monitor == 1 and gap < lo:
-            return row.t
+    last, since, _ = carried_history([r.monitor for r in rows],
+                                     [r.observed_marker for r in rows])
+    for k in range(1, len(rows)):
+        lo, hi = applicable_window(strategy, last[k - 1],
+                                   rows[k - 1].override_flag)
+        gap = since[k - 1] + 1
+        if gap > hi or (rows[k].monitor == 1 and gap < lo):
+            return rows[k].t
     return record.horizon + 1
 
 
@@ -196,14 +223,11 @@ def _run_kernel(params, n, draws, decide, keep_probs=False):
 
     mon = np.zeros((n, K + 1), dtype=np.int8)
     obs = np.full((n, K + 1), np.nan)
-    lastm = np.empty((n, K + 1))
-    msince = np.zeros((n, K + 1), dtype=np.int64)
     ovr = np.zeros((n, K + 1), dtype=np.int8)
     probs = np.full((n, K + 1), np.nan) if keep_probs else None
 
     mon[:, 0] = 1
     obs[:, 0] = U
-    lastm[:, 0] = U
     base_marker = U.copy()
 
     for t in range(1, K + 1):
@@ -226,15 +250,13 @@ def _run_kernel(params, n, draws, decide, keep_probs=False):
         m = np.where(visit, 0, gap)
         mon[:, t] = visit
         obs[:, t] = np.where(visit, U, np.nan)
-        lastm[:, t] = last
-        msince[:, t] = m
         ovr[:, t] = override
         if t < K:
             drop = (draws["dropout"][:, t] < params.dropout_hazard) & (fue == K)
             fue = np.where(drop, t, fue)
 
     return {
-        "mon": mon, "obs": obs, "last": lastm, "msince": msince, "ovr": ovr,
+        "mon": mon, "obs": obs, "ovr": ovr,
         "fue": fue, "failed": failed, "base_marker": base_marker,
         "probs": probs,
     }
@@ -250,7 +272,6 @@ def _pack_cohort(params, raw, draws):
     reason = np.where(
         fue == K, _REASON_CODE["administrative_end"], _REASON_CODE["lost"]
     )
-    d_total = (raw["mon"] * keep).sum(axis=1)
     t_flat = np.broadcast_to(tgrid, (n, K + 1))[keep]
     return Cohort(
         subject_ids=[f"s{i:07d}" for i in range(n)],
@@ -260,14 +281,10 @@ def _pack_cohort(params, raw, draws):
         followup_end=fue,
         end_reason=reason,
         outcome_y=y,
-        d_total=d_total,
         t=t_flat,
         monitor=raw["mon"][keep],
         observed_marker=raw["obs"][keep],
-        last_observed_marker=raw["last"][keep],
-        months_since=raw["msince"][keep],
         override_flag=raw["ovr"][keep],
-        validate=False,
     )
 
 
@@ -302,7 +319,7 @@ def oracle_truth(params, grid, n_mc, rule="earliest", seed=None):
     params.validate()
     if n_mc < 1000:
         raise ConfigError("oracle needs n_mc >= 1000")
-    if rule not in ORACLE_RULES:
+    if rule not in FORCED_RULES:
         raise ConfigError(f"unknown oracle rule {rule!r}")
     key = (params.seed if seed is None else seed, 2)
     xs = grid.xs

@@ -1,12 +1,14 @@
 """The SVG chart: one full rendering pinned byte for byte, and the elements
 that appear or not with the table's shape, its bands and the selection."""
 
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from rcds import DoseResponseTable, select
-from rcds.chart import render_chart
+from rcds.chart import MT, render_chart
 
 GOLDEN = Path(__file__).parent / "golden" / "chart.svg"
 
@@ -38,6 +40,23 @@ def test_fixed_table_renders_pinned_svg():
     sel = select(t, 4.0)
     assert sel.chosen_x == 300.0
     assert render_chart(t, 4.0, sel) + "\n" == GOLDEN.read_text()
+
+
+def test_bands_stay_inside_the_plot_box():
+    # the risk band's top (0.13) lies above 1.2 x the largest risk (0.1)
+    t = fixed_table()
+    svg = render_chart(t, 4.0, select(t, 4.0))
+    ys = [float(pt.split(",")[1])
+          for poly in re.findall(r'<polygon points="([^"]*)"', svg)
+          for pt in poly.split()]
+    assert ys and min(ys) >= MT
+
+
+def test_all_nan_band_warns_nothing():
+    t = table([200, 250, 300], [0.05, 0.06, 0.08], [5.5, 4.5, 3.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        render_chart(t, 4.0)
 
 
 def test_single_row_draws_points_without_curves():

@@ -201,6 +201,12 @@ BAD_INPUTS = {
                         "baseline_schema": [{"name": "sex",
                                              "kind": "categorical",
                                              "levels": "ab"}]},
+    "coverage_no_cohorts": {"mode": "coverage", "seed": 5, "n": 1000,
+                            "oracle_n_mc": 1000, "n_cohorts": 0},
+    "coverage_negative_cohorts": {"mode": "coverage", "seed": 5, "n": 1000,
+                                  "oracle_n_mc": 1000, "n_cohorts": -1},
+    "coverage_no_bootstrap": {"mode": "coverage", "seed": 5, "n": 1000,
+                              "oracle_n_mc": 1000, "bootstrap": 0},
 }
 
 
@@ -244,6 +250,9 @@ def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
      "baseline_schema entry 1 'levels' must be a list of strings, got 3"),
     ("levels_a_string",
      "baseline_schema entry 1 'levels' must be a list of strings, got 'ab'"),
+    ("coverage_no_cohorts", "coverage needs n_cohorts >= 1, got 0"),
+    ("coverage_negative_cohorts", "coverage needs n_cohorts >= 1, got -1"),
+    ("coverage_no_bootstrap", "coverage needs bootstrap B >= 1, got 0"),
 ])
 def test_bad_config_value_is_named(tmp_path, cohort_csv, capsys, name, named):
     config = dict(BAD_INPUTS[name])

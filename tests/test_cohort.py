@@ -1,16 +1,30 @@
-"""Cohort container invariants and record round-trips.
+"""Cohort container invariants, record round-trips and the carry-forward
+rule.
 
 ``reference_validate`` is the per-subject loop the columnar
-:meth:`Cohort.validate` replaced, kept as the reference it must match.
+:meth:`Cohort.validate` replaced, kept as the reference it must match; the
+carried-forward columns a cohort derives are checked against the
+month-by-month walk of ``reference.carried_columns``.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcds import Cohort, ConfigError
+import reference
+from rcds import (
+    Cohort,
+    ConfigError,
+    DgpParams,
+    ThresholdStrategy,
+    simulate_cohort,
+    simulate_forced,
+)
 from rcds.cohort import SubjectRecord, TimeRow, baseline_design
+from rcds.io import cohort_to_csv, ingest_cohort
 
 from conftest import FIXTURE_K, FIXTURE_SCHEMA, make_fixture_records
 
@@ -21,21 +35,14 @@ def test_from_records_roundtrip(fixture_cohort, fixture_records):
         assert a.subject_id == b.subject_id
         assert a.followup_end == b.followup_end
         assert a.end_reason == b.end_reason
-        assert a.d_total == b.d_total
         assert (np.isnan(a.outcome_y) and np.isnan(b.outcome_y)) or \
             a.outcome_y == b.outcome_y
         assert len(a.rows) == len(b.rows)
         for ra, rb in zip(a.rows, b.rows):
             assert ra.t == rb.t and ra.monitor == rb.monitor
-            assert ra.months_since_last_monitor == rb.months_since_last_monitor
+            assert np.array_equal(ra.observed_marker, rb.observed_marker,
+                                  equal_nan=True)
             assert ra.override_flag == rb.override_flag
-
-
-def test_d_total_recount_enforced(fixture_records):
-    bad = make_fixture_records()
-    bad[0].d_total = 4
-    with pytest.raises(ConfigError, match="d_total"):
-        Cohort.from_records(bad, FIXTURE_SCHEMA, FIXTURE_K)
 
 
 def test_outcome_requires_full_followup(fixture_records):
@@ -45,32 +52,10 @@ def test_outcome_requires_full_followup(fixture_records):
         Cohort.from_records(bad, FIXTURE_SCHEMA, FIXTURE_K)
 
 
-def test_months_since_recurrence_enforced():
-    rows = [
-        TimeRow(0, 1, 300.0, 300.0, 0, 0),
-        TimeRow(1, 0, float("nan"), 300.0, 2, 0),  # should be 1
-    ]
-    rec = SubjectRecord("bad", {"sex": 0.0, "age": 30.0}, rows, float("nan"),
-                        1, 1, "lost", FIXTURE_K)
-    with pytest.raises(ConfigError, match="reset/increment"):
-        Cohort.from_records([rec], FIXTURE_SCHEMA, FIXTURE_K)
-
-
-def test_carried_marker_enforced():
-    rows = [
-        TimeRow(0, 1, 300.0, 300.0, 0, 0),
-        TimeRow(1, 0, float("nan"), 290.0, 1, 0),  # carry must stay 300
-    ]
-    rec = SubjectRecord("bad", {"sex": 0.0, "age": 30.0}, rows, float("nan"),
-                        1, 1, "lost", FIXTURE_K)
-    with pytest.raises(ConfigError, match="carry"):
-        Cohort.from_records([rec], FIXTURE_SCHEMA, FIXTURE_K)
-
-
 def test_baseline_month_must_be_monitored():
-    rows = [TimeRow(0, 0, float("nan"), float("nan"), 0, 0)]
+    rows = [TimeRow(0, 0, float("nan"), 0)]
     rec = SubjectRecord("bad", {"sex": 0.0, "age": 30.0}, rows, float("nan"),
-                        0, 0, "lost", FIXTURE_K)
+                        0, "lost", FIXTURE_K)
     with pytest.raises(ConfigError, match="baseline month"):
         Cohort.from_records([rec], FIXTURE_SCHEMA, FIXTURE_K)
 
@@ -100,12 +85,87 @@ def test_baseline_design_layout(fixture_cohort):
 
 
 # ----------------------------------------------------------------------
+# the carry-forward rule
+# ----------------------------------------------------------------------
+def assert_carried_forward(cohort):
+    """The derived columns equal the month-by-month walk, bit for bit."""
+    want = reference.carried_columns(cohort)
+    got = (cohort.last_observed_marker, cohort.months_since, cohort.d_total)
+    for name, g, w in zip(("last_observed_marker", "months_since", "d_total"),
+                          got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+def test_fixture_history_is_carried_forward(fixture_cohort):
+    assert_carried_forward(fixture_cohort)
+    c = fixture_cohort
+    assert c.d_total.tolist() == [5, 3, 3]
+    # s2: visits at 0, 9 and 11
+    s2 = slice(c.offsets[1], c.offsets[2])
+    assert c.months_since[s2].tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1,
+                                           0, 1]
+    assert c.last_observed_marker[s2].tolist() == [250.0] * 9 + [240.0] * 2 \
+        + [238.0] * 2
+
+
+def test_ingest_round_trip_is_carried_forward(fixture_cohort, tmp_path):
+    path = tmp_path / "cohort.csv"
+    cohort_to_csv(fixture_cohort, path)
+    back = ingest_cohort(path, schema=FIXTURE_SCHEMA, horizon=FIXTURE_K)
+    assert_carried_forward(back)
+    for name in ("last_observed_marker", "months_since", "d_total"):
+        assert np.array_equal(getattr(back, name),
+                              getattr(fixture_cohort, name)), name
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_simulated_history_is_carried_forward(seed):
+    assert_carried_forward(simulate_cohort(DgpParams(), 400, seed=seed))
+
+
+@pytest.mark.parametrize("rule", ["earliest", "latest", "natural"])
+def test_forced_history_is_carried_forward(rule):
+    for x in (200.0, 350.0, 500.0):
+        assert_carried_forward(simulate_forced(
+            DgpParams(), ThresholdStrategy(x), 200, rule=rule, seed=3))
+
+
+MARKERS = (95.0, 180.0, 240.0, 250.0, 400.0)
+AFTER_ENTRY = [k for k in range(38) if k not in (0, 13, 26)]  # fixture rows
+
+
+@st.composite
+def measurement_edits(draw):
+    """Edits that keep the fixture's measurements valid: a month after entry
+    gains or loses a visit (a visit with a marker value), a visit's marker
+    changes, or an override flag flips."""
+    edits = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.sampled_from(AFTER_ENTRY))
+        visit = draw(st.booleans())
+        edits.append((row, visit, draw(st.sampled_from(MARKERS)),
+                      draw(st.sampled_from((0, 1)))))
+    return edits
+
+
+@given(measurement_edits())
+def test_edited_history_is_carried_forward(fixture_cohort, edits):
+    args = edited(fixture_cohort)
+    for row, visit, marker, override in edits:
+        args.monitor[row] = visit
+        args.observed_marker[row] = marker if visit else np.nan
+        args.override_flag[row] = override
+    assert_carried_forward(Cohort(**vars(args)))
+
+
+# ----------------------------------------------------------------------
 # the per-subject reference and the validate branches
 # ----------------------------------------------------------------------
 def reference_validate(c):
     """The loop version of ``Cohort.validate``, plus the finite-marker rule
-    (marked below)."""
-    n = c.n_subjects
+    (marked below), over a cohort's constructor arguments."""
+    n = len(c.subject_ids)
+    offsets = np.r_[0, np.cumsum(c.followup_end + 1)]
     if c.baseline.shape[0] != n:
         raise ConfigError("baseline rows do not match subject count")
     c.schema.validate_values(c.baseline)
@@ -113,7 +173,7 @@ def reference_validate(c):
         raise ConfigError("duplicate subject ids")
     if np.any(c.followup_end < 0) or np.any(c.followup_end > c.horizon):
         raise ConfigError("followup_end must lie in [0, horizon]")
-    if c.offsets[-1] != c.n_rows:
+    if offsets[-1] != c.t.size:
         raise ConfigError("row blocks do not match followup_end")
     present = ~np.isnan(c.outcome_y)
     if np.any(present & (c.followup_end != c.horizon)):
@@ -127,16 +187,13 @@ def reference_validate(c):
         raise ConfigError("override_flag must be binary")
 
     for i in range(n):
-        lo, hi = c.offsets[i], c.offsets[i + 1]
+        lo, hi = offsets[i], offsets[i + 1]
         sid = c.subject_ids[i]
         ts = c.t[lo:hi]
         if not np.array_equal(ts, np.arange(c.followup_end[i] + 1)):
             raise ConfigError(f"subject {sid}: months must be 0..followup_end "
                               "with no gaps")
         mon = c.monitor[lo:hi]
-        if c.d_total[i] != int(mon.sum()):
-            raise ConfigError(f"subject {sid}: d_total does not equal the "
-                              "monitored-row count")
         obs = c.observed_marker[lo:hi]
         if np.any(np.isnan(obs[mon == 1])):
             raise ConfigError(f"subject {sid}: monitored months must record "
@@ -150,51 +207,29 @@ def reference_validate(c):
         if mon[0] != 1:
             raise ConfigError(f"subject {sid}: baseline month must be "
                               "monitored (entry requires a measured marker)")
-        carry = np.where(mon == 1, obs, np.nan)
-        expected_last = np.empty(hi - lo)
-        cur = np.nan
-        for k in range(hi - lo):
-            if not np.isnan(carry[k]):
-                cur = carry[k]
-            expected_last[k] = cur
-        got = c.last_observed_marker[lo:hi]
-        if not np.array_equal(np.isnan(expected_last), np.isnan(got)) or \
-                not np.allclose(np.nan_to_num(expected_last),
-                                np.nan_to_num(got)):
-            raise ConfigError(f"subject {sid}: last_observed_marker must carry "
-                              "the most recent measurement forward")
-        m = c.months_since[lo:hi]
-        if mon[0] == 1 and m[0] != 0:
-            raise ConfigError(f"subject {sid}: months_since_last_monitor must "
-                              "be 0 on a monitored month")
-        for k in range(1, hi - lo):
-            want = 0 if mon[k] == 1 else m[k - 1] + 1
-            if m[k] != want:
-                raise ConfigError(
-                    f"subject {sid}: months_since_last_monitor breaks the "
-                    f"reset/increment rule at t={k}")
 
 
-ROW_ARRAYS = ("t", "monitor", "observed_marker", "last_observed_marker",
-              "months_since", "override_flag")
-SUBJECT_ARRAYS = ("followup_end", "outcome_y", "d_total")
+ROW_ARRAYS = ("t", "monitor", "observed_marker", "override_flag")
+SUBJECT_ARRAYS = ("followup_end", "outcome_y")
 
 
 def edited(cohort, *edits):
-    """An unvalidated copy of ``cohort`` with each ``(array, index, value)``
-    edit applied."""
-    arrays = {name: getattr(cohort, name).copy()
-              for name in ROW_ARRAYS + SUBJECT_ARRAYS}
+    """The constructor arguments of ``cohort``, with each ``(array, index,
+    value)`` edit applied to a copy of its measurements."""
+    args = SimpleNamespace(
+        subject_ids=cohort.subject_ids, baseline=cohort.baseline,
+        schema=cohort.schema, horizon=cohort.horizon,
+        end_reason=cohort.end_reason,
+        **{name: getattr(cohort, name).copy()
+           for name in ROW_ARRAYS + SUBJECT_ARRAYS})
     for name, index, value in edits:
-        arrays[name][index] = value
-    return Cohort(subject_ids=cohort.subject_ids, baseline=cohort.baseline,
-                  schema=cohort.schema, horizon=cohort.horizon,
-                  end_reason=cohort.end_reason, validate=False, **arrays)
+        getattr(args, name)[index] = value
+    return args
 
 
-def validate_error(cohort):
+def validate_error(args):
     with pytest.raises(ConfigError) as info:
-        cohort.validate()
+        Cohort(**vars(args))
     return str(info.value)
 
 
@@ -206,16 +241,8 @@ def validate_error(cohort):
      "subject s1: monitored months must record a marker value"),
     ((("observed_marker", 27, 400.0),),
      "subject s3: marker recorded on an unmonitored month"),
-    ((("observed_marker", 3, np.inf), ("last_observed_marker", 3, np.inf)),
+    ((("observed_marker", 3, np.inf),),
      "subject s1: marker values must be finite"),
-    ((("months_since", 13, 1),),
-     "subject s2: months_since_last_monitor must be 0 on a monitored month"),
-    ((("months_since", 33, 8), ("months_since", 20, 9)),
-     "subject s2: months_since_last_monitor breaks the reset/increment rule "
-     "at t=7"),
-    ((("months_since", 30, 5),),
-     "subject s3: months_since_last_monitor breaks the reset/increment rule "
-     "at t=4"),
 ])
 def test_validate_branches(fixture_cohort, edits, message):
     bad = edited(fixture_cohort, *edits)
@@ -227,22 +254,18 @@ def test_validate_branches(fixture_cohort, edits, message):
 
 def test_first_bad_subject_is_reported(fixture_cohort):
     # s3 fails an earlier check than s2; the earlier subject is reported
-    bad = edited(fixture_cohort, ("months_since", 20, 9), ("t", 30, 3))
+    bad = edited(fixture_cohort, ("observed_marker", 14, 400.0), ("t", 30, 3))
     assert validate_error(bad) == (
-        "subject s2: months_since_last_monitor breaks the reset/increment rule "
-        "at t=7")
+        "subject s2: marker recorded on an unmonitored month")
 
 
 EDIT_VALUES = {
     "t": (-1, 0, 1, 5, 12, 13),
     "monitor": (0, 1, 2),
     "observed_marker": (np.nan, np.inf, -np.inf, 100.0, 250.0),
-    "last_observed_marker": (np.nan, np.inf, 100.0, 100.0005, 101.0, 400.0),
-    "months_since": (-1, 0, 1, 2, 3, 9),
     "override_flag": (0, 1, 2),
     "followup_end": (-1, 11, 12, 13),
     "outcome_y": (np.nan, 0.0, 1.0, 0.5),
-    "d_total": (0, 3, 5),
 }
 
 
@@ -266,4 +289,4 @@ def test_validate_matches_per_subject_reference(fixture_cohort, edits):
     except ConfigError as err:
         assert validate_error(bad) == str(err)
     else:
-        bad.validate()
+        assert_carried_forward(Cohort(**vars(bad)))

@@ -23,6 +23,7 @@ from rcds import (
 )
 from rcds.glm import (
     BINOMIAL_LOGIT,
+    DEFAULT_MAX_ITER,
     POISSON_LOG,
     fit_glm,
     predict,
@@ -130,9 +131,8 @@ class TestFitGlm:
         X = np.column_stack([np.ones(20), np.r_[np.zeros(10), np.ones(10)]])
         y = np.r_[np.zeros(10), np.ones(10)]
         with pytest.raises(NonConvergence) as err:
-            fit_glm(DesignMatrix(X, ["intercept", "z"]), y, BINOMIAL_LOGIT,
-                    max_iter=30)
-        assert len(err.value.trajectory) == 30
+            fit_glm(DesignMatrix(X, ["intercept", "z"]), y, BINOMIAL_LOGIT)
+        assert len(err.value.trajectory) == DEFAULT_MAX_ITER
 
     def test_response_validation(self):
         d = DesignMatrix(np.ones((3, 1)), ["intercept"])

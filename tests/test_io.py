@@ -158,8 +158,8 @@ def reference_ingest(path, schema=None, horizon=None):
     fues = [subjects[s]["fue"] for s in order]
     K = int(max(fues)) if horizon is None else int(horizon)
 
-    ids, base, fue_arr, reason_arr, y_arr, d_arr = [], [], [], [], [], []
-    t_flat, mon_flat, obs_flat, last_flat, m_flat, ovr_flat = [], [], [], [], [], []
+    ids, base, fue_arr, reason_arr, y_arr = [], [], [], [], []
+    t_flat, mon_flat, obs_flat, ovr_flat = [], [], [], []
     for sid in order:
         rec = subjects[sid]
         fue = rec["fue"]
@@ -192,29 +192,20 @@ def reference_ingest(path, schema=None, horizon=None):
         fue_arr.append(fue)
         reason_arr.append(_REASON_CODE[rec["reason"]])
         y_arr.append(np.nan if rec["y"] is None else rec["y"])
-        last, msince, d = np.nan, 0, 0
         for t in range(fue + 1):
             monitor, obs, override = rec["rows"][t]
-            if monitor == 1:
-                last, msince, d = obs, 0, d + 1
-            elif t > 0:
-                msince += 1
             t_flat.append(t)
             mon_flat.append(monitor)
             obs_flat.append(obs)
-            last_flat.append(last)
-            m_flat.append(msince)
             ovr_flat.append(override)
-        d_arr.append(d)
     viol.raise_if_any(path)
 
     try:
         return Cohort(
             subject_ids=ids, baseline=np.array(base, dtype=np.float64),
             schema=schema, horizon=K, followup_end=fue_arr,
-            end_reason=reason_arr, outcome_y=y_arr, d_total=d_arr, t=t_flat,
+            end_reason=reason_arr, outcome_y=y_arr, t=t_flat,
             monitor=mon_flat, observed_marker=obs_flat,
-            last_observed_marker=last_flat, months_since=m_flat,
             override_flag=ovr_flat,
         )
     except ConfigError as err:
@@ -718,15 +709,14 @@ def random_cohorts(draw):
             visit = t == 0 or draw(st.booleans())
             spec.append((t, int(visit), draw(markers) if visit else np.nan,
                          draw(st.sampled_from((0, 1)))))
-        rows = _rows(spec)
         records.append(SubjectRecord(
             subject_id=sid,
             baseline={"sex": draw(st.sampled_from((0.0, 1.0))),
                       "age": draw(st.floats(-1e3, 1e3))},
-            rows=rows,
+            rows=_rows(spec),
             outcome_y=(draw(st.sampled_from((0.0, 1.0, np.nan)))
                        if end == K else np.nan),
-            d_total=sum(r.monitor for r in rows), followup_end=end,
+            followup_end=end,
             end_reason=draw(st.sampled_from(END_REASONS)), horizon=K))
     return records, K
 

@@ -5,7 +5,7 @@ import pytest
 
 from rcds import ConfigError, frontier, select
 from rcds.msm import DoseResponseTable
-from rcds.optimize import MAXIMIZE_BENEFIT, STATUS_INFEASIBLE, STATUS_OK
+from rcds.optimize import STATUS_INFEASIBLE, STATUS_OK
 
 # Reference dose-response values: threshold, failure risk (%), expected
 # cumulative measurements over 24 months.
@@ -111,16 +111,9 @@ class TestSelect:
         sel = select(t, 5.0)
         assert sel.chosen_x == 310.0  # lowest usage, then lowest threshold
 
-    def test_maximize_benefit_objective(self, table):
-        sel = select(table, 4.7, objective=MAXIMIZE_BENEFIT)
-        assert sel.chosen_risk == pytest.approx(0.1318)
-        assert sel.chosen_x == 200.0
-
     def test_validation(self, table):
         with pytest.raises(ConfigError):
             select(table, -1.0)
-        with pytest.raises(ConfigError):
-            select(table, 4.0, objective="nope")
         empty = DoseResponseTable.point_only(
             np.array([]), np.array([]), np.array([]), np.array([], dtype=int))
         with pytest.raises(ConfigError):

@@ -14,8 +14,6 @@ from rcds import (
     UndefinedHistory,
     horizon_matrix,
 )
-from rcds.cohort import TimeRow
-
 from conftest import (
     FIXTURE_K,
     FIXTURE_SCHEMA,
@@ -30,31 +28,25 @@ from reference import (
 )
 
 
-def row(t=5, monitor=0, last=300.0, since=3, override=0):
-    return TimeRow(t=t, monitor=monitor, observed_marker=float("nan"),
-                   last_observed_marker=last, months_since_last_monitor=since,
-                   override_flag=override)
-
-
 class TestApplicableWindow:
     def test_below_threshold(self):
         s = ThresholdStrategy(320.0, (2, 7), (8, 13), (2, 7))
-        assert applicable_window(s, row(last=250.0)) == (2, 7)
+        assert applicable_window(s, 250.0, 0) == (2, 7)
 
     def test_boundary_is_above(self):
         s = ThresholdStrategy(320.0, (2, 7), (8, 13), (2, 7))
-        assert applicable_window(s, row(last=320.0)) == (8, 13)
+        assert applicable_window(s, 320.0, 0) == (8, 13)
 
     def test_override_takes_precedence(self):
         s = ThresholdStrategy(320.0, (2, 7), (8, 13), (2, 7))
-        assert applicable_window(s, row(last=600.0, override=1)) == (2, 7)
+        assert applicable_window(s, 600.0, 1) == (2, 7)
 
     def test_missing_history_raises(self):
         s = ThresholdStrategy(320.0)
         with pytest.raises(UndefinedHistory):
-            applicable_window(s, row(last=float("nan")))
+            applicable_window(s, float("nan"), 0)
         # an active override still defines the window
-        assert applicable_window(s, row(last=float("nan"), override=1)) == (2, 7)
+        assert applicable_window(s, float("nan"), 1) == (2, 7)
 
     def test_window_validation(self):
         with pytest.raises(ConfigError):
@@ -92,28 +84,16 @@ class TestConsistencyHorizon:
                 assert consistency_horizon(strat, rec) == want[rec.subject_id], \
                     f"x={x}, subject={rec.subject_id}"
 
-    def test_entry_gap_beyond_window_deviates_at_zero(self):
-        rows = [TimeRow(t=0, monitor=0, observed_marker=float("nan"),
-                        last_observed_marker=250.0,
-                        months_since_last_monitor=9, override_flag=0)]
-        from rcds import SubjectRecord
-        rec = SubjectRecord(subject_id="z", baseline={}, rows=rows,
-                            outcome_y=float("nan"), d_total=0, followup_end=0,
-                            end_reason="lost", horizon=12)
-        strat = ThresholdStrategy(320.0, (2, 7), (8, 13), (2, 7))
-        assert consistency_horizon(strat, rec) == 0
-
     def test_prefix_property(self, fixture_records):
         # appending rows after the deviation month never changes the horizon
         s2 = fixture_records[1]
         strat = ThresholdStrategy(320.0, (2, 7), (8, 13), (2, 7))
         full = consistency_horizon(strat, s2)
-        from rcds import SubjectRecord
         for cut in range(full + 1, len(s2.rows) + 1):
             trimmed = SubjectRecord(
                 subject_id="s2", baseline=s2.baseline, rows=s2.rows[:cut],
-                outcome_y=float("nan"), d_total=sum(r.monitor for r in s2.rows[:cut]),
-                followup_end=cut - 1, end_reason="lost", horizon=s2.horizon)
+                outcome_y=float("nan"), followup_end=cut - 1,
+                end_reason="lost", horizon=s2.horizon)
             assert consistency_horizon(strat, trimmed) == full
 
     def test_monotone_window_property(self, fixture_records):
@@ -213,11 +193,11 @@ def small_records(draw):
             spec.append((t, int(visit),
                          draw(st.sampled_from(MARKERS)) if visit else np.nan,
                          draw(st.sampled_from((0, 1)))))
-        rows = _rows(spec)
         records.append(SubjectRecord(
-            subject_id=f"s{i}", baseline={"sex": 0.0, "age": 40.0}, rows=rows,
+            subject_id=f"s{i}", baseline={"sex": 0.0, "age": 40.0},
+            rows=_rows(spec),
             outcome_y=0.0 if end == FIXTURE_K else float("nan"),
-            d_total=sum(r.monitor for r in rows), followup_end=end,
+            followup_end=end,
             end_reason="administrative_end" if end == FIXTURE_K else "lost",
             horizon=FIXTURE_K))
     return records

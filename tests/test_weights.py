@@ -112,23 +112,13 @@ class TestFitMonitorModel:
 
         recs = []
         for i in range(40):
-            rows = []
-            last, since = 300.0 + i, 0
-            for t in range(13):
-                monitor = 1 if t % 2 == 0 else 0
-                if monitor:
-                    last = 300.0 + i + t
-                    since = 0
-                elif t > 0:
-                    since += 1
-                rows.append(TimeRow(
-                    t=t, monitor=monitor,
-                    observed_marker=(300.0 + i + t) if monitor else float("nan"),
-                    last_observed_marker=last,
-                    months_since_last_monitor=since, override_flag=0))
+            rows = [TimeRow(t=t, monitor=1 - t % 2,
+                            observed_marker=300.0 + i + t if t % 2 == 0
+                            else float("nan"), override_flag=0)
+                    for t in range(13)]
             recs.append(SubjectRecord(
                 subject_id=f"p{i}", baseline={"sex": 0.0, "age": 40.0},
-                rows=rows, outcome_y=0.0, d_total=7, followup_end=12,
+                rows=rows, outcome_y=0.0, followup_end=12,
                 end_reason="administrative_end", horizon=FIXTURE_K))
         cohort = Cohort.from_records(recs, FIXTURE_SCHEMA, FIXTURE_K)
         with pytest.raises(SeparationError) as err:
@@ -238,20 +228,13 @@ class TestWeightAlgebra:
         recs = []
         for i, path in enumerate(product((0, 1), repeat=K)):
             mon = (1, *path)
-            rows, last, since = [], latent[0], 0
-            for t in range(K + 1):
-                if mon[t]:
-                    last, since = latent[t], 0
-                else:
-                    since += 1
-                rows.append(TimeRow(
-                    t=t, monitor=mon[t],
-                    observed_marker=latent[t] if mon[t] else float("nan"),
-                    last_observed_marker=last,
-                    months_since_last_monitor=since, override_flag=0))
+            rows = [TimeRow(t=t, monitor=mon[t],
+                            observed_marker=latent[t] if mon[t]
+                            else float("nan"), override_flag=0)
+                    for t in range(K + 1)]
             recs.append(SubjectRecord(
                 subject_id=f"p{i}", baseline={"sex": 0.0, "age": 40.0},
-                rows=rows, outcome_y=0.0, d_total=sum(mon), followup_end=K,
+                rows=rows, outcome_y=0.0, followup_end=K,
                 end_reason="administrative_end", horizon=K))
         cohort = Cohort.from_records(recs, FIXTURE_SCHEMA, K)
         model = dgp_monitor_model(DgpParams(), LINEAR_SPEC)
@@ -386,11 +369,10 @@ def crossing_cases(draw):
         end = draw(st.integers(1 if i == 0 else 0, K))  # a decision month
         spec = [(t, int(t == 0 or draw(st.booleans())), draw(markers),
                  draw(st.sampled_from((0, 0, 1)))) for t in range(end + 1)]
-        rows = _rows(spec)
         records.append(SubjectRecord(
             subject_id=f"p{i}", baseline={"sex": 0.0, "age": 40.0},
-            rows=rows, outcome_y=0.0 if end == K else np.nan,
-            d_total=sum(r.monitor for r in rows), followup_end=end,
+            rows=_rows(spec), outcome_y=0.0 if end == K else np.nan,
+            followup_end=end,
             end_reason="administrative_end" if end == K else "lost",
             horizon=K))
     cohort = Cohort.from_records(records, FIXTURE_SCHEMA, K)
