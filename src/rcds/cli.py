@@ -185,7 +185,8 @@ def run(config):
                  "monitor_model": _monitor_info(point.monitor_model),
                  "bootstrap": {"B": int(table.n_boot),
                                "failed": int(table.n_failed),
-                               "pinned": int(table.n_pinned)}},
+                               "pinned": int(table.n_pinned),
+                               "failed_by_code": table.failed_by_code}},
                 out / "weights.yaml",
             )
             svg = render_chart(table, kappa, sel)

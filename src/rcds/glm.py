@@ -5,6 +5,7 @@ link. Case weights multiply the working weights, so bootstrap multiplicities
 and inverse-probability weights can be folded into a single weight vector.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,16 +42,8 @@ class DesignMatrix:
             )
         if not np.all(np.isfinite(self.X)):
             raise ConfigError("design matrix contains non-finite entries")
-        if self.weights is None:
-            self.weights = np.ones(n)
-        else:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.weights.shape != (n,):
-                raise ConfigError("weights must have one entry per row")
-            if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
-                raise ConfigError("case weights must be finite and >= 0")
-        if not np.any(self.weights > 0):
-            raise ConfigError("at least one case weight must be positive")
+        self.weights = _case_weights(
+            np.ones(n) if self.weights is None else self.weights, n)
 
     @property
     def n(self):
@@ -59,6 +52,25 @@ class DesignMatrix:
     @property
     def p(self):
         return self.X.shape[1]
+
+    def weighted_rows(self, weights):
+        """The rows of positive case weight, weighted by ``weights`` (one per
+        row); X, checked when this design was built, is not scanned again."""
+        w = _case_weights(weights, self.n)
+        out = copy.copy(self)
+        out.X, out.weights = self.X[w > 0], w[w > 0]
+        return out
+
+
+def _case_weights(weights, n):
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ConfigError("weights must have one entry per row")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ConfigError("case weights must be finite and >= 0")
+    if not np.any(weights > 0):
+        raise ConfigError("at least one case weight must be positive")
+    return weights
 
 
 @dataclass

@@ -14,11 +14,14 @@ monitoring design and its marker knots, the censoring-weight factor layout
 and the MSM design. ``Plan.run(None)`` is the point estimate; the
 subject-level bootstrap calls ``Plan.run(multiplicity)`` per replicate, which
 refits the monitoring model, rebuilds the weights and refits both MSMs.
+Every fit runs on its rows of positive case weight only, so a replicate's
+fits and its standardization skip the subjects its resample left out.
 Weighted or not, truncated or not, every run takes this path.
 """
 
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,6 +104,7 @@ class DoseResponseTable:
     n_boot: int = 0
     n_failed: int = 0
     n_pinned: int = 0  # successful replicates with a pinned baseline level
+    failed_by_code: dict = field(default_factory=dict)  # error code: count
 
     def __len__(self):
         return self.xs.size
@@ -177,9 +181,10 @@ def _fit_horizon_msm(cohort, grid, spec, subject_idx, x_idx, response, weights,
     names the level so that :func:`standardize` predicts
     ``exp(DEGENERATE_ETA)`` for its subjects.
 
-    ``design`` is the MSM design of all the given rows, when the caller has
-    built it once for many fits. Unless a level is pinned, the fit then runs
-    on it with the rows that drop out at weight zero, from ``start``.
+    Every fit runs on the kept rows only. ``design`` is the MSM design of
+    all the given rows, when the caller has built it once for many fits;
+    unless a level is pinned, the fit then takes the kept rows of it and
+    starts from ``start``.
     """
     keep = ~np.isnan(response) & (weights > 0)
     if not keep.any():
@@ -201,11 +206,10 @@ def _fit_horizon_msm(cohort, grid, spec, subject_idx, x_idx, response, weights,
         design = _msm_design(grid.xs[x_idx[keep]], spec.knots_for(grid),
                              base_X[subject_idx[keep]], base_names,
                              weights[keep])
-        response, start = response[keep], None
+        start = None
     else:
-        design = DesignMatrix(design.X, design.columns,
-                              np.where(keep, weights, 0.0))
-        response = np.where(keep, response, 0.0)
+        design = design.weighted_rows(np.where(keep, weights, 0.0))
+    response = response[keep]
     if not np.any(response > 0):
         warnings.warn(
             "all horizon responses are zero; returning a curve pinned at zero",
@@ -223,31 +227,23 @@ def standardize(fit, cohort, grid, spec=MsmSpec(), multiplicity=None):
 
     For each x the strategy basis is pinned at x, predictions are taken for
     every subject's baseline covariates, and their (multiplicity-weighted)
-    mean is returned; identical to averaging :func:`rcds.glm.predict` over an
-    assembled per-x design. Subjects in a level the fit pinned (see
+    mean is returned; equal, up to the order of the sums, to averaging
+    :func:`rcds.glm.predict` over an assembled per-x design. All thresholds
+    come from one (thresholds, subjects) product over the subjects with
+    positive multiplicity. Subjects in a level the fit pinned (see
     :func:`_fit_horizon_msm`) are predicted ``exp(DEGENERATE_ETA)``.
     """
-    knots = spec.knots_for(grid)
+    m = np.ones(cohort.n_subjects) if multiplicity is None else \
+        np.asarray(multiplicity, dtype=np.float64)
+    pos = m > 0
     base_X, _ = baseline_design(cohort, spec.baseline_terms, fit.pinned)
-    pinned = _pinned_subjects(cohort, fit.pinned) if fit.pinned else None
-    p_strategy = 1 + (1 if knots is None else len(knots) - 1)
-    coef_s = fit.coef[:p_strategy]      # intercept + strategy basis
-    coef_b = fit.coef[p_strategy:]
-    lp_base = base_X @ coef_b
-    if multiplicity is None:
-        wsum, wtot = None, cohort.n_subjects
-    else:
-        wsum = np.asarray(multiplicity, dtype=np.float64)
-        wtot = wsum.sum()
-    sb, _ = _strategy_basis(grid.xs, knots)
-    out = np.empty(len(grid))
-    for j in range(len(grid)):
-        lp = coef_s[0] + sb[j] @ coef_s[1:] + lp_base
-        if pinned is not None:
-            lp[pinned] = DEGENERATE_ETA
-        mu = np.exp(np.clip(lp, -300, 300))
-        out[j] = mu.mean() if wsum is None else float((wsum * mu).sum() / wtot)
-    return out
+    sb, _ = _strategy_basis(grid.xs, spec.knots_for(grid))
+    p = 1 + sb.shape[1]  # intercept and strategy basis, then baseline terms
+    lp = (fit.coef[0] + sb @ fit.coef[1:p])[:, None] \
+        + base_X[pos] @ fit.coef[p:]
+    if fit.pinned:
+        lp[:, _pinned_subjects(cohort, fit.pinned)[pos]] = DEGENERATE_ETA
+    return np.exp(np.clip(lp, -300, 300)) @ m[pos] / m.sum()
 
 
 _REPLICATE_ERRORS = (SeparationError, NonConvergence, RankError,
@@ -255,8 +251,8 @@ _REPLICATE_ERRORS = (SeparationError, NonConvergence, RankError,
 
 
 def _warm_start(fit, columns):
-    """A fit's coefficients as IRLS starting values for later fits on the
-    full design; None for a degenerate fit or one on a reduced design."""
+    """A fit's coefficients as IRLS starting values for later fits with the
+    plan's columns; None for a degenerate fit or one with fewer columns."""
     if fit.degenerate or fit.columns != columns:
         return None
     return fit.coef
@@ -269,9 +265,9 @@ class Plan:
     knots, the censoring-weight factor layout and the MSM design.
     :meth:`run` fits the monitoring model with the run's case weights,
     builds the horizon weights from the fixed factor rows (and truncates
-    them), fits both MSMs on the fixed design with the run's weights and
-    standardizes them: the point estimate and every bootstrap replicate
-    take this one path, whatever the weight options.
+    them), fits both MSMs on the rows of the fixed design that the run's
+    weights keep and standardizes them: the point estimate and every
+    bootstrap replicate take this one path, whatever the weight options.
     """
 
     def __init__(self, cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
@@ -387,11 +383,13 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
     estimate's plan with the resample's multiplicities: it refits the
     monitoring model, recomputes the weights, refits both MSMs (warm-started
     from the point fits) and restandardizes. Replicates that fail to fit
-    are skipped; more than ``MAX_FAILED_FRACTION`` of failures raises
-    :class:`BootstrapUnstable`. Replicates in which an MSM pinned an
-    event-free baseline level (see :func:`_fit_horizon_msm`) count as
-    successes and are reported in ``table.n_pinned``. Replicates run one
-    after another and are deterministic given the master seed.
+    are skipped and counted by error code in ``table.failed_by_code``; more
+    than ``MAX_FAILED_FRACTION`` of failures raises
+    :class:`BootstrapUnstable`, whose message names the codes. Replicates
+    in which an MSM pinned an event-free baseline level (see
+    :func:`_fit_horizon_msm`) count as successes and are reported in
+    ``table.n_pinned``. Replicates run one after another and are
+    deterministic given the master seed.
     """
     if B < 0:
         raise ConfigError("B must be >= 0")
@@ -400,7 +398,7 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
     if B == 0:
         return point
     n = cohort.n_subjects
-    ok = []
+    ok, failed = [], Counter()
     for ss in np.random.SeedSequence(seed).spawn(B):
         idx = np.random.default_rng(ss).integers(0, n, n)
         mult = np.bincount(idx, minlength=n).astype(np.float64)
@@ -408,22 +406,20 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
             warnings.simplefilter("ignore", DegenerateResponse)
             try:
                 ok.append(point.plan.run(mult))
-            except _REPLICATE_ERRORS:
-                pass
+            except _REPLICATE_ERRORS as err:
+                failed[err.code] += 1
 
-    n_failed = B - len(ok)
-    if n_failed > MAX_FAILED_FRACTION * B:
-        raise BootstrapUnstable(
-            f"{n_failed} of {B} bootstrap replicates failed to fit"
-        )
+    table.n_boot, table.n_failed = B, B - len(ok)
+    table.failed_by_code = dict(sorted(failed.items()))
+    if table.n_failed > MAX_FAILED_FRACTION * B:
+        causes = ", ".join(f"{c}: {k}" for c, k in table.failed_by_code.items())
+        raise BootstrapUnstable(f"{table.n_failed} of {B} bootstrap replicates "
+                                f"failed to fit ({causes})")
     risks, usages = (np.array([r[i] for r in ok]) for i in (0, 1))
     table.risk_lo, table.risk_hi = np.percentile(risks, [2.5, 97.5], axis=0)
     table.usage_lo, table.usage_hi = np.percentile(usages, [2.5, 97.5], axis=0)
-    table.risk_se = np.std(risks, axis=0, ddof=1) if len(ok) > 1 else \
-        np.zeros(len(grid))
-    table.usage_se = np.std(usages, axis=0, ddof=1) if len(ok) > 1 else \
-        np.zeros(len(grid))
-    table.n_boot = B
-    table.n_failed = n_failed
+    table.risk_se, table.usage_se = (
+        np.std(a, axis=0, ddof=1) if len(ok) > 1 else np.zeros(len(grid))
+        for a in (risks, usages))
     table.n_pinned = sum(r[2] for r in ok)
     return point

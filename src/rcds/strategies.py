@@ -6,8 +6,8 @@ last observed marker sits below the threshold ``x``, ``window_above`` at or
 above it, and ``override_window`` whenever the override flag is raised.
 Subject data deviate from a strategy the first month the running gap
 exceeds the applicable ``hi``, or a visit happens before the gap reaches
-``lo``; the window of month t is the one in force at t - 1, and month 0
-deviates only if the entry gap is already past ``hi``.
+``lo``; the window of month t is the one in force at t - 1. Month 0, the
+entry visit, makes no decision and never deviates.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedHistory
+from .errors import ConfigError
 
 DEFAULT_WINDOW_BELOW = (2, 7)
 DEFAULT_WINDOW_ABOVE = (8, 13)
@@ -140,19 +140,16 @@ class WindowCells:
         self.cohort, self.grid = cohort, grid
         self.marker, self.override, self.gap = cohort.prev_state()
         self.subject = cohort.subject_index_per_row()
-        dec = cohort.decision_rows()
-        self.decision, self.entry = np.flatnonzero(dec), np.flatnonzero(~dec)
+        self.decision = np.flatnonzero(cohort.decision_rows())
         self.jstar = np.searchsorted(grid.xs, self.marker, "right")
 
     @cached_property
     def decision_sides(self):
-        return self.sides(self.decision)
-
-    def sides(self, rows):
-        """``(mask, lo, hi, cell)`` of the given rows on the above, then the
-        below side. An above cell reaches the strategies up to its column, a
-        below cell (column 0 for override months) those from it on."""
-        k, s = len(self.grid), self.grid[0]
+        """``(mask, lo, hi, cell)`` of the decision months on the above, then
+        the below side. An above cell reaches the strategies up to its
+        column, a below cell (column 0 for override months) those from it
+        on."""
+        rows, k, s = self.decision, len(self.grid), self.grid[0]
         ovr, jstar = self.override[rows] == 1, self.jstar[rows]
         cell = self.subject[rows] * k
         (lo_a, hi_a), (lo_b, hi_b), (lo_o, hi_o) = (
@@ -180,18 +177,13 @@ def horizon_matrix(cohort, grid, cells=None):
     """
     if cells is None:
         cells = WindowCells(cohort, grid)
-    if np.any(np.isnan(cells.marker)):
-        raise UndefinedHistory("cohort has rows with no marker history")
     n, k = cohort.n_subjects, len(grid)
     if k == 0:
         return np.empty((n, 0), dtype=np.int64)
     first = np.full((2, n * k), cohort.horizon + 1, dtype=np.int64)
-    dec, entry = cells.decision, cells.entry
-    for rows, sides, visit in (
-            (dec, cells.decision_sides, cohort.monitor[dec] == 1),
-            (entry, cells.sides(entry), False)):  # month 0 has no decision
-        gap, t = cells.gap[rows], cohort.t[rows]
-        for month, (on_side, lo, hi, at) in zip(first, sides):
-            dev = on_side & ((gap > hi) | (visit & (gap < lo)))
-            np.minimum.at(month, at[dev], t[dev])
+    dec = cells.decision
+    gap, t, visit = cells.gap[dec], cohort.t[dec], cohort.monitor[dec] == 1
+    for month, (on_side, lo, hi, at) in zip(first, cells.decision_sides):
+        dev = on_side & ((gap > hi) | (visit & (gap < lo)))
+        np.minimum.at(month, at[dev], t[dev])
     return sweep(*first.reshape(2, n, k), op=np.minimum)

@@ -220,31 +220,30 @@ def fit_monitor_model(cohort, spec=MonitorFeatureSpec(), multiplicity=None,
                       design=None, start=None, compute_se=True):
     """Pooled logistic regression of the monitoring decision on observed history.
 
-    ``multiplicity`` carries per-subject bootstrap counts as case weights.
-    Declared features that are constant over the decision months with
-    positive case weight carry no information and are dropped; their names
-    are recorded in ``MonitorModel.dropped``. ``design`` is the cohort's
-    :func:`monitor_design` under ``spec`` when the caller has built it
-    already, ``start`` warm-starts IRLS from coefficients of the full design
-    (ignored when a column is dropped), and ``compute_se`` asks for standard
-    errors. Raises
+    ``multiplicity`` carries per-subject bootstrap counts as case weights;
+    the fit runs on the decision months of subjects with a positive count,
+    while ``n_decisions`` counts every decision month. Declared features
+    that are constant over the fitted months carry no information and are
+    dropped; their names are recorded in ``MonitorModel.dropped``.
+    ``design`` is the cohort's :func:`monitor_design` under ``spec`` when
+    the caller has built it already, ``start`` warm-starts IRLS from
+    coefficients of its columns (ignored when a column is dropped), and
+    ``compute_se`` asks for standard errors. Raises
     :class:`SeparationError` when the decision is degenerate or a feature
     separates it perfectly.
     """
     if design is None:
         design = monitor_design(cohort, spec)
-    mon = design.monitored
-    case = np.ones(mon.size)
+    matrix, mon = design.matrix, design.monitored
     if multiplicity is not None:
         multiplicity = np.asarray(multiplicity, dtype=np.float64)
         case = multiplicity[design.subject]
-    pos = case > 0
-    if not (np.any(mon & pos) and np.any(~mon & pos)):
+        matrix, mon = matrix.weighted_rows(case), mon[case > 0]
+    if not (np.any(mon) and np.any(~mon)):
         raise SeparationError(
             "monitoring response is degenerate: need at least one monitored "
             "and one unmonitored person-month"
         )
-    matrix = dataclasses.replace(design.matrix, weights=case)
     dropped = design.constant_columns(multiplicity)
     if dropped:
         matrix = _without(matrix, dropped)
@@ -262,8 +261,8 @@ def fit_monitor_model(cohort, spec=MonitorFeatureSpec(), multiplicity=None,
     if separation is not None:
         raise separation
     return MonitorModel(fit=fit, spec=design.spec, marker_knots=design.knots,
-                        columns=matrix.columns, n_decisions=int(mon.size),
-                        dropped=dropped)
+                        columns=matrix.columns, dropped=dropped,
+                        n_decisions=int(design.monitored.size))
 
 
 def decision_probabilities(model, cohort):

@@ -3,7 +3,9 @@
 The row-level estimator pieces that no CLI path runs read the MSM responses
 and weights off the expanded person-strategy-month dataset of
 :func:`rcds.expand` and :func:`rcds.weights.attach_weights`; the estimator
-plan (:class:`rcds.Plan`) is tested against them.
+plan (:class:`rcds.Plan`) is tested against them. The per-threshold loop over
+every subject is the reference for the one product of
+:func:`rcds.standardize`.
 
 The month-by-month walk of one subject's visits is the reference for the
 carried-forward columns that :class:`rcds.Cohort` derives with
@@ -20,10 +22,16 @@ reference for :meth:`rcds.weights.MonitorDesign.constant_columns`.
 import numpy as np
 from scipy.special import expit
 
-from rcds.cohort import _REASON_CODE, Cohort
+from rcds.cohort import _REASON_CODE, Cohort, baseline_design
 from rcds.errors import ConfigError, UndefinedHistory
 from rcds.expansion import HorizonTable
-from rcds.msm import MsmSpec, _fit_horizon_msm
+from rcds.msm import (
+    DEGENERATE_ETA,
+    MsmSpec,
+    _fit_horizon_msm,
+    _pinned_subjects,
+    _strategy_basis,
+)
 from rcds.simulate import (
     FORCED_RULES,
     SIM_SCHEMA,
@@ -69,6 +77,23 @@ def fit_outcome_msm(wds, spec=MsmSpec()):
 def fit_resource_msm(wds, spec=MsmSpec()):
     """Resource MSM: weighted log-linear regression of the measurement count."""
     return _fit_at_horizon(wds, spec, wds.ds.response_d.astype(np.float64))
+
+
+def standardize_per_threshold(fit, cohort, grid, spec=MsmSpec(),
+                              multiplicity=None):
+    """:func:`rcds.standardize` one threshold at a time over every subject:
+    the multiplicity-weighted mean of the subjects' predictions at each x."""
+    base_X, _ = baseline_design(cohort, spec.baseline_terms, fit.pinned)
+    sb, _ = _strategy_basis(grid.xs, spec.knots_for(grid))
+    p = 1 + sb.shape[1]
+    m = np.ones(cohort.n_subjects) if multiplicity is None else multiplicity
+    pinned = _pinned_subjects(cohort, fit.pinned)
+    out = np.empty(len(grid))
+    for j in range(len(grid)):
+        lp = fit.coef[0] + sb[j] @ fit.coef[1:p] + base_X @ fit.coef[p:]
+        lp[pinned] = DEGENERATE_ETA
+        out[j] = np.sum(m * np.exp(np.clip(lp, -300, 300))) / m.sum()
+    return out
 
 
 def constant_columns(design):
@@ -169,19 +194,16 @@ def per_strategy_horizon_matrix(cohort, grid):
     months with no deviation through follow-up yield ``horizon + 1``.
     """
     prev_last, prev_ovr, gap = cohort.prev_state()
-    if np.any(np.isnan(prev_last)):
-        raise UndefinedHistory("cohort has rows with no marker history")
     t = cohort.t
     monitored = cohort.monitor == 1
+    decision = cohort.decision_rows()  # month 0, the entry visit, is not one
     starts = cohort.offsets[:-1]
     big = cohort.horizon + 1
     n, k = cohort.n_subjects, len(grid)
     out = np.empty((n, k), dtype=np.int64)
     for j, strat in enumerate(grid):
         lo, hi = window_bounds(strat, prev_last, prev_ovr)
-        dev = (gap > hi) | (monitored & (gap < lo))
-        # month 0 only deviates if the entry gap already exceeds hi
-        dev[starts] = gap[starts] > hi[starts]
+        dev = decision & ((gap > hi) | (monitored & (gap < lo)))
         month = np.where(dev, t, big)
         out[:, j] = np.minimum.reduceat(month, starts)
     return out

@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import rcds.cli
+import rcds.msm
 from rcds.cli import main
 
 # at n = 1000 one of the two replicates fails: without a declared schema
@@ -117,6 +118,27 @@ def test_oracle_defaults_to_natural_rule(tmp_path, capsys):
         truths[rule] = (tmp_path / str(rule) / "truth.csv").read_bytes()
     assert truths[None] == truths["natural"]
     assert truths[None] != truths["earliest"]
+
+
+def test_failed_replicates_are_counted_by_code(tmp_path, cohort_csv, capsys,
+                                              monkeypatch):
+    # a categorical gap level pooled from five decision months, four of them
+    # visits: a resample without the fifth separates the monitoring decision
+    config = {"mode": "analyze", "seed": 5, "input": cohort_csv,
+              "kappa": 4.5, "bootstrap": 3, "grid": {"x_step": 50},
+              "weights": {"features": {"gap": "categorical"}}}
+    status, err = run(tmp_path, "unstable", config, capsys)
+    assert status != 0
+    assert err.splitlines()[-2] == ("error: 2 of 3 bootstrap replicates "
+                                    "failed to fit (SEPARATION: 2)")
+    assert err.splitlines()[-1] == "error_code=BOOTSTRAP_UNSTABLE"
+    # with every failure tolerated, the report keeps the same counts
+    monkeypatch.setattr(rcds.msm, "MAX_FAILED_FRACTION", 1.0)
+    assert run(tmp_path, "tolerated", config, capsys)[0] == 0
+    report = yaml.safe_load((tmp_path / "tolerated" / "weights.yaml")
+                            .read_text())
+    assert report["bootstrap"] == {"B": 3, "failed": 2, "pinned": 0,
+                                   "failed_by_code": {"SEPARATION": 2}}
 
 
 def test_cli_import_loads_no_scipy_solvers():

@@ -21,12 +21,14 @@ from rcds import (
     simulate_cohort,
     standardize,
 )
+from rcds.cohort import baseline_design
 from rcds.expansion import horizon_table
-from rcds.glm import predict, DesignMatrix
-from rcds.msm import _fit_horizon_msm
+from rcds.glm import BINOMIAL_LOGIT, POISSON_LOG, DesignMatrix, fit_glm, predict
+from rcds.msm import _fit_horizon_msm, _msm_design, _pinned_subjects
 from rcds.weights import (
     MonitorFeatureSpec,
     WeightedExpandedDataset,
+    _without,
     attach_weights,
     clone_horizon_weights,
     fit_monitor_model,
@@ -331,6 +333,95 @@ class TestPinnedLevels:
                                seed=4).table
         assert t.n_failed == 0
         assert t.n_pinned == 8
+
+
+def zero_weight_msm_fit(plan, response, w, pinned, start):
+    """An MSM fit of ``plan`` with the rows the fit leaves out kept in at
+    weight zero."""
+    cohort, ht, spec, grid = plan.cohort, plan.ht, plan.spec, plan.grid
+    keep = (~np.isnan(response) & (w > 0)
+            & ~_pinned_subjects(cohort, pinned)[ht.subject_idx])
+    base_X, names = baseline_design(cohort, spec.baseline_terms, pinned)
+    design = _msm_design(grid.xs[ht.x_idx], spec.knots_for(grid),
+                         base_X[ht.subject_idx], names,
+                         np.where(keep, w, 0.0))
+    return fit_glm(design, np.where(keep, response, 0.0), POISSON_LOG,
+                   compute_se=False, start=None if pinned else start)
+
+
+def zero_weight_monitor_fit(design, mult, dropped, **kwargs):
+    """The monitoring fit on every decision month of ``design``, weighted by
+    the multiplicity of its subject, zero or not."""
+    full = _without(DesignMatrix(design.matrix.X, design.matrix.columns,
+                                 mult[design.subject]), dropped)
+    return fit_glm(full, design.monitored.astype(float), BINOMIAL_LOGIT,
+                   **kwargs)
+
+
+def assert_same_fit(got, want):
+    assert got.columns == want.columns
+    np.testing.assert_allclose(got.coef, want.coef, rtol=1e-10, atol=0)
+
+
+class TestZeroWeightRowsLeaveFits:
+    """A fit on the rows of positive case weight against the same fit with
+    the zero-weight rows left in: only the order of the sums differs."""
+
+    @pytest.fixture(scope="class", params=["resample", "no-override",
+                                           "pinned-level"])
+    def case(self, request, sim_cohort, small_grid, coinciding):
+        if request.param == "pinned-level":
+            # every failure in the reference base_marker_band level left out
+            cohort, grid = coinciding
+            in_level = cohort.baseline[:, cohort.schema.names.index(
+                "base_marker_band")] == 0
+            return request.param, cohort, grid, np.where(
+                in_level & (cohort.outcome_y == 1), 0.0, 1.0)
+        mult = resample(sim_cohort, 31)
+        if request.param == "no-override":
+            # the override column is constant over the kept months
+            sub = sim_cohort.subject_index_per_row()
+            ever = np.bincount(sub, weights=sim_cohort.override_flag,
+                               minlength=sim_cohort.n_subjects) > 0
+            mult[ever] = 0.0
+        return request.param, sim_cohort, small_grid, mult
+
+    def test_monitor_fit(self, case):
+        name, cohort, _, mult = case
+        design = monitor_design(cohort)
+        model = fit_monitor_model(cohort, multiplicity=mult, design=design)
+        want = zero_weight_monitor_fit(design, mult, model.dropped)
+        assert_same_fit(model.fit, want)
+        for got, ref in ((model.fit.se, want.se),
+                         (model.fit.deviance, want.deviance),
+                         (model.loglik, want.loglik)):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+        assert model.n_decisions == design.monitored.size
+        assert model.dropped == (("override",) if name == "no-override"
+                                 else ())
+
+    def test_replicate_fits_and_curves(self, case):
+        name, cohort, grid, mult = case
+        plan = Plan(cohort, grid)
+        plan.run(None)  # warm starts, as in the bootstrap
+        model, fit_y, fit_d = plan.fit(mult)
+        assert_same_fit(model.fit, zero_weight_monitor_fit(
+            plan.monitor, mult, model.dropped, compute_se=False,
+            start=None if model.dropped else plan.starts[0]))
+        w, _, _ = plan._horizon_weights(mult)
+        for fit, response, start in ((fit_y, plan.ht.y, plan.starts[1]),
+                                     (fit_d, plan.ht.d, plan.starts[2])):
+            assert_same_fit(fit, zero_weight_msm_fit(plan, response, w,
+                                                     fit.pinned, start))
+        assert bool(fit_y.pinned) == (name == "pinned-level")
+        risk, usage, _ = plan.run(mult)
+        assert_close((risk, usage), tuple(
+            reference.standardize_per_threshold(f, cohort, grid, plan.spec,
+                                                mult)
+            for f in (fit_y, fit_d)))
+        again = plan.run(mult)
+        assert np.array_equal(risk, again[0])
+        assert np.array_equal(usage, again[1])
 
 
 class TestMonitorDesign:
