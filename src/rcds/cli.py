@@ -227,6 +227,7 @@ def run(config):
             seed=seed, spec=spec, wopts=wopts,
             **_present(config.raw, ("oracle_n_mc", "oracle_rule"),
                        {"oracle_n_mc": _integer}),
+            progress=_report_cohort,
         )
         header = ["cohort", "risk", "risk_lo", "risk_hi", "covered"]
         rio.write_csv(out / "coverage.csv", header,
@@ -236,6 +237,12 @@ def run(config):
         return 0
 
     raise ConfigError(f"unhandled mode {config.mode!r}")
+
+
+def _report_cohort(done, total, covered):
+    """One stderr line per finished coverage cohort."""
+    print(f"cohort {done}/{total}: {covered} of {done} intervals cover the "
+          "oracle", file=sys.stderr)
 
 
 def build_parser():

@@ -218,7 +218,8 @@ def _solve_qr(X, z, wts, columns):
     return np.linalg.solve(R, Q.T @ b), float(diag.max() / diag.min())
 
 
-def fit_glm(design, response, family, compute_se=True, start=None):
+def fit_glm(design, response, family, compute_se=True, start=None,
+            stop=None):
     """Fit a weighted GLM by iteratively reweighted least squares.
 
     Converges when the largest relative coefficient change drops below
@@ -227,7 +228,9 @@ def fit_glm(design, response, family, compute_se=True, start=None):
     :class:`RankError` on a rank-deficient design. ``start`` warm-starts
     the linear predictor from a coefficient vector. ``compute_se`` asks for
     the standard errors, the deviance and the log-likelihood (see
-    :class:`GlmFit`).
+    :class:`GlmFit`). ``stop``, if given, sees the coefficient trajectory
+    after every step that has not converged, and an exception it returns
+    ends the fit.
     """
     y = _check_response(response, family, design.n)
     X, w = design.X, design.weights
@@ -266,6 +269,8 @@ def fit_glm(design, response, family, compute_se=True, start=None):
         if delta <= DEFAULT_TOL * scale_ref:
             converged = True
             break
+        if stop is not None and (err := stop(history)) is not None:
+            raise err
     if not converged:
         raise NonConvergence(
             f"IRLS did not converge in {DEFAULT_MAX_ITER} iterations "

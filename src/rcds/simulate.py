@@ -12,11 +12,18 @@ consistent with its strategy.
 Within a month the order of events is: latent marker step, flare onset,
 monitoring decision, visit effects (measurement, detection, risk-clock reset),
 failure onset, dropout.
+
+One transition kernel (:func:`_kernel`) runs the observational cohort, a
+forced cohort and the oracle's whole grid over segments: a subject with the
+run of strategies that have made the same decisions for it so far, and so
+share its state. On the default 31-threshold grid a subject ends the horizon
+with 2.8 (latest rule), 3.6 (natural) or 5.4 (earliest) segments on average.
 """
 
 import dataclasses
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit
@@ -156,16 +163,16 @@ def monitor_probability(params, last_marker, gap, override):
 
 
 def _observational_decision(params):
-    def decide(last_marker, override, gap, u):
+    def decide(last_marker, override, gap, u, x):
         return u < monitor_probability(params, last_marker, gap, override)
     return decide
 
 
 def _forced_decision(params, strategy, rule):
-    """Visits forced into the windows of ``strategy``, one strategy or a grid
-    stacked along the leading axis (see :func:`window_bounds`)."""
-    def decide(last_marker, override, gap, u):
-        lo, hi = window_bounds(strategy, last_marker, override)
+    """Visits forced into the windows of ``strategy``, at the threshold ``x``
+    of each state (see :func:`window_bounds`)."""
+    def decide(last_marker, override, gap, u, x):
+        lo, hi = window_bounds(strategy, last_marker, override, x)
         if rule == "earliest":
             return gap >= lo
         if rule == "latest":
@@ -190,48 +197,77 @@ def _draws(seed_key, n, horizon):
     }
 
 
-def _kernel(params, draws, decide, k=1, rows=slice(None)):
-    """The transition kernel, over a stack of ``k`` strategies at once.
+def _kernel(params, draws, decide, xs, rows=slice(None), record=None):
+    """The transition kernel over segments of a stack of strategies that
+    share their windows, with increasing thresholds ``xs``; returns the
+    segments after the last month.
 
-    State arrays are (k, b) over the b subjects that ``rows`` selects. Every
-    strategy in the stack reads the same draws (common random numbers) and
-    only ``decide`` tells them apart; the latent marker does not depend on
-    decisions, so it is one (b,) array broadcast over the stack. Yields, for
-    months t = 0..K, the marker and the (k, b) visit and override flag after
-    month t, and the failure state; month 0 is the baseline visit. Yielded
-    arrays are not written again, except ``failed``, which accumulates in
-    place. Loss to follow-up depends on its draws alone and is left to the
-    caller.
+    A segment is one of the b subjects that ``rows`` selects together with
+    a run ``[lo, hi)`` of consecutive strategies that share its history so
+    far. It carries one copy of that history's state, about 40 bytes:
+    carried marker, months since the last visit, risk clock, flare,
+    failure, override flag, visit count and this month's visit. Every
+    segment reads its subject's draws, so only ``decide`` tells strategies
+    apart, and the latent marker, which no decision moves, is one (b,)
+    array. Strategies with ``x`` at or below the carried marker use the
+    above window and the rest the below one, so within a run the decision
+    can change only at ``searchsorted(xs, last, "right")``. Each month a
+    segment splits there if the decisions at its first and its last
+    strategy differ, and an appended copy of its state takes the upper
+    part of the run. So the segments of a subject tile the stack and never
+    outnumber it, and a stack of one never splits: its segments stay the
+    subjects, in order.
+
+    ``record(t, U, segments)``, if given, sees months t = 0..K after their
+    visit effects; month 0 is the baseline visit. Loss to follow-up depends
+    on its draws alone and is left to the caller.
     """
     normal, flare_u, monitor_u, rescue_u, fail_u = (
         draws[key][rows] for key in ("normal", "flare", "monitor", "rescue",
                                      "fail"))
     U = params.marker_init_mean + params.marker_init_sd * normal[:, 0]
-    shape = (k, U.size)
-    last = np.broadcast_to(U, shape)
-    m = np.zeros(shape, dtype=np.int64)
-    clock = np.zeros(shape, dtype=np.int64)
-    flare = np.zeros(shape, dtype=bool)
-    failed = np.zeros(shape, dtype=bool)
-    override = np.zeros(shape, dtype=np.int8)
-    yield U, np.ones(shape, dtype=bool), override, failed
+    b = U.size
+    count = np.min_scalar_type(params.horizon + 1)
+    s = SimpleNamespace(
+        sub=np.arange(b), lo=np.zeros(b, dtype=np.intp),
+        hi=np.full(b, len(xs), dtype=np.intp), last=U,
+        since=np.zeros(b, dtype=count), clock=np.zeros(b, dtype=count),
+        flare=np.zeros(b, dtype=bool), failed=np.zeros(b, dtype=bool),
+        override=np.zeros(b, dtype=np.int8), visits=np.ones(b, dtype=count),
+        visit=np.ones(b, dtype=bool))
+    if record is not None:
+        record(0, U, s)
     for t in range(1, params.horizon + 1):
         U = (params.drift_intercept + params.drift_slope * U
              + params.drift_sd * normal[:, t])
-        flare |= flare_u[:, t] < params.override_hazard
-        gap = m + 1
-        visit = decide(last, override, gap, monitor_u[:, t])
-        reset = visit & (rescue_u[:, t] < params.resuppress_prob)
-        detected = visit & (failed | flare)
-        clock = np.where(reset, 0, clock + 1)
-        failed |= fail_u[:, t] < expit(params.fail_intercept
-                                       + params.fail_clock * clock
-                                       + params.fail_marker * U)
-        last = np.where(visit, U, last)
-        override = np.where(visit, detected.astype(np.int8), override)
-        flare &= ~visit
-        m = np.where(visit, 0, gap)
-        yield U, visit, override, failed
+        gap, u, x = s.since + 1, monitor_u[s.sub, t], xs[s.lo]
+        s.visit = decide(s.last, s.override, gap, u, x)
+        at = np.flatnonzero((x <= s.last) & (s.last < xs[s.hi - 1]))
+        if at.size:
+            later = decide(s.last[at], s.override[at], gap[at], u[at],
+                           xs[s.hi[at] - 1])
+            at, n = at[later != s.visit[at]], s.sub.size
+            for name, v in list(vars(s).items()):  # copies take the upper run
+                setattr(s, name, np.concatenate([v, v[at]]))
+            s.lo[n:] = s.hi[at] = np.searchsorted(xs, s.last[at], "right")
+            s.visit[n:] = ~s.visit[n:]
+        sub, visit = s.sub, s.visit
+        s.flare |= flare_u[sub, t] < params.override_hazard
+        reset = visit & (rescue_u[sub, t] < params.resuppress_prob)
+        detected = visit & (s.failed | s.flare)
+        s.clock = np.where(reset, 0, s.clock + 1)
+        Us = U[sub]
+        s.failed |= fail_u[sub, t] < expit(params.fail_intercept
+                                           + params.fail_clock * s.clock
+                                           + params.fail_marker * Us)
+        s.last = np.where(visit, Us, s.last)
+        s.override = np.where(visit, detected.astype(np.int8), s.override)
+        s.flare &= ~visit
+        s.since = np.where(visit, 0, s.since + 1)
+        s.visits += visit
+        if record is not None:
+            record(t, U, s)
+    return s
 
 
 def _baseline_values(draws, base_marker):
@@ -247,8 +283,9 @@ def _norm_ppf(u):
     return ndtri(np.clip(u, 1e-12, 1 - 1e-12))
 
 
-def _cohort(params, draws, decide):
-    """Run the kernel on a stack of one, record the monthly measurements
+def _cohort(params, draws, decide, x=np.nan):
+    """Run the kernel on a stack of one strategy, with threshold ``x`` (the
+    observational decision reads none), record the monthly measurements
     and pack them into a :class:`Cohort`, cut at each subject's loss to
     follow-up: the first month t < K whose dropout draw falls below the
     hazard."""
@@ -257,16 +294,19 @@ def _cohort(params, draws, decide):
     mon = np.empty((n, K + 1), dtype=np.int8)
     obs = np.empty((n, K + 1))
     ovr = np.empty((n, K + 1), dtype=np.int8)
-    for t, (U, visit, override, failed) in enumerate(
-            _kernel(params, draws, decide)):
-        mon[:, t] = visit[0]
-        obs[:, t] = np.where(visit[0], U, np.nan)
-        ovr[:, t] = override[0]
+
+    def record(t, U, s):
+        mon[:, t] = s.visit
+        obs[:, t] = np.where(s.visit, U, np.nan)
+        ovr[:, t] = s.override
+
+    failed = _kernel(params, draws, decide, np.full(1, x),
+                     record=record).failed
     drop = draws["dropout"][:, 1:K] < params.dropout_hazard
     fue = np.where(drop.any(axis=1), drop.argmax(axis=1) + 1, K)
     tgrid = np.arange(K + 1)
     keep = tgrid[None, :] <= fue[:, None]
-    y = np.where(fue == K, failed[0].astype(np.float64), np.nan)
+    y = np.where(fue == K, failed.astype(np.float64), np.nan)
     reason = np.where(
         fue == K, _REASON_CODE["administrative_end"], _REASON_CODE["lost"]
     )
@@ -320,7 +360,8 @@ def simulate_forced(params, strategy, n, rule="earliest", seed=None):
         raise ConfigError(f"unknown forced rule {rule!r}")
     key = (params.seed if seed is None else seed, 1)
     draws = _draws(key, n, params.horizon)
-    return _cohort(params, draws, _forced_decision(params, strategy, rule))
+    return _cohort(params, draws, _forced_decision(params, strategy, rule),
+                   strategy.x)
 
 
 @dataclass
@@ -336,7 +377,7 @@ class TruthTable:
     n_mc: int
 
 
-ORACLE_BLOCK = 1 << 15  # strategy-subject cells the oracle steps at once
+ORACLE_BLOCK = 2048  # subjects the oracle steps at once
 
 
 def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
@@ -351,13 +392,16 @@ def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
     ignores it rather than discard truncated subjects; the counterfactual
     means are unchanged.
 
-    All k strategies of the grid step together through the one transition
-    kernel, in blocks of about ``ORACLE_BLOCK`` strategy-subject cells
-    (about ``ORACLE_BLOCK / k`` subjects each), small enough to stay in
-    cache. Beyond the draws, six (n_mc, K + 1) float arrays, the oracle
-    keeps one failure flag and one visit count per strategy and subject:
-    about 2 k n_mc bytes. Each strategy's means and SEs reduce its own
-    contiguous row of n_mc values, so blocking does not change them.
+    The whole grid runs through the one transition kernel (see
+    :func:`_kernel`), in blocks of ``ORACLE_BLOCK`` subjects. A block holds
+    at most k segments per subject, so its state stays below k times
+    ``ORACLE_BLOCK`` segments of about 40 bytes whatever n_mc; on the
+    default grid it holds three to six per subject. Beyond that and the
+    draws, six (n_mc, K + 1) float arrays that no step copies, the oracle
+    keeps one failure flag and one visit count per strategy and subject,
+    filled from each block's segments. Each strategy's means and SEs reduce
+    its own contiguous row of n_mc values, so neither blocks nor segments
+    change them.
     """
     params.validate()
     if n_mc < 1000:
@@ -366,16 +410,20 @@ def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
         raise ConfigError(f"unknown oracle rule {rule!r}")
     key = (params.seed if seed is None else seed, 2)
     draws = _draws(key, n_mc, params.horizon)
-    decide = _forced_decision(params, grid, rule)
     k = len(grid)
     failed = np.empty((k, n_mc), dtype=bool)
-    visits = np.zeros((k, n_mc), dtype=np.min_scalar_type(params.horizon + 1))
-    step = max(1, ORACLE_BLOCK // max(k, 1))
-    for start in range(0, n_mc if k else 0, step):  # an empty grid: no steps
-        rows = slice(start, start + step)
-        for _, visit, _, fail in _kernel(params, draws, decide, k, rows):
-            visits[:, rows] += visit
-        failed[:, rows] = fail
+    visits = np.empty((k, n_mc), dtype=np.min_scalar_type(params.horizon + 1))
+    for start in range(0, n_mc if k else 0, ORACLE_BLOCK):  # empty grid: none
+        rows = slice(start, start + ORACLE_BLOCK)
+        s = _kernel(params, draws, _forced_decision(params, grid[0], rule),
+                    grid.xs, rows)
+        f, v = failed[:, rows], visits[:, rows]
+        first = np.zeros(f.shape, dtype=bool)
+        first[s.lo, s.sub] = True
+        f[s.lo, s.sub], v[s.lo, s.sub] = s.failed, s.visits
+        for j in range(1, k):  # a segment's later strategies copy its first
+            np.copyto(f[j], f[j - 1], where=~first[j])
+            np.copyto(v[j], v[j - 1], where=~first[j])
     risk, risk_se, usage, usage_se = (np.empty(k) for _ in range(4))
     for j in range(k):
         y = failed[j].astype(np.float64)

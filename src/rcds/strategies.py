@@ -103,23 +103,19 @@ class StrategyGrid:
         return self.strategies[i]
 
 
-def window_bounds(strategy, last_marker, override):
+def window_bounds(strategy, last_marker, override, x=None):
     """Permitted-gap window ``(lo, hi)`` in force, elementwise over states.
 
     The override flag takes precedence; otherwise the carried-forward marker
     decides, and values at or above the threshold use the "above" window.
-    ``strategy`` may also be a nonempty :class:`StrategyGrid`: its thresholds
-    then form a column, and the states broadcast against it to one row per
-    strategy.
+    ``x`` is the threshold, one for every state or one per state, of
+    strategies that share the windows of ``strategy``; it defaults to the
+    strategy's own.
     """
-    if isinstance(strategy, StrategyGrid):
-        x, strategy = strategy.xs[:, None], strategy[0]
-    else:
-        x = strategy.x
     (lo_o, hi_o), (lo_b, hi_b), (lo_a, hi_a) = (
         strategy.override_window, strategy.window_below, strategy.window_above)
     ovr = np.asarray(override) == 1
-    below = np.asarray(last_marker) < x
+    below = np.asarray(last_marker) < (strategy.x if x is None else x)
     lo = np.where(ovr, lo_o, np.where(below, lo_b, lo_a))
     hi = np.where(ovr, hi_o, np.where(below, hi_b, hi_a))
     return lo, hi

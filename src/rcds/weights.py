@@ -148,18 +148,39 @@ def _monitor_design(cohort, spec, state, marker_knots, case_weights=None):
     return DesignMatrix(np.column_stack(cols), names, weights=case_weights)
 
 
+SEPARATION_BOUND = 15
+
+
 def _separation(columns, coef):
-    """The :class:`SeparationError` for coefficients that ran past 15 in
-    magnitude, or None. It names the feature with the largest coefficient,
-    ignoring the intercept, which diverges along with whichever feature
-    separates the decision."""
-    if coef is None or np.max(np.abs(coef)) <= 15:
+    """The :class:`SeparationError` for coefficients that ran past
+    ``SEPARATION_BOUND`` in magnitude, or None. It names the feature with the
+    largest coefficient, ignoring the intercept, which diverges along with
+    whichever feature separates the decision."""
+    if coef is None or np.max(np.abs(coef)) <= SEPARATION_BOUND:
         return None
     feature = columns[1 + int(np.argmax(np.abs(coef[1:])))
                       if len(columns) > 1 else 0]
     return SeparationError(
         f"feature {feature!r} appears to separate the monitoring decision "
         "perfectly", feature=feature)
+
+
+SEPARATION_STEPS = 3
+
+
+def _diverging(columns):
+    """The IRLS stop rule of a monitoring fit: the :func:`_separation` error
+    once ``SEPARATION_STEPS`` iterates in a row are past its bound, their
+    largest coefficient growing at each. A separated decision drives that
+    coefficient off by about one unit per step, and such a fit never
+    converges."""
+    def stop(history):
+        peaks = [np.max(np.abs(c)) for c in history[-SEPARATION_STEPS:]]
+        if (len(peaks) == SEPARATION_STEPS and peaks[0] > SEPARATION_BOUND
+                and all(a < b for a, b in zip(peaks, peaks[1:]))):
+            return _separation(columns, history[-1])
+        return None
+    return stop
 
 
 @dataclass
@@ -250,7 +271,8 @@ def fit_monitor_model(cohort, spec=MonitorFeatureSpec(), multiplicity=None,
         start = None
     try:
         fit = fit_glm(matrix, mon.astype(np.float64), BINOMIAL_LOGIT,
-                      compute_se=compute_se, start=start)
+                      compute_se=compute_se, start=start,
+                      stop=_diverging(matrix.columns))
     except NonConvergence as err:
         separation = _separation(matrix.columns, err.trajectory[-1]
                                  if err.trajectory else None)

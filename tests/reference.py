@@ -14,8 +14,8 @@ the per-strategy pass over every cohort row are the references for the cell
 sweeps of :func:`rcds.strategies.horizon_matrix`.
 
 The simulator's one-strategy-at-a-time transition kernel, its cohort packer
-and its per-threshold oracle loop are the reference for the strategy-stacked
-kernel of :mod:`rcds.simulate`, and the row scan for constant columns is the
+and its per-threshold oracle loop are the reference for the segment kernel
+of :mod:`rcds.simulate`, and the row scan for constant columns is the
 reference for :meth:`rcds.weights.MonitorDesign.constant_columns`.
 """
 

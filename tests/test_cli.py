@@ -13,7 +13,9 @@ import yaml
 
 import rcds.cli
 import rcds.msm
+import rcds.study
 from rcds.cli import main
+from rcds.errors import BootstrapUnstable
 
 # at n = 1000 one of the two replicates fails: without a declared schema
 # `sex` is continuous and an event-free value is not pinned
@@ -105,6 +107,35 @@ def test_coverage_without_msm_uses_run_coverage_default(tmp_path, capsys):
     for name in ("coverage.csv", "coverage.yaml"):
         assert ((tmp_path / "default" / name).read_bytes()
                 == (tmp_path / "sex_age" / name).read_bytes())
+
+
+def test_coverage_reports_each_cohort_on_stderr(tmp_path, capsys,
+                                               monkeypatch):
+    config = {"mode": "coverage", "seed": 5, "n": 800, "n_cohorts": 2,
+              "bootstrap": 2, "oracle_n_mc": 2000}
+    status, err = run(tmp_path, "ok", config, capsys)
+    assert status == 0
+    rows = (tmp_path / "ok" / "coverage.csv").read_text().splitlines()[1:]
+    hits = [int(row.split(",")[-1]) for row in rows]
+    lines = [f"cohort {i}/2: {sum(hits[:i])} of {i} intervals cover the "
+             "oracle" for i in (1, 2)]
+    assert err.splitlines() == lines
+    # a failing cohort still ends stderr with the error code
+    pipeline, calls = rcds.study.bootstrap_pipeline, []
+
+    def second_cohort_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise BootstrapUnstable("2 of 2 bootstrap replicates failed to "
+                                    "fit")
+        return pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(rcds.study, "bootstrap_pipeline", second_cohort_fails)
+    status, err = run(tmp_path, "failed", config, capsys)
+    assert status != 0
+    assert err.splitlines() == [
+        lines[0], "error: 2 of 2 bootstrap replicates failed to fit",
+        "error_code=BOOTSTRAP_UNSTABLE"]
 
 
 def test_oracle_defaults_to_natural_rule(tmp_path, capsys):

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from rcds import (
@@ -16,7 +18,7 @@ from rcds import (
     simulate_cohort,
     simulate_forced,
 )
-from rcds.simulate import ORACLE_BLOCK
+from rcds.simulate import FORCED_RULES, ORACLE_BLOCK
 
 import reference
 
@@ -226,18 +228,17 @@ def truths_equal(a, b):
         "xs", "risk", "risk_mcse", "usage", "usage_mcse"))
 
 
-def block_sizes(grid):
+def block_sizes():
     """Draw counts below one oracle block of subjects, equal to one, and
     not a multiple of one."""
-    per = ORACLE_BLOCK // len(grid)
-    assert per > 1000, "the cases need blocks of more than 1000 subjects"
-    return 1000, per, per + 1000
+    assert ORACLE_BLOCK > 1000, "the cases need blocks of over 1000 subjects"
+    return 1000, ORACLE_BLOCK, ORACLE_BLOCK + 1000
 
 
 class TestStackedKernel:
-    """The strategy-stacked kernel against the one-strategy-at-a-time
-    kernel and per-threshold oracle loop it replaced (tests/reference.py),
-    bit for bit."""
+    """The segment kernel against the one-strategy-at-a-time kernel and
+    per-threshold oracle loop it replaced (tests/reference.py), bit for
+    bit."""
 
     GRIDS = {"default": StrategyGrid.default(),
              "one-threshold": StrategyGrid.default(x_start=350, x_stop=350)}
@@ -246,7 +247,7 @@ class TestStackedKernel:
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_oracle_equals_per_threshold_loop(self, grid, rule):
         grid = self.GRIDS[grid]
-        for n_mc in block_sizes(grid):
+        for n_mc in block_sizes():
             got = oracle_truth(DgpParams(), grid, n_mc, rule=rule, seed=9)
             want = reference.oracle_truth(DgpParams(), grid, n_mc, rule=rule,
                                           seed=9)
@@ -254,11 +255,14 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("rule", ["natural", "earliest", "latest"])
     def test_oracle_equals_loop_with_marker_on_threshold(self, rule):
-        grid = StrategyGrid.default(x_step=50)
-        got = oracle_truth(ON_THRESHOLD, grid, 2000, rule=rule, seed=9)
-        want = reference.oracle_truth(ON_THRESHOLD, grid, 2000, rule=rule,
-                                      seed=9)
-        assert truths_equal(got, want)
+        # from x_start 350 the marker sits on the first strategy of the
+        # grid's one segment: it keeps the above window, the rest split off
+        for x_start in (200, 350):
+            grid = StrategyGrid.default(x_start=x_start, x_step=50)
+            got = oracle_truth(ON_THRESHOLD, grid, 2000, rule=rule, seed=9)
+            want = reference.oracle_truth(ON_THRESHOLD, grid, 2000,
+                                          rule=rule, seed=9)
+            assert truths_equal(got, want), x_start
 
     @pytest.mark.parametrize("params", [DgpParams(), ON_THRESHOLD],
                              ids=["default", "on-threshold"])
@@ -278,3 +282,44 @@ class TestStackedKernel:
                                          seed=4)
         assert cohorts_equal(got, want)
         assert np.array_equal(got.end_reason, want.end_reason)
+
+
+@st.composite
+def window_grids(draw):
+    """1 to 31 unevenly spaced thresholds, some on the ON_THRESHOLD marker,
+    with drawn windows; equal below and above windows never split."""
+    k = draw(st.integers(1, 31))
+    xs = 150.0 + np.cumsum(draw(st.lists(st.integers(1, 40), min_size=k,
+                                         max_size=k)))
+    if draw(st.booleans()):  # the grid shifts a drawn threshold onto 350
+        xs += 350.0 - xs[draw(st.integers(0, k - 1))]
+    windows = []
+    for _ in range(3):
+        lo = draw(st.integers(1, 6))
+        windows.append((lo, lo + draw(st.integers(0, 6))))
+    below, above, override = windows
+    if draw(st.booleans()):
+        above = below
+    elif below[1] > above[1]:
+        below, above = above, below
+    return StrategyGrid(tuple(ThresholdStrategy(float(x), below, above,
+                                                override)
+                              for x in xs))
+
+
+@settings(max_examples=30)
+@given(grid=window_grids(),
+       params=st.sampled_from([DgpParams(), ON_THRESHOLD]),
+       rule=st.sampled_from(FORCED_RULES),
+       n_mc=st.sampled_from([1000, ORACLE_BLOCK + 1]))
+def test_oracle_equals_per_threshold_loop_on_drawn_grids(grid, params, rule,
+                                                         n_mc):
+    got = oracle_truth(params, grid, n_mc, rule=rule, seed=9)
+    want = reference.oracle_truth(params, grid, n_mc, rule=rule, seed=9)
+    assert truths_equal(got, want)
+
+
+def test_empty_grid_oracle_is_empty():
+    truth = oracle_truth(DgpParams(), StrategyGrid(()), 1000, seed=9)
+    for field in ("xs", "risk", "risk_mcse", "usage", "usage_mcse"):
+        assert getattr(truth, field).shape == (0,), field

@@ -28,9 +28,13 @@ from rcds import (
     simulate_cohort,
 )
 from rcds.cohort import Cohort, SubjectRecord
+from rcds.glm import BINOMIAL_LOGIT, DesignMatrix, fit_glm
 from rcds.strategies import WindowCells
 from rcds.weights import (
+    SEPARATION_BOUND,
+    SEPARATION_STEPS,
     CensoringWeightPlan,
+    _diverging,
     _summary,
     clone_horizon_weights,
     decision_probabilities,
@@ -124,6 +128,38 @@ class TestFitMonitorModel:
         with pytest.raises(SeparationError) as err:
             fit_monitor_model(cohort, LINEAR_SPEC)
         assert err.value.feature == "gap"
+
+    def test_separated_fit_stops_soon_after_the_bound(self):
+        # the coefficient on z grows about two units a step without end: the
+        # fit ends SEPARATION_STEPS iterates after passing the bound, not
+        # after glm.DEFAULT_MAX_ITER steps
+        X = np.column_stack([np.ones(20), np.r_[np.zeros(10), np.ones(10)]])
+        y = np.r_[np.zeros(10), np.ones(10)]
+        stop, peaks = _diverging(["intercept", "z"]), []
+
+        def watch(history):
+            peaks.append(np.abs(history[-1]).max())
+            return stop(history)
+
+        with pytest.raises(SeparationError) as err:
+            fit_glm(DesignMatrix(X, ["intercept", "z"]), y, BINOMIAL_LOGIT,
+                    stop=watch)
+        assert err.value.feature == "z"
+        past = np.flatnonzero(np.array(peaks) > SEPARATION_BOUND)
+        assert len(peaks) == past[0] + SEPARATION_STEPS
+
+    @pytest.mark.parametrize("peaks,stops", [
+        ((16.0, 17.0, 18.0), True),
+        ((14.0, 16.0, 17.0), False),   # the first is within the bound
+        ((16.0, 17.0, 16.5), False),   # turning back, as a converging fit
+        ((17.0, 18.0), False),         # too few iterates
+    ])
+    def test_stop_rule(self, peaks, stops):
+        history = [np.array([1.0, p]) for p in peaks]
+        got = _diverging(["intercept", "z"])(history)
+        assert (got is not None) == stops
+        if stops:
+            assert isinstance(got, SeparationError) and got.feature == "z"
 
 
 class TestWeightAlgebra:
