@@ -26,7 +26,6 @@ from .errors import (
     RcdsError,
     SchemaError,
     SeparationError,
-    UndefinedHistory,
 )
 from .expansion import ExpandedDataset, expand, horizon_table
 from .glm import DesignMatrix, GlmFit, fit_glm, predict, rcs_basis
@@ -46,7 +45,6 @@ from .simulate import (
     monitor_probability,
     oracle_truth,
     simulate_cohort,
-    simulate_forced,
 )
 from .strategies import (
     StrategyGrid,

@@ -62,6 +62,10 @@ def _present(block, keys, readers):
             for key in keys if key in block}
 
 
+CONFIG_KEYS = ("mode", "seed", "out", "input", "horizon", "baseline_schema",
+               "dgp", "grid", "msm", "weights", "n", "n_mc", "rule", "kappa",
+               "kappa_grid", "bootstrap", "x_value", "n_cohorts",
+               "oracle_n_mc", "oracle_rule")
 WEIGHT_KEYS = ("truncation", "weighting", "features")
 FEATURE_KEYS = tuple(f.name for f in dataclasses.fields(MonitorFeatureSpec))
 GRID_KEYS = ("x_start", "x_stop", "x_step", "window_below", "window_above",
@@ -141,6 +145,7 @@ def _monitor_info(model):
 
 def run(config):
     """Execute one configured run and write its artifacts. Returns exit status."""
+    _known_keys(config.raw, CONFIG_KEYS, "config")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = config.seed
@@ -161,7 +166,7 @@ def run(config):
         truth = oracle_truth(params, grid, n_mc, seed=seed,
                              **_present(config.raw, ("rule",), {}))
         rio.truth_to_csv(truth, out / "truth.csv")
-        print(f"wrote {out / 'truth.csv'} (rule={truth.rule}, n_mc={n_mc})")
+        print(f"wrote {out / 'truth.csv'} (n_mc={n_mc})")
         return 0
 
     if config.mode in ("analyze", "frontier"):

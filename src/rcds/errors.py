@@ -26,13 +26,6 @@ class IngestError(RcdsError):
         self.violations = list(violations) if violations else []
 
 
-class UndefinedHistory(RcdsError):
-    """A strategy window was requested for a row with no usable marker history."""
-
-    exit_code = 2
-    code = "UNDEFINED_HISTORY"
-
-
 class SeparationError(RcdsError):
     """A feature perfectly predicts the monitoring decision."""
 

@@ -6,7 +6,7 @@ and inverse-probability weights can be folded into a single weight vector.
 """
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
@@ -93,7 +93,6 @@ class GlmFit:
     se: np.ndarray | None = None
     degenerate: bool = False
     pinned: tuple = ()  # baseline levels held at the boundary (see rcds.msm)
-    history: list = field(default_factory=list, repr=False)
 
 
 def rcs_basis(values, knots):
@@ -303,7 +302,6 @@ def fit_glm(design, response, family, compute_se=True, start=None,
         loglik=loglik,
         cond=cond,
         se=se,
-        history=history,
     )
 
 

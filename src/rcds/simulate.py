@@ -13,11 +13,11 @@ Within a month the order of events is: latent marker step, flare onset,
 monitoring decision, visit effects (measurement, detection, risk-clock reset),
 failure onset, dropout.
 
-One transition kernel (:func:`_kernel`) runs the observational cohort, a
-forced cohort and the oracle's whole grid over segments: a subject with the
-run of strategies that have made the same decisions for it so far, and so
-share its state. On the default 31-threshold grid a subject ends the horizon
-with 2.8 (latest rule), 3.6 (natural) or 5.4 (earliest) segments on average.
+One transition kernel (:func:`_kernel`) runs the observational cohort and
+the oracle's whole grid over segments: a subject with the run of strategies
+that have made the same decisions for it so far, and so share its state. On
+the default 31-threshold grid a subject ends the horizon with 3.6 segments
+on average.
 """
 
 import dataclasses
@@ -49,15 +49,12 @@ SIM_SCHEMA = BaselineSchema(fields=(
     BaselineField("calendar", CATEGORICAL, ("era0", "era1", "era2", "era3")),
 ))
 
-FORCED_RULES = ("earliest", "latest", "natural")
-
 
 @dataclass(frozen=True)
 class DgpParams:
     """Coefficients and hazards of the simulated data-generating process.
 
-    The shipped defaults are calibration knobs, not substantive claims; they
-    are mirrored in the versioned ``configs/dgp_default.yaml``.
+    The shipped defaults are calibration knobs, not substantive claims.
     """
 
     horizon: int = 24
@@ -168,16 +165,12 @@ def _observational_decision(params):
     return decide
 
 
-def _forced_decision(params, strategy, rule):
+def _forced_decision(params, strategy):
     """Visits forced into the windows of ``strategy``, at the threshold ``x``
-    of each state (see :func:`window_bounds`)."""
+    of each state (see :func:`window_bounds`), by the natural rule: the
+    observational timing conditioned to the permitted window."""
     def decide(last_marker, override, gap, u, x):
         lo, hi = window_bounds(strategy, last_marker, override, x)
-        if rule == "earliest":
-            return gap >= lo
-        if rule == "latest":
-            return gap >= hi
-        # natural: observational timing conditioned to the permitted window
         p = monitor_probability(params, last_marker, gap, override)
         p = np.where(gap < lo, 0.0, np.where(gap >= hi, 1.0, p))
         return u < p
@@ -283,12 +276,11 @@ def _norm_ppf(u):
     return ndtri(np.clip(u, 1e-12, 1 - 1e-12))
 
 
-def _cohort(params, draws, decide, x=np.nan):
-    """Run the kernel on a stack of one strategy, with threshold ``x`` (the
-    observational decision reads none), record the monthly measurements
-    and pack them into a :class:`Cohort`, cut at each subject's loss to
-    follow-up: the first month t < K whose dropout draw falls below the
-    hazard."""
+def _cohort(params, draws):
+    """Run the kernel with the observational decision, record the monthly
+    measurements and pack them into a :class:`Cohort`, cut at each
+    subject's loss to follow-up: the first month t < K whose dropout draw
+    falls below the hazard."""
     K = params.horizon
     n = draws["normal"].shape[0]
     mon = np.empty((n, K + 1), dtype=np.int8)
@@ -300,8 +292,8 @@ def _cohort(params, draws, decide, x=np.nan):
         obs[:, t] = np.where(s.visit, U, np.nan)
         ovr[:, t] = s.override
 
-    failed = _kernel(params, draws, decide, np.full(1, x),
-                     record=record).failed
+    failed = _kernel(params, draws, _observational_decision(params),
+                     np.full(1, np.nan), record=record).failed
     drop = draws["dropout"][:, 1:K] < params.dropout_hazard
     fue = np.where(drop.any(axis=1), drop.argmax(axis=1) + 1, K)
     tgrid = np.arange(K + 1)
@@ -339,29 +331,7 @@ def simulate_cohort(params, n, seed=None):
         raise ConfigError("n must be at least 1")
     key = (params.seed if seed is None else seed, 0)
     draws = _draws(key, n, params.horizon)
-    return _cohort(params, draws, _observational_decision(params))
-
-
-def simulate_forced(params, strategy, n, rule="earliest", seed=None):
-    """Simulate ``n`` subjects forced to follow one strategy.
-
-    ``rule`` picks the within-window visit time: ``earliest`` monitors the
-    first permitted month (gap = lo), ``latest`` the last (gap = hi), and
-    ``natural`` draws the visit from the observational law conditioned to
-    the permitted window (never before lo, surely at hi). The transition
-    kernel is shared with :func:`simulate_cohort`; only the monitoring
-    decision differs, so consistency holds mechanically. Like
-    :func:`simulate_cohort`, it runs only the structural checks.
-    """
-    params.check_structure()
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    if rule not in FORCED_RULES:
-        raise ConfigError(f"unknown forced rule {rule!r}")
-    key = (params.seed if seed is None else seed, 1)
-    draws = _draws(key, n, params.horizon)
-    return _cohort(params, draws, _forced_decision(params, strategy, rule),
-                   strategy.x)
+    return _cohort(params, draws)
 
 
 @dataclass
@@ -373,7 +343,6 @@ class TruthTable:
     risk_mcse: np.ndarray
     usage: np.ndarray
     usage_mcse: np.ndarray
-    rule: str
     n_mc: int
 
 
@@ -384,19 +353,21 @@ def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
     """Ground-truth counterfactual (risk, usage) per strategy by forced Monte
     Carlo.
 
-    Every subject is forced onto each strategy with the chosen within-window
-    visit rule (``earliest``, ``latest``, or ``natural``), reusing one set of
-    random draws across thresholds (common random numbers). The MC standard
-    error is the per-subject sample sd divided by sqrt(n_mc). Loss to
-    follow-up is independent of everything in this process, so the oracle
-    ignores it rather than discard truncated subjects; the counterfactual
-    means are unchanged.
+    Every subject is forced onto each strategy by the natural rule: inside
+    the permitted window the visit follows the observational law, never
+    before its lo and surely at its hi. That is the regime the censoring
+    weights target (see :mod:`rcds.weights`), so ``rule`` takes only
+    ``"natural"``. One set of random draws serves every threshold (common
+    random numbers). The MC standard error is the per-subject sample sd
+    divided by sqrt(n_mc). Loss to follow-up is independent of everything
+    in this process, so the oracle ignores it rather than discard truncated
+    subjects; the counterfactual means are unchanged.
 
     The whole grid runs through the one transition kernel (see
     :func:`_kernel`), in blocks of ``ORACLE_BLOCK`` subjects. A block holds
     at most k segments per subject, so its state stays below k times
     ``ORACLE_BLOCK`` segments of about 40 bytes whatever n_mc; on the
-    default grid it holds three to six per subject. Beyond that and the
+    default grid it ends with 3.6 per subject on average. Beyond that and the
     draws, six (n_mc, K + 1) float arrays that no step copies, the oracle
     keeps one failure flag and one visit count per strategy and subject,
     filled from each block's segments. Each strategy's means and SEs reduce
@@ -406,8 +377,10 @@ def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
     params.validate()
     if n_mc < 1000:
         raise ConfigError("oracle needs n_mc >= 1000")
-    if rule not in FORCED_RULES:
-        raise ConfigError(f"unknown oracle rule {rule!r}")
+    if rule != "natural":
+        raise ConfigError(
+            f"unknown oracle rule {rule!r}: the oracle simulates only the "
+            "natural rule, the regime the censoring weights target")
     key = (params.seed if seed is None else seed, 2)
     draws = _draws(key, n_mc, params.horizon)
     k = len(grid)
@@ -415,7 +388,7 @@ def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
     visits = np.empty((k, n_mc), dtype=np.min_scalar_type(params.horizon + 1))
     for start in range(0, n_mc if k else 0, ORACLE_BLOCK):  # empty grid: none
         rows = slice(start, start + ORACLE_BLOCK)
-        s = _kernel(params, draws, _forced_decision(params, grid[0], rule),
+        s = _kernel(params, draws, _forced_decision(params, grid[0]),
                     grid.xs, rows)
         f, v = failed[:, rows], visits[:, rows]
         first = np.zeros(f.shape, dtype=bool)
@@ -432,4 +405,4 @@ def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
         usage[j] = d.mean()
         risk_se[j] = y.std(ddof=1) / np.sqrt(n_mc)
         usage_se[j] = d.std(ddof=1) / np.sqrt(n_mc)
-    return TruthTable(grid.xs, risk, risk_se, usage, usage_se, rule, n_mc)
+    return TruthTable(grid.xs, risk, risk_se, usage, usage_se, n_mc)

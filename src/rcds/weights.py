@@ -14,8 +14,8 @@ reaches hi (a missed visit dooms the clone) contribute 1/p, and trajectories
 the within-protocol regime cannot produce get weight zero. Each such factor
 has conditional mean one given the past, so the weighted clone population
 reproduces the observational process conditioned month-by-month to the
-strategy's windows: the regime the ``natural`` oracle rule simulates, and so
-the estimand the oracle checks.
+strategy's windows: the natural rule, the one regime the oracle simulates
+(:func:`rcds.oracle_truth`), and so the estimand the oracle checks.
 """
 
 import dataclasses

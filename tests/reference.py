@@ -16,14 +16,17 @@ sweeps of :func:`rcds.strategies.horizon_matrix`.
 The simulator's one-strategy-at-a-time transition kernel, its cohort packer
 and its per-threshold oracle loop are the reference for the segment kernel
 of :mod:`rcds.simulate`, and the row scan for constant columns is the
-reference for :meth:`rcds.weights.MonitorDesign.constant_columns`.
+reference for :meth:`rcds.weights.MonitorDesign.constant_columns`. The
+cohort forced onto one strategy (:func:`simulate_forced`), with its three
+within-window visit rules, lives only here: it is the test data for
+consistency by construction.
 """
 
 import numpy as np
 from scipy.special import expit
 
 from rcds.cohort import _REASON_CODE, Cohort, baseline_design
-from rcds.errors import ConfigError, UndefinedHistory
+from rcds.errors import ConfigError
 from rcds.expansion import HorizonTable
 from rcds.msm import (
     DEGENERATE_ETA,
@@ -33,7 +36,6 @@ from rcds.msm import (
     _strategy_basis,
 )
 from rcds.simulate import (
-    FORCED_RULES,
     SIM_SCHEMA,
     TruthTable,
     _baseline_values,
@@ -41,6 +43,8 @@ from rcds.simulate import (
     monitor_probability,
 )
 from rcds.weights import _summary
+
+FORCED_RULES = ("earliest", "latest", "natural")
 
 
 def horizon_responses(ds):
@@ -152,16 +156,7 @@ def carried_columns(cohort):
 
 
 def applicable_window(strategy, last_marker, override_flag):
-    """Window in force given an observed state (see :func:`window_bounds`).
-
-    Raises :class:`UndefinedHistory` when no marker has ever been observed
-    and no override is active.
-    """
-    if override_flag != 1 and np.isnan(last_marker):
-        raise UndefinedHistory(
-            "no observed marker and no override; the strategy window is "
-            "undefined"
-        )
+    """Window in force given an observed state (see :func:`window_bounds`)."""
     lo, hi = window_bounds(strategy, last_marker, override_flag)
     return int(lo), int(hi)
 
@@ -319,30 +314,37 @@ def simulate_cohort(params, n, seed=None):
 
 
 def simulate_forced(params, strategy, n, rule="earliest", seed=None):
-    """The forced cohort, one subject vector at a time."""
+    """``n`` subjects forced to follow one strategy, one subject vector at a
+    time.
+
+    ``rule`` picks the within-window visit time: ``earliest`` monitors the
+    first permitted month (gap = lo), ``latest`` the last (gap = hi), and
+    ``natural`` draws the visit from the observational law conditioned to
+    the permitted window (never before lo, surely at hi).
+    """
+    if rule not in FORCED_RULES:
+        raise ConfigError(f"unknown forced rule {rule!r}")
     key = (params.seed if seed is None else seed, 1)
     draws = _draws(key, n, params.horizon)
     raw = _run_kernel(params, n, draws, _forced_decision(params, strategy, rule))
     return _pack_cohort(params, raw, draws)
 
 
-def oracle_truth(params, grid, n_mc, rule="earliest", seed=None):
+def oracle_truth(params, grid, n_mc, seed=None):
     """Ground-truth counterfactual (risk, usage) per strategy by forced Monte
     Carlo.
 
-    Every subject is forced onto each strategy in turn with the chosen
-    within-window visit rule (``earliest``, ``latest``, or ``natural``),
-    reusing one set of random draws across thresholds (common random
-    numbers). The MC standard error is the per-subject sample sd divided by
-    sqrt(n_mc). Loss to follow-up is independent of everything in this
-    process, so forced runs disable it rather than discard truncated
-    subjects; the counterfactual means are unchanged.
+    Every subject is forced onto each strategy in turn by the natural
+    within-window visit rule, reusing one set of random draws across
+    thresholds (common random numbers). The MC standard error is the
+    per-subject sample sd divided by sqrt(n_mc). Loss to follow-up is
+    independent of everything in this process, so forced runs disable it
+    rather than discard truncated subjects; the counterfactual means are
+    unchanged.
     """
     params.validate()
     if n_mc < 1000:
         raise ConfigError("oracle needs n_mc >= 1000")
-    if rule not in FORCED_RULES:
-        raise ConfigError(f"unknown oracle rule {rule!r}")
     key = (params.seed if seed is None else seed, 2)
     xs = grid.xs
 
@@ -354,11 +356,11 @@ def oracle_truth(params, grid, n_mc, rule="earliest", seed=None):
     usage_se = np.empty(len(grid))
     for j, strat in enumerate(grid):
         raw = _run_kernel(noloss, n_mc, draws,
-                          _forced_decision(noloss, strat, rule))
+                          _forced_decision(noloss, strat, "natural"))
         y = raw["failed"].astype(np.float64)
         d = raw["mon"].sum(axis=1).astype(np.float64)
         risk[j] = y.mean()
         usage[j] = d.mean()
         risk_se[j] = y.std(ddof=1) / np.sqrt(n_mc)
         usage_se[j] = d.std(ddof=1) / np.sqrt(n_mc)
-    return TruthTable(xs, risk, risk_se, usage, usage_se, rule, n_mc)
+    return TruthTable(xs, risk, risk_se, usage, usage_se, n_mc)

@@ -139,16 +139,20 @@ def test_coverage_reports_each_cohort_on_stderr(tmp_path, capsys,
 
 
 def test_oracle_defaults_to_natural_rule(tmp_path, capsys):
-    # the rule the censoring weights target; earliest is a different estimand
+    # the rule the censoring weights target, and the only one the oracle has
     base = {"mode": "oracle", "seed": 5, "n_mc": 2000,
             "grid": {"x_step": 100}}
     truths = {}
-    for rule in (None, "natural", "earliest"):
+    for rule in (None, "natural"):
         config = dict(base) if rule is None else {**base, "rule": rule}
         assert run(tmp_path, str(rule), config, capsys)[0] == 0
         truths[rule] = (tmp_path / str(rule) / "truth.csv").read_bytes()
     assert truths[None] == truths["natural"]
-    assert truths[None] != truths["earliest"]
+    status, err = run(tmp_path, "earliest", {**base, "rule": "earliest"},
+                      capsys)
+    assert status == 2
+    assert "only the natural rule" in err
+    assert err.splitlines()[-1] == "error_code=CONFIG_ERROR"
 
 
 def test_failed_replicates_are_counted_by_code(tmp_path, cohort_csv, capsys,
@@ -206,6 +210,11 @@ BAD_INPUTS = {
                                "dgp": {"mon_gap": "steep"}},
     "oracle_rule_unknown": {"mode": "oracle", "seed": 5, "n_mc": 2000,
                             "rule": "conditional"},
+    "coverage_oracle_rule_latest": {"mode": "coverage", "seed": 5, "n": 1000,
+                                    "oracle_n_mc": 1000,
+                                    "oracle_rule": "latest"},
+    "misspelled_top_level_key": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                                 "bootsrap": 20},
     "weights_null": {"mode": "analyze", "seed": 5, "kappa": 4.5,
                      "weights": None},
     "weights_list": {"mode": "analyze", "seed": 5, "kappa": 4.5,
@@ -281,6 +290,7 @@ def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
     ("schema_entry_not_a_mapping",
      "baseline_schema entry 1 must be a mapping with a 'name', got 'sex'"),
     ("schema_entry_without_name", "baseline_schema entry 1 must be a mapping"),
+    ("misspelled_top_level_key", "unknown config key 'bootsrap'"),
     ("misspelled_grid_key", "unknown grid key 'x_setp'"),
     ("misspelled_msm_key", "unknown msm key 'baseline_term'"),
     ("window_not_a_pair", "window_below must be two whole months, got 3"),
@@ -306,6 +316,9 @@ def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
     ("coverage_no_cohorts", "coverage needs n_cohorts >= 1, got 0"),
     ("coverage_negative_cohorts", "coverage needs n_cohorts >= 1, got -1"),
     ("coverage_no_bootstrap", "coverage needs bootstrap B >= 1, got 0"),
+    ("coverage_oracle_rule_latest",
+     "unknown oracle rule 'latest': the oracle simulates only the natural "
+     "rule"),
 ])
 def test_bad_config_value_is_named(tmp_path, cohort_csv, capsys, name, named):
     config = dict(BAD_INPUTS[name])

@@ -21,7 +21,6 @@ from rcds import (
     DgpParams,
     ThresholdStrategy,
     simulate_cohort,
-    simulate_forced,
 )
 from rcds.cohort import SubjectRecord, TimeRow, baseline_design
 from rcds.io import cohort_to_csv, ingest_cohort
@@ -123,10 +122,10 @@ def test_simulated_history_is_carried_forward(seed):
     assert_carried_forward(simulate_cohort(DgpParams(), 400, seed=seed))
 
 
-@pytest.mark.parametrize("rule", ["earliest", "latest", "natural"])
+@pytest.mark.parametrize("rule", reference.FORCED_RULES)
 def test_forced_history_is_carried_forward(rule):
     for x in (200.0, 350.0, 500.0):
-        assert_carried_forward(simulate_forced(
+        assert_carried_forward(reference.simulate_forced(
             DgpParams(), ThresholdStrategy(x), 200, rule=rule, seed=3))
 
 

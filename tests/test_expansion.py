@@ -10,11 +10,10 @@ from rcds import (
     expand,
     horizon_table,
     simulate_cohort,
-    simulate_forced,
 )
 
 from conftest import FIXTURE_K, fixture_horizons
-from reference import horizon_responses
+from reference import horizon_responses, simulate_forced
 
 
 @pytest.fixture(scope="module")

@@ -831,7 +831,7 @@ def test_truth_keeps_header_and_formatting(tmp_path):
                        risk_mcse=np.array([0.001, np.nan]),
                        usage=np.array([4.0, 3.5]),
                        usage_mcse=np.array([0.01, 0.02]),
-                       rule="natural", n_mc=100)
+                       n_mc=100)
     truth_to_csv(truth, tmp_path / "truth.csv")
     assert (tmp_path / "truth.csv").read_bytes().decode() == (
         "x,risk_true,risk_mcse,usage_true,usage_mcse\r\n"

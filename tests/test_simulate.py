@@ -16,9 +16,8 @@ from rcds import (
     monitor_probability,
     oracle_truth,
     simulate_cohort,
-    simulate_forced,
 )
-from rcds.simulate import FORCED_RULES, ORACLE_BLOCK
+from rcds.simulate import ORACLE_BLOCK
 
 import reference
 
@@ -144,31 +143,34 @@ class TestExchangeabilityBoundary:
 
 
 class TestSimulateForced:
+    """The forced cohort of tests/reference.py, the test data for
+    consistency by construction."""
+
     def test_earliest_rule_gap_structure(self):
         p = DgpParams(override_hazard=0.0, dropout_hazard=0.0,
                       fail_intercept=-30.0)
         strat = ThresholdStrategy(10_000.0, (2, 7), (8, 13), (2, 7))
-        cohort = simulate_forced(p, strat, 50, seed=2)
+        cohort = reference.simulate_forced(p, strat, 50, seed=2)
         # marker always below x: every inter-visit gap equals 2
         gaps = cohort.months_since[cohort.monitor == 0]
         assert gaps.max() == 1
         assert np.all(cohort.d_total == 1 + p.horizon // 2)
 
     def test_forced_cohort_consistent_by_construction(self):
-        from reference import consistency_horizon
-
         p = DgpParams()
-        for rule in ("earliest", "latest", "natural"):
+        for rule in reference.FORCED_RULES:
             strat = ThresholdStrategy(350.0, (2, 7), (8, 13), (2, 7))
-            cohort = simulate_forced(p, strat, 200, rule=rule, seed=8)
+            cohort = reference.simulate_forced(p, strat, 200, rule=rule,
+                                               seed=8)
             for rec in cohort.records():
-                assert consistency_horizon(strat, rec) == p.horizon + 1, rule
+                assert reference.consistency_horizon(strat, rec) \
+                    == p.horizon + 1, rule
 
     def test_higher_threshold_needs_more_measurements(self):
         p = DgpParams()
         grid = StrategyGrid.default()
-        lo = simulate_forced(p, grid[0], 10_000, seed=14)
-        hi = simulate_forced(p, grid[30], 10_000, seed=14)
+        lo = reference.simulate_forced(p, grid[0], 10_000, seed=14)
+        hi = reference.simulate_forced(p, grid[30], 10_000, seed=14)
         assert hi.d_total.mean() > lo.d_total.mean()
 
 
@@ -178,7 +180,7 @@ class TestOracle:
         # its coefficient makes every strategy equivalent for the outcome
         p = DgpParams(fail_clock=0.0)
         grid = StrategyGrid.default(x_step=100)
-        truth = oracle_truth(p, grid, 20_000, rule="earliest", seed=5)
+        truth = oracle_truth(p, grid, 20_000, seed=5)
         spread = truth.risk.max() - truth.risk.min()
         assert spread <= 2 * truth.risk_mcse.max()
 
@@ -186,7 +188,7 @@ class TestOracle:
         p = DgpParams()
         grid = StrategyGrid.default(x_step=100, window_below=(3, 8),
                                     window_above=(3, 8), override_window=(3, 8))
-        truth = oracle_truth(p, grid, 20_000, rule="earliest", seed=5)
+        truth = oracle_truth(p, grid, 20_000, seed=5)
         spread = truth.usage.max() - truth.usage.min()
         assert spread <= 2 * truth.usage_mcse.max()
 
@@ -200,21 +202,15 @@ class TestOracle:
         assert np.array_equal(a.risk_mcse, b.risk_mcse)
 
     def test_defaults_to_natural_rule(self):
-        # the regime the censoring weights target, as in the CLI
+        # the regime the censoring weights target, and the only one
         grid = StrategyGrid.default(x_step=150)
         default = oracle_truth(DgpParams(), grid, 2000, seed=9)
         natural = oracle_truth(DgpParams(), grid, 2000, rule="natural", seed=9)
-        assert default.rule == "natural"
         assert np.array_equal(default.risk, natural.risk)
         assert np.array_equal(default.usage, natural.usage)
-
-    def test_rules_are_ordered_on_usage(self):
-        # earliest visits cannot use fewer measurements than latest
-        p = DgpParams()
-        grid = StrategyGrid.default(x_step=150)
-        early = oracle_truth(p, grid, 20_000, rule="earliest", seed=5)
-        late = oracle_truth(p, grid, 20_000, rule="latest", seed=5)
-        assert np.all(early.usage > late.usage)
+        with pytest.raises(ConfigError, match="only the natural rule") as err:
+            oracle_truth(DgpParams(), grid, 2000, rule="earliest", seed=9)
+        assert err.value.code == "CONFIG_ERROR"
 
 
 # a marker that sits on the threshold 350 every month: ``<`` and ``<=`` in the
@@ -243,25 +239,24 @@ class TestStackedKernel:
     GRIDS = {"default": StrategyGrid.default(),
              "one-threshold": StrategyGrid.default(x_start=350, x_stop=350)}
 
-    @pytest.mark.parametrize("rule", ["natural", "earliest", "latest"])
+    # the oracle's one rule, passed by keyword as the CLI passes it
+    @pytest.mark.parametrize("rule", ["natural"])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_oracle_equals_per_threshold_loop(self, grid, rule):
         grid = self.GRIDS[grid]
         for n_mc in block_sizes():
             got = oracle_truth(DgpParams(), grid, n_mc, rule=rule, seed=9)
-            want = reference.oracle_truth(DgpParams(), grid, n_mc, rule=rule,
-                                          seed=9)
+            want = reference.oracle_truth(DgpParams(), grid, n_mc, seed=9)
             assert truths_equal(got, want), n_mc
 
-    @pytest.mark.parametrize("rule", ["natural", "earliest", "latest"])
+    @pytest.mark.parametrize("rule", ["natural"])
     def test_oracle_equals_loop_with_marker_on_threshold(self, rule):
         # from x_start 350 the marker sits on the first strategy of the
         # grid's one segment: it keeps the above window, the rest split off
         for x_start in (200, 350):
             grid = StrategyGrid.default(x_start=x_start, x_step=50)
             got = oracle_truth(ON_THRESHOLD, grid, 2000, rule=rule, seed=9)
-            want = reference.oracle_truth(ON_THRESHOLD, grid, 2000,
-                                          rule=rule, seed=9)
+            want = reference.oracle_truth(ON_THRESHOLD, grid, 2000, seed=9)
             assert truths_equal(got, want), x_start
 
     @pytest.mark.parametrize("params", [DgpParams(), ON_THRESHOLD],
@@ -269,17 +264,6 @@ class TestStackedKernel:
     def test_cohort_equals_reference_kernel(self, params):
         got = simulate_cohort(params, 3000, seed=4)
         want = reference.simulate_cohort(params, 3000, seed=4)
-        assert cohorts_equal(got, want)
-        assert np.array_equal(got.end_reason, want.end_reason)
-
-    @pytest.mark.parametrize("rule", ["natural", "earliest", "latest"])
-    @pytest.mark.parametrize("params", [DgpParams(), ON_THRESHOLD],
-                             ids=["default", "on-threshold"])
-    def test_forced_equals_reference_kernel(self, params, rule):
-        strat = ThresholdStrategy(350.0)
-        got = simulate_forced(params, strat, 2000, rule=rule, seed=4)
-        want = reference.simulate_forced(params, strat, 2000, rule=rule,
-                                         seed=4)
         assert cohorts_equal(got, want)
         assert np.array_equal(got.end_reason, want.end_reason)
 
@@ -310,12 +294,10 @@ def window_grids(draw):
 @settings(max_examples=30)
 @given(grid=window_grids(),
        params=st.sampled_from([DgpParams(), ON_THRESHOLD]),
-       rule=st.sampled_from(FORCED_RULES),
        n_mc=st.sampled_from([1000, ORACLE_BLOCK + 1]))
-def test_oracle_equals_per_threshold_loop_on_drawn_grids(grid, params, rule,
-                                                         n_mc):
-    got = oracle_truth(params, grid, n_mc, rule=rule, seed=9)
-    want = reference.oracle_truth(params, grid, n_mc, rule=rule, seed=9)
+def test_oracle_equals_per_threshold_loop_on_drawn_grids(grid, params, n_mc):
+    got = oracle_truth(params, grid, n_mc, seed=9)
+    want = reference.oracle_truth(params, grid, n_mc, seed=9)
     assert truths_equal(got, want)
 
 

@@ -11,7 +11,6 @@ from rcds import (
     StrategyGrid,
     SubjectRecord,
     ThresholdStrategy,
-    UndefinedHistory,
     horizon_matrix,
 )
 from conftest import (
@@ -40,13 +39,6 @@ class TestApplicableWindow:
     def test_override_takes_precedence(self):
         s = ThresholdStrategy(320.0, (2, 7), (8, 13), (2, 7))
         assert applicable_window(s, 600.0, 1) == (2, 7)
-
-    def test_missing_history_raises(self):
-        s = ThresholdStrategy(320.0)
-        with pytest.raises(UndefinedHistory):
-            applicable_window(s, float("nan"), 0)
-        # an active override still defines the window
-        assert applicable_window(s, float("nan"), 1) == (2, 7)
 
     def test_window_validation(self):
         with pytest.raises(ConfigError):
