@@ -3,13 +3,15 @@
 Two families are supported: binomial with logit link and Poisson with log
 link. Case weights multiply the working weights, so bootstrap multiplicities
 and inverse-probability weights can be folded into a single weight vector.
+The link functions, the deviance and the log-likelihood use numpy and the
+standard library only, so importing the package loads no scipy module.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln, xlogy
 
 from .errors import ConfigError, NonConvergence, RankError, SchemaError
 
@@ -151,27 +153,45 @@ def _check_response(y, family, n):
     return y
 
 
+def logistic(x):
+    """The inverse logit 1 / (1 + exp(-x)), elementwise, in float64; a
+    scalar gives a scalar. Below x = -709.79 exp(-x) overflows to inf, which
+    gives exactly 0, and from x = 36.74 up the result rounds to exactly 1."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        out = np.negative(x, out=np.empty_like(x))
+        np.exp(out, out=out)
+        out += 1.0
+        np.reciprocal(out, out=out)
+    return out if out.ndim else out[()]
+
+
 def _mu_eta(eta, family):
     if family == BINOMIAL_LOGIT:
-        mu = expit(eta)
+        mu = logistic(eta)
         return np.clip(mu, 1e-12, 1 - 1e-12)
     mu = np.exp(np.clip(eta, -300, 300))
     return np.clip(mu, 1e-300, None)
 
 
 def deviance(y, mu, w, family):
-    """Weighted deviance, zero-safe in y."""
+    """Weighted deviance of 0/1 (binomial) or count (Poisson) responses y,
+    zero-safe in y; the fitted means mu lie in (0, 1) or (0, inf), as
+    :func:`_mu_eta` keeps them."""
     if family == BINOMIAL_LOGIT:
-        parts = xlogy(y, y) - xlogy(y, mu) + xlogy(1 - y, 1 - y) - xlogy(1 - y, 1 - mu)
-    else:
-        parts = xlogy(y, y) - xlogy(y, mu) - (y - mu)
+        return float(-2.0 * np.sum(w * np.log(np.where(y == 1, mu, 1 - mu))))
+    ylogy = y * np.log(np.where(y > 0, y, 1.0))  # 0 log 0 = 0
+    parts = ylogy - y * np.log(mu) - (y - mu)
     return float(2.0 * np.sum(w * parts))
 
 
 def log_likelihood(y, mu, w, family):
+    """Weighted log-likelihood of 0/1 (binomial) or count (Poisson)
+    responses y at fitted means mu (see :func:`deviance`)."""
     if family == BINOMIAL_LOGIT:
-        return float(np.sum(w * (xlogy(y, mu) + xlogy(1 - y, 1 - mu))))
-    return float(np.sum(w * (xlogy(y, mu) - mu - gammaln(y + 1.0))))
+        return float(np.sum(w * np.log(np.where(y == 1, mu, 1 - mu))))
+    log_factorial = np.vectorize(math.lgamma, otypes=[float])(y + 1.0)
+    return float(np.sum(w * (y * np.log(mu) - mu - log_factorial)))
 
 
 def score(design, y, coef, family):
@@ -314,5 +334,5 @@ def predict(fit, design):
         )
     eta = design.X @ fit.coef
     if fit.family == BINOMIAL_LOGIT:
-        return expit(eta)
+        return logistic(eta)
     return np.exp(np.clip(eta, -300, 300))

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # loaded now, not lazily at the bootstrap's first seed
 
 from .cohort import CATEGORICAL, baseline_design, baseline_fields
 from .errors import (

@@ -23,10 +23,10 @@ on average.
 import dataclasses
 import numbers
 from dataclasses import dataclass
+from statistics import NormalDist
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import expit
 
 from .cohort import (
     CATEGORICAL,
@@ -37,6 +37,7 @@ from .cohort import (
     _REASON_CODE,
 )
 from .errors import ConfigError
+from .glm import logistic
 from .strategies import window_bounds
 
 BAND_EDGES = (250.0, 400.0)
@@ -156,7 +157,7 @@ def monitor_probability(params, last_marker, gap, override):
         + params.mon_gap * np.asarray(gap, dtype=np.float64)
         + params.mon_override * np.asarray(override, dtype=np.float64)
     )
-    return expit(logit)
+    return logistic(logit)
 
 
 def _observational_decision(params):
@@ -250,9 +251,9 @@ def _kernel(params, draws, decide, xs, rows=slice(None), record=None):
         detected = visit & (s.failed | s.flare)
         s.clock = np.where(reset, 0, s.clock + 1)
         Us = U[sub]
-        s.failed |= fail_u[sub, t] < expit(params.fail_intercept
-                                           + params.fail_clock * s.clock
-                                           + params.fail_marker * Us)
+        s.failed |= fail_u[sub, t] < logistic(params.fail_intercept
+                                              + params.fail_clock * s.clock
+                                              + params.fail_marker * Us)
         s.last = np.where(visit, Us, s.last)
         s.override = np.where(visit, detected.astype(np.int8), s.override)
         s.flare &= ~visit
@@ -272,8 +273,10 @@ def _baseline_values(draws, base_marker):
 
 
 def _norm_ppf(u):
-    from scipy.special import ndtri
-    return ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    """Standard normal quantiles of the probabilities ``u`` (1-d)."""
+    u = np.clip(u, 1e-12, 1 - 1e-12)
+    return np.fromiter(map(NormalDist().inv_cdf, u.tolist()), np.float64,
+                       u.size)
 
 
 def _cohort(params, draws):

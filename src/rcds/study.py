@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # loaded now, not lazily at the study's first seed
 
 from .errors import ConfigError
 from .msm import MsmSpec, WeightOptions, bootstrap_pipeline

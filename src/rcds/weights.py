@@ -22,11 +22,10 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .cohort import baseline_design
 from .errors import ConfigError, NonConvergence, PositivityViolation, SeparationError
-from .glm import BINOMIAL_LOGIT, DesignMatrix, fit_glm, predict, rcs_basis
+from .glm import BINOMIAL_LOGIT, DesignMatrix, fit_glm, logistic, predict, rcs_basis
 from .strategies import WindowCells, sweep, window_bounds
 
 PROB_FLOOR = 1e-6
@@ -204,7 +203,7 @@ class MonitorDesign:
 
     def probabilities(self, model):
         """Fitted P(monitor = 1) of ``model`` at every decision month."""
-        return expit(_without(self.matrix, model.dropped).X @ model.fit.coef)
+        return logistic(_without(self.matrix, model.dropped).X @ model.fit.coef)
 
     def constant_columns(self, multiplicity=None):
         """Names of the non-intercept columns that are constant over the rows

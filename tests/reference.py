@@ -20,14 +20,18 @@ reference for :meth:`rcds.weights.MonitorDesign.constant_columns`. The
 cohort forced onto one strategy (:func:`simulate_forced`), with its three
 within-window visit rules, lives only here: it is the test data for
 consistency by construction.
+
+The deviance and log-likelihood in scipy's zero-safe ``xlogy`` and
+``gammaln`` are the references for the numpy ones of :mod:`rcds.glm`.
 """
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, gammaln, xlogy
 
 from rcds.cohort import _REASON_CODE, Cohort, baseline_design
 from rcds.errors import ConfigError
 from rcds.expansion import HorizonTable
+from rcds.glm import BINOMIAL_LOGIT
 from rcds.msm import (
     DEGENERATE_ETA,
     MsmSpec,
@@ -45,6 +49,23 @@ from rcds.simulate import (
 from rcds.weights import _summary
 
 FORCED_RULES = ("earliest", "latest", "natural")
+
+
+def scipy_deviance(y, mu, w, family):
+    """Weighted deviance, zero-safe in y through ``xlogy``."""
+    if family == BINOMIAL_LOGIT:
+        parts = (xlogy(y, y) - xlogy(y, mu) + xlogy(1 - y, 1 - y)
+                 - xlogy(1 - y, 1 - mu))
+    else:
+        parts = xlogy(y, y) - xlogy(y, mu) - (y - mu)
+    return float(2.0 * np.sum(w * parts))
+
+
+def scipy_log_likelihood(y, mu, w, family):
+    """Weighted log-likelihood through ``xlogy`` and ``gammaln``."""
+    if family == BINOMIAL_LOGIT:
+        return float(np.sum(w * (xlogy(y, mu) + xlogy(1 - y, 1 - mu))))
+    return float(np.sum(w * (xlogy(y, mu) - mu - gammaln(y + 1.0))))
 
 
 def horizon_responses(ds):

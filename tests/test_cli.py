@@ -187,6 +187,45 @@ def test_cli_import_loads_no_scipy_solvers():
     assert out.split() == []
 
 
+REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"import of {name} refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+from rcds.cli import main
+
+for mode, config, out in zip(*[iter(sys.argv[1:])] * 3):
+    if main([mode, "--config", config, "--out", out]) != 0:
+        sys.exit(f"rcds {mode} failed")
+"""
+
+
+def test_cli_runs_with_scipy_refused(tmp_path):
+    # the program needs numpy and PyYAML only; scipy is a test dependency
+    configs = {
+        "simulate": mode_config("simulate", None),
+        "analyze": mode_config("analyze",
+                               str(tmp_path / "simulate" / "cohort.csv")),
+        "coverage": {**mode_config("coverage", None), "bootstrap": 1,
+                     "oracle_n_mc": 1000},
+    }
+    args = []
+    for mode, config in configs.items():
+        args += [mode, write_config(tmp_path / f"{mode}.yaml", config),
+                 str(tmp_path / mode)]
+    src = Path(rcds.cli.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", REFUSE_SCIPY, *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "analyze" / "report.csv").exists()
+    assert (tmp_path / "coverage" / "coverage.csv").exists()
+
+
 BAD_INPUTS = {
     "missing_kappa": {"mode": "analyze", "seed": 5},
     "bootstrap_not_a_number": {"mode": "analyze", "seed": 5, "kappa": 4.5,

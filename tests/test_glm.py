@@ -1,6 +1,7 @@
 """GLM fitter and spline-basis tests, backed by independent numerical oracles."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -25,11 +26,16 @@ from rcds.glm import (
     BINOMIAL_LOGIT,
     DEFAULT_MAX_ITER,
     POISSON_LOG,
+    deviance,
     fit_glm,
+    log_likelihood,
+    logistic,
     predict,
     rcs_basis,
     score,
 )
+
+import reference
 
 
 def _neg_loglik(beta, X, y, w, family):
@@ -315,6 +321,41 @@ class TestPredict:
         fit = fit_glm(d, [1.0, 2.0, 3.0], POISSON_LOG)
         with pytest.raises(SchemaError):
             predict(fit, DesignMatrix(np.ones((3, 1)), ["other"]))
+
+
+class TestLinkFunctions:
+    """The numpy link functions against scipy's, to stated tolerances."""
+
+    def test_logistic_within_4_ulp_of_expit(self):
+        # both compute 1 / (1 + exp(-x)); numpy's exp and the C library's
+        # differ by up to an ulp, which the rounding of 1 + exp(-x) above
+        # 2**53 (x near -37) can widen to 4 ulp of the result
+        x = np.linspace(-800.0, 800.0, 2_000_001)
+        ulps = np.abs(logistic(x).view(np.int64) - expit(x).view(np.int64))
+        assert ulps.max() <= 4
+        assert logistic(0.0) == 0.5 and np.ndim(logistic(0.0)) == 0
+
+    def test_logistic_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(logistic(np.array([-800.0, 800.0]))) == [0.0, 1.0]
+            assert logistic(-800.0) == 0.0 and logistic(800.0) == 1.0
+
+    @pytest.mark.parametrize("family", [BINOMIAL_LOGIT, POISSON_LOG])
+    def test_deviance_and_loglik_match_scipy_formulas(self, family):
+        rng = np.random.default_rng(11)
+        n = 5000
+        if family == BINOMIAL_LOGIT:
+            mu = rcds.glm._mu_eta(rng.normal(0.0, 8.0, n), family)
+            y = (rng.random(n) < mu).astype(float)
+        else:
+            mu = rcds.glm._mu_eta(rng.normal(0.0, 2.0, n), family)
+            y = rng.poisson(mu).astype(float)
+        w = rng.uniform(0.0, 3.0, n)
+        for ours, ref in ((deviance, reference.scipy_deviance),
+                          (log_likelihood, reference.scipy_log_likelihood)):
+            assert ours(y, mu, w, family) == pytest.approx(
+                ref(y, mu, w, family), rel=1e-12, abs=0)
 
 
 class TestRcsBasis:

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rcds import (
     ConfigError,
@@ -35,6 +36,8 @@ from rcds.weights import (
     monitor_design,
 )
 
+import rcds.glm
+import rcds.weights
 import reference
 from reference import fit_outcome_msm, fit_resource_msm
 
@@ -543,3 +546,27 @@ class TestBootstrap:
                                B=20, seed=5).table
         assert np.array_equal(a.risk_lo, b.risk_lo)
         assert np.array_equal(a.usage_hi, b.usage_hi)
+
+    def test_bootstrap_matches_scipy_link_functions(self, monkeypatch):
+        # the numpy link functions move results by rounding only
+        cohort = simulate_cohort(DgpParams(), 1000, seed=71)
+        grid = StrategyGrid.default()
+
+        def table():
+            return bootstrap_pipeline(cohort, grid, MsmSpec(),
+                                      WeightOptions(), B=4, seed=5).table
+
+        ours = table()
+        for module in (rcds.glm, rcds.weights):
+            monkeypatch.setattr(module, "logistic", expit)
+        monkeypatch.setattr(rcds.glm, "deviance", reference.scipy_deviance)
+        monkeypatch.setattr(rcds.glm, "log_likelihood",
+                            reference.scipy_log_likelihood)
+        scipy_backed = table()
+        for f in dataclasses.fields(ours):
+            a, b = getattr(ours, f.name), getattr(scipy_backed, f.name)
+            if isinstance(a, np.ndarray):
+                np.testing.assert_allclose(a, b, rtol=1e-10, atol=0,
+                                           err_msg=f.name)
+            else:
+                assert a == b, f.name

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
+from scipy.special import ndtri
 
 from rcds import (
     ConfigError,
@@ -17,7 +17,7 @@ from rcds import (
     oracle_truth,
     simulate_cohort,
 )
-from rcds.simulate import ORACLE_BLOCK
+from rcds.simulate import ORACLE_BLOCK, _norm_ppf
 
 import reference
 
@@ -111,6 +111,15 @@ class TestSimulateCohort:
         cohort = simulate_cohort(p, 10_000, seed=3)
         observed = cohort.monitor[cohort.t >= 1].mean()
         assert abs(observed - expected) < 0.02
+
+    def test_norm_ppf_matches_ndtri(self):
+        # the age draw's quantiles, from the standard library, over the
+        # clipped probability range
+        tail = np.geomspace(1e-12, 0.5, 100_000)
+        u = np.concatenate([tail, 1.0 - tail,
+                            np.random.default_rng(3).random(200_000)])
+        ours, ref = _norm_ppf(u), ndtri(u)
+        assert np.all(np.abs(ours - ref) <= 2e-15 * np.abs(ref))
 
     def test_default_params_monthly_frequency_sane(self):
         cohort = simulate_cohort(DgpParams(), 10_000, seed=3)
