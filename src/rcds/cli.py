@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import io as rio
 from .chart import render_chart
-from .errors import ConfigError, RcdsError
+from .errors import ConfigError, RcdsError, is_number, is_whole
 from .msm import MsmSpec, WeightOptions, analyze_cohort, bootstrap_pipeline
 from .optimize import frontier, select
 from .simulate import DgpParams, oracle_truth, simulate_cohort
@@ -23,26 +23,26 @@ from .weights import MonitorFeatureSpec
 
 
 def _number(block, key, default=None, kind=float):
-    """``block[key]`` (or ``default``) as ``kind``; a missing required value
-    or one that is not a number is a :class:`ConfigError`."""
+    """``block[key]`` (or ``default``) as ``kind``, float or int; a missing
+    required value, a boolean or other non-number, or a fraction for int is
+    a :class:`ConfigError` naming the key."""
     value = block.get(key, default)
     if value is None:
         raise ConfigError(f"config needs a value for {key!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+    if not is_number(value):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}")
+    if kind is int and not is_whole(value):
+        raise ConfigError(f"{key!r} must be a whole number, got {value!r}")
+    return kind(value)
 
 
-def _listed(block, key, kind, what):
+def _listed(block, key, what, kind, valid=lambda v: True):
     """``block[key]`` as a tuple of ``kind``, empty when absent or null; any
-    other value that is not a list of such items is a :class:`ConfigError`."""
+    other value that is not a list of ``valid`` items is a
+    :class:`ConfigError`."""
     value = [] if block.get(key) is None else block[key]
-    if isinstance(value, list):
-        try:
-            return tuple(kind(v) for v in value)
-        except (TypeError, ValueError):
-            pass
+    if isinstance(value, list) and all(valid(v) for v in value):
+        return tuple(kind(v) for v in value)
     raise ConfigError(f"{key!r} must be a list of {what}, got {value!r}")
 
 
@@ -51,7 +51,11 @@ def _integer(block, key):
 
 
 def _names(block, key):
-    return _listed(block, key, str, "names")
+    return _listed(block, key, "names", str)
+
+
+def _numbers(block, key):
+    return _listed(block, key, "numbers", float, is_number)
 
 
 def _present(block, keys, readers):
@@ -99,7 +103,7 @@ def _dgp_from(block, seed):
 def _msm_from(block):
     _known_keys(block, MSM_KEYS, "msm")
     return MsmSpec(**_present(block, MSM_KEYS, {
-        "strategy_knots": lambda b, k: _listed(b, k, float, "numbers") or None,
+        "strategy_knots": lambda b, k: _numbers(b, k) or None,
         "baseline_terms": lambda b, k: "all" if b[k] == "all"
         else _names(b, k)}))
 
@@ -122,13 +126,9 @@ def _schema_from(cfg):
 
 def _load_cohort(cfg):
     horizon = cfg.raw.get("horizon")
-    if horizon is not None:
-        horizon = _number(cfg.raw, "horizon", kind=int)
     return rio.ingest_cohort(
-        cfg.raw["input"],
-        schema=_schema_from(cfg),
-        horizon=horizon,
-    )
+        cfg.raw["input"], schema=_schema_from(cfg),
+        horizon=None if horizon is None else _integer(cfg.raw, "horizon"))
 
 
 def _monitor_info(model):
@@ -172,6 +172,10 @@ def run(config):
     if config.mode in ("analyze", "frontier"):
         if config.mode == "analyze":
             kappa = _number(config.raw, "kappa")
+        else:
+            kappas = _numbers(config.raw, "kappa_grid")
+            if not kappas:
+                raise ConfigError("frontier mode needs a kappa_grid")
         cohort = _load_cohort(config)
         grid = _grid_from(config.section("grid"))
         spec = _msm_from(config.section("msm"))
@@ -201,10 +205,6 @@ def run(config):
                   f"{sel.chosen_x if sel.chosen_x is not None else 'none'}")
             return 0
 
-        kappas = _number(config.raw, "kappa_grid", [],
-                         lambda vs: [float(v) for v in vs])
-        if not kappas:
-            raise ConfigError("frontier mode needs a kappa_grid")
         fr = frontier(table, kappas)
         rio.report_to_csv(table, out / "report.csv",
                           selection=fr.selections[-1])
@@ -259,10 +259,7 @@ def build_parser():
     for name in rio.MODES:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--kappa", type=float, default=None)
-        sp.add_argument("--bootstrap", type=int, default=None)
     return p
 
 
@@ -275,14 +272,8 @@ def main(argv=None):
                 f"config mode {config.mode!r} does not match subcommand "
                 f"{args.command!r}"
             )
-        if args.seed is not None:
-            config.seed = args.seed
         if args.out is not None:
             config.out = args.out
-        if args.kappa is not None:
-            config.raw["kappa"] = args.kappa
-        if args.bootstrap is not None:
-            config.raw["bootstrap"] = args.bootstrap
         return run(config)
     except RcdsError as err:
         print(f"error: {err}", file=sys.stderr)

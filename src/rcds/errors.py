@@ -1,4 +1,17 @@
-"""Exception hierarchy and exit codes shared across the toolkit."""
+"""Exception hierarchy and exit codes shared across the toolkit, and the
+number checks of config values."""
+
+import numbers
+
+
+def is_number(value):
+    """Whether a config value is a number: an int or a float, not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_whole(value):
+    """Whether a config value is a whole number, as ``24`` or ``24.0``."""
+    return is_number(value) and float(value).is_integer()
 
 
 class RcdsError(Exception):

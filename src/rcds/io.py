@@ -20,7 +20,7 @@ from .cohort import (
     Cohort,
     _REASON_CODE,
 )
-from .errors import ConfigError, IngestError
+from .errors import ConfigError, IngestError, is_whole
 
 MAX_VIOLATIONS = 20
 
@@ -388,10 +388,10 @@ def load_config(path):
         raise ConfigError(f"{path}: mode must be one of {MODES}, got {mode!r}")
     if "seed" not in raw:
         raise ConfigError(f"{path}: seed is mandatory (no wall-clock default)")
-    try:
-        seed = int(raw["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: seed must be an integer") from None
+    if not is_whole(raw["seed"]):
+        raise ConfigError(f"{path}: seed must be a whole number, got "
+                          f"{raw['seed']!r}")
+    seed = int(raw["seed"])
     out = raw.get("out", "out")
     if mode in ("analyze", "frontier"):
         inp = raw.get("input")

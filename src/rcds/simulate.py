@@ -21,7 +21,6 @@ on average.
 """
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from types import SimpleNamespace
@@ -36,7 +35,7 @@ from .cohort import (
     Cohort,
     _REASON_CODE,
 )
-from .errors import ConfigError
+from .errors import ConfigError, is_number, is_whole
 from .glm import logistic
 from .strategies import window_bounds
 
@@ -136,10 +135,14 @@ class DgpParams:
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown DGP parameters: {sorted(unknown)}")
-        bad = sorted(k for k, v in d.items() if not isinstance(v, numbers.Real))
+        bad = sorted(k for k, v in d.items() if not is_number(v))
         if bad:
             raise ConfigError(f"DGP parameters must be numbers: {bad}")
-        p = cls(**d)
+        whole = [f.name for f in dataclasses.fields(cls) if f.type is int]
+        bad = sorted(k for k in whole if k in d and not is_whole(d[k]))
+        if bad:
+            raise ConfigError(f"DGP parameters must be whole numbers: {bad}")
+        p = cls(**{k: int(v) if k in whole else v for k, v in d.items()})
         p.validate()
         return p
 

@@ -4,9 +4,9 @@ A strategy prescribes, at every month, an interval (lo, hi) of permitted
 gaps since the last monitoring visit: ``window_below`` applies while the
 last observed marker sits below the threshold ``x``, ``window_above`` at or
 above it, and ``override_window`` whenever the override flag is raised.
-Subject data deviate from a strategy the first month the running gap
-exceeds the applicable ``hi``, or a visit happens before the gap reaches
-``lo``; the window of month t is the one in force at t - 1. Month 0, the
+Subject data deviate from a strategy the first month a visit falls outside
+the applicable window ``[lo, hi]``, or none happens with the gap at ``hi`` or
+past it; the window of month t is the one in force at t - 1. Month 0, the
 entry visit, makes no decision and never deviates.
 """
 
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_whole
 
 DEFAULT_WINDOW_BELOW = (2, 7)
 DEFAULT_WINDOW_ABOVE = (8, 13)
@@ -23,10 +23,8 @@ DEFAULT_WINDOW_OVERRIDE = (2, 7)
 
 
 def _check_window(name, win):
-    if not (isinstance(win, (list, tuple)) and len(win) == 2 and all(
-            isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) and float(v).is_integer()
-            for v in win)):
+    if not (isinstance(win, (list, tuple)) and len(win) == 2
+            and all(is_whole(v) for v in win)):
         raise ConfigError(f"{name} must be two whole months, got {win!r}")
     lo, hi = (int(v) for v in win)
     if not (1 <= lo <= hi):
@@ -180,6 +178,6 @@ def horizon_matrix(cohort, grid, cells=None):
     dec = cells.decision
     gap, t, visit = cells.gap[dec], cohort.t[dec], cohort.monitor[dec] == 1
     for month, (on_side, lo, hi, at) in zip(first, cells.decision_sides):
-        dev = on_side & ((gap > hi) | (visit & (gap < lo)))
+        dev = on_side & np.where(visit, (gap < lo) | (gap > hi), gap >= hi)
         np.minimum.at(month, at[dev], t[dev])
     return sweep(*first.reshape(2, n, k), op=np.minimum)

@@ -7,14 +7,14 @@ the last visit, override flag, and optionally calendar month and baseline
 covariates.
 
 The weights invert the probability of *remaining consistent* with a clone's
-strategy (artificial censoring, as in Cain et al. 2010): months inside the
-permitted window contribute factor one; months where the gap sits below the
-window's lo (a visit would censor) contribute 1/(1 - p); months where the gap
-reaches hi (a missed visit dooms the clone) contribute 1/p, and trajectories
-the within-protocol regime cannot produce get weight zero. Each such factor
-has conditional mean one given the past, so the weighted clone population
-reproduces the observational process conditioned month-by-month to the
-strategy's windows: the natural rule, the one regime the oracle simulates
+strategy (artificial censoring, as in Cain et al. 2010): a month with the
+gap below the window's lo contributes 1/(1 - p), one with the gap at hi
+1/p, any other factor one. A visit in the former or none in the latter
+censors the clone that month (:func:`rcds.strategies.horizon_matrix`), so
+only the clones that stay are weighed. Each factor has conditional mean one
+given the past, so the weighted clone population reproduces the
+observational process conditioned month-by-month to the strategy's windows:
+the natural rule, the one regime the oracle simulates
 (:func:`rcds.oracle_truth`), and so the estimand the oracle checks.
 """
 
@@ -370,8 +370,8 @@ class CensoringWeightPlan:
 
     Factor rows are the decision months whose factor is not one: the early
     months (gap below the window's lo) give 1/(1 - p) without a visit and
-    the due months (gap at hi) 1/p with the required visit, while a
-    premature or a missed required visit pins the clone at zero.
+    the due months (gap at hi) 1/p with the required visit; a visit in an
+    early month or none in a due one censors the clone, and no factor is 0.
 
     On the cohort's :class:`rcds.strategies.WindowCells`, the horizon
     log-weight under j sums each subject's above-window factors with
@@ -386,7 +386,6 @@ class CensoringWeightPlan:
         self.cohort, self.grid = cells.cohort, cells.grid
         dec = cells.decision
         mon = self.cohort.monitor[dec] == 1
-        n, k = self.cohort.n_subjects, len(self.grid)
         g = cells.gap[dec]
         # (early months, due months, cells) of the above, then below sweep
         sides = [(on & (g < lo), on & (g == hi), at)
@@ -394,10 +393,6 @@ class CensoringWeightPlan:
         self.rows, self.mon = dec, mon  # decision months, and their visits
         self.cells = [(np.flatnonzero(f), at[f]) for f, at in (
             ((early & ~mon) | (due & mon), at) for early, due, at in sides)]
-        self.zeroed = sweep(*(
-            np.bincount(at[(early & mon) | (due & ~mon)],
-                        minlength=n * k).reshape(n, k)
-            for early, due, at in sides)) > 0
         # rows held to the probability floor, under any strategy
         self.early_rows = dec[sides[0][0] | sides[1][0]]
         self.due_rows = dec[sides[0][1] | sides[1][1]]
@@ -418,12 +413,10 @@ class CensoringWeightPlan:
         p = p1_rows[self.rows]
         with np.errstate(divide="ignore"):  # only factor rows are summed
             log_f = np.log(np.where(self.mon, p, 1.0 - p))
-        n, k = self.zeroed.shape
-        out = np.exp(-sweep(*(
+        n, k = self.cohort.n_subjects, len(self.grid)
+        return np.exp(-sweep(*(
             np.bincount(at, weights=log_f[pos], minlength=n * k).reshape(n, k)
             for pos, at in self.cells)))
-        out[self.zeroed] = 0.0
-        return out
 
 
 @dataclass

@@ -47,7 +47,8 @@ def make_fixture_records():
     )
 
     # S2: visits at 0 (250), 9 (240), 11 (238).
-    #  x >= 260: below from the start, gap reaches 8 > 7 at month 8 -> 8.
+    #  x >= 260: below from the start, no visit as the gap reaches 7 at
+    #            month 7 -> 7.
     #  x == 250: above at first (250 >= 250), gap 9 in (8, 13); then 240 < 250
     #            puts it below, visit at gap 2 is legal -> consistent (13).
     #  x <= 240: above throughout (markers >= 238 >= x), visit at month 11
@@ -67,7 +68,8 @@ def make_fixture_records():
     #  x <= 400: above at first (400 >= x), gap 8 legal; override window from
     #            month 9 on, visit at gap 2 legal -> consistent through
     #            followup_end -> 13.
-    #  x >= 410: below from the start (400 < x), gap reaches 8 > 7 -> 8.
+    #  x >= 410: below from the start (400 < x), no visit as the gap
+    #            reaches 7 -> 7.
     s3_spec = [
         (0, 1, 400.0, 0), (1, 0, np.nan, 0), (2, 0, np.nan, 0),
         (3, 0, np.nan, 0), (4, 0, np.nan, 0), (5, 0, np.nan, 0),
@@ -86,12 +88,12 @@ def fixture_horizons(x):
     """Hand-traced first deviation months for the fixture subjects."""
     s1 = FIXTURE_K + 1
     if x >= 260:
-        s2 = 8
+        s2 = 7
     elif x == 250:
         s2 = FIXTURE_K + 1
     else:
         s2 = 11
-    s3 = FIXTURE_K + 1 if x <= 400 else 8
+    s3 = FIXTURE_K + 1 if x <= 400 else 7
     return {"s1": s1, "s2": s2, "s3": s3}
 
 

@@ -186,10 +186,10 @@ def consistency_horizon(strategy, record):
     """First month the record deviates from the strategy, or horizon + 1.
 
     The decision at month t is governed by the state observed at t - 1:
-    deviation happens when the pre-decision gap exceeds the applicable
-    window's ``hi`` (monitoring overdue, whether or not a visit happens that
-    month) or when a visit occurs with the gap still below ``lo``. Month 0
-    never deviates: a record enters at a visit.
+    deviation happens when a visit occurs with the pre-decision gap outside
+    the applicable window ``[lo, hi]``, or when no visit occurs with the gap
+    at or past ``hi`` (the required visit is missed in the month it is due).
+    Month 0 never deviates: a record enters at a visit.
     """
     rows = record.rows
     last, since, _ = carried_history([r.monitor for r in rows],
@@ -198,7 +198,8 @@ def consistency_horizon(strategy, record):
         lo, hi = applicable_window(strategy, last[k - 1],
                                    rows[k - 1].override_flag)
         gap = since[k - 1] + 1
-        if gap > hi or (rows[k].monitor == 1 and gap < lo):
+        visit = rows[k].monitor == 1
+        if (gap < lo or gap > hi) if visit else gap >= hi:
             return rows[k].t
     return record.horizon + 1
 
@@ -219,7 +220,8 @@ def per_strategy_horizon_matrix(cohort, grid):
     out = np.empty((n, k), dtype=np.int64)
     for j, strat in enumerate(grid):
         lo, hi = window_bounds(strat, prev_last, prev_ovr)
-        dev = decision & ((gap > hi) | (monitored & (gap < lo)))
+        dev = decision & np.where(monitored, (gap < lo) | (gap > hi),
+                                  gap >= hi)
         month = np.where(dev, t, big)
         out[:, j] = np.minimum.reduceat(month, starts)
     return out

@@ -378,6 +378,72 @@ def test_bad_config_ends_with_error_code(tmp_path, cohort_csv, capsys, name):
     assert err.splitlines()[-1] == "error_code=CONFIG_ERROR"
 
 
+ANALYZE = {"mode": "analyze", "seed": 5, "kappa": 4.5}
+COVERAGE = {"mode": "coverage", "seed": 5, "n": 1000, "oracle_n_mc": 1000}
+NOT_A_NUMBER = {  # name: (config, what the error names)
+    "bootstrap_fraction": ({**ANALYZE, "bootstrap": 2.5},
+                           "'bootstrap' must be a whole number, got 2.5"),
+    "bootstrap_boolean": ({**ANALYZE, "bootstrap": True},
+                          "'bootstrap' must be a number, got True"),
+    "horizon_fraction": ({**ANALYZE, "horizon": 24.5},
+                         "'horizon' must be a whole number, got 24.5"),
+    "kappa_boolean": ({**ANALYZE, "kappa": True},
+                      "'kappa' must be a number, got True"),
+    "x_step_boolean": ({**ANALYZE, "grid": {"x_step": False}},
+                       "'x_step' must be a number, got False"),
+    "truncation_boolean": ({**ANALYZE, "weights": {"truncation": True}},
+                           "'truncation' must be a number, got True"),
+    "marker_knots_fraction": (
+        {**ANALYZE, "weights": {"features": {"marker_knots": 3.5}}},
+        "'marker_knots' must be a whole number, got 3.5"),
+    "gap_cap_boolean": (
+        {**ANALYZE, "weights": {"features": {"gap": "categorical",
+                                             "gap_cap": True}}},
+        "'gap_cap' must be a number, got True"),
+    "strategy_knots_boolean": (
+        {**ANALYZE, "msm": {"strategy_knots": [250, True, 450]}},
+        "'strategy_knots' must be a list of numbers, got [250, True, 450]"),
+    "seed_fraction": ({**ANALYZE, "seed": 5.5},
+                      "seed must be a whole number, got 5.5"),
+    "seed_boolean": ({**ANALYZE, "seed": True},
+                     "seed must be a whole number, got True"),
+    "kappa_grid_string": ({"mode": "frontier", "seed": 5, "kappa_grid": "45"},
+                          "'kappa_grid' must be a list of numbers, got '45'"),
+    "kappa_grid_boolean": (
+        {"mode": "frontier", "seed": 5, "kappa_grid": [4.5, True]},
+        "'kappa_grid' must be a list of numbers, got [4.5, True]"),
+    "n_fraction": ({"mode": "simulate", "seed": 5, "n": 300.5},
+                   "'n' must be a whole number, got 300.5"),
+    "dgp_horizon_fraction": (
+        {"mode": "simulate", "seed": 5, "n": 300, "dgp": {"horizon": 24.5}},
+        "DGP parameters must be whole numbers: ['horizon']"),
+    "dgp_float_boolean": (
+        {"mode": "simulate", "seed": 5, "n": 300, "dgp": {"drift_sd": True}},
+        "DGP parameters must be numbers: ['drift_sd']"),
+    "n_mc_fraction": ({"mode": "oracle", "seed": 5, "n_mc": 1000.5},
+                      "'n_mc' must be a whole number, got 1000.5"),
+    "n_cohorts_fraction": ({**COVERAGE, "n_cohorts": 1.5},
+                           "'n_cohorts' must be a whole number, got 1.5"),
+    "oracle_n_mc_boolean": ({**COVERAGE, "oracle_n_mc": True},
+                            "'oracle_n_mc' must be a number, got True"),
+    "x_value_boolean": ({**COVERAGE, "x_value": True},
+                        "'x_value' must be a number, got True"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_NUMBER))
+def test_fraction_or_boolean_is_refused_by_key(tmp_path, cohort_csv, capsys,
+                                               name):
+    config, named = NOT_A_NUMBER[name]
+    if config["mode"] in ("analyze", "frontier"):
+        config = {**config, "input": cohort_csv}
+    status, err = run(tmp_path, name, config, capsys)
+    assert status != 0
+    assert named in err
+    assert err.splitlines()[-1] == "error_code=CONFIG_ERROR"
+    assert not any((tmp_path / name).glob("*"))
+
+
 def test_missing_config_file_ends_with_error_code(tmp_path, capsys):
     status = main(["analyze", "--config", str(tmp_path / "absent.yaml")])
     assert status != 0

@@ -88,7 +88,7 @@ class TestHorizonResponses:
     def test_censored_clone_absent(self, fixture_cohort, grid):
         ds = expand(fixture_cohort, grid)
         ht = horizon_responses(ds)
-        # s2 at x=320 censored at month 8: no horizon row
+        # s2 at x=320 censored at month 7: no horizon row
         j = int(np.flatnonzero(grid.xs == 320.0)[0])
         assert not np.any((ht.subject_idx == 1) & (ht.x_idx == j))
         # s2 at x=250 reaches the horizon

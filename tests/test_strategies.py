@@ -56,10 +56,10 @@ class TestConsistencyHorizon:
             strat = ThresholdStrategy(x, (2, 7), (8, 13), (2, 7))
             assert consistency_horizon(strat, s1) == FIXTURE_K + 1
 
-    def test_nine_month_gap_deviates_when_gap_reaches_eight(self, fixture_records):
+    def test_missed_visit_deviates_in_the_month_it_is_due(self, fixture_records):
         s2 = fixture_records[1]
         strat = ThresholdStrategy(320.0, (2, 7), (8, 13), (2, 7))
-        assert consistency_horizon(strat, s2) == 8
+        assert consistency_horizon(strat, s2) == 7
 
     def test_premature_visit_deviates_at_second_visit(self, fixture_records):
         s2 = fixture_records[1]

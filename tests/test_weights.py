@@ -25,6 +25,7 @@ from rcds import (
     bootstrap_pipeline,
     expand,
     fit_monitor_model,
+    horizon_matrix,
     simulate_cohort,
 )
 from rcds.cohort import Cohort, SubjectRecord
@@ -352,6 +353,21 @@ class TestSummaries:
         assert point.weights == _summary(np.ones(point.plan.ht.x_idx.size),
                                          0.0)
 
+    def test_every_horizon_clone_has_positive_weight(self):
+        # a missed required visit censors its clone in the month it is due,
+        # so a clone whose factors reach zero never reaches the horizon, and
+        # the report counts only clones the fits use
+        cohort = simulate_cohort(DgpParams(), 4000, seed=7)
+        grid = StrategyGrid.default()
+        point = analyze_cohort(cohort, grid)
+        w = clone_horizon_weights(cohort, point.monitor_model, grid)
+        months = horizon_matrix(cohort, grid)
+        full = (cohort.followup_end == cohort.horizon)[:, None]
+        positive = int(np.sum((w > 0) & (months > cohort.horizon) & full))
+        assert point.weights.minimum > 0
+        assert point.weights.n == point.table.n_atrisk.sum() == positive
+        assert np.all(months[w == 0] <= cohort.horizon)
+
     def test_no_run_builds_row_level_weights(self, sim_cohort, monkeypatch):
         # the plan's horizon weights are the only ones a run computes; the
         # row-level paths serve the tests and the positivity-floor message
@@ -441,5 +457,9 @@ def test_crossing_index_matches_row_level(construction, case):
     p1[cohort.decision_rows()] = decision_probabilities(model, cohort)
     got = CensoringWeightPlan(WindowCells(cohort, grid)).horizon_weights(p1)
     assert got.shape == want.shape
-    assert np.array_equal(got == 0, want == 0)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # the plan weighs the clones uncensored at the horizon; every clone the
+    # row-level paths zero is censored by then
+    kept = horizon_matrix(cohort, grid) > cohort.horizon
+    assert not np.any(kept & (want == 0))
+    assert np.array_equal(got[kept] == 0, want[kept] == 0)
+    np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12, atol=0)
