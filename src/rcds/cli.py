@@ -131,14 +131,16 @@ def _load_cohort(cfg):
         horizon=None if horizon is None else _integer(cfg.raw, "horizon"))
 
 
-def _monitor_info(model):
+def _monitor_info(plan):
+    """The point monitoring model of ``plan``, as reported in weights.yaml."""
+    model = plan.monitor_model
     if model is None:
         return {"weighting": "none"}
     return {
-        "log_likelihood": float(model.loglik),
-        "iterations": int(model.iterations),
-        "n_decision_months": int(model.n_decisions),
-        "columns": list(model.columns),
+        "log_likelihood": plan.monitor.log_likelihood(model),
+        "iterations": model.fit.iterations,
+        "n_decision_months": int(plan.monitor.monitored.size),
+        "columns": list(model.fit.columns),
         "dropped_features": list(model.dropped),
     }
 
@@ -190,8 +192,8 @@ def run(config):
             rio.report_to_csv(table, out / "report.csv", selection=sel)
             rio.dump_yaml(sel.to_dict(), out / "selection.yaml")
             rio.dump_yaml(
-                {"weights": point.weights.to_dict(),
-                 "monitor_model": _monitor_info(point.monitor_model),
+                {"weights": point.plan.weights.to_dict(),
+                 "monitor_model": _monitor_info(point.plan),
                  "bootstrap": {"B": int(table.n_boot),
                                "failed": int(table.n_failed),
                                "pinned": int(table.n_pinned),

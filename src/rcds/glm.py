@@ -3,12 +3,13 @@
 Two families are supported: binomial with logit link and Poisson with log
 link. Case weights multiply the working weights, so bootstrap multiplicities
 and inverse-probability weights can be folded into a single weight vector.
-The link functions, the deviance and the log-likelihood use numpy and the
-standard library only, so importing the package loads no scipy module.
+A fit returns its coefficients and the diagnostics the estimator reads; no
+model-based standard error, deviance or log-likelihood, since the intervals
+come from the subject bootstrap. The link functions use numpy only, so
+importing the package loads no scipy module.
 """
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,22 +78,15 @@ def _case_weights(weights, n):
 
 @dataclass
 class GlmFit:
-    """Coefficients and diagnostics from one IRLS fit.
-
-    ``se``, ``deviance`` and ``loglik`` are computed only for a fit asked
-    for standard errors (``compute_se``); otherwise they are None, NaN and
-    NaN, which spares a bootstrap replicate a pass over every row.
-    """
+    """Coefficients and diagnostics from one converged IRLS fit: the IRLS
+    steps taken and the last step's condition number (the ratio of the
+    extreme diagonal entries of its triangular factor)."""
 
     coef: np.ndarray
     columns: list[str]
     family: str
-    converged: bool
     iterations: int
-    deviance: float
-    loglik: float
     cond: float
-    se: np.ndarray | None = None
     degenerate: bool = False
     pinned: tuple = ()  # baseline levels held at the boundary (see rcds.msm)
 
@@ -174,34 +168,6 @@ def _mu_eta(eta, family):
     return np.clip(mu, 1e-300, None)
 
 
-def deviance(y, mu, w, family):
-    """Weighted deviance of 0/1 (binomial) or count (Poisson) responses y,
-    zero-safe in y; the fitted means mu lie in (0, 1) or (0, inf), as
-    :func:`_mu_eta` keeps them."""
-    if family == BINOMIAL_LOGIT:
-        return float(-2.0 * np.sum(w * np.log(np.where(y == 1, mu, 1 - mu))))
-    ylogy = y * np.log(np.where(y > 0, y, 1.0))  # 0 log 0 = 0
-    parts = ylogy - y * np.log(mu) - (y - mu)
-    return float(2.0 * np.sum(w * parts))
-
-
-def log_likelihood(y, mu, w, family):
-    """Weighted log-likelihood of 0/1 (binomial) or count (Poisson)
-    responses y at fitted means mu (see :func:`deviance`)."""
-    if family == BINOMIAL_LOGIT:
-        return float(np.sum(w * np.log(np.where(y == 1, mu, 1 - mu))))
-    log_factorial = np.vectorize(math.lgamma, otypes=[float])(y + 1.0)
-    return float(np.sum(w * (y * np.log(mu) - mu - log_factorial)))
-
-
-def score(design, y, coef, family):
-    """Weighted score vector X'W(y - mu); ~0 at the MLE."""
-    y = _check_response(y, family, design.n)
-    eta = design.X @ np.asarray(coef, dtype=np.float64)
-    mu = _mu_eta(eta, family)
-    return design.X.T @ (design.weights * (y - mu))
-
-
 def _solve_wls(X, z, wts, columns):
     """Weighted least squares through the Cholesky factor L of X'WX; diag(L)
     equals |diag(R)| of the QR of W^(1/2)X. Forming X'WX squares the condition
@@ -237,19 +203,16 @@ def _solve_qr(X, z, wts, columns):
     return np.linalg.solve(R, Q.T @ b), float(diag.max() / diag.min())
 
 
-def fit_glm(design, response, family, compute_se=True, start=None,
-            stop=None):
+def fit_glm(design, response, family, start=None, stop=None):
     """Fit a weighted GLM by iteratively reweighted least squares.
 
     Converges when the largest relative coefficient change drops below
     ``DEFAULT_TOL``; raises :class:`NonConvergence` (with the coefficient
     trajectory) after ``DEFAULT_MAX_ITER`` iterations and
     :class:`RankError` on a rank-deficient design. ``start`` warm-starts
-    the linear predictor from a coefficient vector. ``compute_se`` asks for
-    the standard errors, the deviance and the log-likelihood (see
-    :class:`GlmFit`). ``stop``, if given, sees the coefficient trajectory
-    after every step that has not converged, and an exception it returns
-    ends the fit.
+    the linear predictor from a coefficient vector. ``stop``, if given,
+    sees the coefficient trajectory after every step that has not
+    converged, and an exception it returns ends the fit.
     """
     y = _check_response(response, family, design.n)
     X, w = design.X, design.weights
@@ -268,9 +231,6 @@ def fit_glm(design, response, family, compute_se=True, start=None,
 
     beta = np.zeros(p)
     history = []
-    cond = np.nan
-    converged = False
-    it = 0
     for it in range(1, DEFAULT_MAX_ITER + 1):
         mu = _mu_eta(eta, family)
         if family == BINOMIAL_LOGIT:
@@ -284,45 +244,20 @@ def fit_glm(design, response, family, compute_se=True, start=None,
         scale_ref = max(1.0, float(np.max(np.abs(beta_new))))
         history.append(beta_new.copy())
         beta = beta_new
-        eta = X @ beta
         if delta <= DEFAULT_TOL * scale_ref:
-            converged = True
             break
+        eta = X @ beta
         if stop is not None and (err := stop(history)) is not None:
             raise err
-    if not converged:
+    else:
         raise NonConvergence(
             f"IRLS did not converge in {DEFAULT_MAX_ITER} iterations "
             f"(last step {delta:.3e})",
             trajectory=history,
         )
 
-    se, dev, loglik = None, np.nan, np.nan
-    if compute_se:
-        mu = _mu_eta(eta, family)
-        if family == BINOMIAL_LOGIT:
-            wk = w * mu * (1 - mu)
-        else:
-            wk = w * mu
-        info = (X * wk[:, None]).T @ X
-        try:
-            se = np.sqrt(np.diag(np.linalg.inv(info)))
-        except np.linalg.LinAlgError:
-            se = np.full(p, np.nan)
-        dev = deviance(y, mu, w, family)
-        loglik = log_likelihood(y, mu, w, family)
-
-    return GlmFit(
-        coef=beta,
-        columns=list(design.columns),
-        family=family,
-        converged=converged,
-        iterations=it,
-        deviance=dev,
-        loglik=loglik,
-        cond=cond,
-        se=se,
-    )
+    return GlmFit(coef=beta, columns=list(design.columns), family=family,
+                  iterations=it, cond=cond)
 
 
 def predict(fit, design):

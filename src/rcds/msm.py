@@ -140,8 +140,7 @@ def _degenerate_fit(columns):
     coef = np.zeros(len(columns))
     coef[0] = DEGENERATE_ETA
     return GlmFit(coef=coef, columns=list(columns), family=POISSON_LOG,
-                  converged=True, iterations=0, deviance=0.0, loglik=0.0,
-                  cond=1.0, se=None, degenerate=True)
+                  iterations=0, cond=1.0, degenerate=True)
 
 
 def _event_free_levels(cohort, terms, subject_idx, response):
@@ -169,7 +168,7 @@ def _pinned_subjects(cohort, pinned):
 
 
 def _fit_horizon_msm(cohort, grid, spec, subject_idx, x_idx, response, weights,
-                     compute_se=True, design=None, start=None):
+                     design=None, start=None):
     """Weighted Poisson fit of horizon responses on spline(x) + baseline terms.
 
     A categorical baseline level with no weighted event among the kept rows
@@ -185,7 +184,8 @@ def _fit_horizon_msm(cohort, grid, spec, subject_idx, x_idx, response, weights,
     Every fit runs on the kept rows only. ``design`` is the MSM design of
     all the given rows, when the caller has built it once for many fits;
     unless a level is pinned, the fit then takes the kept rows of it and
-    starts from ``start``.
+    starts from ``start``. The fit carries no standard errors: the
+    intervals come from the bootstrap.
     """
     keep = ~np.isnan(response) & (weights > 0)
     if not keep.any():
@@ -217,8 +217,7 @@ def _fit_horizon_msm(cohort, grid, spec, subject_idx, x_idx, response, weights,
             DegenerateResponse,
         )
         return _degenerate_fit(design.columns)
-    fit = fit_glm(design, response, POISSON_LOG, compute_se=compute_se,
-                  start=start)
+    fit = fit_glm(design, response, POISSON_LOG, start=start)
     fit.pinned = pinned
     return fit
 
@@ -296,13 +295,10 @@ class Plan:
         if self.monitor is None:
             w = np.ones(ht.subject_idx.size)
         else:
-            model = fit_monitor_model(self.cohort, wopts.monitor_spec,
-                                      multiplicity, design=self.monitor,
-                                      start=self.starts[0],
-                                      compute_se=multiplicity is None)
-            p1 = np.full(self.cohort.n_rows, np.nan)
-            p1[self.factors.rows] = self.monitor.probabilities(model)
-            w = self.factors.horizon_weights(p1)[ht.subject_idx, ht.x_idx]
+            model = fit_monitor_model(self.monitor, multiplicity,
+                                      self.starts[0])
+            w = self.factors.horizon_weights(
+                self.monitor.probabilities(model))[ht.subject_idx, ht.x_idx]
         if wopts.truncation is not None and w.size:
             cap = np.percentile(
                 np.repeat(w, multiplicity[ht.subject_idx].astype(np.int64))
@@ -317,7 +313,10 @@ class Plan:
 
     def fit(self, multiplicity=None):
         """The monitoring model (None when unweighted) and the outcome and
-        resource MSM fits for one set of subject multiplicities.
+        resource MSM fits for one set of subject multiplicities. No fit
+        carries standard errors, a deviance or a log-likelihood; the
+        reported log-likelihood of the point monitoring model is
+        :meth:`rcds.weights.MonitorDesign.log_likelihood` of :attr:`monitor`.
 
         ``None`` gives the point fits; they are kept as :attr:`monitor_model`
         and as warm starts for the replicates that follow, and the summary of
@@ -327,8 +326,8 @@ class Plan:
         ht = self.ht
         fit_y, fit_d = (
             _fit_horizon_msm(self.cohort, self.grid, self.spec, ht.subject_idx,
-                             ht.x_idx, response, w, compute_se=False,
-                             design=self.msm_design, start=start)
+                             ht.x_idx, response, w, design=self.msm_design,
+                             start=start)
             for response, start in ((ht.y, self.starts[1]),
                                     (ht.d, self.starts[2])))
         if multiplicity is None:
@@ -352,11 +351,11 @@ class Plan:
 
 @dataclass
 class PointAnalysis:
-    """Point-estimate pipeline output with diagnostics."""
+    """Point-estimate pipeline output; the point monitoring model and the
+    weight summary are :attr:`Plan.monitor_model` and :attr:`Plan.weights`
+    of its plan."""
 
     table: DoseResponseTable
-    monitor_model: object
-    weights: object
     plan: Plan
 
 
@@ -371,8 +370,7 @@ def analyze_cohort(cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
     risk, usage, _ = plan.run(None)
     n_atrisk = plan.ht.uncensored.sum(axis=0)
     table = DoseResponseTable.point_only(grid.xs, risk, usage, n_atrisk)
-    return PointAnalysis(table=table, monitor_model=plan.monitor_model,
-                         weights=plan.weights, plan=plan)
+    return PointAnalysis(table=table, plan=plan)
 
 
 def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),

@@ -64,17 +64,7 @@ class MonitorModel:
     fit: object
     spec: MonitorFeatureSpec
     marker_knots: np.ndarray | None
-    columns: list[str]
-    n_decisions: int
     dropped: tuple = ()  # declared columns constant over the fitted rows
-
-    @property
-    def loglik(self):
-        return self.fit.loglik
-
-    @property
-    def iterations(self):
-        return self.fit.iterations
 
 
 def _decision_state(cells):
@@ -205,6 +195,11 @@ class MonitorDesign:
         """Fitted P(monitor = 1) of ``model`` at every decision month."""
         return logistic(_without(self.matrix, model.dropped).X @ model.fit.coef)
 
+    def log_likelihood(self, model):
+        """Log-likelihood of the decisions, unweighted, under ``model``."""
+        p = self.probabilities(model)
+        return float(np.sum(np.log(np.where(self.monitored, p, 1.0 - p))))
+
     def constant_columns(self, multiplicity=None):
         """Names of the non-intercept columns that are constant over the rows
         of subjects with positive multiplicity (all subjects for None); such
@@ -236,24 +231,19 @@ def monitor_design(cohort, spec=MonitorFeatureSpec(), cells=None):
                                  np.maximum.reduceat(matrix.X, starts)))
 
 
-def fit_monitor_model(cohort, spec=MonitorFeatureSpec(), multiplicity=None,
-                      design=None, start=None, compute_se=True):
-    """Pooled logistic regression of the monitoring decision on observed history.
+def fit_monitor_model(design, multiplicity=None, start=None):
+    """Pooled logistic regression of the monitoring decision on observed
+    history, over the decision months of a cohort's :func:`monitor_design`.
 
     ``multiplicity`` carries per-subject bootstrap counts as case weights;
-    the fit runs on the decision months of subjects with a positive count,
-    while ``n_decisions`` counts every decision month. Declared features
-    that are constant over the fitted months carry no information and are
-    dropped; their names are recorded in ``MonitorModel.dropped``.
-    ``design`` is the cohort's :func:`monitor_design` under ``spec`` when
-    the caller has built it already, ``start`` warm-starts IRLS from
-    coefficients of its columns (ignored when a column is dropped), and
-    ``compute_se`` asks for standard errors. Raises
+    the fit runs on the decision months of subjects with a positive count.
+    Declared features that are constant over the fitted months carry no
+    information and are dropped; their names are recorded in
+    ``MonitorModel.dropped``. ``start`` warm-starts IRLS from coefficients
+    of the design's columns (ignored when a column is dropped). Raises
     :class:`SeparationError` when the decision is degenerate or a feature
     separates it perfectly.
     """
-    if design is None:
-        design = monitor_design(cohort, spec)
     matrix, mon = design.matrix, design.monitored
     if multiplicity is not None:
         multiplicity = np.asarray(multiplicity, dtype=np.float64)
@@ -270,8 +260,7 @@ def fit_monitor_model(cohort, spec=MonitorFeatureSpec(), multiplicity=None,
         start = None
     try:
         fit = fit_glm(matrix, mon.astype(np.float64), BINOMIAL_LOGIT,
-                      compute_se=compute_se, start=start,
-                      stop=_diverging(matrix.columns))
+                      start=start, stop=_diverging(matrix.columns))
     except NonConvergence as err:
         separation = _separation(matrix.columns, err.trajectory[-1]
                                  if err.trajectory else None)
@@ -282,8 +271,7 @@ def fit_monitor_model(cohort, spec=MonitorFeatureSpec(), multiplicity=None,
     if separation is not None:
         raise separation
     return MonitorModel(fit=fit, spec=design.spec, marker_knots=design.knots,
-                        columns=matrix.columns, dropped=dropped,
-                        n_decisions=int(design.monitored.size))
+                        dropped=dropped)
 
 
 def decision_probabilities(model, cohort):
@@ -393,24 +381,26 @@ class CensoringWeightPlan:
         self.rows, self.mon = dec, mon  # decision months, and their visits
         self.cells = [(np.flatnonzero(f), at[f]) for f, at in (
             ((early & ~mon) | (due & mon), at) for early, due, at in sides)]
-        # rows held to the probability floor, under any strategy
-        self.early_rows = dec[sides[0][0] | sides[1][0]]
-        self.due_rows = dec[sides[0][1] | sides[1][1]]
+        # decision months held to the probability floor, under any strategy
+        self.early = sides[0][0] | sides[1][0]
+        self.due = sides[0][1] | sides[1][1]
 
-    def horizon_weights(self, p1_rows):
-        """(n_subjects, n_strategies) horizon weights given fitted per-row
-        monitoring probabilities (aligned with cohort rows).
+    def horizon_weights(self, p):
+        """(n_subjects, n_strategies) horizon weights given the fitted
+        monitoring probability of every decision month, in the order of
+        :meth:`MonitorDesign.probabilities`.
 
         The positivity floor is the row-level rule of :func:`attach_weights`:
         when an early or due month falls below it, the row-level paths are
         built until they raise, naming the same first offenders.
         """
-        if (np.any(1.0 - p1_rows[self.early_rows] < PROB_FLOOR)
-                or np.any(p1_rows[self.due_rows] < PROB_FLOOR)):
-            ctx = _WeightContext(self.cohort, None, p1=p1_rows)
+        if (np.any(1.0 - p[self.early] < PROB_FLOOR)
+                or np.any(p[self.due] < PROB_FLOOR)):
+            p1 = np.full(self.cohort.n_rows, np.nan)
+            p1[self.rows] = p
+            ctx = _WeightContext(self.cohort, None, p1=p1)
             for s in self.grid:
                 _censoring_factor_paths(ctx, s)
-        p = p1_rows[self.rows]
         with np.errstate(divide="ignore"):  # only factor rows are summed
             log_f = np.log(np.where(self.mon, p, 1.0 - p))
         n, k = self.cohort.n_subjects, len(self.grid)

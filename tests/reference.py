@@ -21,8 +21,8 @@ cohort forced onto one strategy (:func:`simulate_forced`), with its three
 within-window visit rules, lives only here: it is the test data for
 consistency by construction.
 
-The deviance and log-likelihood in scipy's zero-safe ``xlogy`` and
-``gammaln`` are the references for the numpy ones of :mod:`rcds.glm`.
+The log-likelihood in scipy's zero-safe ``xlogy`` and ``gammaln`` is the
+reference for :meth:`rcds.weights.MonitorDesign.log_likelihood`.
 """
 
 import numpy as np
@@ -49,16 +49,6 @@ from rcds.simulate import (
 from rcds.weights import _summary
 
 FORCED_RULES = ("earliest", "latest", "natural")
-
-
-def scipy_deviance(y, mu, w, family):
-    """Weighted deviance, zero-safe in y through ``xlogy``."""
-    if family == BINOMIAL_LOGIT:
-        parts = (xlogy(y, y) - xlogy(y, mu) + xlogy(1 - y, 1 - y)
-                 - xlogy(1 - y, 1 - mu))
-    else:
-        parts = xlogy(y, y) - xlogy(y, mu) - (y - mu)
-    return float(2.0 * np.sum(w * parts))
 
 
 def scipy_log_likelihood(y, mu, w, family):

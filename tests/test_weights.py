@@ -37,12 +37,14 @@ from rcds.weights import (
     CensoringWeightPlan,
     _diverging,
     _summary,
+    _without,
     clone_horizon_weights,
     decision_probabilities,
+    monitor_design,
 )
 
 from conftest import FIXTURE_SCHEMA, _rows
-from reference import weight_summary
+from reference import scipy_log_likelihood, weight_summary
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +66,21 @@ def dgp_monitor_model(p, spec):
     if spec.override:
         columns.append("override")
     fit = GlmFit(coef=np.array([coef[c] for c in columns]), columns=columns,
-                 family="binomial_logit", converged=True, iterations=0,
-                 deviance=0.0, loglik=0.0, cond=1.0)
-    return MonitorModel(fit=fit, spec=spec, marker_knots=None,
-                        columns=columns, n_decisions=0)
+                 family="binomial_logit", iterations=0, cond=1.0)
+    return MonitorModel(fit=fit, spec=spec, marker_knots=None)
+
+
+def fit_on(cohort, spec=MonitorFeatureSpec()):
+    """The monitoring design of a cohort under ``spec`` and its point fit."""
+    design = monitor_design(cohort, spec)
+    return design, fit_monitor_model(design)
+
+
+def fisher_information(design, model):
+    """X'diag(p(1 - p))X of the monitoring design at the fitted p."""
+    X = _without(design.matrix, model.dropped).X
+    p = design.probabilities(model)
+    return (X * (p * (1 - p))[:, None]).T @ X
 
 
 class TestFitMonitorModel:
@@ -75,9 +88,10 @@ class TestFitMonitorModel:
         p = DgpParams(mon_intercept=0.0, mon_marker=0.0, mon_gap=0.0,
                       mon_override=0.0)
         cohort = simulate_cohort(p, 3000, seed=31)
-        model = fit_monitor_model(cohort, LINEAR_SPEC)
+        design, model = fit_on(cohort, LINEAR_SPEC)
         coef = model.fit.coef
-        se = model.fit.se
+        se = np.sqrt(np.diag(np.linalg.inv(fisher_information(design,
+                                                              model))))
         assert abs(coef[0]) < 3 * se[0]
         for k in range(1, coef.size):
             assert abs(coef[k]) < 3.5 * se[k]
@@ -87,28 +101,32 @@ class TestFitMonitorModel:
         # the Fisher information at the fit
         p = DgpParams()
         cohort = simulate_cohort(p, 20_000, seed=32)
-        model = fit_monitor_model(cohort, LINEAR_SPEC)
-        assert model.columns == ["intercept", "marker", "gap", "override"]
+        design, model = fit_on(cohort, LINEAR_SPEC)
+        assert model.fit.columns == ["intercept", "marker", "gap", "override"]
         truth = np.array([p.mon_intercept, p.mon_marker, p.mon_gap,
                           p.mon_override])
-        prev_last, prev_ovr, gap = cohort.prev_state()
-        dec = cohort.decision_rows()
-        X = np.column_stack([np.ones(dec.sum()), prev_last[dec], gap[dec],
-                             prev_ovr[dec]])
-        mu = decision_probabilities(model, cohort)
-        info = (X * (mu * (1 - mu))[:, None]).T @ X
+        info = fisher_information(design, model)
         err = model.fit.coef - truth
         stat = err @ info @ err
         assert stat < chi2.ppf(0.99, df=4), (
             f"Wald statistic {stat:.2f}: fitted {model.fit.coef} vs {truth}"
         )
 
+    def test_log_likelihood_matches_scipy(self, sim_cohort):
+        # the value weights.yaml reports, against scipy's zero-safe xlogy
+        design, model = fit_on(sim_cohort)
+        y = design.monitored.astype(float)
+        want = scipy_log_likelihood(y, design.probabilities(model),
+                                    np.ones(y.size), BINOMIAL_LOGIT)
+        assert design.log_likelihood(model) == pytest.approx(want, rel=1e-12,
+                                                             abs=0)
+
     def test_all_monitored_cohort_raises_separation(self):
         p = DgpParams(mon_intercept=10.0, mon_marker=0.0, mon_gap=0.0,
                       mon_override=0.0, dropout_hazard=0.0)
         cohort = simulate_cohort(p, 30, seed=33)
         with pytest.raises(SeparationError):
-            fit_monitor_model(cohort, LINEAR_SPEC)
+            fit_on(cohort, LINEAR_SPEC)
 
     def test_separating_feature_is_named(self):
         # deterministic monitoring at every even gap separates on gap
@@ -127,7 +145,7 @@ class TestFitMonitorModel:
                 end_reason="administrative_end", horizon=FIXTURE_K))
         cohort = Cohort.from_records(recs, FIXTURE_SCHEMA, FIXTURE_K)
         with pytest.raises(SeparationError) as err:
-            fit_monitor_model(cohort, LINEAR_SPEC)
+            fit_on(cohort, LINEAR_SPEC)
         assert err.value.feature == "gap"
 
     def test_separated_fit_stops_soon_after_the_bound(self):
@@ -166,7 +184,7 @@ class TestFitMonitorModel:
 class TestWeightAlgebra:
     def test_telescoping_row_exact(self, fixture_cohort):
         grid = StrategyGrid.default(x_step=60)
-        model = fit_monitor_model(fixture_cohort, LINEAR_SPEC)
+        _, model = fit_on(fixture_cohort, LINEAR_SPEC)
         ds = expand(fixture_cohort, grid)
         wds = attach_weights(ds, model)
         probs = np.full(fixture_cohort.n_rows, np.nan)
@@ -216,7 +234,7 @@ class TestWeightAlgebra:
         cohort = simulate_cohort(p, 800, seed=77)
         grid = StrategyGrid.default(x_step=100, window_below=(3, 3),
                                     window_above=(9, 9), override_window=(3, 3))
-        model = fit_monitor_model(cohort, LINEAR_SPEC)
+        _, model = fit_on(cohort, LINEAR_SPEC)
         cen = clone_horizon_weights(cohort, model, grid)
         dec = cohort.decision_rows()
         p1 = decision_probabilities(model, cohort)
@@ -231,7 +249,7 @@ class TestWeightAlgebra:
 
     def test_truncation_at_100_is_identity(self, sim_cohort):
         grid = StrategyGrid.default(x_step=60)
-        model = fit_monitor_model(sim_cohort, LINEAR_SPEC)
+        _, model = fit_on(sim_cohort, LINEAR_SPEC)
         ds = expand(sim_cohort, grid)
         plain = attach_weights(ds, model)
         capped = attach_weights(ds, model, truncation=100.0)
@@ -240,7 +258,7 @@ class TestWeightAlgebra:
 
     def test_truncation_caps_and_reports(self, sim_cohort):
         grid = StrategyGrid.default(x_step=60)
-        model = fit_monitor_model(sim_cohort, LINEAR_SPEC)
+        _, model = fit_on(sim_cohort, LINEAR_SPEC)
         ds = expand(sim_cohort, grid)
         plain = attach_weights(ds, model)
         capped = attach_weights(ds, model, truncation=95.0)
@@ -308,9 +326,9 @@ class TestWeightAlgebra:
 
     def test_positivity_floor_raises(self, fixture_cohort):
         grid = StrategyGrid.default(x_step=100)
-        model = fit_monitor_model(fixture_cohort, LINEAR_SPEC)
+        _, model = fit_on(fixture_cohort, LINEAR_SPEC)
         model.fit.coef = model.fit.coef.copy()
-        k = model.columns.index("gap")
+        k = model.fit.columns.index("gap")
         model.fit.coef[k] = 30.0  # drives required-visit probabilities to ~1
         ds = expand(fixture_cohort, grid)
         with pytest.raises(PositivityViolation) as err:
@@ -330,7 +348,7 @@ class TestSummaries:
         point = analyze_cohort(sim_cohort, grid,
                                wopts=WeightOptions(truncation=truncation))
         ht = point.plan.ht
-        w = clone_horizon_weights(sim_cohort, point.monitor_model,
+        w = clone_horizon_weights(sim_cohort, point.plan.monitor_model,
                                   grid)[ht.subject_idx, ht.x_idx]
         lowered = 0.0
         if truncation is not None:
@@ -338,7 +356,7 @@ class TestSummaries:
             lowered = float(np.mean(w > cap))
             w = np.minimum(w, cap)
         assert (lowered > 0) == (truncation == 99.0)
-        want, got = _summary(w, lowered).to_dict(), point.weights.to_dict()
+        want, got = _summary(w, lowered).to_dict(), point.plan.weights.to_dict()
         exact = ("n", "truncated_fraction")
         assert [got[f] for f in exact] == [want[f] for f in exact]
         assert got["n"] == ht.subject_idx.size
@@ -350,8 +368,8 @@ class TestSummaries:
         grid = StrategyGrid.default(x_step=50)
         point = analyze_cohort(sim_cohort, grid,
                                wopts=WeightOptions(weighting="none"))
-        assert point.weights == _summary(np.ones(point.plan.ht.x_idx.size),
-                                         0.0)
+        assert point.plan.weights == _summary(
+            np.ones(point.plan.ht.x_idx.size), 0.0)
 
     def test_every_horizon_clone_has_positive_weight(self):
         # a missed required visit censors its clone in the month it is due,
@@ -360,12 +378,12 @@ class TestSummaries:
         cohort = simulate_cohort(DgpParams(), 4000, seed=7)
         grid = StrategyGrid.default()
         point = analyze_cohort(cohort, grid)
-        w = clone_horizon_weights(cohort, point.monitor_model, grid)
+        w = clone_horizon_weights(cohort, point.plan.monitor_model, grid)
         months = horizon_matrix(cohort, grid)
         full = (cohort.followup_end == cohort.horizon)[:, None]
         positive = int(np.sum((w > 0) & (months > cohort.horizon) & full))
-        assert point.weights.minimum > 0
-        assert point.weights.n == point.table.n_atrisk.sum() == positive
+        assert point.plan.weights.minimum > 0
+        assert point.plan.weights.n == point.table.n_atrisk.sum() == positive
         assert np.all(months[w == 0] <= cohort.horizon)
 
     def test_no_run_builds_row_level_weights(self, sim_cohort, monkeypatch):
@@ -385,8 +403,7 @@ class TestSummaries:
 
     def test_one_percentile_pass_equals_separate_calls(self, sim_cohort):
         grid = StrategyGrid.default(x_step=50)
-        wds = attach_weights(expand(sim_cohort, grid),
-                             fit_monitor_model(sim_cohort))
+        wds = attach_weights(expand(sim_cohort, grid), fit_on(sim_cohort)[1])
         w = wds.w[wds.ds.at_risk == 1]
         s = _summary(w, 0.0)
         assert (s.p25, s.median, s.p75, s.p99) == tuple(
@@ -394,7 +411,7 @@ class TestSummaries:
 
     def test_weight_summary_fields(self, sim_cohort):
         grid = StrategyGrid.default(x_step=100)
-        model = fit_monitor_model(sim_cohort, LINEAR_SPEC)
+        _, model = fit_on(sim_cohort, LINEAR_SPEC)
         wds = attach_weights(expand(sim_cohort, grid), model)
         s = weight_summary(wds)
         assert s.n > 0
@@ -441,9 +458,8 @@ def crossing_cases(draw):
     columns = ["intercept", "marker", "gap", "override"]
     model = MonitorModel(
         fit=GlmFit(coef=np.array(coef), columns=columns,
-                   family="binomial_logit", converged=True, iterations=0,
-                   deviance=0.0, loglik=0.0, cond=1.0),
-        spec=LINEAR_SPEC, marker_knots=None, columns=columns, n_decisions=0)
+                   family="binomial_logit", iterations=0, cond=1.0),
+        spec=LINEAR_SPEC, marker_knots=None)
     return cohort, grid, model
 
 
@@ -453,9 +469,8 @@ def crossing_cases(draw):
 def test_crossing_index_matches_row_level(construction, case):
     cohort, grid, model = case
     want = clone_horizon_weights(cohort, model, grid)
-    p1 = np.full(cohort.n_rows, np.nan)
-    p1[cohort.decision_rows()] = decision_probabilities(model, cohort)
-    got = CensoringWeightPlan(WindowCells(cohort, grid)).horizon_weights(p1)
+    got = CensoringWeightPlan(WindowCells(cohort, grid)).horizon_weights(
+        decision_probabilities(model, cohort))
     assert got.shape == want.shape
     # the plan weighs the clones uncensored at the horizon; every clone the
     # row-level paths zero is censored by then
