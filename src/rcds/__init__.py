@@ -11,8 +11,6 @@ from .cohort import (
     BaselineField,
     BaselineSchema,
     Cohort,
-    SubjectRecord,
-    TimeRow,
     baseline_design,
 )
 from .errors import (

@@ -1,4 +1,4 @@
-"""Subject records, baseline schemas, and the columnar cohort container.
+"""Baseline schemas and the columnar cohort container.
 
 A cohort is a set of subjects observed on a monthly grid t = 0..K. Row t = 0
 is the baseline visit: every subject enters with a measured marker value
@@ -12,7 +12,7 @@ A cohort is built from measurements only. Both derived columns, and
 measurements.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,29 +66,6 @@ class BaselineSchema:
                     )
 
 
-@dataclass(frozen=True)
-class TimeRow:
-    """One subject-month of observed data."""
-
-    t: int
-    monitor: int
-    observed_marker: float  # nan when not measured this month
-    override_flag: int
-
-
-@dataclass
-class SubjectRecord:
-    """Row-wise view of one subject, convenient for fixtures and tracing."""
-
-    subject_id: str
-    baseline: dict
-    rows: list
-    outcome_y: float  # nan when missing
-    followup_end: int
-    end_reason: str
-    horizon: int
-
-
 def carry_forward(monitor, observed_marker, offsets):
     """The derived columns of the carry-forward rule, from the measurements.
 
@@ -105,7 +82,7 @@ def carry_forward(monitor, observed_marker, offsets):
 
 
 class Cohort:
-    """Columnar store of subject records sharing one baseline schema.
+    """Columnar store of subjects sharing one baseline schema.
 
     Built from the measurements, which must pass :meth:`validate`; the
     carried-forward marker, months since the last visit and visit count
@@ -195,63 +172,6 @@ class Cohort:
             raise ConfigError(f"subject {self.subject_ids[i]}: {message}")
 
     # ------------------------------------------------------------------
-    # record-level views
-    # ------------------------------------------------------------------
-    def record(self, i):
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        rows = [
-            TimeRow(
-                t=int(self.t[k]),
-                monitor=int(self.monitor[k]),
-                observed_marker=float(self.observed_marker[k]),
-                override_flag=int(self.override_flag[k]),
-            )
-            for k in range(lo, hi)
-        ]
-        baseline = {
-            f.name: float(self.baseline[i, j])
-            for j, f in enumerate(self.schema.fields)
-        }
-        return SubjectRecord(
-            subject_id=self.subject_ids[i],
-            baseline=baseline,
-            rows=rows,
-            outcome_y=float(self.outcome_y[i]),
-            followup_end=int(self.followup_end[i]),
-            end_reason=self.end_reason_name(i),
-            horizon=self.horizon,
-        )
-
-    def records(self):
-        return [self.record(i) for i in range(self.n_subjects)]
-
-    @classmethod
-    def from_records(cls, records, schema, horizon):
-        """A cohort from records (:class:`SubjectRecord`), which carry
-        measurements only; the cohort derives the rest."""
-        if not records:
-            raise ConfigError("cannot build a cohort from zero records")
-        ids, base, fue, reason, y = [], [], [], [], []
-        t, mon, obs, ovr = [], [], [], []
-        for r in records:
-            ids.append(r.subject_id)
-            base.append([r.baseline[f.name] for f in schema.fields])
-            fue.append(r.followup_end)
-            reason.append(_REASON_CODE[r.end_reason])
-            y.append(np.nan if r.outcome_y is None else r.outcome_y)
-            for row in r.rows:
-                t.append(row.t)
-                mon.append(row.monitor)
-                obs.append(row.observed_marker)
-                ovr.append(row.override_flag)
-        return cls(
-            subject_ids=ids, baseline=np.array(base, dtype=np.float64),
-            schema=schema, horizon=horizon, followup_end=fue,
-            end_reason=reason, outcome_y=y, t=t, monitor=mon,
-            observed_marker=obs, override_flag=ovr,
-        )
-
-    # ------------------------------------------------------------------
     # derived array views used by the estimation pipeline
     # ------------------------------------------------------------------
     def prev_state(self):
@@ -305,14 +225,11 @@ def baseline_fields(schema, terms="all"):
     return [(j, f) for j, f in enumerate(schema.fields) if f.name in wanted]
 
 
-def baseline_design(cohort, terms="all", drop_levels=()):
+def baseline_design(cohort, terms="all"):
     """One-hot / identity design from baseline covariates.
 
     Categorical fields expand to indicator columns for every level beyond
-    the first; continuous fields enter linearly. Levels named in
-    ``drop_levels`` (as ``"field=level"``) get no column, and the first
-    remaining level of their field becomes its reference. Returns
-    ``(X, names)``.
+    the first; continuous fields enter linearly. Returns ``(X, names)``.
     """
     cols, names = [], []
     for j, f in baseline_fields(cohort.schema, terms):
@@ -321,11 +238,9 @@ def baseline_design(cohort, terms="all", drop_levels=()):
             cols.append(col)
             names.append(f.name)
             continue
-        kept = [code for code, level in enumerate(f.levels)
-                if f"{f.name}={level}" not in drop_levels]
-        for code in kept[1:]:
+        for code, level in enumerate(f.levels[1:], start=1):
             cols.append((col == code).astype(np.float64))
-            names.append(f"{f.name}={f.levels[code]}")
+            names.append(f"{f.name}={level}")
     if not cols:
         return np.empty((cohort.n_subjects, 0)), []
     return np.column_stack(cols), names

@@ -63,14 +63,15 @@ class PositivityViolation(RcdsError):
 
 
 class RankError(RcdsError):
-    """Rank-deficient design matrix."""
+    """Rank-deficient design matrix; from IRLS, with the trajectory."""
 
     exit_code = 2
     code = "RANK_DEFICIENT"
 
-    def __init__(self, message, column=None):
+    def __init__(self, message, column=None, trajectory=None):
         super().__init__(message)
         self.column = column
+        self.trajectory = trajectory or []
 
 
 class NonConvergence(RcdsError):

@@ -88,7 +88,8 @@ class GlmFit:
     iterations: int
     cond: float
     degenerate: bool = False
-    pinned: tuple = ()  # baseline levels held at the boundary (see rcds.msm)
+    pinned: tuple = ()      # cells held at a zero mean (see rcds.msm)
+    directions: tuple = ()  # the steps that pinned them, over all columns
 
 
 def rcs_basis(values, knots):
@@ -207,12 +208,12 @@ def fit_glm(design, response, family, start=None, stop=None):
     """Fit a weighted GLM by iteratively reweighted least squares.
 
     Converges when the largest relative coefficient change drops below
-    ``DEFAULT_TOL``; raises :class:`NonConvergence` (with the coefficient
-    trajectory) after ``DEFAULT_MAX_ITER`` iterations and
-    :class:`RankError` on a rank-deficient design. ``start`` warm-starts
-    the linear predictor from a coefficient vector. ``stop``, if given,
-    sees the coefficient trajectory after every step that has not
-    converged, and an exception it returns ends the fit.
+    ``DEFAULT_TOL``; raises :class:`NonConvergence` after
+    ``DEFAULT_MAX_ITER`` iterations and :class:`RankError` on a
+    rank-deficient design, either with the coefficient trajectory so far.
+    ``start`` warm-starts the linear predictor from a coefficient vector.
+    ``stop``, if given, sees the coefficient trajectory after every step
+    that has not converged, and an exception it returns ends the fit.
     """
     y = _check_response(response, family, design.n)
     X, w = design.X, design.weights
@@ -239,7 +240,11 @@ def fit_glm(design, response, family, start=None, stop=None):
             var = mu
         wk = w * var
         z = eta + (y - mu) / var
-        beta_new, cond = _solve_wls(X, z, wk, design.columns)
+        try:
+            beta_new, cond = _solve_wls(X, z, wk, design.columns)
+        except RankError as err:
+            err.trajectory = history
+            raise
         delta = np.max(np.abs(beta_new - beta))
         scale_ref = max(1.0, float(np.max(np.abs(beta_new))))
         history.append(beta_new.copy())

@@ -16,7 +16,9 @@ subject-level bootstrap calls ``Plan.run(multiplicity)`` per replicate, which
 refits the monitoring model, rebuilds the weights and refits both MSMs.
 Every fit runs on its rows of positive case weight only, so a replicate's
 fits and its standardization skip the subjects its resample left out.
-Weighted or not, truncated or not, every run takes this path.
+Weighted or not, truncated or not, every run takes this path. A cell with
+no events, whose fitted mean has its MLE at zero, is pinned there by one
+rule that runs only after a fit fails (:func:`_fit_horizon_msm`).
 """
 
 import warnings
@@ -104,7 +106,7 @@ class DoseResponseTable:
     usage_se: np.ndarray | None = None
     n_boot: int = 0
     n_failed: int = 0
-    n_pinned: int = 0  # successful replicates with a pinned baseline level
+    n_pinned: int = 0  # successful replicates in which an MSM pinned cells
     failed_by_code: dict = field(default_factory=dict)  # error code: count
 
     def __len__(self):
@@ -126,14 +128,12 @@ def _strategy_basis(xvals, knots):
     return basis, names
 
 
-def _msm_design(xvals, knots, base_X, base_names, weights):
-    sb, snames = _strategy_basis(xvals, knots)
-    cols = [np.ones(xvals.size), *sb.T]
-    names = ["intercept", *snames]
-    for j, nm in enumerate(base_names):
-        cols.append(base_X[:, j])
-        names.append(nm)
-    return DesignMatrix(np.column_stack(cols), names, weights=weights)
+def _msm_design(cohort, grid, spec, subject_idx, x_idx, weights=None):
+    base_X, base_names = baseline_design(cohort, spec.baseline_terms)
+    sb, snames = _strategy_basis(grid.xs[x_idx], spec.knots_for(grid))
+    return DesignMatrix(
+        np.column_stack([np.ones(x_idx.size), sb, base_X[subject_idx]]),
+        ["intercept", *snames, *base_names], weights=weights)
 
 
 def _degenerate_fit(columns):
@@ -143,82 +143,106 @@ def _degenerate_fit(columns):
                   iterations=0, cond=1.0, degenerate=True)
 
 
-def _event_free_levels(cohort, terms, subject_idx, response):
-    """Categorical baseline levels, as ``"field=level"``, that no row with a
-    positive response belongs to (rows are the kept, positive-weight ones)."""
-    with_event = subject_idx[response > 0]
-    out = []
-    for j, f in baseline_fields(cohort.schema, terms):
-        if f.kind != CATEGORICAL:
-            continue
-        hits = np.bincount(cohort.baseline[with_event, j].astype(np.int64),
-                           minlength=len(f.levels))
-        out.extend(f"{f.name}={lv}" for lv, h in zip(f.levels, hits) if h == 0)
-    return tuple(out)
+CERT_TOL = 1e-6  # of the step's largest move, for x·d = 0 and x·d < 0
 
 
-def _pinned_subjects(cohort, pinned):
-    """Subjects that belong to any of the pinned ``"field=level"`` levels."""
-    mask = np.zeros(cohort.n_subjects, dtype=bool)
-    for j, f in enumerate(cohort.schema.fields):
-        for code, lv in enumerate(f.levels):
-            if f"{f.name}={lv}" in pinned:
-                mask |= cohort.baseline[:, j] == code
-    return mask
+def _certificate(X, response, trajectory):
+    """The last IRLS step d, scaled so that it moves no linear predictor
+    of X by more than 1, the rows it keeps and the columns that stay on
+    them, when d shows that the Poisson-log MLE does not exist (Haberman
+    1974; IRLS diverges along it, Lesaffre & Albert 1989): X d = 0 on the
+    rows with events, X d ≤ 0 on all and X d < 0 on the rows it drops. In
+    order of |d_j|, smallest first (within 1e-6, latest first), the rank
+    rule of :func:`rcds.glm.fit_glm` over the kept rows drops each column
+    dependent on those before it."""
+    if len(trajectory) < 2:
+        return None
+    d = trajectory[-1] - trajectory[-2]
+    xd = X @ d
+    tol = CERT_TOL * np.abs(xd).max()
+    rows = xd >= -tol
+    if rows.all() or np.any(xd > tol) or not rows[response > 0].all():
+        return None
+    size = np.round(np.abs(d[1:]) / np.abs(d).max(), 6)
+    order = np.r_[0, 1 + np.lexsort((-np.arange(size.size), size))]
+    diag = np.abs(np.diag(np.linalg.qr(X[rows][:, order], mode="r")))
+    cols = np.zeros(d.size, dtype=bool)
+    cols[order[:diag.size]] = diag >= 1e-10 * diag.max()
+    return d / np.abs(xd).max(), rows, cols
+
+
+def _labels(cohort, terms, subjects, neg, dropped):
+    """What a certificate pinned: the categorical baseline levels, as
+    ``"field=level"``, whose rows ``neg`` holds all of, else the columns it
+    dropped."""
+    levels = [(f"{f.name}={lv}", cohort.baseline[subjects, j] == c)
+              for j, f in baseline_fields(cohort.schema, terms)
+              if f.kind == CATEGORICAL for c, lv in enumerate(f.levels)]
+    return [nm for nm, rows in levels if rows.any() and neg[rows].all()] \
+        or dropped
 
 
 def _fit_horizon_msm(cohort, grid, spec, subject_idx, x_idx, response, weights,
                      design=None, start=None):
     """Weighted Poisson fit of horizon responses on spline(x) + baseline terms.
 
-    A categorical baseline level with no weighted event among the kept rows
-    has a boundary MLE: its predicted mean tends to zero whatever the other
-    coefficients do, and IRLS diverges on its coefficient. Such a level is
-    pinned, as :func:`_degenerate_fit` pins a wholly event-free response:
-    its subjects' rows leave the fit, its indicator column goes (the first
-    remaining level becomes the reference if the pinned level was it), the
-    other coefficients are fit on the remaining rows, and ``fit.pinned``
-    names the level so that :func:`standardize` predicts
-    ``exp(DEGENERATE_ETA)`` for its subjects.
+    Every fit runs on the kept rows: a response and a positive weight.
+    ``design`` is the MSM design of all the given rows, when the caller has
+    built it once for many fits; the fit starts from ``start``. The fit
+    carries no standard errors: the intervals come from the bootstrap.
 
-    Every fit runs on the kept rows only. ``design`` is the MSM design of
-    all the given rows, when the caller has built it once for many fits;
-    unless a level is pinned, the fit then takes the kept rows of it and
-    starts from ``start``. The fit carries no standard errors: the
-    intervals come from the bootstrap.
+    A cell with no events, as an event-free baseline level or threshold,
+    can have its MLE at a fitted mean of zero; IRLS then diverges. When a
+    fit fails with a :func:`_certificate` as its last step, it runs again
+    from a cold start on the rows and columns the certificate keeps;
+    ``fit.pinned`` names what each round pinned (:func:`_labels`) and
+    ``fit.directions`` holds its step over the full columns. A failure
+    without one drops the columns constant over the rows, which carry
+    nothing, or is raised as it is if there are none.
     """
     keep = ~np.isnan(response) & (weights > 0)
     if not keep.any():
         raise ConfigError("no usable horizon responses")
-    pinned = ()
-    if np.any(response[keep] > 0):
-        pinned = _event_free_levels(cohort, spec.baseline_terms,
-                                    subject_idx[keep], response[keep])
-    if pinned:
-        keep &= ~_pinned_subjects(cohort, pinned)[subject_idx]
     if np.unique(x_idx[keep]).size < 2:
         raise ConfigError(
             "horizon responses cover fewer than 2 distinct thresholds; the "
             "strategy curve is not identifiable"
         )
-    if design is None or pinned:
-        base_X, base_names = baseline_design(cohort, spec.baseline_terms,
-                                             pinned)
-        design = _msm_design(grid.xs[x_idx[keep]], spec.knots_for(grid),
-                             base_X[subject_idx[keep]], base_names,
-                             weights[keep])
-        start = None
-    else:
-        design = design.weighted_rows(np.where(keep, weights, 0.0))
-    response = response[keep]
+    w = np.where(keep, weights, 0.0)
+    if design is None:
+        design = _msm_design(cohort, grid, spec, subject_idx, x_idx, w)
+    design = design.weighted_rows(w)
+    response, subjects = response[keep], subject_idx[keep]
     if not np.any(response > 0):
         warnings.warn(
             "all horizon responses are zero; returning a curve pinned at zero",
             DegenerateResponse,
         )
         return _degenerate_fit(design.columns)
-    fit = fit_glm(design, response, POISSON_LOG, start=start)
-    fit.pinned = pinned
+    columns, pinned, directions = design.columns, [], []
+    while True:
+        try:
+            fit = fit_glm(design, response, POISSON_LOG, start=start)
+            break
+        except (RankError, NonConvergence) as err:
+            X = design.X
+            cert = _certificate(X, response, err.trajectory)
+            if cert is None:
+                rows = np.ones(response.size, dtype=bool)
+                cols = np.r_[True, np.any(X[:, 1:] != X[:1, 1:], axis=0)]
+                if cols.all():
+                    raise
+            else:
+                d, rows, cols = cert
+                pinned += _labels(cohort, spec.baseline_terms, subjects, ~rows,
+                                  np.compress(~cols, design.columns).tolist())
+                directions.append(np.zeros(len(columns)))
+                directions[-1][[columns.index(c) for c in design.columns]] = d
+            design = DesignMatrix(np.compress(cols, X[rows], axis=1),
+                                  np.compress(cols, design.columns).tolist(),
+                                  weights=design.weights[rows])
+            response, subjects, start = response[rows], subjects[rows], None
+    fit.pinned, fit.directions = tuple(pinned), tuple(directions)
     return fit
 
 
@@ -230,19 +254,25 @@ def standardize(fit, cohort, grid, spec=MsmSpec(), multiplicity=None):
     mean is returned; equal, up to the order of the sums, to averaging
     :func:`rcds.glm.predict` over an assembled per-x design. All thresholds
     come from one (thresholds, subjects) product over the subjects with
-    positive multiplicity. Subjects in a level the fit pinned (see
-    :func:`_fit_horizon_msm`) are predicted ``exp(DEGENERATE_ETA)``.
+    positive multiplicity. A column the fit dropped (see
+    :func:`_fit_horizon_msm`) has coefficient 0, and a (threshold, subject)
+    cell whose design row x has x·d < -CERT_TOL for a direction d of the
+    fit is predicted ``exp(DEGENERATE_ETA)``.
     """
     m = np.ones(cohort.n_subjects) if multiplicity is None else \
         np.asarray(multiplicity, dtype=np.float64)
     pos = m > 0
-    base_X, _ = baseline_design(cohort, spec.baseline_terms, fit.pinned)
-    sb, _ = _strategy_basis(grid.xs, spec.knots_for(grid))
+    base_X, base_names = baseline_design(cohort, spec.baseline_terms)
+    base_X = base_X[pos]
+    sb, snames = _strategy_basis(grid.xs, spec.knots_for(grid))
     p = 1 + sb.shape[1]  # intercept and strategy basis, then baseline terms
-    lp = (fit.coef[0] + sb @ fit.coef[1:p])[:, None] \
-        + base_X[pos] @ fit.coef[p:]
-    if fit.pinned:
-        lp[:, _pinned_subjects(cohort, fit.pinned)[pos]] = DEGENERATE_ETA
+    names = ["intercept", *snames, *base_names]
+    coef = np.zeros(len(names))  # 0 for a column the fit dropped
+    coef[[names.index(c) for c in fit.columns]] = fit.coef
+    lp = (coef[0] + sb @ coef[1:p])[:, None] + base_X @ coef[p:]
+    for d in fit.directions:
+        xd = (d[0] + sb @ d[1:p])[:, None] + base_X @ d[p:]
+        lp[xd < -CERT_TOL] = DEGENERATE_ETA
     return np.exp(np.clip(lp, -300, 300)) @ m[pos] / m.sum()
 
 
@@ -274,11 +304,8 @@ class Plan:
         self.cohort, self.grid, self.spec, self.wopts = cohort, grid, spec, wopts
         cells = WindowCells(cohort, grid)
         self.ht = horizon_table(cohort, grid, cells)
-        base_X, base_names = baseline_design(cohort, spec.baseline_terms)
-        self.msm_design = _msm_design(
-            grid.xs[self.ht.x_idx], spec.knots_for(grid),
-            base_X[self.ht.subject_idx], base_names,
-            np.ones(self.ht.x_idx.size))
+        self.msm_design = _msm_design(cohort, grid, spec, self.ht.subject_idx,
+                                      self.ht.x_idx)
         self.monitor = self.factors = None
         if wopts.weighting == "ip":
             self.monitor = monitor_design(cohort, wopts.monitor_spec, cells)
@@ -341,7 +368,7 @@ class Plan:
 
     def run(self, multiplicity=None):
         """Standardized ``(risk, usage)`` curves, and whether either MSM
-        pinned a baseline level, for one set of subject multiplicities;
+        pinned cells, for one set of subject multiplicities;
         ``None`` gives the point estimate (see :meth:`fit`)."""
         _, fit_y, fit_d = self.fit(multiplicity)
         risk, usage = (standardize(f, self.cohort, self.grid, self.spec,
@@ -385,7 +412,7 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
     are skipped and counted by error code in ``table.failed_by_code``; more
     than ``MAX_FAILED_FRACTION`` of failures raises
     :class:`BootstrapUnstable`, whose message names the codes. Replicates
-    in which an MSM pinned an event-free baseline level (see
+    in which an MSM pinned cells without events (see
     :func:`_fit_horizon_msm`) count as successes and are reported in
     ``table.n_pinned``. Replicates run one after another and are
     deterministic given the master seed.

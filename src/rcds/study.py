@@ -40,8 +40,8 @@ def run_coverage(params, grid, x_value, n_cohorts, n, B, seed,
     bootstrap replicate (``B``). Fully deterministic given ``seed``.
 
     The default model spec adjusts for sex and age only. A replicate whose
-    resample leaves a level of a categorical term without weighted events
-    fits, but with that level pinned at the boundary (see
+    resample leaves a baseline level without weighted events fits, but with
+    that level's cells pinned at a zero mean (see
     :func:`rcds.msm._fit_horizon_msm`); in small cohorts the multi-level
     terms would do this often, so the default keeps them out, and keeping it
     keeps coverage results comparable across versions.

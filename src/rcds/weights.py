@@ -29,6 +29,7 @@ from .glm import BINOMIAL_LOGIT, DesignMatrix, fit_glm, logistic, predict, rcs_b
 from .strategies import WindowCells, sweep, window_bounds
 
 PROB_FLOOR = 1e-6
+FLOOR_CHECKS = ("withholding a premature visit", "the required visit")
 
 
 @dataclass(frozen=True)
@@ -281,10 +282,24 @@ def decision_probabilities(model, cohort):
     return predict(model.fit, _without(design, model.dropped))
 
 
+def _check_floor(cohort, bad, subject, t, what):
+    """Raise :class:`PositivityViolation` for the months ``bad`` marks among
+    months of the given subject indices and times, in row order: their
+    count and the first 20 offenders."""
+    if np.any(bad):
+        rows = [(cohort.subject_ids[s], int(u))
+                for s, u in zip(subject[bad][:20], t[bad][:20])]
+        raise PositivityViolation(
+            f"{int(bad.sum())} person-months have fitted probability of "
+            f"{what} below {PROB_FLOOR:g}; first offenders: {rows}",
+            rows=rows,
+        )
+
+
 class _WeightContext:
     """Shared per-row quantities for weight-factor construction."""
 
-    def __init__(self, cohort, model, p1=None):
+    def __init__(self, cohort, model):
         self.cohort = cohort
         prev_last, prev_ovr, gap = cohort.prev_state()
         self.prev_last = prev_last
@@ -293,29 +308,14 @@ class _WeightContext:
         self.decision = cohort.decision_rows()
         self.monitored = cohort.monitor == 1
         self.subject = cohort.subject_index_per_row()
-        if p1 is None:  # else fitted probabilities aligned with cohort rows
-            p1 = np.full(cohort.n_rows, np.nan)
-            p1[self.decision] = decision_probabilities(model, cohort)
-        self.p1 = p1
+        self.p1 = np.full(cohort.n_rows, np.nan)
+        self.p1[self.decision] = decision_probabilities(model, cohort)
 
     def scatter(self, flat, fill):
         """Spread a flat per-row array into a dense (n_subjects, K+1) matrix."""
         out = np.full((self.cohort.n_subjects, self.cohort.horizon + 1), fill)
         out[self.subject, self.cohort.t] = flat
         return out
-
-    def check_floor(self, bad_mask, what):
-        if not np.any(bad_mask):
-            return
-        subs = self.subject[bad_mask]
-        ts = self.cohort.t[bad_mask]
-        rows = [(self.cohort.subject_ids[s], int(t))
-                for s, t in zip(subs[:20], ts[:20])]
-        raise PositivityViolation(
-            f"{int(bad_mask.sum())} person-months have fitted probability of "
-            f"{what} below {PROB_FLOOR:g}; first offenders: {rows}",
-            rows=rows,
-        )
 
 
 def _censoring_factor_paths(ctx, strategy):
@@ -331,9 +331,9 @@ def _censoring_factor_paths(ctx, strategy):
     lo, hi = window_bounds(strategy, ctx.prev_last, ctx.prev_ovr)
     early = ctx.decision & (ctx.gap < lo)
     due = ctx.decision & (ctx.gap == hi)
-    ctx.check_floor(early & (1.0 - ctx.p1 < PROB_FLOOR),
-                    "withholding a premature visit")
-    ctx.check_floor(due & (ctx.p1 < PROB_FLOOR), "the required visit")
+    for bad, what in zip((early & (1.0 - ctx.p1 < PROB_FLOOR),
+                          due & (ctx.p1 < PROB_FLOOR)), FLOOR_CHECKS):
+        _check_floor(ctx.cohort, bad, ctx.subject, ctx.cohort.t, what)
     factor = np.ones(ctx.cohort.n_rows)
     m = early & ~ctx.monitored
     factor[m] = 1.0 / (1.0 - ctx.p1[m])
@@ -379,34 +379,45 @@ class CensoringWeightPlan:
         sides = [(on & (g < lo), on & (g == hi), at)
                  for on, lo, hi, at in cells.decision_sides]
         self.rows, self.mon = dec, mon  # decision months, and their visits
+        self.subject = cells.subject[dec]
         self.cells = [(np.flatnonzero(f), at[f]) for f, at in (
             ((early & ~mon) | (due & mon), at) for early, due, at in sides)]
         # decision months held to the probability floor, under any strategy
         self.early = sides[0][0] | sides[1][0]
         self.due = sides[0][1] | sides[1][1]
+        self.sides = [(early, due, at % len(self.grid))
+                      for early, due, at in sides]
 
     def horizon_weights(self, p):
         """(n_subjects, n_strategies) horizon weights given the fitted
         monitoring probability of every decision month, in the order of
         :meth:`MonitorDesign.probabilities`.
 
-        The positivity floor is the row-level rule of :func:`attach_weights`:
-        when an early or due month falls below it, the row-level paths are
-        built until they raise, naming the same first offenders.
+        The positivity floor is the row-level rule of :func:`attach_weights`
+        (see :meth:`_check_floor`).
         """
         if (np.any(1.0 - p[self.early] < PROB_FLOOR)
                 or np.any(p[self.due] < PROB_FLOOR)):
-            p1 = np.full(self.cohort.n_rows, np.nan)
-            p1[self.rows] = p
-            ctx = _WeightContext(self.cohort, None, p1=p1)
-            for s in self.grid:
-                _censoring_factor_paths(ctx, s)
+            self._check_floor(p)
         with np.errstate(divide="ignore"):  # only factor rows are summed
             log_f = np.log(np.where(self.mon, p, 1.0 - p))
         n, k = self.cohort.n_subjects, len(self.grid)
         return np.exp(-sweep(*(
             np.bincount(at, weights=log_f[pos], minlength=n * k).reshape(n, k)
             for pos, at in self.cells)))
+
+    def _check_floor(self, p):
+        """The floor rule of :func:`attach_weights`, strategy by strategy
+        and early months before due ones: an above-side month reaches the
+        strategies up to its column, a below-side one those from it on."""
+        (early_a, due_a, col_a), (early_b, due_b, col_b) = self.sides
+        t = self.cohort.t[self.rows]
+        for j in range(len(self.grid)):
+            for above, below, low, what in zip(
+                    (early_a, due_a), (early_b, due_b),
+                    (1.0 - p < PROB_FLOOR, p < PROB_FLOOR), FLOOR_CHECKS):
+                bad = low & ((above & (j <= col_a)) | (below & (j >= col_b)))
+                _check_floor(self.cohort, bad, self.subject, t, what)
 
 
 @dataclass

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rcds import BaselineField, BaselineSchema, Cohort, SubjectRecord, TimeRow
+from rcds import BaselineField, BaselineSchema
+from reference import SubjectRecord, TimeRow, from_records
 
 # property tests draw the same examples on every run
 settings.register_profile("deterministic", derandomize=True, deadline=None,
@@ -104,4 +105,4 @@ def fixture_records():
 
 @pytest.fixture(scope="session")
 def fixture_cohort(fixture_records):
-    return Cohort.from_records(fixture_records, FIXTURE_SCHEMA, FIXTURE_K)
+    return from_records(fixture_records, FIXTURE_SCHEMA, FIXTURE_K)

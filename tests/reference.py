@@ -4,7 +4,8 @@ The row-level estimator pieces that no CLI path runs read the MSM responses
 and weights off the expanded person-strategy-month dataset of
 :func:`rcds.expand` and :func:`rcds.weights.attach_weights`; the estimator
 plan (:class:`rcds.Plan`) is tested against them. The per-threshold loop over
-every subject is the reference for the one product of
+every subject's full design row, with the cells a fit pinned read from its
+boundary directions, is the reference for the one product of
 :func:`rcds.standardize`.
 
 The month-by-month walk of one subject's visits is the reference for the
@@ -23,7 +24,14 @@ consistency by construction.
 
 The log-likelihood in scipy's zero-safe ``xlogy`` and ``gammaln`` is the
 reference for :meth:`rcds.weights.MonitorDesign.log_likelihood`.
+
+The record-level view of a cohort, one :class:`SubjectRecord` of
+:class:`TimeRow` months per subject, builds the hand-traced fixtures and
+feeds the record-level consistency horizon; :func:`from_records` packs
+records into a :class:`rcds.Cohort`, and :func:`record` reads one back.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
@@ -33,10 +41,10 @@ from rcds.errors import ConfigError
 from rcds.expansion import HorizonTable
 from rcds.glm import BINOMIAL_LOGIT
 from rcds.msm import (
+    CERT_TOL,
     DEGENERATE_ETA,
     MsmSpec,
     _fit_horizon_msm,
-    _pinned_subjects,
     _strategy_basis,
 )
 from rcds.simulate import (
@@ -49,6 +57,87 @@ from rcds.simulate import (
 from rcds.weights import _summary
 
 FORCED_RULES = ("earliest", "latest", "natural")
+
+
+@dataclass(frozen=True)
+class TimeRow:
+    """One subject-month of observed data."""
+
+    t: int
+    monitor: int
+    observed_marker: float  # nan when not measured this month
+    override_flag: int
+
+
+@dataclass
+class SubjectRecord:
+    """Row-wise view of one subject, convenient for fixtures and tracing."""
+
+    subject_id: str
+    baseline: dict
+    rows: list
+    outcome_y: float  # nan when missing
+    followup_end: int
+    end_reason: str
+    horizon: int
+
+
+def record(cohort, i):
+    """Subject ``i`` of ``cohort`` as a :class:`SubjectRecord`."""
+    lo, hi = cohort.offsets[i], cohort.offsets[i + 1]
+    rows = [
+        TimeRow(
+            t=int(cohort.t[k]),
+            monitor=int(cohort.monitor[k]),
+            observed_marker=float(cohort.observed_marker[k]),
+            override_flag=int(cohort.override_flag[k]),
+        )
+        for k in range(lo, hi)
+    ]
+    baseline = {
+        f.name: float(cohort.baseline[i, j])
+        for j, f in enumerate(cohort.schema.fields)
+    }
+    return SubjectRecord(
+        subject_id=cohort.subject_ids[i],
+        baseline=baseline,
+        rows=rows,
+        outcome_y=float(cohort.outcome_y[i]),
+        followup_end=int(cohort.followup_end[i]),
+        end_reason=cohort.end_reason_name(i),
+        horizon=cohort.horizon,
+    )
+
+
+def records(cohort):
+    """Every subject of ``cohort`` as a :class:`SubjectRecord`."""
+    return [record(cohort, i) for i in range(cohort.n_subjects)]
+
+
+def from_records(recs, schema, horizon):
+    """A cohort from records (:class:`SubjectRecord`), which carry
+    measurements only; the cohort derives the rest."""
+    if not recs:
+        raise ConfigError("cannot build a cohort from zero records")
+    ids, base, fue, reason, y = [], [], [], [], []
+    t, mon, obs, ovr = [], [], [], []
+    for r in recs:
+        ids.append(r.subject_id)
+        base.append([r.baseline[f.name] for f in schema.fields])
+        fue.append(r.followup_end)
+        reason.append(_REASON_CODE[r.end_reason])
+        y.append(np.nan if r.outcome_y is None else r.outcome_y)
+        for row in r.rows:
+            t.append(row.t)
+            mon.append(row.monitor)
+            obs.append(row.observed_marker)
+            ovr.append(row.override_flag)
+    return Cohort(
+        subject_ids=ids, baseline=np.array(base, dtype=np.float64),
+        schema=schema, horizon=horizon, followup_end=fue,
+        end_reason=reason, outcome_y=y, t=t, monitor=mon,
+        observed_marker=obs, override_flag=ovr,
+    )
 
 
 def scipy_log_likelihood(y, mu, w, family):
@@ -97,16 +186,23 @@ def fit_resource_msm(wds, spec=MsmSpec()):
 def standardize_per_threshold(fit, cohort, grid, spec=MsmSpec(),
                               multiplicity=None):
     """:func:`rcds.standardize` one threshold at a time over every subject:
-    the multiplicity-weighted mean of the subjects' predictions at each x."""
-    base_X, _ = baseline_design(cohort, spec.baseline_terms, fit.pinned)
-    sb, _ = _strategy_basis(grid.xs, spec.knots_for(grid))
-    p = 1 + sb.shape[1]
-    m = np.ones(cohort.n_subjects) if multiplicity is None else multiplicity
-    pinned = _pinned_subjects(cohort, fit.pinned)
+    the multiplicity-weighted mean of the subjects' predictions at each x,
+    each from the subject's full design row x at that x, with the fit's
+    coefficients on its columns and ``exp(DEGENERATE_ETA)`` wherever x·d
+    is below ``-CERT_TOL`` for one of the fit's boundary directions d."""
+    base_X, base_names = baseline_design(cohort, spec.baseline_terms)
+    sb, snames = _strategy_basis(grid.xs, spec.knots_for(grid))
+    names = ["intercept", *snames, *base_names]
+    coef = np.zeros(len(names))
+    coef[[names.index(c) for c in fit.columns]] = fit.coef
+    n = cohort.n_subjects
+    m = np.ones(n) if multiplicity is None else multiplicity
     out = np.empty(len(grid))
     for j in range(len(grid)):
-        lp = fit.coef[0] + sb[j] @ fit.coef[1:p] + base_X @ fit.coef[p:]
-        lp[pinned] = DEGENERATE_ETA
+        X = np.column_stack([np.ones(n), np.tile(sb[j], (n, 1)), base_X])
+        lp = X @ coef
+        for d in fit.directions:
+            lp[X @ d < -CERT_TOL] = DEGENERATE_ETA
         out[j] = np.sum(m * np.exp(np.clip(lp, -300, 300))) / m.sum()
     return out
 

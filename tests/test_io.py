@@ -21,7 +21,6 @@ from rcds.cohort import (
     END_REASONS,
     BaselineField,
     BaselineSchema,
-    SubjectRecord,
     _REASON_CODE,
 )
 from rcds.errors import ConfigError
@@ -35,6 +34,7 @@ from rcds.io import (
 )
 
 from conftest import FIXTURE_K, FIXTURE_SCHEMA, _rows, make_fixture_records
+from reference import SubjectRecord, from_records
 
 MAX_VIOLATIONS = 20
 
@@ -251,8 +251,7 @@ def read_rows(path):
 def fixture_csv(tmp_path_factory):
     """The fixture cohort's CSV: s1 on lines 2-14 (t = 0..12), s2 on lines
     15-27 and s3 (followup_end 11) on lines 28-39."""
-    cohort = Cohort.from_records(make_fixture_records(), FIXTURE_SCHEMA,
-                                 FIXTURE_K)
+    cohort = from_records(make_fixture_records(), FIXTURE_SCHEMA, FIXTURE_K)
     path = tmp_path_factory.mktemp("fixture") / "fixture.csv"
     cohort_to_csv(cohort, path)
     return read_rows(path)
@@ -622,8 +621,7 @@ def test_accepted_spellings(workdir, fixture_csv):
                    (15, "observed_marker", "250"))
     path = write_rows(workdir / "spellings.csv", header,
                       edit([list(r) for r in rows]))
-    fixture = Cohort.from_records(make_fixture_records(), FIXTURE_SCHEMA,
-                                  FIXTURE_K)
+    fixture = from_records(make_fixture_records(), FIXTURE_SCHEMA, FIXTURE_K)
     assert_same_cohort(ingest_cohort(path, schema=FIXTURE_SCHEMA), fixture)
 
 
@@ -724,7 +722,7 @@ def random_cohorts(draw):
 @given(random_cohorts(), st.randoms(use_true_random=False))
 def test_csv_round_trip(workdir, drawn, rnd):
     records, K = drawn
-    cohort = Cohort.from_records(records, FIXTURE_SCHEMA, K)
+    cohort = from_records(records, FIXTURE_SCHEMA, K)
     path = workdir / "round_trip.csv"
     cohort_to_csv(cohort, path)
     assert_same_cohort(ingest_cohort(path, schema=FIXTURE_SCHEMA, horizon=K),
@@ -737,7 +735,7 @@ def test_csv_round_trip(workdir, drawn, rnd):
     by_id = {r.subject_id: r for r in records}
     first_seen = [by_id[sid] for sid in dict.fromkeys(r[0] for r in rows)]
     assert_same_cohort(ingest_cohort(path, schema=FIXTURE_SCHEMA, horizon=K),
-                       Cohort.from_records(first_seen, FIXTURE_SCHEMA, K))
+                       from_records(first_seen, FIXTURE_SCHEMA, K))
 
 
 def reference_cohort_to_csv(cohort, path):
@@ -770,7 +768,7 @@ def reference_cohort_to_csv(cohort, path):
 @given(random_cohorts())
 def test_writer_matches_row_writer(workdir, drawn):
     records, K = drawn
-    cohort = Cohort.from_records(records, FIXTURE_SCHEMA, K)
+    cohort = from_records(records, FIXTURE_SCHEMA, K)
     got, want = workdir / "columns.csv", workdir / "rows.csv"
     cohort_to_csv(cohort, got)
     reference_cohort_to_csv(cohort, want)
@@ -781,7 +779,7 @@ def test_writer_matches_row_writer_without_baseline(workdir):
     records = make_fixture_records()
     for r in records:
         r.baseline.clear()
-    cohort = Cohort.from_records(records, BaselineSchema(fields=()), FIXTURE_K)
+    cohort = from_records(records, BaselineSchema(fields=()), FIXTURE_K)
     got, want = workdir / "columns.csv", workdir / "rows.csv"
     cohort_to_csv(cohort, got)
     reference_cohort_to_csv(cohort, want)

@@ -25,7 +25,7 @@ from rcds import (
 from rcds.cohort import baseline_design
 from rcds.expansion import horizon_table
 from rcds.glm import BINOMIAL_LOGIT, POISSON_LOG, DesignMatrix, fit_glm, predict
-from rcds.msm import _fit_horizon_msm, _msm_design, _pinned_subjects
+from rcds.msm import CERT_TOL, _fit_horizon_msm
 from rcds.weights import (
     MonitorFeatureSpec,
     WeightedExpandedDataset,
@@ -319,15 +319,15 @@ class TestPinnedLevels:
                      reference_replicate(cohort, grid, spec, wopts, mult))
 
         # pinned subjects predict exp(DEGENERATE_ETA), the rest the fit
-        from rcds.cohort import baseline_design
         from rcds.msm import DEGENERATE_ETA, _strategy_basis
-        base_X, base_names = baseline_design(cohort, "all", (level,))
+        base_X, base_names = baseline_design(cohort)
         sb, snames = _strategy_basis(grid.xs, spec.knots_for(grid))
+        names = ["intercept", *snames, *base_names]
+        fitted = [names.index(c) for c in fit_y.columns]
         n = cohort.n_subjects
         for k in (0, len(grid) - 1):
             X = np.column_stack([np.ones(n), np.tile(sb[k], (n, 1)), base_X])
-            mu = predict(fit_y, DesignMatrix(X, ["intercept", *snames,
-                                                 *base_names]))
+            mu = predict(fit_y, DesignMatrix(X[:, fitted], fit_y.columns))
             mu[in_level] = np.exp(DEGENERATE_ETA)
             assert r1[k] == pytest.approx(np.sum(mult * mu) / mult.sum(),
                                           rel=1e-10)
@@ -341,18 +341,17 @@ class TestPinnedLevels:
         assert t.n_pinned == 8
 
 
-def zero_weight_msm_fit(plan, response, w, pinned, start):
-    """An MSM fit of ``plan`` with the rows the fit leaves out kept in at
-    weight zero."""
-    cohort, ht, spec, grid = plan.cohort, plan.ht, plan.spec, plan.grid
-    keep = (~np.isnan(response) & (w > 0)
-            & ~_pinned_subjects(cohort, pinned)[ht.subject_idx])
-    base_X, names = baseline_design(cohort, spec.baseline_terms, pinned)
-    design = _msm_design(grid.xs[ht.x_idx], spec.knots_for(grid),
-                         base_X[ht.subject_idx], names,
-                         np.where(keep, w, 0.0))
+def zero_weight_msm_fit(plan, response, w, fit, start):
+    """An MSM fit of ``plan`` on the columns of ``fit``, with the rows the
+    fit leaves out, those it pinned included, kept in at weight zero."""
+    X, names = plan.msm_design.X, plan.msm_design.columns
+    keep = ~np.isnan(response) & (w > 0)
+    for d in fit.directions:
+        keep &= X @ d >= -CERT_TOL
+    design = DesignMatrix(np.compress(np.isin(names, fit.columns), X, axis=1),
+                          fit.columns, np.where(keep, w, 0.0))
     return fit_glm(design, np.where(keep, response, 0.0), POISSON_LOG,
-                   start=None if pinned else start)
+                   start=None if fit.pinned else start)
 
 
 def zero_weight_monitor_fit(design, mult, dropped, **kwargs):
@@ -412,8 +411,8 @@ class TestZeroWeightRowsLeaveFits:
         w, _, _ = plan._horizon_weights(mult)
         for fit, response, start in ((fit_y, plan.ht.y, plan.starts[1]),
                                      (fit_d, plan.ht.d, plan.starts[2])):
-            assert_same_fit(fit, zero_weight_msm_fit(plan, response, w,
-                                                     fit.pinned, start))
+            assert_same_fit(fit, zero_weight_msm_fit(plan, response, w, fit,
+                                                     start))
         assert bool(fit_y.pinned) == (name == "pinned-level")
         risk, usage, _ = plan.run(mult)
         assert_close((risk, usage), tuple(
@@ -498,14 +497,13 @@ class TestBootstrap:
 
     def test_duplication_leaves_point_estimates_unchanged(self, sim_cohort,
                                                           small_grid):
-        doubled_records = sim_cohort.records() + [
-            r for r in sim_cohort.records()]
+        doubled_records = reference.records(sim_cohort) + [
+            r for r in reference.records(sim_cohort)]
         for i, r in enumerate(doubled_records):
             r.subject_id = f"d{i}"
-        from rcds import Cohort
         from rcds.simulate import SIM_SCHEMA
-        doubled = Cohort.from_records(doubled_records, SIM_SCHEMA,
-                                      sim_cohort.horizon)
+        doubled = reference.from_records(doubled_records, SIM_SCHEMA,
+                                         sim_cohort.horizon)
         wopts = WeightOptions()
         a = analyze_cohort(sim_cohort, small_grid, MsmSpec(), wopts).table
         b = analyze_cohort(doubled, small_grid, MsmSpec(), wopts).table

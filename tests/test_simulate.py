@@ -171,7 +171,7 @@ class TestSimulateForced:
             strat = ThresholdStrategy(350.0, (2, 7), (8, 13), (2, 7))
             cohort = reference.simulate_forced(p, strat, 200, rule=rule,
                                                seed=8)
-            for rec in cohort.records():
+            for rec in reference.records(cohort):
                 assert reference.consistency_horizon(strat, rec) \
                     == p.horizon + 1, rule
 

@@ -6,10 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rcds import (
-    Cohort,
     ConfigError,
     StrategyGrid,
-    SubjectRecord,
     ThresholdStrategy,
     horizon_matrix,
 )
@@ -21,9 +19,12 @@ from conftest import (
     make_fixture_records,
 )
 from reference import (
+    SubjectRecord,
     applicable_window,
     consistency_horizon,
+    from_records,
     per_strategy_horizon_matrix,
+    record,
 )
 
 
@@ -112,7 +113,7 @@ class TestHorizonMatrix:
         grid = StrategyGrid.default(x_step=50)
         mat = horizon_matrix(cohort, grid)
         for i in range(cohort.n_subjects):
-            rec = cohort.record(i)
+            rec = record(cohort, i)
             for j, strat in enumerate(grid):
                 assert mat[i, j] == consistency_horizon(strat, rec)
 
@@ -211,7 +212,7 @@ class TestHorizonMatrixProperty:
     @given(small_records(), window_triples(),
            st.sets(st.sampled_from(MARKERS), min_size=1, max_size=4))
     def test_equals_consistency_horizon(self, records, windows, xs):
-        cohort = Cohort.from_records(records, FIXTURE_SCHEMA, FIXTURE_K)
+        cohort = from_records(records, FIXTURE_SCHEMA, FIXTURE_K)
         grid = StrategyGrid(tuple(ThresholdStrategy(x, *windows)
                                   for x in sorted(xs)))
         want = [[consistency_horizon(s, r) for s in grid] for r in records]

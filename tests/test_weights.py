@@ -28,7 +28,6 @@ from rcds import (
     horizon_matrix,
     simulate_cohort,
 )
-from rcds.cohort import Cohort, SubjectRecord
 from rcds.glm import BINOMIAL_LOGIT, DesignMatrix, fit_glm
 from rcds.strategies import WindowCells
 from rcds.weights import (
@@ -44,7 +43,12 @@ from rcds.weights import (
 )
 
 from conftest import FIXTURE_SCHEMA, _rows
-from reference import scipy_log_likelihood, weight_summary
+from reference import (
+    SubjectRecord,
+    from_records,
+    scipy_log_likelihood,
+    weight_summary,
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +135,7 @@ class TestFitMonitorModel:
     def test_separating_feature_is_named(self):
         # deterministic monitoring at every even gap separates on gap
         from conftest import FIXTURE_K, FIXTURE_SCHEMA
-        from rcds.cohort import Cohort, SubjectRecord, TimeRow
+        from reference import TimeRow
 
         recs = []
         for i in range(40):
@@ -143,7 +147,7 @@ class TestFitMonitorModel:
                 subject_id=f"p{i}", baseline={"sex": 0.0, "age": 40.0},
                 rows=rows, outcome_y=0.0, followup_end=12,
                 end_reason="administrative_end", horizon=FIXTURE_K))
-        cohort = Cohort.from_records(recs, FIXTURE_SCHEMA, FIXTURE_K)
+        cohort = from_records(recs, FIXTURE_SCHEMA, FIXTURE_K)
         with pytest.raises(SeparationError) as err:
             fit_on(cohort, LINEAR_SPEC)
         assert err.value.feature == "gap"
@@ -276,7 +280,7 @@ class TestWeightAlgebra:
         # the past. The thresholds cut through the marker path, so clones
         # switch between the below and above windows
         from conftest import FIXTURE_SCHEMA
-        from rcds.cohort import Cohort, SubjectRecord, TimeRow
+        from reference import TimeRow
 
         K = 8
         latent = 300.0 + 60.0 * np.sin(np.arange(K + 1))
@@ -291,7 +295,7 @@ class TestWeightAlgebra:
                 subject_id=f"p{i}", baseline={"sex": 0.0, "age": 40.0},
                 rows=rows, outcome_y=0.0, followup_end=K,
                 end_reason="administrative_end", horizon=K))
-        cohort = Cohort.from_records(recs, FIXTURE_SCHEMA, K)
+        cohort = from_records(recs, FIXTURE_SCHEMA, K)
         model = dgp_monitor_model(DgpParams(), LINEAR_SPEC)
         p1 = decision_probabilities(model, cohort)
         visited = cohort.monitor[cohort.decision_rows()] == 1
@@ -444,7 +448,7 @@ def crossing_cases(draw):
             followup_end=end,
             end_reason="administrative_end" if end == K else "lost",
             horizon=K))
-    cohort = Cohort.from_records(records, FIXTURE_SCHEMA, K)
+    cohort = from_records(records, FIXTURE_SCHEMA, K)
     lo_b, lo_a, lo_o = (draw(st.integers(1, 4)) for _ in range(3))
     hi_b = draw(st.integers(lo_b, 5))
     hi_a = draw(st.integers(max(lo_a, hi_b), 6))
