@@ -94,12 +94,6 @@ def _grid_from(block):
         "x_start": _number, "x_stop": _number, "x_step": _number}))
 
 
-def _dgp_from(block, seed):
-    d = dict(block)
-    d.setdefault("seed", seed)
-    return DgpParams.from_dict(d)
-
-
 def _msm_from(block):
     _known_keys(block, MSM_KEYS, "msm")
     return MsmSpec(**_present(block, MSM_KEYS, {
@@ -153,7 +147,7 @@ def run(config):
     seed = config.seed
 
     if config.mode == "simulate":
-        params = _dgp_from(config.section("dgp"), seed)
+        params = DgpParams.from_dict(config.section("dgp"))
         n = _number(config.raw, "n", 1000, int)
         cohort = simulate_cohort(params, n, seed=seed)
         rio.cohort_to_csv(cohort, out / "cohort.csv")
@@ -162,7 +156,7 @@ def run(config):
         return 0
 
     if config.mode == "oracle":
-        params = _dgp_from(config.section("dgp"), seed)
+        params = DgpParams.from_dict(config.section("dgp"))
         grid = _grid_from(config.section("grid"))
         n_mc = _number(config.raw, "n_mc", 100_000, int)
         truth = oracle_truth(params, grid, n_mc, seed=seed,
@@ -194,6 +188,8 @@ def run(config):
             rio.dump_yaml(
                 {"weights": point.plan.weights.to_dict(),
                  "monitor_model": _monitor_info(point.plan),
+                 "msm": {"outcome_pinned": list(point.plan.pinned[0]),
+                         "resource_pinned": list(point.plan.pinned[1])},
                  "bootstrap": {"B": int(table.n_boot),
                                "failed": int(table.n_failed),
                                "pinned": int(table.n_pinned),
@@ -220,7 +216,7 @@ def run(config):
         return 0
 
     if config.mode == "coverage":
-        params = _dgp_from(config.section("dgp"), seed)
+        params = DgpParams.from_dict(config.section("dgp"))
         grid = _grid_from(config.section("grid"))
         spec = _msm_from(config.section("msm")) if "msm" in config.raw \
             else None

@@ -310,8 +310,9 @@ class Plan:
         if wopts.weighting == "ip":
             self.monitor = monitor_design(cohort, wopts.monitor_spec, cells)
             self.factors = CensoringWeightPlan(cells)
-        # the point run's monitoring model and WeightSummary, once run
-        self.monitor_model = self.weights = None
+        # the point run's monitoring model, WeightSummary and the names each
+        # MSM pinned (outcome, resource), once run
+        self.monitor_model = self.weights = self.pinned = None
         self.starts = (None, None, None)  # monitor, outcome, resource
 
     def _horizon_weights(self, multiplicity):
@@ -346,8 +347,9 @@ class Plan:
         :meth:`rcds.weights.MonitorDesign.log_likelihood` of :attr:`monitor`.
 
         ``None`` gives the point fits; they are kept as :attr:`monitor_model`
-        and as warm starts for the replicates that follow, and the summary of
-        the horizon weights they fit as :attr:`weights`.
+        and as warm starts for the replicates that follow, the summary of
+        the horizon weights they fit as :attr:`weights`, and the ``pinned``
+        names of the outcome and the resource fit as :attr:`pinned`.
         """
         w, model, lowered = self._horizon_weights(multiplicity)
         ht = self.ht
@@ -359,6 +361,7 @@ class Plan:
                                     (ht.d, self.starts[2])))
         if multiplicity is None:
             self.monitor_model, self.weights = model, _summary(w, lowered)
+            self.pinned = (fit_y.pinned, fit_d.pinned)
             columns = self.msm_design.columns
             self.starts = (
                 None if model is None else

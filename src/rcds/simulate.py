@@ -73,7 +73,6 @@ class DgpParams:
     mon_override: float = 2.2
     override_hazard: float = 0.012
     dropout_hazard: float = 0.004
-    seed: int = 20250801
 
     def validate(self):
         """Structural checks plus the positivity of the monitoring model.
@@ -324,19 +323,18 @@ def _cohort(params, draws):
     )
 
 
-def simulate_cohort(params, n, seed=None):
+def simulate_cohort(params, n, seed):
     """Simulate an observational cohort of ``n`` subjects.
 
-    Identical ``(params, n, seed)`` give a bit-identical cohort; ``seed``
-    defaults to ``params.seed``. Only the structural checks run: a DGP whose
-    monitoring is (near) deterministic can be simulated, and the estimator's
-    own positivity guards decide whether it can be analyzed.
+    Identical ``(params, n, seed)`` give a bit-identical cohort. Only the
+    structural checks run: a DGP whose monitoring is (near) deterministic
+    can be simulated, and the estimator's own positivity guards decide
+    whether it can be analyzed.
     """
     params.check_structure()
     if n < 1:
         raise ConfigError("n must be at least 1")
-    key = (params.seed if seed is None else seed, 0)
-    draws = _draws(key, n, params.horizon)
+    draws = _draws((seed, 0), n, params.horizon)
     return _cohort(params, draws)
 
 
@@ -355,7 +353,7 @@ class TruthTable:
 ORACLE_BLOCK = 2048  # subjects the oracle steps at once
 
 
-def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
+def oracle_truth(params, grid, n_mc, rule="natural", *, seed):
     """Ground-truth counterfactual (risk, usage) per strategy by forced Monte
     Carlo.
 
@@ -387,8 +385,7 @@ def oracle_truth(params, grid, n_mc, rule="natural", seed=None):
         raise ConfigError(
             f"unknown oracle rule {rule!r}: the oracle simulates only the "
             "natural rule, the regime the censoring weights target")
-    key = (params.seed if seed is None else seed, 2)
-    draws = _draws(key, n_mc, params.horizon)
+    draws = _draws((seed, 2), n_mc, params.horizon)
     k = len(grid)
     failed = np.empty((k, n_mc), dtype=bool)
     visits = np.empty((k, n_mc), dtype=np.min_scalar_type(params.horizon + 1))

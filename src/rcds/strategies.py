@@ -120,21 +120,25 @@ def window_bounds(strategy, last_marker, override, x=None):
 
 
 class WindowCells:
-    """A cohort's pre-decision state (see :meth:`rcds.cohort.Cohort.prev_state`),
-    with each month keyed by its (subject, ``jstar``) cell under a grid.
+    """A cohort's decision months (t >= 1) in row order: the state seen the
+    month before (``marker``, ``override``, ``gap``; see
+    :meth:`rcds.cohort.Cohort.prev_state`), ``subject``, ``t`` and ``visit``,
+    each month keyed by its (subject, ``jstar``) cell under a grid.
 
     A grid's strategies share their windows, so with ``jstar`` the number of
     thresholds at or below a month's carried-forward marker, strategies
     ``j < jstar`` apply the above window, ``j >= jstar`` the below one, and
-    an override month the override window for every j. One layout serves the
+    an override month the override window for every j. One table serves the
     horizon matrix, the monitoring design and the censoring-weight plan.
     """
 
     def __init__(self, cohort, grid=StrategyGrid(())):
         self.cohort, self.grid = cohort, grid
-        self.marker, self.override, self.gap = cohort.prev_state()
-        self.subject = cohort.subject_index_per_row()
-        self.decision = np.flatnonzero(cohort.decision_rows())
+        dec = cohort.decision_rows()
+        self.marker, self.override, self.gap, self.subject, self.t = (
+            a[dec] for a in (*cohort.prev_state(),
+                             cohort.subject_index_per_row(), cohort.t))
+        self.visit = cohort.monitor[dec] == 1
         self.jstar = np.searchsorted(grid.xs, self.marker, "right")
 
     @cached_property
@@ -143,9 +147,8 @@ class WindowCells:
         the below side. An above cell reaches the strategies up to its
         column, a below cell (column 0 for override months) those from it
         on."""
-        rows, k, s = self.decision, len(self.grid), self.grid[0]
-        ovr, jstar = self.override[rows] == 1, self.jstar[rows]
-        cell = self.subject[rows] * k
+        k, s, jstar = len(self.grid), self.grid[0], self.jstar
+        ovr, cell = self.override == 1, self.subject * k
         (lo_a, hi_a), (lo_b, hi_b), (lo_o, hi_o) = (
             s.window_above, s.window_below, s.override_window)
         return ((~ovr & (jstar > 0), lo_a, hi_a, cell + jstar - 1),
@@ -175,8 +178,7 @@ def horizon_matrix(cohort, grid, cells=None):
     if k == 0:
         return np.empty((n, 0), dtype=np.int64)
     first = np.full((2, n * k), cohort.horizon + 1, dtype=np.int64)
-    dec = cells.decision
-    gap, t, visit = cells.gap[dec], cohort.t[dec], cohort.monitor[dec] == 1
+    gap, t, visit = cells.gap, cells.t, cells.visit
     for month, (on_side, lo, hi, at) in zip(first, cells.decision_sides):
         dev = on_side & np.where(visit, (gap < lo) | (gap > hi), gap >= hi)
         np.minimum.at(month, at[dev], t[dev])

@@ -68,18 +68,6 @@ class MonitorModel:
     dropped: tuple = ()  # declared columns constant over the fitted rows
 
 
-def _decision_state(cells):
-    dec = cells.decision
-    return {
-        "marker": cells.marker[dec],
-        "gap": cells.gap[dec].astype(np.float64),
-        "override": cells.override[dec].astype(np.float64),
-        "month": cells.cohort.t[dec].astype(np.float64),
-        "subject": cells.subject[dec],
-        "monitored": (cells.cohort.monitor[dec] == 1),
-    }
-
-
 def _marker_knots(spec, marker):
     """Effective feature spec and marker spline knots for the monitoring model.
 
@@ -105,37 +93,39 @@ def _without(design, names):
                         weights=design.weights)
 
 
-def _monitor_design(cohort, spec, state, marker_knots, case_weights=None):
-    cols = [np.ones(state["gap"].size)]
+def _monitor_design(cells, spec, marker_knots):
+    """The monitoring model's columns over the decision months of ``cells``
+    (a :class:`WindowCells`), with their names."""
+    cols = [np.ones(cells.gap.size)]
     names = ["intercept"]
     if spec.marker == "linear":
-        cols.append(state["marker"])
+        cols.append(cells.marker)
         names.append("marker")
     elif spec.marker == "rcs":
-        basis = rcs_basis(state["marker"], marker_knots)
+        basis = rcs_basis(cells.marker, marker_knots)
         cols.extend(basis.T)
         names.append("marker")
         names.extend(f"marker_rcs{i}" for i in range(1, basis.shape[1]))
     if spec.gap == "linear":
-        cols.append(state["gap"])
+        cols.append(cells.gap)
         names.append("gap")
     else:
-        capped = np.minimum(state["gap"], spec.gap_cap)
+        capped = np.minimum(cells.gap, spec.gap_cap)
         for g in range(2, spec.gap_cap + 1):
             cols.append((capped == g).astype(np.float64))
             names.append(f"gap={g}")
     if spec.override:
-        cols.append(state["override"])
+        cols.append(cells.override)
         names.append("override")
     if spec.month == "linear":
-        cols.append(state["month"])
+        cols.append(cells.t)
         names.append("month")
     if spec.baseline:
-        bx, bnames = baseline_design(cohort, list(spec.baseline))
+        bx, bnames = baseline_design(cells.cohort, list(spec.baseline))
         for j, nm in enumerate(bnames):
-            cols.append(bx[state["subject"], j])
+            cols.append(bx[cells.subject, j])
             names.append(nm)
-    return DesignMatrix(np.column_stack(cols), names, weights=case_weights)
+    return DesignMatrix(np.column_stack(cols), names)
 
 
 SEPARATION_BOUND = 15
@@ -215,18 +205,19 @@ class MonitorDesign:
 
 
 def monitor_design(cohort, spec=MonitorFeatureSpec(), cells=None):
-    """The :class:`MonitorDesign` of a cohort under a declared feature spec;
-    ``cells`` is the cohort's :class:`WindowCells` when the caller has built
-    it already."""
-    state = _decision_state(WindowCells(cohort) if cells is None else cells)
-    if state["gap"].size == 0:
+    """The :class:`MonitorDesign` of a cohort under a declared feature spec,
+    one row per decision month of its :class:`WindowCells`; ``cells`` is
+    that table when the caller has built it already."""
+    if cells is None:
+        cells = WindowCells(cohort)
+    if cells.gap.size == 0:
         raise SeparationError("cohort has no decision person-months")
-    spec, knots = _marker_knots(spec, state["marker"])
-    matrix = _monitor_design(cohort, spec, state, knots)
-    subject = state["subject"]  # rows grouped by subject, as in the cohort
+    spec, knots = _marker_knots(spec, cells.marker)
+    matrix = _monitor_design(cells, spec, knots)
+    subject = cells.subject  # rows grouped by subject, as in the cohort
     starts = np.flatnonzero(np.r_[True, subject[1:] != subject[:-1]])
     return MonitorDesign(spec=spec, knots=knots, matrix=matrix,
-                         monitored=state["monitored"], subject=subject,
+                         monitored=cells.visit, subject=subject,
                          ranges=(subject[starts],
                                  np.minimum.reduceat(matrix.X, starts),
                                  np.maximum.reduceat(matrix.X, starts)))
@@ -277,8 +268,8 @@ def fit_monitor_model(design, multiplicity=None, start=None):
 
 def decision_probabilities(model, cohort):
     """Fitted P(monitor = 1) at every decision month of a cohort."""
-    state = _decision_state(WindowCells(cohort))
-    design = _monitor_design(cohort, model.spec, state, model.marker_knots)
+    design = _monitor_design(WindowCells(cohort), model.spec,
+                             model.marker_knots)
     return predict(model.fit, _without(design, model.dropped))
 
 
@@ -372,14 +363,11 @@ class CensoringWeightPlan:
 
     def __init__(self, cells):
         self.cohort, self.grid = cells.cohort, cells.grid
-        dec = cells.decision
-        mon = self.cohort.monitor[dec] == 1
-        g = cells.gap[dec]
+        mon, g = cells.visit, cells.gap
         # (early months, due months, cells) of the above, then below sweep
         sides = [(on & (g < lo), on & (g == hi), at)
                  for on, lo, hi, at in cells.decision_sides]
-        self.rows, self.mon = dec, mon  # decision months, and their visits
-        self.subject = cells.subject[dec]
+        self.mon, self.subject, self.t = mon, cells.subject, cells.t
         self.cells = [(np.flatnonzero(f), at[f]) for f, at in (
             ((early & ~mon) | (due & mon), at) for early, due, at in sides)]
         # decision months held to the probability floor, under any strategy
@@ -411,13 +399,12 @@ class CensoringWeightPlan:
         and early months before due ones: an above-side month reaches the
         strategies up to its column, a below-side one those from it on."""
         (early_a, due_a, col_a), (early_b, due_b, col_b) = self.sides
-        t = self.cohort.t[self.rows]
         for j in range(len(self.grid)):
             for above, below, low, what in zip(
                     (early_a, due_a), (early_b, due_b),
                     (1.0 - p < PROB_FLOOR, p < PROB_FLOOR), FLOOR_CHECKS):
                 bad = low & ((above & (j <= col_a)) | (below & (j >= col_b)))
-                _check_floor(self.cohort, bad, self.subject, t, what)
+                _check_floor(self.cohort, bad, self.subject, self.t, what)
 
 
 @dataclass

@@ -414,15 +414,14 @@ def _pack_cohort(params, raw, draws):
     )
 
 
-def simulate_cohort(params, n, seed=None):
+def simulate_cohort(params, n, seed):
     """The observational cohort, one subject vector at a time."""
-    key = (params.seed if seed is None else seed, 0)
-    draws = _draws(key, n, params.horizon)
+    draws = _draws((seed, 0), n, params.horizon)
     raw = _run_kernel(params, n, draws, _observational_decision(params))
     return _pack_cohort(params, raw, draws)
 
 
-def simulate_forced(params, strategy, n, rule="earliest", seed=None):
+def simulate_forced(params, strategy, n, rule="earliest", *, seed):
     """``n`` subjects forced to follow one strategy, one subject vector at a
     time.
 
@@ -433,13 +432,12 @@ def simulate_forced(params, strategy, n, rule="earliest", seed=None):
     """
     if rule not in FORCED_RULES:
         raise ConfigError(f"unknown forced rule {rule!r}")
-    key = (params.seed if seed is None else seed, 1)
-    draws = _draws(key, n, params.horizon)
+    draws = _draws((seed, 1), n, params.horizon)
     raw = _run_kernel(params, n, draws, _forced_decision(params, strategy, rule))
     return _pack_cohort(params, raw, draws)
 
 
-def oracle_truth(params, grid, n_mc, seed=None):
+def oracle_truth(params, grid, n_mc, *, seed):
     """Ground-truth counterfactual (risk, usage) per strategy by forced Monte
     Carlo.
 
@@ -454,11 +452,10 @@ def oracle_truth(params, grid, n_mc, seed=None):
     params.validate()
     if n_mc < 1000:
         raise ConfigError("oracle needs n_mc >= 1000")
-    key = (params.seed if seed is None else seed, 2)
     xs = grid.xs
 
     noloss = params.replace(dropout_hazard=0.0)
-    draws = _draws(key, n_mc, params.horizon)
+    draws = _draws((seed, 2), n_mc, params.horizon)
     risk = np.empty(len(grid))
     usage = np.empty(len(grid))
     risk_se = np.empty(len(grid))

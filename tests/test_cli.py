@@ -253,6 +253,8 @@ BAD_INPUTS = {
                             "grid": {"window_below": ["two", 7]}},
     "dgp_value_not_a_number": {"mode": "simulate", "seed": 5,
                                "dgp": {"mon_gap": "steep"}},
+    # the config seed is the run's only seed
+    "dgp_seed": {"mode": "simulate", "seed": 1, "dgp": {"seed": 99}},
     "oracle_rule_unknown": {"mode": "oracle", "seed": 5, "n_mc": 2000,
                             "rule": "conditional"},
     "coverage_oracle_rule_latest": {"mode": "coverage", "seed": 5, "n": 1000,
@@ -361,6 +363,7 @@ def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
     ("coverage_no_cohorts", "coverage needs n_cohorts >= 1, got 0"),
     ("coverage_negative_cohorts", "coverage needs n_cohorts >= 1, got -1"),
     ("coverage_no_bootstrap", "coverage needs bootstrap B >= 1, got 0"),
+    ("dgp_seed", "unknown DGP parameters: ['seed']"),
     ("coverage_oracle_rule_latest",
      "unknown oracle rule 'latest': the oracle simulates only the natural "
      "rule"),
@@ -505,6 +508,10 @@ def test_event_free_threshold_is_pinned(tmp_path, capsys):
     config = {"mode": "analyze", "seed": 1, "input": path, "kappa": 4.5,
               "grid": {"x_step": 100}}
     assert run(tmp_path, "analyze", config, capsys)[0] == 0
+    report = yaml.safe_load((tmp_path / "analyze" / "weights.yaml")
+                            .read_text())
+    assert report["msm"] == {"outcome_pinned": ["x_rcs2"],
+                             "resource_pinned": []}
     plan = Plan(ingest_cohort(path), StrategyGrid.default(x_step=100))
     _, fit_y, fit_d = plan.fit()
     assert fit_y.pinned == ("x_rcs2",)

@@ -49,9 +49,9 @@ class TestValidation:
 
     def test_n_validation(self):
         with pytest.raises(ConfigError):
-            simulate_cohort(DgpParams(), 0)
+            simulate_cohort(DgpParams(), 0, seed=1)
         with pytest.raises(ConfigError):
-            oracle_truth(DgpParams(), StrategyGrid.default(), 999)
+            oracle_truth(DgpParams(), StrategyGrid.default(), 999, seed=1)
 
 
 class TestSimulateCohort:

@@ -118,6 +118,27 @@ class TestHorizonMatrix:
                 assert mat[i, j] == consistency_horizon(strat, rec)
 
 
+class TestWindowCells:
+    def test_holds_each_decision_month_once(self):
+        from rcds import DgpParams, simulate_cohort
+        from rcds.strategies import WindowCells
+
+        cohort = simulate_cohort(DgpParams(), 1000, seed=1)
+        grid = StrategyGrid.default()
+        cells = WindowCells(cohort, grid)
+        marker, override, gap = cohort.prev_state()
+        rows = {"marker": marker, "override": override, "gap": gap,
+                "subject": cohort.subject_index_per_row(), "t": cohort.t,
+                "visit": cohort.monitor == 1,
+                "jstar": np.searchsorted(grid.xs, marker, "right")}
+        dec = cohort.t >= 1
+        for name, full in rows.items():
+            assert np.array_equal(getattr(cells, name), full[dec]), name
+        # no full-row array rides along
+        assert {name for name, value in vars(cells).items()
+                if isinstance(value, np.ndarray)} == set(rows)
+
+
 class TestHorizonMatrixGate:
     """The cell sweeps against the per-strategy pass over every row."""
 
