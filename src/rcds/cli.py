@@ -2,6 +2,8 @@
 
 Every run is driven by one structured config file; the seed is mandatory and
 reruns with identical config and seed produce byte-identical artifacts.
+This module reads every config value by one set of rules; an unknown key or
+a bad value is a :class:`ConfigError` that names the key.
 Errors exit nonzero with a machine-parsable ``error_code=...`` final line;
 an infeasible selection is a reported status, not an error.
 """
@@ -13,6 +15,7 @@ from pathlib import Path
 
 from . import io as rio
 from .chart import render_chart
+from .cohort import CONTINUOUS, BaselineField, BaselineSchema
 from .errors import ConfigError, RcdsError, is_number, is_whole
 from .msm import MsmSpec, WeightOptions, analyze_cohort, bootstrap_pipeline
 from .optimize import frontier, select
@@ -66,6 +69,7 @@ def _present(block, keys, readers):
             for key in keys if key in block}
 
 
+MODES = ("simulate", "oracle", "analyze", "frontier", "coverage")
 CONFIG_KEYS = ("mode", "seed", "out", "input", "horizon", "baseline_schema",
                "dgp", "grid", "msm", "weights", "n", "n_mc", "rule", "kappa",
                "kappa_grid", "bootstrap", "x_value", "n_cohorts",
@@ -113,16 +117,56 @@ def _wopts_from(block):
         {"truncation": lambda b, k: None if b[k] is None else _number(b, k)}))
 
 
-def _schema_from(cfg):
-    block = cfg.section("baseline_schema", [])
-    return rio.schema_from_config(block) if block else None
+def _section(raw, name, default=None):
+    """The config's ``name`` block, ``default`` (an empty mapping for None)
+    when absent; a block of another type is a :class:`ConfigError`."""
+    default = {} if default is None else default
+    block = raw.get(name, default)
+    if not isinstance(block, type(default)):
+        kind = "a mapping" if isinstance(default, dict) else "a list"
+        raise ConfigError(f"config section {name!r} must be {kind}, "
+                          f"got {block!r}")
+    return block
 
 
-def _load_cohort(cfg):
-    horizon = cfg.raw.get("horizon")
+DGP_KEYS = {f.name: _integer if f.type is int else _number  # key: reader
+            for f in dataclasses.fields(DgpParams)}
+
+
+def _dgp_from(block):
+    _known_keys(block, DGP_KEYS, "dgp")
+    params = DgpParams(**_present(block, DGP_KEYS, DGP_KEYS))
+    params.validate()  # a DGP that breaks positivity is refused here
+    return params
+
+
+def _schema_from(raw):
+    """The declared baseline schema, or None when the config declares none."""
+    fields = []
+    for i, item in enumerate(_section(raw, "baseline_schema", []), 1):
+        if not (isinstance(item, dict) and "name" in item):
+            raise ConfigError(f"baseline_schema entry {i} must be a mapping "
+                              f"with a 'name', got {item!r}")
+        levels = item.get("levels", [])
+        if not (isinstance(levels, (list, tuple))
+                and all(isinstance(v, str) for v in levels)):
+            raise ConfigError(f"baseline_schema entry {i} 'levels' must be "
+                              f"a list of strings, got {levels!r}")
+        fields.append(BaselineField(item["name"], item.get("kind", CONTINUOUS),
+                                    tuple(levels)))
+    return BaselineSchema(fields=tuple(fields)) if fields else None
+
+
+def _load_cohort(raw):
+    inp = raw.get("input")
+    if not (isinstance(inp, str) and inp):
+        raise ConfigError(f"{raw['mode']} mode needs an input cohort path")
+    if not Path(inp).exists():
+        raise ConfigError(f"input path {inp!r} does not exist")
+    horizon = raw.get("horizon")
     return rio.ingest_cohort(
-        cfg.raw["input"], schema=_schema_from(cfg),
-        horizon=None if horizon is None else _integer(cfg.raw, "horizon"))
+        inp, schema=_schema_from(raw),
+        horizon=None if horizon is None else _integer(raw, "horizon"))
 
 
 def _monitor_info(plan):
@@ -139,49 +183,55 @@ def _monitor_info(plan):
     }
 
 
-def run(config):
-    """Execute one configured run and write its artifacts. Returns exit status."""
-    _known_keys(config.raw, CONFIG_KEYS, "config")
-    out = Path(config.out)
+def run(raw, out):
+    """Execute the run a config mapping describes and write its artifacts
+    into ``out``. Returns exit status."""
+    _known_keys(raw, CONFIG_KEYS, "config")
+    mode = raw.get("mode")
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    seed = _integer(raw, "seed")
+    if seed < 0:
+        raise ConfigError(f"'seed' must be non-negative, got {seed}")
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = config.seed
 
-    if config.mode == "simulate":
-        params = DgpParams.from_dict(config.section("dgp"))
-        n = _number(config.raw, "n", 1000, int)
+    if mode == "simulate":
+        params = _dgp_from(_section(raw, "dgp"))
+        n = _number(raw, "n", 1000, int)
         cohort = simulate_cohort(params, n, seed=seed)
         rio.cohort_to_csv(cohort, out / "cohort.csv")
         rio.dump_yaml(params.to_dict(), out / "dgp.yaml")
         print(f"wrote {out / 'cohort.csv'} ({cohort.n_subjects} subjects)")
         return 0
 
-    if config.mode == "oracle":
-        params = DgpParams.from_dict(config.section("dgp"))
-        grid = _grid_from(config.section("grid"))
-        n_mc = _number(config.raw, "n_mc", 100_000, int)
+    if mode == "oracle":
+        params = _dgp_from(_section(raw, "dgp"))
+        grid = _grid_from(_section(raw, "grid"))
+        n_mc = _number(raw, "n_mc", 100_000, int)
         truth = oracle_truth(params, grid, n_mc, seed=seed,
-                             **_present(config.raw, ("rule",), {}))
+                             **_present(raw, ("rule",), {}))
         rio.truth_to_csv(truth, out / "truth.csv")
         print(f"wrote {out / 'truth.csv'} (n_mc={n_mc})")
         return 0
 
-    if config.mode in ("analyze", "frontier"):
-        if config.mode == "analyze":
-            kappa = _number(config.raw, "kappa")
+    if mode in ("analyze", "frontier"):
+        if mode == "analyze":
+            kappa = _number(raw, "kappa")
         else:
-            kappas = _numbers(config.raw, "kappa_grid")
+            kappas = _numbers(raw, "kappa_grid")
             if not kappas:
                 raise ConfigError("frontier mode needs a kappa_grid")
-        cohort = _load_cohort(config)
-        grid = _grid_from(config.section("grid"))
-        spec = _msm_from(config.section("msm"))
-        wopts = _wopts_from(config.section("weights"))
-        B = _number(config.raw, "bootstrap", 0, int)
+        cohort = _load_cohort(raw)
+        grid = _grid_from(_section(raw, "grid"))
+        spec = _msm_from(_section(raw, "msm"))
+        wopts = _wopts_from(_section(raw, "weights"))
+        B = _number(raw, "bootstrap", 0, int)
         point = bootstrap_pipeline(cohort, grid, spec, wopts, B=B, seed=seed) \
             if B > 0 else analyze_cohort(cohort, grid, spec, wopts)
         table = point.table
 
-        if config.mode == "analyze":
+        if mode == "analyze":
             sel = select(table, kappa)
             rio.report_to_csv(table, out / "report.csv", selection=sel)
             rio.dump_yaml(sel.to_dict(), out / "selection.yaml")
@@ -196,10 +246,8 @@ def run(config):
                                "failed_by_code": table.failed_by_code}},
                 out / "weights.yaml",
             )
-            svg = render_chart(table, kappa, sel)
-            (out / "chart.svg").write_text(svg)
-            status = sel.status
-            print(f"selection status: {status}; chosen_x="
+            (out / "chart.svg").write_text(render_chart(table, kappa, sel))
+            print(f"selection status: {sel.status}; chosen_x="
                   f"{sel.chosen_x if sel.chosen_x is not None else 'none'}")
             return 0
 
@@ -215,31 +263,28 @@ def run(config):
         print(f"wrote {out / 'frontier.csv'} ({len(kappas)} caps)")
         return 0
 
-    if config.mode == "coverage":
-        params = DgpParams.from_dict(config.section("dgp"))
-        grid = _grid_from(config.section("grid"))
-        spec = _msm_from(config.section("msm")) if "msm" in config.raw \
-            else None
-        wopts = _wopts_from(config.section("weights"))
-        res = run_coverage(
-            params, grid,
-            x_value=_number(config.raw, "x_value", 350),
-            n_cohorts=_number(config.raw, "n_cohorts", 200, int),
-            n=_number(config.raw, "n", 2000, int),
-            B=_number(config.raw, "bootstrap", 200, int),
-            seed=seed, spec=spec, wopts=wopts,
-            **_present(config.raw, ("oracle_n_mc", "oracle_rule"),
-                       {"oracle_n_mc": _integer}),
-            progress=_report_cohort,
-        )
-        header = ["cohort", "risk", "risk_lo", "risk_hi", "covered"]
-        rio.write_csv(out / "coverage.csv", header,
-                      ([r[key] for key in header] for r in res.rows))
-        rio.dump_yaml(res.to_dict(), out / "coverage.yaml")
-        print(f"coverage: {res.coverage:.3f}")
-        return 0
-
-    raise ConfigError(f"unhandled mode {config.mode!r}")
+    # coverage, the one mode left
+    params = _dgp_from(_section(raw, "dgp"))
+    grid = _grid_from(_section(raw, "grid"))
+    spec = _msm_from(_section(raw, "msm")) if "msm" in raw else None
+    wopts = _wopts_from(_section(raw, "weights"))
+    res = run_coverage(
+        params, grid,
+        x_value=_number(raw, "x_value", 350),
+        n_cohorts=_number(raw, "n_cohorts", 200, int),
+        n=_number(raw, "n", 2000, int),
+        B=_number(raw, "bootstrap", 200, int),
+        seed=seed, spec=spec, wopts=wopts,
+        **_present(raw, ("oracle_n_mc", "oracle_rule"),
+                   {"oracle_n_mc": _integer}),
+        progress=_report_cohort,
+    )
+    header = ["cohort", "risk", "risk_lo", "risk_hi", "covered"]
+    rio.write_csv(out / "coverage.csv", header,
+                  ([r[key] for key in header] for r in res.rows))
+    rio.dump_yaml(res.to_dict(), out / "coverage.yaml")
+    print(f"coverage: {res.coverage:.3f}")
+    return 0
 
 
 def _report_cohort(done, total, covered):
@@ -254,7 +299,7 @@ def build_parser():
         description="Resource-constrained dynamic monitoring strategies",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name in rio.MODES:
+    for name in MODES:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
@@ -264,15 +309,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = rio.load_config(args.config)
-        if config.mode != args.command:
+        raw = rio.load_config(args.config)
+        if raw.get("mode") != args.command:
             raise ConfigError(
-                f"config mode {config.mode!r} does not match subcommand "
+                f"config mode {raw.get('mode')!r} does not match subcommand "
                 f"{args.command!r}"
             )
-        if args.out is not None:
-            config.out = args.out
-        return run(config)
+        return run(raw, args.out if args.out is not None
+                   else str(raw.get("out", "out")))
     except RcdsError as err:
         print(f"error: {err}", file=sys.stderr)
         print(f"error_code={err.code}", file=sys.stderr)

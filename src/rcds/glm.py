@@ -18,7 +18,6 @@ from .errors import ConfigError, NonConvergence, RankError, SchemaError
 
 BINOMIAL_LOGIT = "binomial_logit"
 POISSON_LOG = "poisson_log"
-FAMILIES = (BINOMIAL_LOGIT, POISSON_LOG)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -51,10 +50,6 @@ class DesignMatrix:
     @property
     def n(self):
         return self.X.shape[0]
-
-    @property
-    def p(self):
-        return self.X.shape[1]
 
     def weighted_rows(self, weights):
         """The rows of positive case weight, weighted by ``weights`` (one per
@@ -167,6 +162,13 @@ def _mu_eta(eta, family):
         return np.clip(mu, 1e-12, 1 - 1e-12)
     mu = np.exp(np.clip(eta, -300, 300))
     return np.clip(mu, 1e-300, None)
+
+
+def varying_columns(X):
+    """A mask of the columns of ``X`` that a refit keeps: the intercept,
+    first, and every other column that is not constant over the rows; a
+    constant one is collinear with the intercept and carries nothing."""
+    return np.r_[True, np.any(X[:, 1:] != X[:1, 1:], axis=0)]
 
 
 def _solve_wls(X, z, wts, columns):

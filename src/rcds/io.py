@@ -5,7 +5,6 @@ timestamps, so identical inputs produce byte-identical artifacts.
 """
 
 import csv
-from dataclasses import dataclass
 from itertools import chain, count, repeat
 from math import isnan
 from pathlib import Path
@@ -20,7 +19,7 @@ from .cohort import (
     Cohort,
     _REASON_CODE,
 )
-from .errors import ConfigError, IngestError, is_whole
+from .errors import ConfigError, IngestError
 
 MAX_VIOLATIONS = 20
 
@@ -331,48 +330,8 @@ def truth_to_csv(truth, path):
                for i in range(truth.xs.size)))
 
 
-def schema_from_config(block):
-    fields = []
-    for i, item in enumerate(block, 1):
-        if not (isinstance(item, dict) and "name" in item):
-            raise ConfigError(f"baseline_schema entry {i} must be a mapping "
-                              f"with a 'name', got {item!r}")
-        levels = item.get("levels", [])
-        if not (isinstance(levels, (list, tuple))
-                and all(isinstance(v, str) for v in levels)):
-            raise ConfigError(f"baseline_schema entry {i} 'levels' must be "
-                              f"a list of strings, got {levels!r}")
-        fields.append(BaselineField(item["name"], item.get("kind", CONTINUOUS),
-                                    tuple(levels)))
-    return BaselineSchema(fields=tuple(fields))
-
-
-MODES = ("simulate", "oracle", "analyze", "frontier", "coverage")
-
-
-@dataclass
-class RunConfig:
-    """Validated run configuration; one structured file drives a whole run."""
-
-    mode: str
-    seed: int
-    out: str
-    raw: dict
-
-    def section(self, name, default=None):
-        """The config's ``name`` block, ``default`` (an empty mapping for
-        None) when absent; a block present with another type than the
-        default's is a :class:`ConfigError` that names it."""
-        default = {} if default is None else default
-        block = self.raw.get(name, default)
-        if not isinstance(block, type(default)):
-            kind = "a mapping" if isinstance(default, dict) else "a list"
-            raise ConfigError(f"config section {name!r} must be {kind}, "
-                              f"got {block!r}")
-        return block
-
-
 def load_config(path):
+    """The mapping in a YAML config file, whose values :mod:`rcds.cli` reads."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -383,23 +342,7 @@ def load_config(path):
         raise ConfigError(f"{path}: config is not valid YAML: {err}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    mode = raw.get("mode")
-    if mode not in MODES:
-        raise ConfigError(f"{path}: mode must be one of {MODES}, got {mode!r}")
-    if "seed" not in raw:
-        raise ConfigError(f"{path}: seed is mandatory (no wall-clock default)")
-    if not is_whole(raw["seed"]):
-        raise ConfigError(f"{path}: seed must be a whole number, got "
-                          f"{raw['seed']!r}")
-    seed = int(raw["seed"])
-    out = raw.get("out", "out")
-    if mode in ("analyze", "frontier"):
-        inp = raw.get("input")
-        if not inp:
-            raise ConfigError(f"{path}: {mode} mode needs an input cohort path")
-        if not Path(inp).exists():
-            raise ConfigError(f"{path}: input path {inp!r} does not exist")
-    return RunConfig(mode=mode, seed=seed, out=str(out), raw=raw)
+    return raw
 
 
 def dump_yaml(data, path):

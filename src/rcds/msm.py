@@ -39,7 +39,8 @@ from .errors import (
     SeparationError,
 )
 from .expansion import horizon_table
-from .glm import POISSON_LOG, DesignMatrix, GlmFit, fit_glm, rcs_basis
+from .glm import (POISSON_LOG, DesignMatrix, GlmFit, fit_glm, rcs_basis,
+                  varying_columns)
 from .strategies import WindowCells
 from .weights import (
     CensoringWeightPlan,
@@ -229,7 +230,7 @@ def _fit_horizon_msm(cohort, grid, spec, subject_idx, x_idx, response, weights,
             cert = _certificate(X, response, err.trajectory)
             if cert is None:
                 rows = np.ones(response.size, dtype=bool)
-                cols = np.r_[True, np.any(X[:, 1:] != X[:1, 1:], axis=0)]
+                cols = varying_columns(X)
                 if cols.all():
                     raise
             else:

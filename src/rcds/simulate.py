@@ -35,7 +35,7 @@ from .cohort import (
     Cohort,
     _REASON_CODE,
 )
-from .errors import ConfigError, is_number, is_whole
+from .errors import ConfigError
 from .glm import logistic
 from .strategies import window_bounds
 
@@ -128,22 +128,6 @@ class DgpParams:
 
     def to_dict(self):
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown DGP parameters: {sorted(unknown)}")
-        bad = sorted(k for k, v in d.items() if not is_number(v))
-        if bad:
-            raise ConfigError(f"DGP parameters must be numbers: {bad}")
-        whole = [f.name for f in dataclasses.fields(cls) if f.type is int]
-        bad = sorted(k for k in whole if k in d and not is_whole(d[k]))
-        if bad:
-            raise ConfigError(f"DGP parameters must be whole numbers: {bad}")
-        p = cls(**{k: int(v) if k in whole else v for k, v in d.items()})
-        p.validate()
-        return p
 
 
 def monitor_probability(params, last_marker, gap, override):

@@ -24,8 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohort import baseline_design
-from .errors import ConfigError, NonConvergence, PositivityViolation, SeparationError
-from .glm import BINOMIAL_LOGIT, DesignMatrix, fit_glm, logistic, predict, rcs_basis
+from .errors import (ConfigError, NonConvergence, PositivityViolation,
+                     RankError, SeparationError)
+from .glm import (BINOMIAL_LOGIT, DesignMatrix, fit_glm, logistic, predict,
+                  rcs_basis, varying_columns)
 from .strategies import WindowCells, sweep, window_bounds
 
 PROB_FLOOR = 1e-6
@@ -169,10 +171,6 @@ class MonitorDesign:
     effective feature spec, its marker knots, the feature columns, the
     response and each row's subject. It does not depend on case weights, so
     one design serves the point fit and every bootstrap replicate.
-
-    ``ranges`` holds, for every subject with decision months, its index and
-    the least and greatest value of each column over its rows, so that a
-    replicate finds its constant columns from subjects, not rows.
     """
 
     spec: MonitorFeatureSpec
@@ -180,7 +178,6 @@ class MonitorDesign:
     matrix: DesignMatrix
     monitored: np.ndarray
     subject: np.ndarray
-    ranges: tuple
 
     def probabilities(self, model):
         """Fitted P(monitor = 1) of ``model`` at every decision month."""
@@ -190,18 +187,6 @@ class MonitorDesign:
         """Log-likelihood of the decisions, unweighted, under ``model``."""
         p = self.probabilities(model)
         return float(np.sum(np.log(np.where(self.monitored, p, 1.0 - p))))
-
-    def constant_columns(self, multiplicity=None):
-        """Names of the non-intercept columns that are constant over the rows
-        of subjects with positive multiplicity (all subjects for None); such
-        a column is collinear with the intercept."""
-        owner, lo, hi = self.ranges
-        if multiplicity is not None:
-            pos = multiplicity[owner] > 0
-            lo, hi = lo[pos], hi[pos]
-        const = lo.min(axis=0) == hi.max(axis=0)
-        return tuple(nm for nm, c in zip(self.matrix.columns[1:], const[1:])
-                     if c)
 
 
 def monitor_design(cohort, spec=MonitorFeatureSpec(), cells=None):
@@ -213,14 +198,9 @@ def monitor_design(cohort, spec=MonitorFeatureSpec(), cells=None):
     if cells.gap.size == 0:
         raise SeparationError("cohort has no decision person-months")
     spec, knots = _marker_knots(spec, cells.marker)
-    matrix = _monitor_design(cells, spec, knots)
-    subject = cells.subject  # rows grouped by subject, as in the cohort
-    starts = np.flatnonzero(np.r_[True, subject[1:] != subject[:-1]])
-    return MonitorDesign(spec=spec, knots=knots, matrix=matrix,
-                         monitored=cells.visit, subject=subject,
-                         ranges=(subject[starts],
-                                 np.minimum.reduceat(matrix.X, starts),
-                                 np.maximum.reduceat(matrix.X, starts)))
+    return MonitorDesign(spec=spec, knots=knots,
+                         matrix=_monitor_design(cells, spec, knots),
+                         monitored=cells.visit, subject=cells.subject)
 
 
 def fit_monitor_model(design, multiplicity=None, start=None):
@@ -229,10 +209,11 @@ def fit_monitor_model(design, multiplicity=None, start=None):
 
     ``multiplicity`` carries per-subject bootstrap counts as case weights;
     the fit runs on the decision months of subjects with a positive count.
-    Declared features that are constant over the fitted months carry no
-    information and are dropped; their names are recorded in
-    ``MonitorModel.dropped``. ``start`` warm-starts IRLS from coefficients
-    of the design's columns (ignored when a column is dropped). Raises
+    ``start`` warm-starts IRLS from coefficients of the design's columns.
+    When IRLS finds the design rank deficient, the declared features
+    constant over the fitted months (:func:`rcds.glm.varying_columns`) are
+    dropped, named in ``MonitorModel.dropped``, and the fit runs again from
+    a cold start; with none constant the :class:`RankError` stands. Raises
     :class:`SeparationError` when the decision is degenerate or a feature
     separates it perfectly.
     """
@@ -246,19 +227,24 @@ def fit_monitor_model(design, multiplicity=None, start=None):
             "monitoring response is degenerate: need at least one monitored "
             "and one unmonitored person-month"
         )
-    dropped = design.constant_columns(multiplicity)
-    if dropped:
-        matrix = _without(matrix, dropped)
-        start = None
-    try:
-        fit = fit_glm(matrix, mon.astype(np.float64), BINOMIAL_LOGIT,
-                      start=start, stop=_diverging(matrix.columns))
-    except NonConvergence as err:
-        separation = _separation(matrix.columns, err.trajectory[-1]
-                                 if err.trajectory else None)
-        if separation is not None:
-            raise separation from err
-        raise
+    dropped = ()
+    while True:
+        try:
+            fit = fit_glm(matrix, mon.astype(np.float64), BINOMIAL_LOGIT,
+                          start=start, stop=_diverging(matrix.columns))
+            break
+        except RankError:
+            keep = varying_columns(matrix.X)
+            if keep.all():
+                raise
+            dropped = tuple(np.compress(~keep, matrix.columns).tolist())
+            matrix, start = _without(matrix, dropped), None
+        except NonConvergence as err:
+            separation = _separation(matrix.columns, err.trajectory[-1]
+                                     if err.trajectory else None)
+            if separation is not None:
+                raise separation from err
+            raise
     separation = _separation(matrix.columns, fit.coef)
     if separation is not None:
         raise separation

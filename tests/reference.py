@@ -17,7 +17,7 @@ sweeps of :func:`rcds.strategies.horizon_matrix`.
 The simulator's one-strategy-at-a-time transition kernel, its cohort packer
 and its per-threshold oracle loop are the reference for the segment kernel
 of :mod:`rcds.simulate`, and the row scan for constant columns is the
-reference for :meth:`rcds.weights.MonitorDesign.constant_columns`. The
+reference for the columns :func:`rcds.weights.fit_monitor_model` drops. The
 cohort forced onto one strategy (:func:`simulate_forced`), with its three
 within-window visit rules, lives only here: it is the test data for
 consistency by construction.

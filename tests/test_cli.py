@@ -260,6 +260,9 @@ BAD_INPUTS = {
     "coverage_oracle_rule_latest": {"mode": "coverage", "seed": 5, "n": 1000,
                                     "oracle_n_mc": 1000,
                                     "oracle_rule": "latest"},
+    # a frontier config keeps its own input here
+    "input_not_a_path": {"mode": "frontier", "seed": 5, "input": 5,
+                         "kappa_grid": [4.5]},
     "misspelled_top_level_key": {"mode": "analyze", "seed": 5, "kappa": 4.5,
                                  "bootsrap": 20},
     "weights_null": {"mode": "analyze", "seed": 5, "kappa": 4.5,
@@ -317,6 +320,15 @@ BAD_INPUTS = {
     "coverage_no_bootstrap": {"mode": "coverage", "seed": 5, "n": 1000,
                               "oracle_n_mc": 1000, "bootstrap": 0},
 }
+DGP_MODES = {"simulate": {"n": 300}, "oracle": {"n_mc": 2000},
+             "coverage": {"n": 1000, "oracle_n_mc": 1000}}
+# a DGP that breaks positivity, and one that cannot be simulated, in every
+# mode that reads one
+BAD_INPUTS.update({
+    f"dgp_{name}_{mode}": {"mode": mode, "seed": 5, **extra, "dgp": dgp}
+    for mode, extra in DGP_MODES.items()
+    for name, dgp in (("positivity", {"mon_gap": 5.0}),
+                      ("drift_slope", {"drift_slope": 1.5}))})
 
 
 @pytest.mark.parametrize("name,named", [
@@ -338,6 +350,7 @@ def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
      "baseline_schema entry 1 must be a mapping with a 'name', got 'sex'"),
     ("schema_entry_without_name", "baseline_schema entry 1 must be a mapping"),
     ("misspelled_top_level_key", "unknown config key 'bootsrap'"),
+    ("input_not_a_path", "frontier mode needs an input cohort path"),
     ("misspelled_grid_key", "unknown grid key 'x_setp'"),
     ("misspelled_msm_key", "unknown msm key 'baseline_term'"),
     ("window_not_a_pair", "window_below must be two whole months, got 3"),
@@ -363,7 +376,11 @@ def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
     ("coverage_no_cohorts", "coverage needs n_cohorts >= 1, got 0"),
     ("coverage_negative_cohorts", "coverage needs n_cohorts >= 1, got -1"),
     ("coverage_no_bootstrap", "coverage needs bootstrap B >= 1, got 0"),
-    ("dgp_seed", "unknown DGP parameters: ['seed']"),
+    ("dgp_seed", "unknown dgp key 'seed'"),
+    *((f"dgp_positivity_{mode}", "positivity fails")
+      for mode in DGP_MODES),
+    *((f"dgp_drift_slope_{mode}", "drift_slope must lie in (-1, 1)")
+      for mode in DGP_MODES),
     ("coverage_oracle_rule_latest",
      "unknown oracle rule 'latest': the oracle simulates only the natural "
      "rule"),
@@ -413,9 +430,12 @@ NOT_A_NUMBER = {  # name: (config, what the error names)
         {**ANALYZE, "msm": {"strategy_knots": [250, True, 450]}},
         "'strategy_knots' must be a list of numbers, got [250, True, 450]"),
     "seed_fraction": ({**ANALYZE, "seed": 5.5},
-                      "seed must be a whole number, got 5.5"),
+                      "'seed' must be a whole number, got 5.5"),
     "seed_boolean": ({**ANALYZE, "seed": True},
-                     "seed must be a whole number, got True"),
+                     "'seed' must be a number, got True"),
+    # numpy refuses a negative seed, and a run without a bootstrap uses none
+    "seed_negative": ({**ANALYZE, "seed": -1},
+                      "'seed' must be non-negative, got -1"),
     "kappa_grid_string": ({"mode": "frontier", "seed": 5, "kappa_grid": "45"},
                           "'kappa_grid' must be a list of numbers, got '45'"),
     "kappa_grid_boolean": (
@@ -425,10 +445,10 @@ NOT_A_NUMBER = {  # name: (config, what the error names)
                    "'n' must be a whole number, got 300.5"),
     "dgp_horizon_fraction": (
         {"mode": "simulate", "seed": 5, "n": 300, "dgp": {"horizon": 24.5}},
-        "DGP parameters must be whole numbers: ['horizon']"),
+        "'horizon' must be a whole number, got 24.5"),
     "dgp_float_boolean": (
         {"mode": "simulate", "seed": 5, "n": 300, "dgp": {"drift_sd": True}},
-        "DGP parameters must be numbers: ['drift_sd']"),
+        "'drift_sd' must be a number, got True"),
     "n_mc_fraction": ({"mode": "oracle", "seed": 5, "n_mc": 1000.5},
                       "'n_mc' must be a whole number, got 1000.5"),
     "n_cohorts_fraction": ({**COVERAGE, "n_cohorts": 1.5},
@@ -461,7 +481,7 @@ def test_missing_config_file_ends_with_error_code(tmp_path, capsys):
 
 def test_unexpected_fault_ends_with_base_error_code(tmp_path, capsys,
                                                     monkeypatch):
-    def broken(config):
+    def broken(*args):
         raise RuntimeError("fault")
 
     monkeypatch.setattr(rcds.cli, "run", broken)
