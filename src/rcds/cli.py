@@ -53,6 +53,14 @@ def _integer(block, key):
     return _number(block, key, kind=int)
 
 
+def _count(block, key, default=None):
+    """``block[key]`` (or ``default``) as a non-negative int."""
+    value = _number(block, key, default, int)
+    if value < 0:
+        raise ConfigError(f"{key!r} must be non-negative, got {value}")
+    return value
+
+
 def _names(block, key):
     return _listed(block, key, "names", str)
 
@@ -190,9 +198,7 @@ def run(raw, out):
     mode = raw.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    seed = _integer(raw, "seed")
-    if seed < 0:
-        raise ConfigError(f"'seed' must be non-negative, got {seed}")
+    seed = _count(raw, "seed")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -222,11 +228,11 @@ def run(raw, out):
             kappas = _numbers(raw, "kappa_grid")
             if not kappas:
                 raise ConfigError("frontier mode needs a kappa_grid")
+        B = _count(raw, "bootstrap", 0)
         cohort = _load_cohort(raw)
         grid = _grid_from(_section(raw, "grid"))
         spec = _msm_from(_section(raw, "msm"))
         wopts = _wopts_from(_section(raw, "weights"))
-        B = _number(raw, "bootstrap", 0, int)
         point = bootstrap_pipeline(cohort, grid, spec, wopts, B=B, seed=seed) \
             if B > 0 else analyze_cohort(cohort, grid, spec, wopts)
         table = point.table

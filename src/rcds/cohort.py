@@ -10,6 +10,10 @@ A cohort is built from measurements only. Both derived columns, and
 ``d_total``, follow one carry-forward rule, :func:`carry_forward`, which
 :class:`Cohort` applies once :meth:`Cohort.validate` has passed the
 measurements.
+
+This module owns the validity rules a subject must meet:
+:func:`subject_violations` states them once, and both :class:`Cohort` and
+:func:`rcds.io.ingest_cohort` report their failures from it.
 """
 
 from dataclasses import dataclass
@@ -50,21 +54,6 @@ class BaselineSchema:
     def names(self):
         return [f.name for f in self.fields]
 
-    def validate_values(self, values):
-        if values.shape[1] != len(self.fields):
-            raise ConfigError("baseline width does not match schema")
-        for j, f in enumerate(self.fields):
-            col = values[:, j]
-            if not np.all(np.isfinite(col)):
-                raise ConfigError(f"baseline field {f.name!r} has non-finite values")
-            if f.kind == CATEGORICAL:
-                codes = np.unique(col)
-                if np.any(codes != np.round(codes)) or codes.min() < 0 or \
-                        codes.max() >= len(f.levels):
-                    raise ConfigError(
-                        f"baseline field {f.name!r} has codes outside its levels"
-                    )
-
 
 def carry_forward(monitor, observed_marker, offsets):
     """The derived columns of the carry-forward rule, from the measurements.
@@ -79,6 +68,64 @@ def carry_forward(monitor, observed_marker, offsets):
     last_idx = np.maximum.accumulate(np.where(monitor == 1, idx, 0))
     d_total = np.add.reduceat(monitor, offsets[:-1], dtype=np.int64)
     return observed_marker[last_idx], idx - last_idx, d_total
+
+
+def subject_violations(c, offsets, limit):
+    """``(subject index, message)`` for the first ``limit`` subjects of ``c``
+    that break a validity rule, each with its first failing rule.
+
+    ``c`` has the measurements a :class:`Cohort` is built from as attributes
+    of the same names, and ``offsets`` bound each subject's non-empty block
+    of rows. The rules, in order: followup_end lies in [0, horizon]; the
+    block holds months 0..followup_end in order; monitored months record a
+    marker, unmonitored ones none, and markers are finite; the baseline
+    month is monitored; an outcome is recorded only at full follow-up; and
+    baseline values are finite, each categorical code a whole number that
+    names a level.
+    """
+    starts, size = offsets[:-1], np.diff(offsets)
+    fue, K = c.followup_end, c.horizon
+
+    def per_subject(row_mask):
+        return np.logical_or.reduceat(row_mask, starts)
+
+    pos = np.arange(c.t.size) - np.repeat(starts, size)
+    mon, obs = c.monitor, c.observed_marker
+    measured = ~np.isnan(obs)
+    base_ok = np.isfinite(c.baseline).all(axis=1)
+    for j, f in enumerate(c.schema.fields):
+        if f.kind == CATEGORICAL:
+            code = c.baseline[:, j]
+            base_ok &= (code == np.round(code)) & (code >= 0) & \
+                (code < len(f.levels))
+    rules = (
+        ((fue < 0) | (fue > K), "followup_end {fue} outside [0, {K}]"),
+        ((size != fue + 1) | per_subject(c.t != pos),
+         "subject {sid}: month gap/extras (missing {missing}, extra {extra})"),
+        (per_subject((mon == 1) & ~measured),
+         "subject {sid}: monitored months must record a marker value"),
+        (per_subject((mon == 0) & measured),
+         "subject {sid}: marker recorded on an unmonitored month"),
+        (per_subject(np.isinf(obs)),
+         "subject {sid}: marker values must be finite"),
+        (mon[starts] != 1, "subject {sid}: baseline month must be monitored"),
+        (~np.isnan(c.outcome_y) & (fue != K), "subject {sid}: outcome "
+         "recorded but follow-up ended at {fue} < horizon {K}"),
+        (~base_ok, "subject {sid}: malformed baseline value"),
+    )
+    failed = np.array([mask for mask, _ in rules])
+    found = []
+    for i in np.flatnonzero(failed.any(axis=0))[:limit].tolist():
+        months = set(c.t[offsets[i]:offsets[i + 1]].tolist())
+        f = int(fue[i])
+        # at most len(months) of 0..f are present: the first three missing
+        # ones lie below len(months) + 3
+        missing = [k for k in range(min(f + 1, len(months) + 3))
+                   if k not in months][:3]
+        extra = sorted(k for k in months if k < 0 or k > f)[:3]
+        found.append((i, rules[int(np.argmax(failed[:, i]))][1].format(
+            sid=c.subject_ids[i], fue=f, K=K, missing=missing, extra=extra)))
+    return found
 
 
 class Cohort:
@@ -122,19 +169,17 @@ class Cohort:
         return END_REASONS[self.end_reason[i]]
 
     def validate(self):
+        """The array checks, then the first failing subject's first broken
+        rule of :func:`subject_violations`."""
         n = self.n_subjects
         if self.baseline.shape[0] != n:
             raise ConfigError("baseline rows do not match subject count")
-        self.schema.validate_values(self.baseline)
+        if self.baseline.shape[1:] != (len(self.schema.fields),):
+            raise ConfigError("baseline width does not match schema")
         if len(set(self.subject_ids)) != n:
             raise ConfigError("duplicate subject ids")
-        if np.any(self.followup_end < 0) or np.any(self.followup_end > self.horizon):
-            raise ConfigError("followup_end must lie in [0, horizon]")
-        if self.offsets[-1] != self.n_rows:
+        if np.any(self.followup_end < 0) or self.offsets[-1] != self.n_rows:
             raise ConfigError("row blocks do not match followup_end")
-        present = ~np.isnan(self.outcome_y)
-        if np.any(present & (self.followup_end != self.horizon)):
-            raise ConfigError("outcome recorded for a subject that left early")
         ok_y = np.isnan(self.outcome_y) | (self.outcome_y == 0) | (self.outcome_y == 1)
         if not np.all(ok_y):
             raise ConfigError("outcome_y must be 0, 1, or missing")
@@ -142,34 +187,8 @@ class Cohort:
             raise ConfigError("monitor must be binary")
         if np.any((self.override_flag != 0) & (self.override_flag != 1)):
             raise ConfigError("override_flag must be binary")
-
-        # per-subject checks, in order: the first failing subject is
-        # reported with its first failing check
-        starts = self.offsets[:-1]
-
-        def per_subject(row_mask):
-            return np.logical_or.reduceat(row_mask, starts)
-
-        pos = np.arange(self.n_rows) - self.offsets[self.subject_index_per_row()]
-        mon, obs = self.monitor, self.observed_marker
-        measured = ~np.isnan(obs)
-        checks = (
-            (per_subject(self.t != pos),
-             "months must be 0..followup_end with no gaps"),
-            (per_subject((mon == 1) & ~measured),
-             "monitored months must record a marker value"),
-            (per_subject((mon == 0) & measured),
-             "marker recorded on an unmonitored month"),
-            (per_subject(np.isinf(obs)), "marker values must be finite"),
-            (mon[starts] != 1, "baseline month must be monitored (entry "
-                               "requires a measured marker)"),
-        )
-        failed = np.array([mask for mask, _ in checks])
-        bad = failed.any(axis=0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            message = checks[int(np.argmax(failed[:, i]))][1]
-            raise ConfigError(f"subject {self.subject_ids[i]}: {message}")
+        for _, message in subject_violations(self, self.offsets, limit=1):
+            raise ConfigError(message)
 
     # ------------------------------------------------------------------
     # derived array views used by the estimation pipeline
@@ -181,20 +200,10 @@ class Cohort:
         t - 1. For t = 0 the row's own (baseline) state is returned, so the
         arrays are aligned with the flat row layout.
         """
-        last = self.last_observed_marker
-        ovr = self.override_flag
-        m = self.months_since
-        prev_last = np.empty_like(last)
-        prev_ovr = np.empty_like(ovr)
-        gap = np.empty_like(m)
-        prev_last[1:] = last[:-1]
-        prev_ovr[1:] = ovr[:-1]
-        gap[1:] = m[:-1] + 1
-        starts = self.offsets[:-1]
-        prev_last[starts] = last[starts]
-        prev_ovr[starts] = ovr[starts]
-        gap[starts] = m[starts]
-        return prev_last, prev_ovr, gap
+        later = self.t >= 1
+        prev = np.arange(self.n_rows) - later
+        return (self.last_observed_marker[prev], self.override_flag[prev],
+                self.months_since[prev] + later)
 
     def subject_index_per_row(self):
         idx = np.zeros(self.n_rows, dtype=np.int64)

@@ -8,6 +8,7 @@ import csv
 from itertools import chain, count, repeat
 from math import isnan
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -18,6 +19,7 @@ from .cohort import (
     BaselineSchema,
     Cohort,
     _REASON_CODE,
+    subject_violations,
 )
 from .errors import ConfigError, IngestError
 
@@ -122,7 +124,9 @@ def ingest_cohort(path, schema=None, horizon=None):
     rows from the header as line 1. Row checks run first: if any row fails,
     the error lists the first 20 violations by line and, within a line, in
     the order of the checks. Only then run the subject checks, one violation
-    per subject at its first line, for the first 20 failing subjects.
+    per subject at its first line, for the first 20 failing subjects. The
+    subject checks, baseline values included, are the validity rules of
+    :func:`rcds.cohort.subject_violations`, run on the row blocks as read.
     """
     path = Path(path)
     widths = []
@@ -243,59 +247,30 @@ def ingest_cohort(path, schema=None, horizon=None):
     _raise_violations(path, found)
 
     # subject checks, once every row passed the row checks and was stored: a
-    # subject is reported at its first line with its first failing check
+    # subject is reported at its first line with its first failing rule
     if not ids:
         raise IngestError(f"{path}: no data rows")
     n = len(ids)
-    fue = fue[first]
-    K = int(fue.max()) if horizon is None else int(horizon)
-    t, monitor, obs, override = (a[order] for a in (t, monitor, obs, override))
-    size = np.bincount(code, minlength=n)
-    offsets = np.concatenate([[0], np.cumsum(size)])
-    in_order = t == np.arange(t.size) - np.repeat(offsets[:-1], size)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(code, minlength=n))])
     base = np.empty((n, len(base_cols)))
-    base_bad = np.zeros(n, dtype=bool)
     for j in range(len(base_cols)):
         base[:, j], errors = _parse(cells[first, 8 + j].tolist(), float,
                                     np.float64)
-        base_bad[list(errors)] = True
-    has_outcome = np.zeros(n, dtype=bool)
-    has_outcome[code[has_y]] = True
-    checks = (
-        ((fue < 0) | (fue > K), "followup_end {fue} outside [0, {K}]"),
-        ((size != fue + 1) | ~np.logical_and.reduceat(in_order, offsets[:-1]),
-         "subject {sid}: month gap/extras (missing {missing}, extra {extra})"),
-        (monitor[offsets[:-1]] != 1,
-         "subject {sid}: baseline month must be monitored"),
-        (has_outcome & (fue != K), "subject {sid}: outcome recorded but "
-                                   "follow-up ended at {fue} < horizon {K}"),
-        (base_bad, "subject {sid}: malformed baseline value"),
-    )
-    failed = np.array([mask for mask, _ in checks])
-    for i in np.flatnonzero(failed.any(axis=0))[:MAX_VIOLATIONS].tolist():
-        months = set(t[offsets[i]:offsets[i + 1]].tolist())
-        f = int(fue[i])
-        # at most len(months) of 0..f are present: the first three missing
-        # ones lie below len(months) + 3
-        missing = [k for k in range(min(f + 1, len(months) + 3))
-                   if k not in months][:3]
-        extra = sorted(k for k in months if k < 0 or k > f)[:3]
-        message = checks[int(np.argmax(failed[:, i]))][1].format(
-            sid=ids[i], fue=f, K=K, missing=missing, extra=extra)
-        found.append((int(lines[first[i]]), 0, message))
-    _raise_violations(path, found)
-
+        base[list(errors), j] = np.nan  # a value that did not parse is invalid
     outcome_y = np.full(n, np.nan)
     outcome_y[code[has_y]] = (y_raw[has_y] == "1").astype(np.float64)
-    try:
-        return Cohort(
-            subject_ids=ids, baseline=base,
-            schema=schema, horizon=K, followup_end=fue,
-            end_reason=reason_code[first], outcome_y=outcome_y,
-            t=t, monitor=monitor, observed_marker=obs, override_flag=override,
-        )
-    except ConfigError as err:
-        raise IngestError(f"{path}: {err}") from err
+    fue = fue[first]
+    t, monitor, obs, override = (a[order] for a in (t, monitor, obs, override))
+    measurements = dict(
+        subject_ids=ids, baseline=base, schema=schema,
+        horizon=int(fue.max()) if horizon is None else int(horizon),
+        followup_end=fue, end_reason=reason_code[first], outcome_y=outcome_y,
+        t=t, monitor=monitor, observed_marker=obs, override_flag=override)
+    found = subject_violations(SimpleNamespace(**measurements), offsets,
+                               MAX_VIOLATIONS)
+    _raise_violations(path, [(int(lines[first[i]]), 0, message)
+                             for i, message in found])
+    return Cohort(**measurements)
 
 
 def write_csv(path, header, rows):

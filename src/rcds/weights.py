@@ -58,6 +58,9 @@ class MonitorFeatureSpec:
                 f"override feature must be true or false, got {self.override!r}")
         if self.marker == "rcs" and self.marker_knots < 3:
             raise ConfigError("marker_knots must be >= 3 for a spline")
+        if self.gap == "categorical" and self.gap_cap < 2:
+            raise ConfigError("gap_cap must be >= 2 for categorical gaps, "
+                              f"got {self.gap_cap}")
 
 
 @dataclass

@@ -293,6 +293,11 @@ BAD_INPUTS = {
     "features_override_not_a_boolean": {
         "mode": "analyze", "seed": 5, "kappa": 4.5,
         "weights": {"features": {"override": "no"}}},
+    # a categorical gap capped below 2 would have no gap column at all
+    **{f"gap_cap_{cap}": {
+        "mode": "analyze", "seed": 5, "kappa": 4.5,
+        "weights": {"features": {"gap": "categorical", "gap_cap": cap}}}
+       for cap in (1, 0, -3)},
     "x_step_zero": {"mode": "analyze", "seed": 5, "kappa": 4.5,
                     "grid": {"x_step": 0}},
     "x_step_negative": {"mode": "analyze", "seed": 5, "kappa": 4.5,
@@ -362,6 +367,9 @@ def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
      "'baseline' must be a list of names, got 3"),
     ("features_override_not_a_boolean",
      "override feature must be true or false, got 'no'"),
+    *((f"gap_cap_{cap}",
+       f"gap_cap must be >= 2 for categorical gaps, got {cap}")
+      for cap in (1, 0, -3)),
     ("x_step_zero", "x_step must be positive, got 0.0"),
     ("x_step_negative", "x_step must be positive, got -10.0"),
     ("grid_range_empty", "no threshold from x_start 500.0 to x_stop 200.0"),
@@ -436,6 +444,12 @@ NOT_A_NUMBER = {  # name: (config, what the error names)
     # numpy refuses a negative seed, and a run without a bootstrap uses none
     "seed_negative": ({**ANALYZE, "seed": -1},
                       "'seed' must be non-negative, got -1"),
+    # a negative bootstrap is not "no bootstrap"
+    "bootstrap_negative": ({**ANALYZE, "bootstrap": -1},
+                           "'bootstrap' must be non-negative, got -1"),
+    "frontier_bootstrap_negative": (
+        {"mode": "frontier", "seed": 5, "kappa_grid": [4.5],
+         "bootstrap": -1}, "'bootstrap' must be non-negative, got -1"),
     "kappa_grid_string": ({"mode": "frontier", "seed": 5, "kappa_grid": "45"},
                           "'kappa_grid' must be a list of numbers, got '45'"),
     "kappa_grid_boolean": (

@@ -22,7 +22,7 @@ from rcds import (
     ThresholdStrategy,
     simulate_cohort,
 )
-from rcds.cohort import baseline_design
+from rcds.cohort import CATEGORICAL, baseline_design
 from rcds.io import cohort_to_csv, ingest_cohort
 
 from conftest import FIXTURE_K, FIXTURE_SCHEMA, make_fixture_records
@@ -48,7 +48,8 @@ def test_from_records_roundtrip(fixture_cohort, fixture_records):
 def test_outcome_requires_full_followup(fixture_records):
     bad = make_fixture_records()
     bad[2].outcome_y = 1.0  # s3 left at month 11
-    with pytest.raises(ConfigError, match="left early"):
+    with pytest.raises(ConfigError, match="^subject s3: outcome recorded but "
+                                          "follow-up ended at 11 < horizon 12$"):
         from_records(bad, FIXTURE_SCHEMA, FIXTURE_K)
 
 
@@ -162,22 +163,19 @@ def test_edited_history_is_carried_forward(fixture_cohort, edits):
 # the per-subject reference and the validate branches
 # ----------------------------------------------------------------------
 def reference_validate(c):
-    """The loop version of ``Cohort.validate``, plus the finite-marker rule
-    (marked below), over a cohort's constructor arguments."""
+    """The loop version of ``Cohort.validate``, plus the finite-marker and
+    baseline-value rules (marked below), over a cohort's constructor
+    arguments."""
     n = len(c.subject_ids)
     offsets = np.r_[0, np.cumsum(c.followup_end + 1)]
     if c.baseline.shape[0] != n:
         raise ConfigError("baseline rows do not match subject count")
-    c.schema.validate_values(c.baseline)
+    if c.baseline.shape[1:] != (len(c.schema.fields),):
+        raise ConfigError("baseline width does not match schema")
     if len(set(c.subject_ids)) != n:
         raise ConfigError("duplicate subject ids")
-    if np.any(c.followup_end < 0) or np.any(c.followup_end > c.horizon):
-        raise ConfigError("followup_end must lie in [0, horizon]")
-    if offsets[-1] != c.t.size:
+    if np.any(c.followup_end < 0) or offsets[-1] != c.t.size:
         raise ConfigError("row blocks do not match followup_end")
-    present = ~np.isnan(c.outcome_y)
-    if np.any(present & (c.followup_end != c.horizon)):
-        raise ConfigError("outcome recorded for a subject that left early")
     ok_y = np.isnan(c.outcome_y) | (c.outcome_y == 0) | (c.outcome_y == 1)
     if not np.all(ok_y):
         raise ConfigError("outcome_y must be 0, 1, or missing")
@@ -189,10 +187,16 @@ def reference_validate(c):
     for i in range(n):
         lo, hi = offsets[i], offsets[i + 1]
         sid = c.subject_ids[i]
+        fue = c.followup_end[i]
+        if fue > c.horizon:
+            raise ConfigError(f"followup_end {fue} outside [0, {c.horizon}]")
         ts = c.t[lo:hi]
-        if not np.array_equal(ts, np.arange(c.followup_end[i] + 1)):
-            raise ConfigError(f"subject {sid}: months must be 0..followup_end "
-                              "with no gaps")
+        if not np.array_equal(ts, np.arange(fue + 1)):
+            months = set(ts.tolist())
+            missing = [k for k in range(fue + 1) if k not in months][:3]
+            extra = sorted(k for k in months if k < 0 or k > fue)[:3]
+            raise ConfigError(f"subject {sid}: month gap/extras "
+                              f"(missing {missing}, extra {extra})")
         mon = c.monitor[lo:hi]
         obs = c.observed_marker[lo:hi]
         if np.any(np.isnan(obs[mon == 1])):
@@ -206,7 +210,15 @@ def reference_validate(c):
             raise ConfigError(f"subject {sid}: marker values must be finite")
         if mon[0] != 1:
             raise ConfigError(f"subject {sid}: baseline month must be "
-                              "monitored (entry requires a measured marker)")
+                              "monitored")
+        if not np.isnan(c.outcome_y[i]) and fue != c.horizon:
+            raise ConfigError(f"subject {sid}: outcome recorded but follow-up "
+                              f"ended at {fue} < horizon {c.horizon}")
+        # the baseline-value rule, added after the loop was replaced
+        for f, v in zip(c.schema.fields, c.baseline[i]):
+            if not np.isfinite(v) or f.kind == CATEGORICAL and not (
+                    v == round(v) and 0 <= v < len(f.levels)):
+                raise ConfigError(f"subject {sid}: malformed baseline value")
 
 
 ROW_ARRAYS = ("t", "monitor", "observed_marker", "override_flag")
@@ -236,7 +248,8 @@ def validate_error(args):
 # rows of the fixture cohort: s1 at 0-12, s2 at 13-25, s3 (followup_end 11)
 # at 26-37
 @pytest.mark.parametrize("edits, message", [
-    ((("t", 18, 6),), "subject s2: months must be 0..followup_end with no gaps"),
+    ((("t", 18, 6),),
+     "subject s2: month gap/extras (missing [5], extra [])"),
     ((("observed_marker", 3, np.nan),),
      "subject s1: monitored months must record a marker value"),
     ((("observed_marker", 27, 400.0),),
@@ -257,6 +270,20 @@ def test_first_bad_subject_is_reported(fixture_cohort):
     bad = edited(fixture_cohort, ("observed_marker", 14, 400.0), ("t", 30, 3))
     assert validate_error(bad) == (
         "subject s2: marker recorded on an unmonitored month")
+
+
+@pytest.mark.parametrize("column, value", [
+    (0, 2.0), (0, 0.5), (0, -1.0), (0, np.nan), (1, np.inf), (1, np.nan)])
+def test_invalid_baseline_value_names_its_subject(fixture_cohort, column,
+                                                  value):
+    # sex codes 0 (female) and 1 (male); age is continuous
+    bad = edited(fixture_cohort)
+    bad.baseline = fixture_cohort.baseline.copy()
+    bad.baseline[1, column] = value
+    message = "subject s2: malformed baseline value"
+    assert validate_error(bad) == message
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        reference_validate(bad)
 
 
 EDIT_VALUES = {

@@ -61,7 +61,8 @@ class _Violations:
 
 
 def reference_ingest(path, schema=None, horizon=None):
-    """The row-by-row ingest, plus the finite-marker rule (marked below)."""
+    """The row-by-row ingest, plus the finite-marker and baseline-value
+    rules (marked below)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -185,6 +186,11 @@ def reference_ingest(path, schema=None, horizon=None):
         try:
             bvals = [float(v) for v in rec["base"]]
         except ValueError:
+            bvals = [np.nan] * len(rec["base"])
+        # the baseline-value rule, added after the loop was replaced
+        if not all(np.isfinite(v) and (f.kind == CONTINUOUS or (
+                v == round(v) and 0 <= v < len(f.levels)))
+                for f, v in zip(schema.fields, bvals)):
             viol.add(line, f"subject {sid}: malformed baseline value")
             continue
         ids.append(sid)
@@ -342,6 +348,12 @@ CASES = {
     "categorical_code_outside_levels": (
         setting(*[(line, "baseline_sex", "2.0") for line in range(15, 28)]),
         {"schema": FIXTURE_SCHEMA}),
+    "nan_baseline_value": (
+        setting(*[(line, "baseline_age", "nan") for line in range(15, 28)]),
+        {}),
+    "inf_baseline_value": (
+        setting(*[(line, "baseline_age", "inf") for line in range(15, 28)]),
+        {}),
 }
 
 # captured from the row-loop ingest: (message after "<path>: ", .violations)
@@ -515,8 +527,17 @@ GOLDEN = {
         [(2, 'followup_end 12 outside [0, 11]'),
          (15, 'followup_end 12 outside [0, 11]')]),
     'categorical_code_outside_levels': (
-        "baseline field 'sex' has codes outside its levels",
-        []),
+        ('1 violation(s) (first 20 listed): line 15: subject s2: malformed '
+         'baseline value'),
+        [(15, 'subject s2: malformed baseline value')]),
+    'nan_baseline_value': (
+        ('1 violation(s) (first 20 listed): line 15: subject s2: malformed '
+         'baseline value'),
+        [(15, 'subject s2: malformed baseline value')]),
+    'inf_baseline_value': (
+        ('1 violation(s) (first 20 listed): line 15: subject s2: malformed '
+         'baseline value'),
+        [(15, 'subject s2: malformed baseline value')]),
 }
 
 
