@@ -2,8 +2,9 @@
 
 Every run is driven by one structured config file; the seed is mandatory and
 reruns with identical config and seed produce byte-identical artifacts.
-This module reads every config value by one set of rules; an unknown key or
-a bad value is a :class:`ConfigError` that names the key.
+This module reads every config value by one set of rules. A mode takes only
+its own keys (``MODE_KEYS``) and checks them before any work; an unknown key
+or a bad value is a :class:`ConfigError` that names the key.
 Errors exit nonzero with a machine-parsable ``error_code=...`` final line;
 an infeasible selection is a reported status, not an error.
 """
@@ -18,7 +19,7 @@ from .chart import render_chart
 from .cohort import CONTINUOUS, BaselineField, BaselineSchema
 from .errors import ConfigError, RcdsError, is_number, is_whole
 from .msm import MsmSpec, WeightOptions, analyze_cohort, bootstrap_pipeline
-from .optimize import frontier, select
+from .optimize import check_cap, frontier, select
 from .simulate import DgpParams, oracle_truth, simulate_cohort
 from .strategies import StrategyGrid
 from .study import run_coverage
@@ -77,11 +78,17 @@ def _present(block, keys, readers):
             for key in keys if key in block}
 
 
-MODES = ("simulate", "oracle", "analyze", "frontier", "coverage")
-CONFIG_KEYS = ("mode", "seed", "out", "input", "horizon", "baseline_schema",
-               "dgp", "grid", "msm", "weights", "n", "n_mc", "rule", "kappa",
-               "kappa_grid", "bootstrap", "x_value", "n_cohorts",
-               "oracle_n_mc", "oracle_rule")
+MODE_KEYS = {  # mode: the config keys it reads besides mode, seed and out
+    "simulate": ("dgp", "n"),
+    "oracle": ("dgp", "grid", "n_mc", "rule"),
+    "analyze": ("input", "baseline_schema", "grid", "msm", "weights",
+                "kappa", "bootstrap"),
+    "frontier": ("input", "baseline_schema", "grid", "msm", "weights",
+                 "kappa_grid", "bootstrap"),
+    "coverage": ("dgp", "grid", "msm", "weights", "x_value", "n_cohorts",
+                 "n", "bootstrap", "oracle_n_mc", "oracle_rule"),
+}
+MODES = tuple(MODE_KEYS)
 WEIGHT_KEYS = ("truncation", "weighting", "features")
 FEATURE_KEYS = tuple(f.name for f in dataclasses.fields(MonitorFeatureSpec))
 GRID_KEYS = ("x_start", "x_stop", "x_step", "window_below", "window_above",
@@ -171,10 +178,7 @@ def _load_cohort(raw):
         raise ConfigError(f"{raw['mode']} mode needs an input cohort path")
     if not Path(inp).exists():
         raise ConfigError(f"input path {inp!r} does not exist")
-    horizon = raw.get("horizon")
-    return rio.ingest_cohort(
-        inp, schema=_schema_from(raw),
-        horizon=None if horizon is None else _integer(raw, "horizon"))
+    return rio.ingest_cohort(inp, schema=_schema_from(raw))
 
 
 def _monitor_info(plan):
@@ -193,18 +197,20 @@ def _monitor_info(plan):
 
 def run(raw, out):
     """Execute the run a config mapping describes and write its artifacts
-    into ``out``. Returns exit status."""
-    _known_keys(raw, CONFIG_KEYS, "config")
+    into ``out``, made once the config is read and any input cohort
+    ingested. Returns exit status."""
     mode = raw.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    _known_keys(raw, ("mode", "seed", "out", *MODE_KEYS[mode]),
+                f"{mode} config")
     seed = _count(raw, "seed")
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if mode == "simulate":
         params = _dgp_from(_section(raw, "dgp"))
         n = _number(raw, "n", 1000, int)
+        out.mkdir(parents=True, exist_ok=True)
         cohort = simulate_cohort(params, n, seed=seed)
         rio.cohort_to_csv(cohort, out / "cohort.csv")
         rio.dump_yaml(params.to_dict(), out / "dgp.yaml")
@@ -215,6 +221,7 @@ def run(raw, out):
         params = _dgp_from(_section(raw, "dgp"))
         grid = _grid_from(_section(raw, "grid"))
         n_mc = _number(raw, "n_mc", 100_000, int)
+        out.mkdir(parents=True, exist_ok=True)
         truth = oracle_truth(params, grid, n_mc, seed=seed,
                              **_present(raw, ("rule",), {}))
         rio.truth_to_csv(truth, out / "truth.csv")
@@ -223,16 +230,17 @@ def run(raw, out):
 
     if mode in ("analyze", "frontier"):
         if mode == "analyze":
-            kappa = _number(raw, "kappa")
+            kappa = check_cap(_number(raw, "kappa"))
         else:
-            kappas = _numbers(raw, "kappa_grid")
+            kappas = [check_cap(k) for k in _numbers(raw, "kappa_grid")]
             if not kappas:
                 raise ConfigError("frontier mode needs a kappa_grid")
         B = _count(raw, "bootstrap", 0)
-        cohort = _load_cohort(raw)
         grid = _grid_from(_section(raw, "grid"))
         spec = _msm_from(_section(raw, "msm"))
         wopts = _wopts_from(_section(raw, "weights"))
+        cohort = _load_cohort(raw)
+        out.mkdir(parents=True, exist_ok=True)
         point = bootstrap_pipeline(cohort, grid, spec, wopts, B=B, seed=seed) \
             if B > 0 else analyze_cohort(cohort, grid, spec, wopts)
         table = point.table
@@ -274,17 +282,15 @@ def run(raw, out):
     grid = _grid_from(_section(raw, "grid"))
     spec = _msm_from(_section(raw, "msm")) if "msm" in raw else None
     wopts = _wopts_from(_section(raw, "weights"))
-    res = run_coverage(
-        params, grid,
-        x_value=_number(raw, "x_value", 350),
-        n_cohorts=_number(raw, "n_cohorts", 200, int),
-        n=_number(raw, "n", 2000, int),
-        B=_number(raw, "bootstrap", 200, int),
-        seed=seed, spec=spec, wopts=wopts,
-        **_present(raw, ("oracle_n_mc", "oracle_rule"),
-                   {"oracle_n_mc": _integer}),
-        progress=_report_cohort,
-    )
+    study = {"x_value": _number(raw, "x_value", 350),
+             "n_cohorts": _number(raw, "n_cohorts", 200, int),
+             "n": _number(raw, "n", 2000, int),
+             "B": _number(raw, "bootstrap", 200, int),
+             **_present(raw, ("oracle_n_mc", "oracle_rule"),
+                        {"oracle_n_mc": _integer})}
+    out.mkdir(parents=True, exist_ok=True)
+    res = run_coverage(params, grid, seed=seed, spec=spec, wopts=wopts,
+                       progress=_report_cohort, **study)
     header = ["cohort", "risk", "risk_lo", "risk_hi", "covered"]
     rio.write_csv(out / "coverage.csv", header,
                   ([r[key] for key in header] for r in res.rows))

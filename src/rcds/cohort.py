@@ -77,7 +77,8 @@ def subject_violations(c, offsets, limit):
     ``c`` has the measurements a :class:`Cohort` is built from as attributes
     of the same names, and ``offsets`` bound each subject's non-empty block
     of rows. The rules, in order: followup_end lies in [0, horizon]; the
-    block holds months 0..followup_end in order; monitored months record a
+    block holds months 0..followup_end in order (a block with every month
+    but out of order is reported as such); monitored months record a
     marker, unmonitored ones none, and markers are finite; the baseline
     month is monitored; an outcome is recorded only at full follow-up; and
     baseline values are finite, each categorical code a whole number that
@@ -101,7 +102,7 @@ def subject_violations(c, offsets, limit):
     rules = (
         ((fue < 0) | (fue > K), "followup_end {fue} outside [0, {K}]"),
         ((size != fue + 1) | per_subject(c.t != pos),
-         "subject {sid}: month gap/extras (missing {missing}, extra {extra})"),
+         "subject {sid}: {months}"),
         (per_subject((mon == 1) & ~measured),
          "subject {sid}: monitored months must record a marker value"),
         (per_subject((mon == 0) & measured),
@@ -123,8 +124,10 @@ def subject_violations(c, offsets, limit):
         missing = [k for k in range(min(f + 1, len(months) + 3))
                    if k not in months][:3]
         extra = sorted(k for k in months if k < 0 or k > f)[:3]
+        detail = (f"month gap/extras (missing {missing}, extra {extra})"
+                  if missing or extra else "months out of order")
         found.append((i, rules[int(np.argmax(failed[:, i]))][1].format(
-            sid=c.subject_ids[i], fue=f, K=K, missing=missing, extra=extra)))
+            sid=c.subject_ids[i], fue=f, K=K, months=detail)))
     return found
 
 
@@ -144,16 +147,19 @@ class Cohort:
         self.schema = schema
         self.horizon = int(horizon)
         self.followup_end = np.asarray(followup_end, dtype=np.int64)
-        self.end_reason = np.asarray(end_reason, dtype=np.int8)
+        self.end_reason = np.asarray(end_reason)
         self.outcome_y = np.asarray(outcome_y, dtype=np.float64)
         self.t = np.asarray(t, dtype=np.int64)
-        self.monitor = np.asarray(monitor, dtype=np.int8)
+        self.monitor = np.asarray(monitor)
         self.observed_marker = np.asarray(observed_marker, dtype=np.float64)
-        self.override_flag = np.asarray(override_flag, dtype=np.int8)
+        self.override_flag = np.asarray(override_flag)
         self.offsets = np.concatenate(
             [[0], np.cumsum(self.followup_end + 1)]
         ).astype(np.int64)
-        self.validate()
+        self.validate()  # the codes as given, before they are narrowed
+        self.end_reason, self.monitor, self.override_flag = (
+            a.astype(np.int8, copy=False)
+            for a in (self.end_reason, self.monitor, self.override_flag))
         self.last_observed_marker, self.months_since, self.d_total = \
             carry_forward(self.monitor, self.observed_marker, self.offsets)
 
@@ -187,6 +193,8 @@ class Cohort:
             raise ConfigError("monitor must be binary")
         if np.any((self.override_flag != 0) & (self.override_flag != 1)):
             raise ConfigError("override_flag must be binary")
+        if not np.isin(self.end_reason, range(len(END_REASONS))).all():
+            raise ConfigError("end_reason must be a code of END_REASONS")
         for _, message in subject_violations(self, self.offsets, limit=1):
             raise ConfigError(message)
 

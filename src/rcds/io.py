@@ -120,26 +120,34 @@ def ingest_cohort(path, schema=None, horizon=None):
     column is treated as continuous. ``horizon`` defaults to the largest
     followup_end present.
 
-    Violations raise :class:`IngestError` with line numbers, which count CSV
-    rows from the header as line 1. Row checks run first: if any row fails,
-    the error lists the first 20 violations by line and, within a line, in
-    the order of the checks. Only then run the subject checks, one violation
-    per subject at its first line, for the first 20 failing subjects. The
-    subject checks, baseline values included, are the validity rules of
-    :func:`rcds.cohort.subject_violations`, run on the row blocks as read.
+    A file that cannot be read (a directory, or bytes that are not text in
+    the locale's encoding) raises :class:`IngestError`, "cannot read cohort
+    file". Violations raise :class:`IngestError` with line numbers, which
+    count CSV rows from the header as line 1. Row checks run first: if any
+    row fails, the error lists the first 20 violations by line and, within a
+    line, in the order of the checks. Only then run the subject checks, the
+    validity rules of :func:`rcds.cohort.subject_violations` (baseline values
+    included), and they run once: the :class:`Cohort` runs them as it is
+    built, and only a refused cohort has them run again on the row blocks as
+    read, to list one violation per subject at its first line, for the first
+    20 failing subjects.
     """
     path = Path(path)
     widths = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
-        # one flat list of fields: each row list dies at once, so the cyclic
-        # GC never walks hundreds of thousands of live rows
-        fields = list(chain.from_iterable(
-            widths.append(len(row)) or row for row in reader))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IngestError(f"{path}: empty file") from None
+            # one flat list of fields: each row list dies at once, so the
+            # cyclic GC never walks hundreds of thousands of live rows
+            fields = list(chain.from_iterable(
+                widths.append(len(row)) or row for row in reader))
+    except (OSError, UnicodeDecodeError) as err:
+        raise IngestError(f"{path}: cannot read cohort file: "
+                          f"{getattr(err, 'strerror', None) or err}") from None
 
     fixed = COHORT_FIXED_COLUMNS
     if header[: len(fixed)] != fixed:
@@ -251,7 +259,6 @@ def ingest_cohort(path, schema=None, horizon=None):
     if not ids:
         raise IngestError(f"{path}: no data rows")
     n = len(ids)
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(code, minlength=n))])
     base = np.empty((n, len(base_cols)))
     for j in range(len(base_cols)):
         base[:, j], errors = _parse(cells[first, 8 + j].tolist(), float,
@@ -266,11 +273,18 @@ def ingest_cohort(path, schema=None, horizon=None):
         horizon=int(fue.max()) if horizon is None else int(horizon),
         followup_end=fue, end_reason=reason_code[first], outcome_y=outcome_y,
         t=t, monitor=monitor, observed_marker=obs, override_flag=override)
-    found = subject_violations(SimpleNamespace(**measurements), offsets,
-                               MAX_VIOLATIONS)
-    _raise_violations(path, [(int(lines[first[i]]), 0, message)
-                             for i, message in found])
-    return Cohort(**measurements)
+    # row blocks as read that differ from the Cohort's followup_end blocks
+    # always fail it, by the row total or by a month out of order
+    try:
+        return Cohort(**measurements)
+    except ConfigError as err:
+        offsets = np.concatenate(
+            [[0], np.cumsum(np.bincount(code, minlength=n))])
+        found = subject_violations(SimpleNamespace(**measurements), offsets,
+                                   MAX_VIOLATIONS)
+        _raise_violations(path, [(int(lines[first[i]]), 0, message)
+                                 for i, message in found])
+        raise IngestError(f"{path}: {err}") from None
 
 
 def write_csv(path, header, rows):
@@ -310,9 +324,9 @@ def load_config(path):
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
-    except OSError as err:
-        raise ConfigError(f"{path}: cannot read config: {err.strerror}") \
-            from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{path}: cannot read config: "
+                          f"{getattr(err, 'strerror', None) or err}") from None
     except yaml.YAMLError as err:
         raise ConfigError(f"{path}: config is not valid YAML: {err}") from None
     if not isinstance(raw, dict):

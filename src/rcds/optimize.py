@@ -43,6 +43,14 @@ class ConstrainedSelection:
         }
 
 
+def check_cap(kappa):
+    """``kappa``, once it is a usage cap :func:`select` takes: a positive,
+    finite number."""
+    if not np.isfinite(kappa) or kappa <= 0:
+        raise ConfigError(f"kappa must be a positive number, got {kappa}")
+    return kappa
+
+
 def select(table, kappa):
     """Pick the lowest-risk strategy whose expected usage respects the cap.
 
@@ -51,8 +59,7 @@ def select(table, kappa):
     """
     if len(table) == 0:
         raise ConfigError("dose-response table is empty")
-    if not np.isfinite(kappa) or kappa <= 0:
-        raise ConfigError("kappa must be a positive number")
+    check_cap(kappa)
 
     order = np.argsort(table.xs, kind="stable")
     xs = table.xs[order]

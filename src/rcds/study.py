@@ -36,8 +36,9 @@ def run_coverage(params, grid, x_value, n_cohorts, n, B, seed,
 
     Simulates ``n_cohorts`` independent cohorts of size ``n``, runs the full
     bootstrap pipeline on each, and counts how often the 95% interval at
-    ``x_value`` covers the oracle risk; it takes at least one cohort and one
-    bootstrap replicate (``B``). Fully deterministic given ``seed``.
+    ``x_value`` covers the oracle risk; it takes at least one cohort of at
+    least one subject, and one bootstrap replicate (``B``), and checks these
+    before the oracle runs. Fully deterministic given ``seed``.
 
     The default model spec adjusts for sex and age only. A replicate whose
     resample leaves a baseline level without weighted events fits, but with
@@ -46,7 +47,8 @@ def run_coverage(params, grid, x_value, n_cohorts, n, B, seed,
     terms would do this often, so the default keeps them out, and keeping it
     keeps coverage results comparable across versions.
     """
-    for name, count in (("n_cohorts", n_cohorts), ("bootstrap B", B)):
+    for name, count in (("n_cohorts", n_cohorts), ("n", n),
+                        ("bootstrap B", B)):
         if count < 1:
             raise ConfigError(f"coverage needs {name} >= 1, got {count}")
     if spec is None:

@@ -324,7 +324,26 @@ BAD_INPUTS = {
                                   "oracle_n_mc": 1000, "n_cohorts": -1},
     "coverage_no_bootstrap": {"mode": "coverage", "seed": 5, "n": 1000,
                               "oracle_n_mc": 1000, "bootstrap": 0},
+    "coverage_no_subjects": {"mode": "coverage", "seed": 5, "n": 0,
+                             "oracle_n_mc": 1000},
 }
+# a key another mode reads is refused, as a misspelled one is
+OTHER_MODE_KEYS = {
+    ("simulate", "horizon"): {"mode": "simulate", "seed": 5, "n": 300,
+                              "horizon": 12},
+    ("simulate", "kappa"): {"mode": "simulate", "seed": 5, "n": 300,
+                            "kappa": 4.5},
+    ("analyze", "n"): {"mode": "analyze", "seed": 5, "kappa": 4.5, "n": 5000},
+    ("analyze", "dgp"): {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                         "dgp": {"horizon": 3}},
+    ("oracle", "bootstrap"): {"mode": "oracle", "seed": 5, "n_mc": 2000,
+                              "bootstrap": 2},
+    ("coverage", "input"): {"mode": "coverage", "seed": 5, "n": 300,
+                            "n_cohorts": 1, "bootstrap": 2,
+                            "oracle_n_mc": 1000, "input": "cohort.csv"},
+}
+BAD_INPUTS.update({f"{mode}_takes_no_{key}": config
+                   for (mode, key), config in OTHER_MODE_KEYS.items()})
 DGP_MODES = {"simulate": {"n": 300}, "oracle": {"n_mc": 2000},
              "coverage": {"n": 1000, "oracle_n_mc": 1000}}
 # a DGP that breaks positivity, and one that cannot be simulated, in every
@@ -354,7 +373,7 @@ def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
     ("schema_entry_not_a_mapping",
      "baseline_schema entry 1 must be a mapping with a 'name', got 'sex'"),
     ("schema_entry_without_name", "baseline_schema entry 1 must be a mapping"),
-    ("misspelled_top_level_key", "unknown config key 'bootsrap'"),
+    ("misspelled_top_level_key", "unknown analyze config key 'bootsrap'"),
     ("input_not_a_path", "frontier mode needs an input cohort path"),
     ("misspelled_grid_key", "unknown grid key 'x_setp'"),
     ("misspelled_msm_key", "unknown msm key 'baseline_term'"),
@@ -384,6 +403,9 @@ def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
     ("coverage_no_cohorts", "coverage needs n_cohorts >= 1, got 0"),
     ("coverage_negative_cohorts", "coverage needs n_cohorts >= 1, got -1"),
     ("coverage_no_bootstrap", "coverage needs bootstrap B >= 1, got 0"),
+    ("coverage_no_subjects", "coverage needs n >= 1, got 0"),
+    *((f"{mode}_takes_no_{key}", f"unknown {mode} config key {key!r}")
+      for mode, key in OTHER_MODE_KEYS),
     ("dgp_seed", "unknown dgp key 'seed'"),
     *((f"dgp_positivity_{mode}", "positivity fails")
       for mode in DGP_MODES),
@@ -419,8 +441,9 @@ NOT_A_NUMBER = {  # name: (config, what the error names)
                            "'bootstrap' must be a whole number, got 2.5"),
     "bootstrap_boolean": ({**ANALYZE, "bootstrap": True},
                           "'bootstrap' must be a number, got True"),
+    # ingest takes the horizon from the data
     "horizon_fraction": ({**ANALYZE, "horizon": 24.5},
-                         "'horizon' must be a whole number, got 24.5"),
+                         "unknown analyze config key 'horizon'"),
     "kappa_boolean": ({**ANALYZE, "kappa": True},
                       "'kappa' must be a number, got True"),
     "x_step_boolean": ({**ANALYZE, "grid": {"x_step": False}},
@@ -485,6 +508,67 @@ def test_fraction_or_boolean_is_refused_by_key(tmp_path, cohort_csv, capsys,
     assert named in err
     assert err.splitlines()[-1] == "error_code=CONFIG_ERROR"
     assert not any((tmp_path / name).glob("*"))
+
+
+def refuse_work(*args, **kwargs):
+    pytest.fail("work started before every config value was checked")
+
+
+BEFORE_INGEST = {  # name: (config, what the error names)
+    "kappa_negative": ({**ANALYZE, "kappa": -1},
+                       "kappa must be a positive number, got -1.0"),
+    "kappa_zero": ({**ANALYZE, "kappa": 0},
+                   "kappa must be a positive number, got 0.0"),
+    "kappa_infinite": ({**ANALYZE, "kappa": float("inf")},
+                       "kappa must be a positive number, got inf"),
+    "kappa_grid_negative": (
+        {"mode": "frontier", "seed": 5, "kappa_grid": [4.5, -1]},
+        "kappa must be a positive number, got -1.0"),
+    "grid_x_step_zero": ({**ANALYZE, "grid": {"x_step": 0}},
+                         "x_step must be positive, got 0.0"),
+    "msm_knots_not_a_list": (
+        {**ANALYZE, "msm": {"strategy_knots": 3}},
+        "'strategy_knots' must be a list of numbers, got 3"),
+    "weights_truncation_not_a_number": (
+        {**ANALYZE, "weights": {"truncation": "top"}},
+        "'truncation' must be a number, got 'top'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEFORE_INGEST))
+def test_bad_value_is_refused_before_ingest(tmp_path, cohort_csv, capsys,
+                                            monkeypatch, name):
+    monkeypatch.setattr(rcds.io, "ingest_cohort", refuse_work)
+    config, named = BEFORE_INGEST[name]
+    status, err = run(tmp_path, name, {**config, "input": cohort_csv},
+                      capsys)
+    assert status == 2
+    assert named in err
+    assert err.splitlines()[-1] == "error_code=CONFIG_ERROR"
+    assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("name", ["coverage_no_cohorts",
+                                  "coverage_negative_cohorts",
+                                  "coverage_no_bootstrap",
+                                  "coverage_no_subjects"])
+def test_coverage_counts_are_checked_before_the_oracle(tmp_path, capsys,
+                                                       monkeypatch, name):
+    monkeypatch.setattr(rcds.study, "oracle_truth", refuse_work)
+    status, err = run(tmp_path, name, BAD_INPUTS[name], capsys)
+    assert status == 2
+    assert err.splitlines()[-1] == "error_code=CONFIG_ERROR"
+
+
+def test_config_that_is_not_text_ends_with_error_code(tmp_path, capsys):
+    cfg = tmp_path / "binary.yaml"
+    cfg.write_bytes(b"mode: simulate\nseed: 1\nn: \xff\n")
+    status = main(["simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"error: {cfg}: cannot read config: ")
+    assert err[-1] == "error_code=CONFIG_ERROR"
 
 
 def test_missing_config_file_ends_with_error_code(tmp_path, capsys):

@@ -22,7 +22,7 @@ from rcds import (
     ThresholdStrategy,
     simulate_cohort,
 )
-from rcds.cohort import CATEGORICAL, baseline_design
+from rcds.cohort import CATEGORICAL, END_REASONS, baseline_design
 from rcds.io import cohort_to_csv, ingest_cohort
 
 from conftest import FIXTURE_K, FIXTURE_SCHEMA, make_fixture_records
@@ -183,6 +183,8 @@ def reference_validate(c):
         raise ConfigError("monitor must be binary")
     if np.any((c.override_flag != 0) & (c.override_flag != 1)):
         raise ConfigError("override_flag must be binary")
+    if any(code not in range(len(END_REASONS)) for code in c.end_reason):
+        raise ConfigError("end_reason must be a code of END_REASONS")
 
     for i in range(n):
         lo, hi = offsets[i], offsets[i + 1]
@@ -195,6 +197,8 @@ def reference_validate(c):
             months = set(ts.tolist())
             missing = [k for k in range(fue + 1) if k not in months][:3]
             extra = sorted(k for k in months if k < 0 or k > fue)[:3]
+            if not (missing or extra):
+                raise ConfigError(f"subject {sid}: months out of order")
             raise ConfigError(f"subject {sid}: month gap/extras "
                               f"(missing {missing}, extra {extra})")
         mon = c.monitor[lo:hi]
@@ -256,6 +260,7 @@ def validate_error(args):
      "subject s3: marker recorded on an unmonitored month"),
     ((("observed_marker", 3, np.inf),),
      "subject s1: marker values must be finite"),
+    ((("t", 1, 2), ("t", 2, 1)), "subject s1: months out of order"),
 ])
 def test_validate_branches(fixture_cohort, edits, message):
     bad = edited(fixture_cohort, *edits)
@@ -270,6 +275,24 @@ def test_first_bad_subject_is_reported(fixture_cohort):
     bad = edited(fixture_cohort, ("observed_marker", 14, 400.0), ("t", 30, 3))
     assert validate_error(bad) == (
         "subject s2: marker recorded on an unmonitored month")
+
+
+@pytest.mark.parametrize("value", [[7, 0, 0], [-1, 0, 0], [1.5, 0, 0]])
+def test_end_reason_must_name_a_reason(fixture_cohort, value):
+    # an int8 code outside END_REASONS could not be written out by name
+    bad = edited(fixture_cohort)
+    bad.end_reason = np.array(value)
+    assert validate_error(bad) == "end_reason must be a code of END_REASONS"
+
+
+@pytest.mark.parametrize("name, index", [("monitor", 0),
+                                         ("override_flag", 3)])
+def test_binary_columns_are_checked_as_given(fixture_cohort, name, index):
+    # 257 is 1 once narrowed to int8
+    bad = edited(fixture_cohort)
+    setattr(bad, name, getattr(bad, name).astype(np.int64))
+    getattr(bad, name)[index] = 257
+    assert validate_error(bad) == f"{name} must be binary"
 
 
 @pytest.mark.parametrize("column, value", [

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcds.cohort
+import rcds.io
 from rcds import Cohort, DoseResponseTable, IngestError, TruthTable, select
 from rcds.cohort import (
     CONTINUOUS,
@@ -607,6 +609,32 @@ def test_file_level_errors(workdir, fixture_csv):
         ingest_cohort(header_only)
     assert str(info.value) == f"{header_only}: no data rows"
     assert info.value.violations == []
+    # a file the program cannot read is an ingest error, not a fault
+    with pytest.raises(IngestError) as info:
+        ingest_cohort(workdir)
+    assert str(info.value) == f"{workdir}: cannot read cohort file: " \
+        "Is a directory"
+    binary = workdir / "binary.csv"
+    binary.write_bytes(full.read_bytes().replace(b"s1", b"s\xff"))
+    with pytest.raises(IngestError) as info:
+        ingest_cohort(binary)
+    assert str(info.value).startswith(
+        f"{binary}: cannot read cohort file: 'utf-8' codec can't decode")
+
+
+def test_valid_file_runs_the_subject_rules_once(workdir, fixture_csv,
+                                                monkeypatch):
+    header, rows = fixture_csv
+    calls, rules = [], rcds.cohort.subject_violations
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return rules(*args, **kwargs)
+
+    for module in (rcds.cohort, rcds.io):
+        monkeypatch.setattr(module, "subject_violations", counted)
+    ingest_cohort(write_rows(workdir / "valid.csv", header, rows))
+    assert len(calls) == 1
 
 
 def test_non_finite_marker_names_its_line(workdir, fixture_csv):
