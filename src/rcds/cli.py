@@ -20,9 +20,15 @@ from .cohort import CONTINUOUS, BaselineField, BaselineSchema
 from .errors import ConfigError, RcdsError, is_number, is_whole
 from .msm import MsmSpec, WeightOptions, analyze_cohort, bootstrap_pipeline
 from .optimize import check_cap, frontier, select
-from .simulate import DgpParams, oracle_truth, simulate_cohort
+from .simulate import (
+    DgpParams,
+    check_oracle,
+    check_subjects,
+    oracle_truth,
+    simulate_cohort,
+)
 from .strategies import StrategyGrid
-from .study import run_coverage
+from .study import check_study, run_coverage
 from .weights import MonitorFeatureSpec
 
 
@@ -197,8 +203,8 @@ def _monitor_info(plan):
 
 def run(raw, out):
     """Execute the run a config mapping describes and write its artifacts
-    into ``out``, made once the config is read and any input cohort
-    ingested. Returns exit status."""
+    into ``out``, made once every config value is checked (and any input
+    cohort ingested) and before any other work. Returns exit status."""
     mode = raw.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -209,7 +215,7 @@ def run(raw, out):
 
     if mode == "simulate":
         params = _dgp_from(_section(raw, "dgp"))
-        n = _number(raw, "n", 1000, int)
+        n = check_subjects(_number(raw, "n", 1000, int))
         out.mkdir(parents=True, exist_ok=True)
         cohort = simulate_cohort(params, n, seed=seed)
         rio.cohort_to_csv(cohort, out / "cohort.csv")
@@ -221,9 +227,10 @@ def run(raw, out):
         params = _dgp_from(_section(raw, "dgp"))
         grid = _grid_from(_section(raw, "grid"))
         n_mc = _number(raw, "n_mc", 100_000, int)
+        rule = _present(raw, ("rule",), {})
+        check_oracle(n_mc, **rule)
         out.mkdir(parents=True, exist_ok=True)
-        truth = oracle_truth(params, grid, n_mc, seed=seed,
-                             **_present(raw, ("rule",), {}))
+        truth = oracle_truth(params, grid, n_mc, seed=seed, **rule)
         rio.truth_to_csv(truth, out / "truth.csv")
         print(f"wrote {out / 'truth.csv'} (n_mc={n_mc})")
         return 0
@@ -288,6 +295,7 @@ def run(raw, out):
              "B": _number(raw, "bootstrap", 200, int),
              **_present(raw, ("oracle_n_mc", "oracle_rule"),
                         {"oracle_n_mc": _integer})}
+    check_study(grid, **study)
     out.mkdir(parents=True, exist_ok=True)
     res = run_coverage(params, grid, seed=seed, spec=spec, wopts=wopts,
                        progress=_report_cohort, **study)

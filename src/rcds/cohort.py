@@ -182,6 +182,11 @@ class Cohort:
             raise ConfigError("baseline rows do not match subject count")
         if self.baseline.shape[1:] != (len(self.schema.fields),):
             raise ConfigError("baseline width does not match schema")
+        for name in ("followup_end", "end_reason", "outcome_y"):
+            shape = getattr(self, name).shape
+            if shape != (n,):
+                raise ConfigError(f"{name} needs one entry per subject "
+                                  f"({n}), got shape {shape}")
         if len(set(self.subject_ids)) != n:
             raise ConfigError("duplicate subject ids")
         if np.any(self.followup_end < 0) or self.offsets[-1] != self.n_rows:

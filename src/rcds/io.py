@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import yaml
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cohort import (
     CONTINUOUS,
@@ -24,6 +25,11 @@ from .cohort import (
 from .errors import ConfigError, IngestError
 
 MAX_VIOLATIONS = 20
+CHUNK_BYTES = 1 << 20  # the plain-file read's block size
+# the longest field the block read takes: a float repr is at most 24 bytes,
+# and 40 admits ids such as a 36-character UUID. The byte gathers are then
+# at most this wide, so their memory stays linear in the block's bytes
+FIELD_BYTES = 40
 
 COHORT_FIXED_COLUMNS = [
     "subject_id", "t", "monitor", "observed_marker", "override_flag",
@@ -108,47 +114,9 @@ def _raise_violations(path, found):
         )
 
 
-def ingest_cohort(path, schema=None, horizon=None):
-    """Parse and validate a cohort CSV.
-
-    Rows may come in any order. Subjects are numbered by their first row in
-    the file (a row with the wrong field count or a malformed numeric field
-    does not count), and each subject's rows are sorted by month. Only the
-    measurements are read: :class:`Cohort` derives the carried-forward
-    marker, months since the last visit and visit count. Baseline columns
-    follow the declared ``schema``; without one, every ``baseline_*``
-    column is treated as continuous. ``horizon`` defaults to the largest
-    followup_end present.
-
-    A file that cannot be read (a directory, or bytes that are not text in
-    the locale's encoding) raises :class:`IngestError`, "cannot read cohort
-    file". Violations raise :class:`IngestError` with line numbers, which
-    count CSV rows from the header as line 1. Row checks run first: if any
-    row fails, the error lists the first 20 violations by line and, within a
-    line, in the order of the checks. Only then run the subject checks, the
-    validity rules of :func:`rcds.cohort.subject_violations` (baseline values
-    included), and they run once: the :class:`Cohort` runs them as it is
-    built, and only a refused cohort has them run again on the row blocks as
-    read, to list one violation per subject at its first line, for the first
-    20 failing subjects.
-    """
-    path = Path(path)
-    widths = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IngestError(f"{path}: empty file") from None
-            # one flat list of fields: each row list dies at once, so the
-            # cyclic GC never walks hundreds of thousands of live rows
-            fields = list(chain.from_iterable(
-                widths.append(len(row)) or row for row in reader))
-    except (OSError, UnicodeDecodeError) as err:
-        raise IngestError(f"{path}: cannot read cohort file: "
-                          f"{getattr(err, 'strerror', None) or err}") from None
-
+def _header_schema(path, header, schema):
+    """The baseline schema of a file with ``header``: ``schema``, or every
+    ``baseline_*`` column as continuous when it is None."""
     fixed = COHORT_FIXED_COLUMNS
     if header[: len(fixed)] != fixed:
         raise IngestError(
@@ -167,6 +135,280 @@ def ingest_cohort(path, schema=None, horizon=None):
             f"{path}: baseline columns {base_names} do not match the declared "
             f"schema {schema.names}"
         )
+    return schema
+
+
+_BYTE = np.arange(256)
+_DIGIT = (_BYTE >= ord("0")) & (_BYTE <= ord("9"))
+_FLOAT = _DIGIT | np.isin(_BYTE, list(b".e+-"))  # the alphabet of a float repr
+
+
+def _blocks(fh):
+    """The rest of ``fh`` in blocks of whole lines, read ``CHUNK_BYTES`` at a
+    time; a last line without a line end is given one."""
+    rest = []  # the pieces of a line not yet ended
+    while block := fh.read(CHUNK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*rest, block[:cut]])
+            rest = []
+        rest.append(block[cut:])
+    if any(rest):
+        yield b"".join([*rest, b"\n"])
+
+
+def _line_ends(b):
+    """The positions of the line feeds in the bytes ``b`` of whole lines;
+    None unless every byte is plain: printable ASCII but ``"``, a line feed,
+    or a carriage return before one."""
+    control = np.flatnonzero(b < ord(" "))
+    newline = control[b[control] == ord("\n")]
+    cr = control[b[control] == ord("\r")]
+    if (newline.size + cr.size < control.size or (b > ord("~")).any()
+            or (b == ord('"')).any() or (b[cr + 1] != ord("\n")).any()):
+        return None
+    return newline
+
+
+def _plain_fields(block, ncol):
+    """The bytes of a block of whole lines, zero padded by its longest line,
+    and the start and length of each of its fields as ``(lines, ncol)``
+    arrays; None unless every byte is plain and every line holds ``ncol``
+    fields of at most ``FIELD_BYTES`` bytes."""
+    b = np.frombuffer(block, np.uint8)
+    newline = _line_ends(b)
+    if newline is None:
+        return None
+    sep = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    if sep.size != newline.size * ncol \
+            or (sep[ncol - 1::ncol] != newline).any():
+        return None
+    sep = sep.reshape(newline.size, ncol)
+    start = np.empty_like(sep)
+    start[0, 0] = 0
+    start[1:, 0] = newline[:-1] + 1
+    start[:, 1:] = sep[:, :-1] + 1
+    sep[:, -1] -= b[newline - 1] == ord("\r")  # now each field's end
+    length = sep - start
+    if length.max() > FIELD_BYTES:
+        return None
+    longest = int((newline - start[:, 0]).max())
+    return np.concatenate([b, np.zeros(longest, np.uint8)]), start, length
+
+
+def _text(b, start, length, alphabet=None):
+    """Each field's bytes as one fixed-width ``S`` array (a plain byte is
+    never NUL, so the zero padding is exact), or None if a field holds a
+    byte outside ``alphabet``. ``b`` is padded by the longest field."""
+    k = np.arange(max(int(length.max(initial=0)), 1))
+    g = sliding_window_view(b, k.size)[start]
+    inside = k < length[:, None]
+    if alphabet is not None and not (alphabet[g] | ~inside).all():
+        return None
+    g *= inside
+    return g.view(f"S{k.size}")[:, 0]
+
+
+def _integers(b, start, length):
+    """Fields of 1 to 18 digits as int64, the values ``int`` gives; None if
+    a field is not one."""
+    if not ((length >= 1) & (length <= 18)).all():
+        return None
+    text = _text(b, start, length, _DIGIT)
+    if text is None:
+        return None
+    value = np.zeros(length.size, np.int64)
+    for k, digit in enumerate(text.view(np.uint8).reshape(length.size, -1).T):
+        value = np.where(k < length, value * 10 + (digit - ord("0")), value)
+    return value
+
+
+def _floats(b, start, length):
+    """Fields in the alphabet of a float repr as float64, the values
+    ``float`` gives (an empty field is nan); None if a field holds another
+    byte or does not parse."""
+    value = np.full(length.size, np.nan)
+    some = length > 0
+    text = _text(b, start[some], length[some], _FLOAT)
+    if text is None:
+        return None
+    try:
+        value[some] = text.astype(np.float64)
+    except ValueError:
+        return None
+    return value
+
+
+class _PlainRows:
+    """A plain file's data lines, parsed a block at a time into the row
+    arrays, the subject codes and each new subject's values."""
+
+    def __init__(self, ncol):
+        self.ncol = ncol
+        self.index = {}  # subject id -> code, in order of first appearance
+        self.rows = []  # per block: code, t, monitor, marker, override_flag
+        self.subjects = []  # per block: followup_end, end_reason, baseline
+        self.outcomes = []  # per block: code and outcome of each outcome row
+        # per span of subject-constant text, its text on each subject's
+        # first row: followup_end and end_reason, then the baseline values
+        self.spans = [(5, 6)] + ([(8, ncol - 1)] if ncol > 8 else [])
+        self.first_text = [np.empty(0, "S1") for _ in self.spans]
+
+    def add(self, block):
+        """Parse one block; False when it is not plain or fails a check the
+        :class:`Cohort` cannot make."""
+        fields = _plain_fields(block, self.ncol)
+        if fields is None:
+            return False
+        b, start, length = fields
+        t, monitor, override, fue = (_integers(b, start[:, j], length[:, j])
+                                     for j in (1, 2, 4, 5))
+        marker = _floats(b, start[:, 3], length[:, 3])
+        if any(a is None for a in (t, monitor, override, fue, marker)):
+            return False
+        has_y = length[:, 7] > 0
+        y = b[start[has_y, 7]].astype(np.int64) - ord("0")
+        if (length[:, 7] > 1).any() or ((y != 0) & (y != 1)).any() \
+                or (t[has_y] != fue[has_y]).any():
+            return False
+
+        ids = _text(b, start[:, 0], length[:, 0])
+        distinct, first, inverse = np.unique(ids, return_index=True,
+                                             return_inverse=True)
+        by_first = np.argsort(first)
+        seen, ucode = len(self.index), np.empty(distinct.size, np.int64)
+        ucode[by_first] = [self.index.setdefault(sid, len(self.index))
+                           for sid in distinct[by_first].tolist()]
+        code = ucode[inverse]
+        new = first[by_first[ucode[by_first] >= seen]]  # in code order
+
+        for s, (lo, hi) in enumerate(self.spans):
+            text = _text(b, start[:, lo],
+                         start[:, hi] + length[:, hi] - start[:, lo])
+            self.first_text[s] = np.concatenate([self.first_text[s], text[new]])
+            if (text != self.first_text[s][code]).any():
+                return False
+        base = [_floats(b, start[new, j], length[new, j])
+                for j in range(8, self.ncol)]
+        if any(v is None for v in base):
+            return False
+        reason = [_REASON_CODE.get(r.decode("ascii"), -1) for r in
+                  _text(b, start[new, 6], length[new, 6]).tolist()]
+        self.rows.append((code, t, monitor, marker, override))
+        self.subjects.append((fue[new], np.array(reason, np.int64),
+                              np.column_stack(base) if base
+                              else np.empty((new.size, 0))))
+        self.outcomes.append((code[has_y], y.astype(np.float64)))
+        return True
+
+    def cohort(self, schema, horizon):
+        """The :class:`Cohort` of the blocks, or None if it refuses them."""
+        code, t, monitor, marker, override = (
+            np.concatenate(a) for a in zip(*self.rows))
+        fue, reason, base = (np.concatenate(a) for a in zip(*self.subjects))
+        outcome_y = np.full(fue.size, np.nan)
+        for at, y in self.outcomes:
+            outcome_y[at] = y
+        order = np.lexsort((t, code))
+        try:
+            return Cohort(
+                subject_ids=[sid.decode("ascii") for sid in self.index],
+                baseline=base, schema=schema,
+                horizon=int(fue.max()) if horizon is None else int(horizon),
+                followup_end=fue, end_reason=reason, outcome_y=outcome_y,
+                t=t[order], monitor=monitor[order],
+                observed_marker=marker[order], override_flag=override[order])
+        except ConfigError:
+            return None
+
+
+def _ingest_plain(path, schema, horizon):
+    """The :class:`Cohort` of a plain file that passes every check, read
+    ``CHUNK_BYTES`` at a time; None for any other file or one that cannot be
+    read.
+
+    The :class:`Cohort` makes every check it can see. The blocks add the
+    rest: each row's followup_end, end_reason and baseline text equal its
+    subject's first row byte for byte, and outcome_y is empty, ``0`` or
+    ``1``, and only on the ``t == followup_end`` row.
+    """
+    try:
+        with open(path, "rb") as fh:
+            head = fh.readline().removesuffix(b"\n") + b"\n"
+            if _line_ends(np.frombuffer(head, np.uint8)) is None:
+                return None
+            header = head.decode("ascii")[:-1].removesuffix("\r").split(",")
+            try:
+                schema = _header_schema(path, header, schema)
+            except IngestError:
+                return None
+            rows = _PlainRows(len(header))
+            if not all(map(rows.add, _blocks(fh))) or not rows.index:
+                return None
+    except OSError:
+        return None
+    return rows.cohort(schema, horizon)
+
+
+def ingest_cohort(path, schema=None, horizon=None):
+    """Parse and validate a cohort CSV.
+
+    Rows may come in any order. Subjects are numbered by their first row in
+    the file (a row with the wrong field count or a malformed numeric field
+    does not count), and each subject's rows are sorted by month. Only the
+    measurements are read: :class:`Cohort` derives the carried-forward
+    marker, months since the last visit and visit count. Baseline columns
+    follow the declared ``schema``; without one, every ``baseline_*``
+    column is treated as continuous. ``horizon`` defaults to the largest
+    followup_end present.
+
+    There are two paths, and which one runs depends only on the file. A
+    plain file is all ASCII, has no ``"``, has no carriage return but
+    before a line feed, and holds every integer field as ``[0-9]+``. It is
+    read in blocks of ``CHUNK_BYTES`` parsed with numpy, so no per-cell
+    string outlives its block, and if no field is longer than
+    ``FIELD_BYTES`` and every check passes, that read gives the
+    :class:`Cohort`. Any other file, and any plain file that fails a check,
+    goes to the line-numbered reader, ``csv.reader`` over the whole file,
+    which gives the same cohort or reports the violations.
+
+    A file that cannot be read (a directory, bytes that are not text in the
+    locale's encoding, or a field over the csv size limit) raises :class:`IngestError`, "cannot read cohort file".
+    Violations raise :class:`IngestError` with line numbers, which
+    count CSV rows from the header as line 1. Row checks run first: if any
+    row fails, the error lists the first 20 violations by line and, within a
+    line, in the order of the checks. Only then run the subject checks, the
+    validity rules of :func:`rcds.cohort.subject_violations` (baseline values
+    included). On a valid file they run once, as the :class:`Cohort` is
+    built; only a refused cohort has them run again on the row blocks as
+    read, to list one violation per subject at its first line, for the first
+    20 failing subjects.
+    """
+    path = Path(path)
+    cohort = _ingest_plain(path, schema, horizon)
+    return cohort if cohort is not None else \
+        _ingest_rows(path, schema, horizon)
+
+
+def _ingest_rows(path, schema, horizon):
+    """The line-numbered reader: ``csv.reader`` over the whole file."""
+    widths = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IngestError(f"{path}: empty file") from None
+            # one flat list of fields: each row list dies at once, so the
+            # cyclic GC never walks hundreds of thousands of live rows
+            fields = list(chain.from_iterable(
+                widths.append(len(row)) or row for row in reader))
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
+        raise IngestError(f"{path}: cannot read cohort file: "
+                          f"{getattr(err, 'strerror', None) or err}") from None
+    schema = _header_schema(path, header, schema)
+    base_cols = header[len(COHORT_FIXED_COLUMNS):]
 
     # row checks, in the order a row meets them; a row failing a check
     # marked "skip" meets no later check and is not stored

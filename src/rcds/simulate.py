@@ -283,8 +283,9 @@ def _cohort(params, draws):
 
     failed = _kernel(params, draws, _observational_decision(params),
                      np.full(1, np.nan), record=record).failed
-    drop = draws["dropout"][:, 1:K] < params.dropout_hazard
-    fue = np.where(drop.any(axis=1), drop.argmax(axis=1) + 1, K)
+    drop = draws["dropout"][:, 1:] < params.dropout_hazard
+    drop[:, -1] = True  # follow-up ends at K at the latest
+    fue = drop.argmax(axis=1) + 1
     tgrid = np.arange(K + 1)
     keep = tgrid[None, :] <= fue[:, None]
     y = np.where(fue == K, failed.astype(np.float64), np.nan)
@@ -307,6 +308,13 @@ def _cohort(params, draws):
     )
 
 
+def check_subjects(n):
+    """``n``, once it is a subject count :func:`simulate_cohort` takes."""
+    if n < 1:
+        raise ConfigError("n must be at least 1")
+    return n
+
+
 def simulate_cohort(params, n, seed):
     """Simulate an observational cohort of ``n`` subjects.
 
@@ -316,9 +324,7 @@ def simulate_cohort(params, n, seed):
     whether it can be analyzed.
     """
     params.check_structure()
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    draws = _draws((seed, 0), n, params.horizon)
+    draws = _draws((seed, 0), check_subjects(n), params.horizon)
     return _cohort(params, draws)
 
 
@@ -335,6 +341,16 @@ class TruthTable:
 
 
 ORACLE_BLOCK = 2048  # subjects the oracle steps at once
+
+
+def check_oracle(n_mc, rule="natural"):
+    """Refuse a draw count or rule that :func:`oracle_truth` does not take."""
+    if n_mc < 1000:
+        raise ConfigError("oracle needs n_mc >= 1000")
+    if rule != "natural":
+        raise ConfigError(
+            f"unknown oracle rule {rule!r}: the oracle simulates only the "
+            "natural rule, the regime the censoring weights target")
 
 
 def oracle_truth(params, grid, n_mc, rule="natural", *, seed):
@@ -363,12 +379,7 @@ def oracle_truth(params, grid, n_mc, rule="natural", *, seed):
     change them.
     """
     params.validate()
-    if n_mc < 1000:
-        raise ConfigError("oracle needs n_mc >= 1000")
-    if rule != "natural":
-        raise ConfigError(
-            f"unknown oracle rule {rule!r}: the oracle simulates only the "
-            "natural rule, the regime the censoring weights target")
+    check_oracle(n_mc, rule)
     draws = _draws((seed, 2), n_mc, params.horizon)
     k = len(grid)
     failed = np.empty((k, n_mc), dtype=bool)

@@ -76,6 +76,10 @@ class StrategyGrid:
                 override_window=DEFAULT_WINDOW_OVERRIDE):
         if not x_step > 0:
             raise ConfigError(f"x_step must be positive, got {x_step!r}")
+        for name, value in (("x_start", x_start), ("x_stop", x_stop),
+                            ("x_step", x_step)):
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         xs = np.arange(x_start, x_stop + 0.5 * x_step, x_step)
         if xs.size == 0:
             raise ConfigError(f"no threshold from x_start {x_start!r} to "

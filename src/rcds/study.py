@@ -7,7 +7,7 @@ import numpy.random  # loaded now, not lazily at the study's first seed
 
 from .errors import ConfigError
 from .msm import MsmSpec, WeightOptions, bootstrap_pipeline
-from .simulate import oracle_truth, simulate_cohort
+from .simulate import check_oracle, oracle_truth, simulate_cohort
 
 
 @dataclass
@@ -28,6 +28,21 @@ class CoverageResult:
         }
 
 
+def check_study(grid, x_value, n_cohorts, n, B, oracle_n_mc=200_000,
+                oracle_rule="natural"):
+    """The index of ``x_value`` in ``grid``, once the threshold, the counts
+    and the oracle are ones :func:`run_coverage` takes."""
+    for name, count in (("n_cohorts", n_cohorts), ("n", n),
+                        ("bootstrap B", B)):
+        if count < 1:
+            raise ConfigError(f"coverage needs {name} >= 1, got {count}")
+    matches = np.flatnonzero(np.isclose(grid.xs, x_value))
+    if matches.size != 1:
+        raise ConfigError(f"x_value {x_value} is not a grid threshold")
+    check_oracle(oracle_n_mc, oracle_rule)
+    return int(matches[0])
+
+
 def run_coverage(params, grid, x_value, n_cohorts, n, B, seed,
                  spec=None, wopts=WeightOptions(),
                  oracle_n_mc=200_000, oracle_rule="natural",
@@ -38,7 +53,8 @@ def run_coverage(params, grid, x_value, n_cohorts, n, B, seed,
     bootstrap pipeline on each, and counts how often the 95% interval at
     ``x_value`` covers the oracle risk; it takes at least one cohort of at
     least one subject, and one bootstrap replicate (``B``), and checks these
-    before the oracle runs. Fully deterministic given ``seed``.
+    with :func:`check_study` before the oracle runs. Fully deterministic
+    given ``seed``.
 
     The default model spec adjusts for sex and age only. A replicate whose
     resample leaves a baseline level without weighted events fits, but with
@@ -47,17 +63,9 @@ def run_coverage(params, grid, x_value, n_cohorts, n, B, seed,
     terms would do this often, so the default keeps them out, and keeping it
     keeps coverage results comparable across versions.
     """
-    for name, count in (("n_cohorts", n_cohorts), ("n", n),
-                        ("bootstrap B", B)):
-        if count < 1:
-            raise ConfigError(f"coverage needs {name} >= 1, got {count}")
+    j = check_study(grid, x_value, n_cohorts, n, B, oracle_n_mc, oracle_rule)
     if spec is None:
         spec = MsmSpec(baseline_terms=("sex", "age"))
-    xs = grid.xs
-    matches = np.flatnonzero(np.isclose(xs, x_value))
-    if matches.size != 1:
-        raise ConfigError(f"x_value {x_value} is not a grid threshold")
-    j = int(matches[0])
 
     ss = np.random.SeedSequence(seed)
     state = ss.generate_state(2 * n_cohorts + 1)

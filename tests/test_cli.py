@@ -304,6 +304,14 @@ BAD_INPUTS = {
                         "grid": {"x_step": -10}},
     "grid_range_empty": {"mode": "oracle", "seed": 5, "n_mc": 2000,
                          "grid": {"x_start": 500, "x_stop": 200}},
+    # a bound that is not finite would ask numpy for an endless grid
+    "grid_x_stop_inf": {"mode": "oracle", "seed": 5, "n_mc": 2000,
+                        "grid": {"x_stop": float("inf")}},
+    "grid_x_start_nan": {"mode": "analyze", "seed": 5, "kappa": 4.5,
+                         "grid": {"x_start": float("nan")}},
+    "grid_x_step_inf": {"mode": "coverage", "seed": 5, "n": 1000,
+                        "oracle_n_mc": 1000,
+                        "grid": {"x_step": float("inf")}},
     "window_a_string": {"mode": "analyze", "seed": 5, "kappa": 4.5,
                         "grid": {"window_below": "27"}},
     "window_fraction": {"mode": "analyze", "seed": 5, "kappa": 4.5,
@@ -392,6 +400,9 @@ def test_bad_weights_block_is_named(tmp_path, cohort_csv, capsys, name,
     ("x_step_zero", "x_step must be positive, got 0.0"),
     ("x_step_negative", "x_step must be positive, got -10.0"),
     ("grid_range_empty", "no threshold from x_start 500.0 to x_stop 200.0"),
+    ("grid_x_stop_inf", "x_stop must be finite, got inf"),
+    ("grid_x_start_nan", "x_start must be finite, got nan"),
+    ("grid_x_step_inf", "x_step must be finite, got inf"),
     ("window_a_string", "window_below must be two whole months, got '27'"),
     ("window_fraction", "window_below must be two whole months, got [2.5, 7]"),
     ("window_boolean",
@@ -558,6 +569,43 @@ def test_coverage_counts_are_checked_before_the_oracle(tmp_path, capsys,
     status, err = run(tmp_path, name, BAD_INPUTS[name], capsys)
     assert status == 2
     assert err.splitlines()[-1] == "error_code=CONFIG_ERROR"
+
+
+@pytest.mark.parametrize("name, config, named", [
+    ("simulate_no_subjects", {"mode": "simulate", "seed": 5, "n": 0},
+     "n must be at least 1"),
+    ("oracle_few_draws", {"mode": "oracle", "seed": 5, "n_mc": 999},
+     "oracle needs n_mc >= 1000"),
+    ("coverage_no_subjects", BAD_INPUTS["coverage_no_subjects"],
+     "coverage needs n >= 1, got 0"),
+    ("oracle_rule_unknown", BAD_INPUTS["oracle_rule_unknown"],
+     "unknown oracle rule 'conditional'"),
+    ("coverage_oracle_rule_latest", BAD_INPUTS["coverage_oracle_rule_latest"],
+     "unknown oracle rule 'latest'"),
+    ("coverage_x_value_off_grid", {"mode": "coverage", "seed": 5,
+                                   "x_value": 355},
+     "x_value 355.0 is not a grid threshold"),
+])
+def test_refused_value_leaves_no_out_directory(tmp_path, capsys, monkeypatch,
+                                               name, config, named):
+    # each is refused before out is made, and so before any simulation
+    for module in (rcds.cli, rcds.study):
+        monkeypatch.setattr(module, "oracle_truth", refuse_work)
+    monkeypatch.setattr(rcds.cli, "simulate_cohort", refuse_work)
+    status, err = run(tmp_path, name, config, capsys)
+    assert status == 2
+    assert named in err
+    assert err.splitlines()[-1] == "error_code=CONFIG_ERROR"
+    assert not (tmp_path / name).exists()
+
+
+def test_one_month_horizon_simulates(tmp_path, capsys):
+    # no month lies between entry and the horizon, so no subject is lost
+    config = {"mode": "simulate", "seed": 5, "n": 300, "dgp": {"horizon": 1}}
+    assert run(tmp_path, "simulate", config, capsys)[0] == 0
+    cohort = ingest_cohort(tmp_path / "simulate" / "cohort.csv")
+    assert cohort.horizon == 1 and cohort.n_rows == 600
+    assert np.all(cohort.followup_end == 1)
 
 
 def test_config_that_is_not_text_ends_with_error_code(tmp_path, capsys):

@@ -285,6 +285,16 @@ def test_end_reason_must_name_a_reason(fixture_cohort, value):
     assert validate_error(bad) == "end_reason must be a code of END_REASONS"
 
 
+@pytest.mark.parametrize("name", ["followup_end", "end_reason", "outcome_y"])
+def test_subject_arrays_have_one_entry_per_subject(fixture_cohort, name):
+    # a short end_reason used to be accepted, and a short outcome_y to fail
+    # numpy's broadcast
+    bad = edited(fixture_cohort)
+    setattr(bad, name, getattr(bad, name)[:2])
+    assert validate_error(bad) == (
+        f"{name} needs one entry per subject (3), got shape (2,)")
+
+
 @pytest.mark.parametrize("name, index", [("monitor", 0),
                                          ("override_flag", 3)])
 def test_binary_columns_are_checked_as_given(fixture_cohort, name, index):

@@ -9,6 +9,8 @@ likewise the row-by-row writer that the column-wise one replaced.
 """
 
 import csv
+import io
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +19,15 @@ from hypothesis import strategies as st
 
 import rcds.cohort
 import rcds.io
-from rcds import Cohort, DoseResponseTable, IngestError, TruthTable, select
+from rcds import (
+    Cohort,
+    DgpParams,
+    DoseResponseTable,
+    IngestError,
+    TruthTable,
+    select,
+    simulate_cohort,
+)
 from rcds.cohort import (
     CONTINUOUS,
     END_REASONS,
@@ -579,6 +589,16 @@ def test_golden_violations(workdir, fixture_csv, name):
     assert info.value.violations == violations
 
 
+SMALL_CHUNK = 37  # bytes: block edges fall mid-row and mid-subject
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_violations_in_small_chunks(workdir, fixture_csv, monkeypatch,
+                                           name):
+    monkeypatch.setattr(rcds.io, "CHUNK_BYTES", SMALL_CHUNK)
+    test_golden_violations(workdir, fixture_csv, name)
+
+
 def test_file_level_errors(workdir, fixture_csv):
     header, rows = fixture_csv
     empty = workdir / "empty.csv"
@@ -620,6 +640,39 @@ def test_file_level_errors(workdir, fixture_csv):
         ingest_cohort(binary)
     assert str(info.value).startswith(
         f"{binary}: cannot read cohort file: 'utf-8' codec can't decode")
+
+
+def test_long_field_goes_to_the_line_numbered_reader(workdir, fixture_csv,
+                                                     monkeypatch):
+    # a field past FIELD_BYTES leaves the block read, whose byte gathers are
+    # as wide as the longest field, so its memory stays linear
+    header, rows = fixture_csv
+    long_id = "s" * (rcds.io.FIELD_BYTES + 1)
+    rows = [[long_id if c == "s3" else c for c in r] for r in rows]
+    path = write_rows(workdir / "id_over_the_bound.csv", header, rows)
+    assert rcds.io._ingest_plain(path, None, None) is None
+    assert ingest_cohort(path).subject_ids == ["s1", "s2", long_id]
+    rows = [[c.replace(long_id, long_id[1:]) for c in r] for r in rows]
+    path = write_rows(workdir / "id_at_the_bound.csv", header, rows)
+    monkeypatch.setattr(csv, "reader", None)  # the block read takes it
+    assert ingest_cohort(path).subject_ids == ["s1", "s2", long_id[1:]]
+
+
+def test_field_over_the_csv_limit(workdir, fixture_csv):
+    # plain or quoted, the file goes to csv.reader, which refuses the field
+    header, rows = fixture_csv
+    long_id = "s" * (csv.field_size_limit() + 1)
+    rows = [[long_id if c == "s3" else c for c in r] for r in rows]
+    plain = write_rows(workdir / "long_id.csv", header, rows)
+    quoted = workdir / "long_id_quoted.csv"
+    with open(quoted, "w", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([header, *rows])
+    for path in (plain, quoted):
+        with pytest.raises(IngestError) as info:
+            ingest_cohort(path)
+        assert str(info.value) == (
+            f"{path}: cannot read cohort file: field larger than field "
+            f"limit ({csv.field_size_limit()})")
 
 
 def test_valid_file_runs_the_subject_rules_once(workdir, fixture_csv,
@@ -727,11 +780,7 @@ def corrupt(rows, ops):
     return rows
 
 
-@settings(max_examples=500)
-@given(corruptions(), st.sampled_from((None, FIXTURE_SCHEMA)),
-       st.sampled_from((None, 11, 12, 13)))
-def test_matches_row_loop_reference(workdir, fixture_csv, ops, schema,
-                                    horizon):
+def check_against_reference(workdir, fixture_csv, ops, schema, horizon):
     header, rows = fixture_csv
     path = write_rows(workdir / "corrupted.csv", header,
                       corrupt([list(r) for r in rows], ops))
@@ -740,12 +789,32 @@ def test_matches_row_loop_reference(workdir, fixture_csv, ops, schema,
                         ingest_outcome(reference_ingest, path, **kwargs))
 
 
+@settings(max_examples=500)
+@given(corruptions(), st.sampled_from((None, FIXTURE_SCHEMA)),
+       st.sampled_from((None, 11, 12, 13)))
+def test_matches_row_loop_reference(workdir, fixture_csv, ops, schema,
+                                    horizon):
+    check_against_reference(workdir, fixture_csv, ops, schema, horizon)
+
+
+@settings(max_examples=200)
+@given(corruptions(), st.sampled_from((None, FIXTURE_SCHEMA)),
+       st.sampled_from((None, 11, 12, 13)))
+def test_matches_row_loop_reference_in_small_chunks(workdir, fixture_csv, ops,
+                                                    schema, horizon):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rcds.io, "CHUNK_BYTES", SMALL_CHUNK)
+        check_against_reference(workdir, fixture_csv, ops, schema, horizon)
+
+
 @st.composite
 def random_cohorts(draw):
-    """Small cohorts with arbitrary finite markers and ages, ids that need
-    CSV quoting, every end reason, and outcomes that may be missing."""
+    """Small cohorts with arbitrary finite markers and ages, ids that may
+    need CSV quoting, every end reason, and outcomes that may be missing."""
     K = draw(st.integers(0, 6))
-    ids = draw(st.lists(st.text(alphabet='ab1, "-', max_size=4), min_size=1,
+    # ids that need no quoting leave the file plain
+    alphabet = draw(st.sampled_from(('ab1, "-', "ab1-")))
+    ids = draw(st.lists(st.text(alphabet=alphabet, max_size=4), min_size=1,
                         max_size=5, unique=True))
     markers = st.floats(allow_nan=False, allow_infinity=False)
     records = []
@@ -785,6 +854,117 @@ def test_csv_round_trip(workdir, drawn, rnd):
     first_seen = [by_id[sid] for sid in dict.fromkeys(r[0] for r in rows)]
     assert_same_cohort(ingest_cohort(path, schema=FIXTURE_SCHEMA, horizon=K),
                        from_records(first_seen, FIXTURE_SCHEMA, K))
+
+
+# ----------------------------------------------------------------------
+# the plain-file path
+# ----------------------------------------------------------------------
+def test_simulated_csv_takes_the_plain_path(tmp_path, monkeypatch):
+    def no_reader(*args, **kwargs):
+        pytest.fail("a plain file went to the line-numbered reader")
+
+    cohort = simulate_cohort(DgpParams(), 40, seed=3)
+    path = tmp_path / "cohort.csv"
+    cohort_to_csv(cohort, path)
+    monkeypatch.setattr(csv, "reader", no_reader)
+    assert_same_cohort(ingest_cohort(path, schema=cohort.schema), cohort)
+    monkeypatch.setattr(rcds.io, "CHUNK_BYTES", SMALL_CHUNK)
+    assert_same_cohort(ingest_cohort(path, schema=cohort.schema), cohort)
+
+
+def quote_every_field(text):
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL).writerows(
+        csv.reader(text.splitlines()))
+    return out.getvalue()
+
+
+LAYOUTS = {  # name: (edit of the file's text, whether the file is plain)
+    "crlf": (lambda text: text, True),
+    "lf": (lambda text: text.replace("\r\n", "\n"), True),
+    "no_final_newline": (lambda text: text.rstrip("\r\n"), True),
+    "every_field_quoted": (quote_every_field, False),
+    "non_ascii_id": (lambda text: text.replace("s2,", "s\u00b2,"), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_layouts_give_the_same_cohort(workdir, name):
+    records = make_fixture_records()
+    edit, plain = LAYOUTS[name]
+    if name == "non_ascii_id":
+        records[1].subject_id = "s\u00b2"
+    want = from_records(records, FIXTURE_SCHEMA, FIXTURE_K)
+    path = workdir / f"{name}.csv"
+    cohort_to_csv(from_records(make_fixture_records(), FIXTURE_SCHEMA,
+                               FIXTURE_K), path)
+    path.write_bytes(edit(path.read_bytes().decode()).encode())
+    assert_same_cohort(ingest_cohort(path, schema=FIXTURE_SCHEMA), want)
+    taken = rcds.io._ingest_plain(path, FIXTURE_SCHEMA, None)
+    assert (taken is not None) == plain
+
+
+# plain files whose rows the Cohort alone would take: the blocks must send
+# each to the line-numbered reader, which refuses or accepts it by the text
+PLAIN_EDITS = {
+    "outcome_spelled_1.0": setting((14, "outcome_y", "1.0")),
+    "outcome_spelled_01": setting((27, "outcome_y", "01")),
+    "followup_end_spelled_012": setting((20, "followup_end", "012")),
+    "baseline_spelled_41": setting((10, "baseline_age", "41")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_EDITS))
+def test_plain_edits_match_row_loop_reference(workdir, fixture_csv,
+                                              monkeypatch, name):
+    header, rows = fixture_csv
+    path = write_rows(workdir / f"{name}.csv", header,
+                      PLAIN_EDITS[name]([list(r) for r in rows]))
+    for chunk in (rcds.io.CHUNK_BYTES, SMALL_CHUNK):
+        monkeypatch.setattr(rcds.io, "CHUNK_BYTES", chunk)
+        assert_same_outcome(ingest_outcome(ingest_cohort, path),
+                            ingest_outcome(reference_ingest, path))
+
+
+FLOAT_ALPHABET = "0123456789.e+-"
+
+
+def plain_floats(texts):
+    """``rcds.io._floats`` over one field per text."""
+    data = "".join(texts).encode()
+    length = np.array([len(t) for t in texts])
+    b = np.frombuffer(data + bytes(int(length.max(initial=0))), np.uint8)
+    return rcds.io._floats(b, np.cumsum(length) - length, length)
+
+
+def python_float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def test_float_parse_matches_python_on_short_texts():
+    # every text of up to three bytes over the repr alphabet, one at a time:
+    # the parse takes a text only if float does, and gives float's bits
+    for size in range(1, 4):
+        for chars in itertools.product(FLOAT_ALPHABET, repeat=size):
+            text = "".join(chars)
+            got, want = plain_floats([text]), python_float(text)
+            if want is None:
+                assert got is None, text
+            elif got is not None:
+                assert got.tobytes() == np.float64(want).tobytes(), text
+
+
+@given(st.lists(st.text(alphabet=FLOAT_ALPHABET, min_size=1, max_size=24),
+                min_size=1, max_size=4))
+def test_float_parse_matches_python(texts):
+    got, want = plain_floats(texts), [python_float(t) for t in texts]
+    if None in want:
+        assert got is None
+    elif got is not None:
+        assert got.tobytes() == np.array(want, np.float64).tobytes()
 
 
 def reference_cohort_to_csv(cohort, path):
