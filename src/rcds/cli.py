@@ -201,6 +201,17 @@ def _monitor_info(plan):
     }
 
 
+def _out_dir(out):
+    """``out`` as a path, refused as a :class:`ConfigError` when it names
+    or lies under something that exists and is not a directory."""
+    out = Path(out)
+    there = next((p for p in (out, *out.parents) if p.exists()), None)
+    if there is not None and not there.is_dir():
+        raise ConfigError(f"out {str(out)!r} cannot be a directory: "
+                          f"{str(there)!r} exists and is not one")
+    return out
+
+
 def run(raw, out):
     """Execute the run a config mapping describes and write its artifacts
     into ``out``, made once every config value is checked (and any input
@@ -211,7 +222,7 @@ def run(raw, out):
     _known_keys(raw, ("mode", "seed", "out", *MODE_KEYS[mode]),
                 f"{mode} config")
     seed = _count(raw, "seed")
-    out = Path(out)
+    out = _out_dir(out)
 
     if mode == "simulate":
         params = _dgp_from(_section(raw, "dgp"))

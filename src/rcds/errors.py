@@ -63,15 +63,15 @@ class PositivityViolation(RcdsError):
 
 
 class RankError(RcdsError):
-    """Rank-deficient design matrix; from IRLS, with the trajectory."""
+    """Rank-deficient design matrix, with the dependent column when IRLS
+    names one; also an MSM fit whose boundary face keeps only event rows."""
 
     exit_code = 2
     code = "RANK_DEFICIENT"
 
-    def __init__(self, message, column=None, trajectory=None):
+    def __init__(self, message, column=None):
         super().__init__(message)
         self.column = column
-        self.trajectory = trajectory or []
 
 
 class NonConvergence(RcdsError):

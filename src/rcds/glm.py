@@ -7,6 +7,12 @@ A fit returns its coefficients and the diagnostics the estimator reads; no
 model-based standard error, deviance or log-likelihood, since the intervals
 come from the subject bootstrap. The link functions use numpy only, so
 importing the package loads no scipy module.
+
+Each IRLS step reads the design once, in cache-sized blocks of rows, and
+sums the normal equations X'WX and X'Wz block by block, so that it makes no
+temporary as long as the design; only the rare QR step works on the whole
+design. A fit sees only its rows of positive case weight, so leaving rows
+in at weight zero gives the same bits as leaving them out.
 """
 
 import copy
@@ -25,14 +31,17 @@ DEFAULT_MAX_ITER = 50
 
 @dataclass
 class DesignMatrix:
-    """Dense design matrix with named columns and per-row case weights."""
+    """Dense design matrix with named columns and per-row case weights. X is
+    kept column by column (Fortran order): a block of rows is then one
+    contiguous run per column, whose products an IRLS step takes up to
+    twice as fast as those of rows kept one after another."""
 
     X: np.ndarray
     columns: list[str]
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
+        self.X = np.asfortranarray(self.X, dtype=np.float64)
         if self.X.ndim != 2:
             raise ConfigError("design matrix must be 2-dimensional")
         n, p = self.X.shape
@@ -55,9 +64,15 @@ class DesignMatrix:
         """The rows of positive case weight, weighted by ``weights`` (one per
         row); X, checked when this design was built, is not scanned again."""
         w = _case_weights(weights, self.n)
+        rows = np.flatnonzero(w > 0)
         out = copy.copy(self)
-        out.X, out.weights = self.X[w > 0], w[w > 0]
+        out.X, out.weights = _take_rows(self.X, rows), w.take(rows)
         return out
+
+
+def _take_rows(X, rows):
+    """The given rows of X, in X's column-by-column order."""
+    return X.T.take(rows, axis=1).T
 
 
 def _case_weights(weights, n):
@@ -171,21 +186,39 @@ def varying_columns(X):
     return np.r_[True, np.any(X[:, 1:] != X[:1, 1:], axis=0)]
 
 
-def _solve_wls(X, z, wts, columns):
-    """Weighted least squares through the Cholesky factor L of X'WX; diag(L)
-    equals |diag(R)| of the QR of W^(1/2)X. Forming X'WX squares the condition
-    number, so when the factorization fails or diag(L) spans more than 1e6,
-    :func:`_solve_qr` takes the step, and its rank rule names the column."""
-    Xw = X * wts[:, None]
-    try:
-        L = np.linalg.cholesky(Xw.T @ X)
-        diag = np.diag(L)
-        if diag.min() >= 1e-6 * diag.max():  # False for NaN too
-            beta = np.linalg.solve(L.T, np.linalg.solve(L, Xw.T @ z))
-            return beta, float(diag.max() / diag.min())
-    except np.linalg.LinAlgError:
-        pass
-    return _solve_qr(X, z, wts, columns)
+# rows per block of an IRLS pass, by measurement: 4096 to 8192 were fastest
+# on 11-column MSM designs; wider blocks gained up to 20% a pass on 5-column
+# monitoring designs of 290k rows but lost more on 11 columns
+BLOCK_ROWS = 4096
+# a change below this share of the coefficients that no longer halves sends
+# the rest of a fit to QR steps
+STALL = 1e-4
+
+
+def _working(X, y, w, beta, eta0, family):
+    """The working response z and working weights of one IRLS step at
+    ``beta``, or at the constant linear predictor ``eta0`` before the first
+    step, for the rows of ``X``."""
+    eta = np.full(X.shape[0], eta0) if beta is None else X @ beta
+    mu = _mu_eta(eta, family)
+    var = mu * (1 - mu) if family == BINOMIAL_LOGIT else mu
+    return eta + (y - mu) / var, w * var
+
+
+def _normal_equations(X, y, w, beta, eta0, family):
+    """X'WX and X'Wz of one IRLS step, summed over blocks of ``BLOCK_ROWS``
+    rows: each block's working values and weighted rows stay in cache, and
+    no temporary as long as the design is made."""
+    p = X.shape[1]
+    gram, rhs = np.zeros((p, p)), np.zeros(p)
+    for s in range(0, X.shape[0], BLOCK_ROWS):
+        Xb = X[s:s + BLOCK_ROWS]
+        z, wk = _working(Xb, y[s:s + BLOCK_ROWS], w[s:s + BLOCK_ROWS], beta,
+                         eta0, family)
+        Xw = Xb * wk[:, None]
+        gram += Xw.T @ Xb
+        rhs += Xw.T @ z
+    return gram, rhs
 
 
 def _solve_qr(X, z, wts, columns):
@@ -206,54 +239,77 @@ def _solve_qr(X, z, wts, columns):
     return np.linalg.solve(R, Q.T @ b), float(diag.max() / diag.min())
 
 
+def _step(X, y, w, beta, eta0, family, columns, qr=False):
+    """One IRLS step: the weighted least-squares solution through the
+    Cholesky factor L of X'WX, whose diagonal equals |diag(R)| of the QR of
+    W^(1/2)X, and that diagonal's extreme ratio. Forming X'WX squares the
+    condition number, so when ``qr`` is set, the factorization fails or
+    diag(L) spans more than 1e6, :func:`_solve_qr` takes the step over the
+    whole design, and its rank rule names the column."""
+    if not qr:
+        gram, rhs = _normal_equations(X, y, w, beta, eta0, family)
+        try:
+            L = np.linalg.cholesky(gram)
+            diag = np.diag(L)
+            if diag.min() >= 1e-6 * diag.max():  # False for NaN too
+                beta = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+                return beta, float(diag.max() / diag.min())
+        except np.linalg.LinAlgError:
+            pass
+    return _solve_qr(X, *_working(X, y, w, beta, eta0, family), columns)
+
+
 def fit_glm(design, response, family, start=None, stop=None):
     """Fit a weighted GLM by iteratively reweighted least squares.
 
+    The fit runs on the rows of positive case weight, taken out first, so a
+    row of weight zero changes nothing, not even the rounding. Each step is
+    one pass over those rows in blocks of ``BLOCK_ROWS`` that sums the
+    normal equations (:func:`_normal_equations`), then a Cholesky solve, or
+    a QR solve over the whole design when that is ill-conditioned
+    (:func:`_step`). The rounding of the normal equations can keep a step
+    from settling on an ill-conditioned design; once a change below
+    ``STALL`` of the coefficients no longer halves, the remaining steps
+    take the QR solve.
+
     Converges when the largest relative coefficient change drops below
-    ``DEFAULT_TOL``; raises :class:`NonConvergence` after
-    ``DEFAULT_MAX_ITER`` iterations and :class:`RankError` on a
-    rank-deficient design, either with the coefficient trajectory so far.
-    ``start`` warm-starts the linear predictor from a coefficient vector.
-    ``stop``, if given, sees the coefficient trajectory after every step
-    that has not converged, and an exception it returns ends the fit.
+    ``DEFAULT_TOL``; raises :class:`NonConvergence`, with the coefficient
+    trajectory, after ``DEFAULT_MAX_ITER`` iterations, and
+    :class:`RankError`, naming the dependent column, on a rank-deficient
+    design. ``start`` warm-starts the linear predictor from a coefficient
+    vector. ``stop``, if given, sees the coefficient trajectory after every
+    step that has not converged, and an exception it returns ends the fit.
     """
     y = _check_response(response, family, design.n)
     X, w = design.X, design.weights
-    n, p = X.shape
+    if not np.all(w > 0):
+        rows = np.flatnonzero(w > 0)
+        X, y, w = _take_rows(X, rows), y.take(rows), w.take(rows)
+    p = X.shape[1]
 
+    beta = eta0 = None
     if start is not None:
-        eta = X @ np.asarray(start, dtype=np.float64)
+        beta = np.asarray(start, dtype=np.float64)
     else:
         # intercept-style warm start from the weighted mean response
         ybar = float(np.sum(w * y) / np.sum(w))
         if family == BINOMIAL_LOGIT:
             mu0 = np.clip(ybar, 1e-6, 1 - 1e-6)
-            eta = np.full(n, np.log(mu0 / (1 - mu0)))
+            eta0 = np.log(mu0 / (1 - mu0))
         else:
-            eta = np.full(n, np.log(max(ybar, 1e-6)))
+            eta0 = np.log(max(ybar, 1e-6))
 
-    beta = np.zeros(p)
+    last_beta, last_delta, qr = np.zeros(p), np.inf, False
     history = []
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        mu = _mu_eta(eta, family)
-        if family == BINOMIAL_LOGIT:
-            var = mu * (1 - mu)
-        else:
-            var = mu
-        wk = w * var
-        z = eta + (y - mu) / var
-        try:
-            beta_new, cond = _solve_wls(X, z, wk, design.columns)
-        except RankError as err:
-            err.trajectory = history
-            raise
-        delta = np.max(np.abs(beta_new - beta))
-        scale_ref = max(1.0, float(np.max(np.abs(beta_new))))
-        history.append(beta_new.copy())
-        beta = beta_new
+        beta, cond = _step(X, y, w, beta, eta0, family, design.columns, qr)
+        delta = np.max(np.abs(beta - last_beta))
+        scale_ref = max(1.0, float(np.max(np.abs(beta))))
+        history.append(beta)
         if delta <= DEFAULT_TOL * scale_ref:
             break
-        eta = X @ beta
+        qr |= delta <= STALL * scale_ref and delta > last_delta / 2
+        last_beta, last_delta = beta, delta
         if stop is not None and (err := stop(history)) is not None:
             raise err
     else:

@@ -130,7 +130,7 @@ def _monitor_design(cells, spec, marker_knots):
         for j, nm in enumerate(bnames):
             cols.append(bx[cells.subject, j])
             names.append(nm)
-    return DesignMatrix(np.column_stack(cols), names)
+    return DesignMatrix(np.stack(cols).T, names)  # column by column
 
 
 SEPARATION_BOUND = 15
@@ -224,7 +224,7 @@ def fit_monitor_model(design, multiplicity=None, start=None):
     if multiplicity is not None:
         multiplicity = np.asarray(multiplicity, dtype=np.float64)
         case = multiplicity[design.subject]
-        matrix, mon = matrix.weighted_rows(case), mon[case > 0]
+        matrix, mon = matrix.weighted_rows(case), mon.compress(case > 0)
     if not (np.any(mon) and np.any(~mon)):
         raise SeparationError(
             "monitoring response is degenerate: need at least one monitored "

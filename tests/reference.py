@@ -45,6 +45,8 @@ from rcds.msm import (
     DEGENERATE_ETA,
     MsmSpec,
     _fit_horizon_msm,
+    _kept,
+    _msm_design,
     _strategy_basis,
 )
 from rcds.simulate import (
@@ -166,10 +168,20 @@ def weight_summary(wds):
     return _summary(wds.w[wds.ds.at_risk == 1], wds.truncated_fraction)
 
 
+def fit_horizon_rows(cohort, grid, spec, subject_idx, x_idx, response,
+                     weights):
+    """The MSM fit of the given horizon rows, on those with a response and a
+    positive weight, from a design built for them alone."""
+    design, rows = _kept(_msm_design(cohort, grid, spec, subject_idx, x_idx),
+                         x_idx, response, weights)
+    return _fit_horizon_msm(cohort, spec, design, response[rows],
+                            subject_idx[rows])
+
+
 def _fit_at_horizon(wds, spec, response):
     ds = wds.ds
     mask = (ds.t == ds.horizon) & (ds.at_risk == 1)
-    return _fit_horizon_msm(ds.cohort, ds.grid, spec, ds.subject_idx[mask],
+    return fit_horizon_rows(ds.cohort, ds.grid, spec, ds.subject_idx[mask],
                             ds.x_idx[mask], response[mask], wds.w[mask])
 
 

@@ -19,7 +19,7 @@ import rcds.msm
 import rcds.study
 from rcds import Plan, StrategyGrid
 from rcds.cli import main
-from rcds.errors import BootstrapUnstable
+from rcds.errors import BootstrapUnstable, RankError
 from rcds.io import ingest_cohort
 from rcds.msm import CERT_TOL
 
@@ -599,6 +599,38 @@ def test_refused_value_leaves_no_out_directory(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / name).exists()
 
 
+OUT_MODES = {
+    "simulate": {"mode": "simulate", "seed": 5, "n": 300},
+    "oracle": {"mode": "oracle", "seed": 5, "n_mc": 1000},
+    "analyze": ANALYZE,
+    "frontier": {"mode": "frontier", "seed": 5, "kappa_grid": [4.5]},
+    "coverage": {"mode": "coverage", "seed": 5, "n": 300, "n_cohorts": 1,
+                 "bootstrap": 2, "oracle_n_mc": 1000},
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("mode", sorted(OUT_MODES))
+def test_out_that_is_a_file_is_refused_before_any_work(
+        tmp_path, cohort_csv, capsys, monkeypatch, mode, under):
+    for module in (rcds.cli, rcds.study):
+        monkeypatch.setattr(module, "oracle_truth", refuse_work)
+    monkeypatch.setattr(rcds.cli, "simulate_cohort", refuse_work)
+    monkeypatch.setattr(rcds.io, "ingest_cohort", refuse_work)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "sub" if under else taken
+    cfg = write_config(tmp_path / f"{mode}.yaml",
+                       {**OUT_MODES[mode], "input": cohort_csv}
+                       if mode in ("analyze", "frontier") else OUT_MODES[mode])
+    status = main([mode, "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert f"{str(taken)!r} exists and is not one" in err
+    assert err.splitlines()[-1] == "error_code=CONFIG_ERROR"
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_one_month_horizon_simulates(tmp_path, capsys):
     # no month lies between entry and the horizon, so no subject is lost
     config = {"mode": "simulate", "seed": 5, "n": 300, "dgp": {"horizon": 1}}
@@ -708,24 +740,48 @@ def test_event_free_continuous_value_is_pinned(tmp_path, capsys):
 def test_small_cohort_pins_every_event_free_level(tmp_path, capsys):
     # 300 subjects: the point fit's 28 events fall in two of the twelve
     # (base_marker_band, calendar) cells, so four levels are pinned and
-    # the remaining rows leave more columns aliased than the one dropped
+    # the remaining rows leave more columns aliased than the one dropped.
+    # Replicate 0 of seed 1 keeps 12 event rows and every other row can go
+    # to a zero mean, so that replicate fails instead of pinning them all
     path = simulated_csv(tmp_path, 300, 4)
     config = {"mode": "analyze", "seed": 1, "input": path, "kappa": 4.5,
+              "bootstrap": 2, "baseline_schema": SIM_SCHEMA_CONFIG}
+    status, err = run(tmp_path, "analyze", config, capsys)
+    assert status == 5
+    assert "1 of 2 bootstrap replicates failed to fit (RANK_DEFICIENT: 1)" \
+        in err
+    cohort = rcds.cli._load_cohort(rcds.io.load_config(
+        str(tmp_path / "analyze.yaml")))
+    plan = Plan(cohort, StrategyGrid.default())
+    _, fit_y, _ = plan.fit()
+    assert fit_y.pinned == ("base_marker_band=lt250", "base_marker_band=ge400",
+                            "calendar=era0", "calendar=era3")
+    n = cohort.n_subjects
+    ss = np.random.SeedSequence(1).spawn(2)[0]
+    mult = np.bincount(np.random.default_rng(ss).integers(0, n, n),
+                       minlength=n).astype(np.float64)
+    with pytest.raises(RankError,
+                       match="the fit's face kept only its 12 event rows"):
+        plan.fit(mult)
+
+
+def test_small_cohort_replicates_pin_and_keep_event_free_rows(tmp_path,
+                                                              capsys):
+    # the cohort above at seed 6: both replicates pin levels, and their
+    # faces keep event-free rows
+    path = simulated_csv(tmp_path, 300, 4)
+    config = {"mode": "analyze", "seed": 6, "input": path, "kappa": 4.5,
               "bootstrap": 2, "baseline_schema": SIM_SCHEMA_CONFIG}
     assert run(tmp_path, "analyze", config, capsys)[0] == 0
     report = yaml.safe_load((tmp_path / "analyze" / "weights.yaml")
                             .read_text())
-    assert report["bootstrap"]["failed"] == 0
-    cohort = rcds.cli._load_cohort(rcds.io.load_config(
-        str(tmp_path / "analyze.yaml")))
-    _, fit_y, _ = Plan(cohort, StrategyGrid.default()).fit()
-    assert fit_y.pinned == ("base_marker_band=lt250", "base_marker_band=ge400",
-                            "calendar=era0", "calendar=era3")
+    assert report["bootstrap"] == {"B": 2, "failed": 0, "pinned": 2,
+                                   "failed_by_code": {}}
 
 
 def test_genuine_collinearity_is_not_pinned(tmp_path, capsys, monkeypatch):
-    # a copy of `age` is collinear with it from the first IRLS step: no
-    # certificate, and the error names the copy
+    # a copy of `age` is collinear with it on every row: no face, and the
+    # error names the copy
     src = simulated_csv(tmp_path, 800, 5)
     with open(src, newline="") as f:
         rows = list(csv.DictReader(f))
@@ -734,13 +790,13 @@ def test_genuine_collinearity_is_not_pinned(tmp_path, capsys, monkeypatch):
         out = csv.DictWriter(f, [*rows[0], "baseline_age2"])
         out.writeheader()
         out.writerows({**r, "baseline_age2": r["baseline_age"]} for r in rows)
-    certificates, certificate = [], rcds.msm._certificate
+    certificates, certificate = [], rcds.msm._face
 
     def recorded(*args):
         certificates.append(certificate(*args))
         return certificates[-1]
 
-    monkeypatch.setattr(rcds.msm, "_certificate", recorded)
+    monkeypatch.setattr(rcds.msm, "_face", recorded)
     config = {"mode": "analyze", "seed": 5, "input": str(dup), "kappa": 4.5}
     status, err = run(tmp_path, "analyze", config, capsys)
     assert status == 2

@@ -9,6 +9,8 @@ from scipy.optimize import minimize
 from scipy.special import expit, gammaln, xlogy
 
 import rcds.glm
+import rcds.msm
+import rcds.weights
 from rcds import (
     ConfigError,
     DesignMatrix,
@@ -25,7 +27,9 @@ from rcds import (
 from rcds.glm import (
     BINOMIAL_LOGIT,
     DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     POISSON_LOG,
+    GlmFit,
     fit_glm,
     logistic,
     predict,
@@ -164,11 +168,30 @@ def reference_solve_wls(X, z, wts, columns):
     return beta, cond
 
 
-def reference_fit(monkeypatch, *args, **kwargs):
-    """``fit_glm`` with every IRLS step taken by :func:`reference_solve_wls`."""
-    with monkeypatch.context() as m:
-        m.setattr(rcds.glm, "_solve_wls", reference_solve_wls)
-        return fit_glm(*args, **kwargs)
+def reference_fit(design, response, family):
+    """IRLS over every row of ``design`` at once, each step solved by
+    :func:`reference_solve_wls`: the row-level fit that the blocked normal
+    equations of ``fit_glm`` replaced."""
+    X, w = design.X, design.weights
+    y = np.asarray(response, dtype=np.float64)
+    ybar = float(np.sum(w * y) / np.sum(w))
+    if family == BINOMIAL_LOGIT:
+        mu0 = np.clip(ybar, 1e-6, 1 - 1e-6)
+        eta = np.full(design.n, np.log(mu0 / (1 - mu0)))
+    else:
+        eta = np.full(design.n, np.log(max(ybar, 1e-6)))
+    beta = np.zeros(X.shape[1])
+    for it in range(1, DEFAULT_MAX_ITER + 1):
+        mu = rcds.glm._mu_eta(eta, family)
+        var = mu * (1 - mu) if family == BINOMIAL_LOGIT else mu
+        new, cond = reference_solve_wls(X, eta + (y - mu) / var, w * var,
+                                        design.columns)
+        delta, beta = np.max(np.abs(new - beta)), new
+        if delta <= DEFAULT_TOL * max(1.0, float(np.max(np.abs(beta)))):
+            return GlmFit(coef=beta, columns=list(design.columns),
+                          family=family, iterations=it, cond=cond)
+        eta = X @ beta
+    raise NonConvergence("reference IRLS did not converge")
 
 
 def qr_calls(monkeypatch):
@@ -201,17 +224,23 @@ def qr_diagonal_ratio(design):
     return d.min() / d.max()
 
 
+@pytest.fixture(scope="module")
+def resampled():
+    # a 4k cohort and one bootstrap resample's multiplicities
+    cohort = simulate_cohort(DgpParams(), 4000, seed=3)
+    n = cohort.n_subjects
+    rng = np.random.default_rng(1)
+    return cohort, np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+
+
 class TestNormalEquations:
     """The Cholesky step against the QR step it replaced."""
 
     @pytest.fixture(scope="class")
-    def designs(self):
-        # the monitoring and both MSM designs of a 4k cohort, weighted by
-        # one bootstrap resample's multiplicities
-        cohort = simulate_cohort(DgpParams(), 4000, seed=3)
-        n = cohort.n_subjects
-        rng = np.random.default_rng(1)
-        mult = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+    def designs(self, resampled):
+        # the monitoring and both MSM designs of the 4k cohort, weighted by
+        # the resample's multiplicities
+        cohort, mult = resampled
         plan = Plan(cohort, StrategyGrid.default(), MsmSpec(), WeightOptions())
         mon = plan.monitor
         out = [(dataclasses.replace(mon.matrix, weights=mult[mon.subject]),
@@ -232,7 +261,7 @@ class TestNormalEquations:
         calls = qr_calls(monkeypatch)
         got = fit_glm(design, y, family)
         assert not calls  # well-conditioned: no step falls back
-        want = reference_fit(monkeypatch, design, y, family)
+        want = reference_fit(design, y, family)
         assert got.iterations == want.iterations
         np.testing.assert_allclose(got.coef, want.coef, rtol=1e-10, atol=0)
         assert got.cond == pytest.approx(want.cond, rel=1e-10)
@@ -243,7 +272,7 @@ class TestNormalEquations:
         calls = qr_calls(monkeypatch)
         fit = fit_glm(design, y, POISSON_LOG)
         assert len(calls) == fit.iterations  # every step fell back
-        want = reference_fit(monkeypatch, design, y, POISSON_LOG)
+        want = reference_fit(design, y, POISSON_LOG)
         assert np.array_equal(fit.coef, want.coef)
 
     def test_gram_not_positive_definite_falls_back(self, monkeypatch):
@@ -255,7 +284,7 @@ class TestNormalEquations:
         calls = qr_calls(monkeypatch)
         fit = fit_glm(design, y, POISSON_LOG)
         assert len(calls) == fit.iterations
-        want = reference_fit(monkeypatch, design, y, POISSON_LOG)
+        want = reference_fit(design, y, POISSON_LOG)
         assert np.array_equal(fit.coef, want.coef)
 
     @pytest.mark.parametrize("make", [
@@ -264,8 +293,7 @@ class TestNormalEquations:
         lambda a, b: [np.ones_like(a), 3.0 * np.ones_like(a), a],
         lambda a, b: [np.ones_like(a), a, np.zeros_like(a), b],
     ], ids=["sum", "multiple", "constant", "zero"])
-    def test_collinear_design_names_the_reference_column(self, monkeypatch,
-                                                         make):
+    def test_collinear_design_names_the_reference_column(self, make):
         rng = np.random.default_rng(12)
         a, b = rng.normal(size=60), rng.normal(size=60)
         cols = make(a, b)
@@ -274,11 +302,100 @@ class TestNormalEquations:
                               weights=rng.integers(0, 4, size=60).astype(float))
         y = rng.poisson(1.0, size=60).astype(float)
         with pytest.raises(RankError) as want:
-            reference_fit(monkeypatch, design, y, POISSON_LOG)
+            reference_fit(design, y, POISSON_LOG)
         with pytest.raises(RankError) as got:
             fit_glm(design, y, POISSON_LOG)
         assert got.value.column == want.value.column
         assert str(got.value) == str(want.value)
+
+
+class TestBlockedPass:
+    """IRLS steps summed over blocks of rows against one block of all rows:
+    only the order of the sums differs."""
+
+    def test_fits_and_curves_match_one_block(self, monkeypatch, resampled):
+        cohort, mult = resampled
+
+        def estimate():
+            plan = Plan(cohort, StrategyGrid.default())
+            point = plan.run(None)
+            model, fit_y, fit_d = plan.fit(mult)
+            fits = (model.fit, fit_y, fit_d)
+            return plan, fits, point[:2] + plan.run(mult)[:2]
+
+        plan, blocked, curves = estimate()
+        # the monitoring design spans many blocks, the MSM design several
+        assert plan.monitor.matrix.n > 10 * rcds.glm.BLOCK_ROWS
+        assert plan.msm_design.n > 3 * rcds.glm.BLOCK_ROWS
+        monkeypatch.setattr(rcds.glm, "BLOCK_ROWS", plan.monitor.matrix.n)
+        _, whole, whole_curves = estimate()
+        for got, want in zip(blocked, whole):
+            assert got.columns == want.columns
+            assert got.iterations == want.iterations
+            # relative to the fit's largest coefficient: a small one on
+            # correlated columns takes the rounding of the others
+            np.testing.assert_allclose(
+                got.coef, want.coef, rtol=0,
+                atol=1e-10 * np.abs(want.coef).max())
+        for got, want in zip(curves, whole_curves):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+def bootstrap_multiplicities(n, seed, B):
+    """The subject multiplicities of the replicates of
+    ``bootstrap_pipeline(B=B, seed=seed)`` on ``n`` subjects."""
+    return [np.bincount(np.random.default_rng(ss).integers(0, n, n),
+                        minlength=n).astype(np.float64)
+            for ss in np.random.SeedSequence(seed).spawn(B)]
+
+
+class TestStall:
+    """Once a change below ``STALL`` of the coefficients stops halving, the
+    rest of the fit takes QR steps."""
+
+    def test_stalled_refit_converges_by_qr_steps(self, monkeypatch):
+        # replicate 6 of a 600-subject bootstrap: after its face, the rounding
+        # of X'WX holds an MSM refit just above the tolerance
+        cohort = simulate_cohort(DgpParams(), 600, seed=5)
+        mult = bootstrap_multiplicities(cohort.n_subjects, 5, 10)[6]
+        plan = Plan(cohort, StrategyGrid.default())
+        plan.run(None)
+        with monkeypatch.context() as m:
+            m.setattr(rcds.glm, "STALL", 0.0)
+            with pytest.raises(NonConvergence, match="in 50 iterations"):
+                plan.run(mult)
+        calls = qr_calls(monkeypatch)
+        risk, usage, _ = plan.run(mult)
+        assert calls
+        assert np.all((risk > 0) & (risk < 1)) and np.all(usage > 0)
+
+    @pytest.mark.parametrize("wopts", [WeightOptions(),
+                                       WeightOptions(truncation=99.0)],
+                             ids=["ip", "truncated"])
+    def test_workload_fits_never_stall(self, monkeypatch, wopts):
+        # the 4k cohort of the bootstrap workloads: its point fits and five
+        # replicates take no QR step, and as many steps without the switch
+        cohort = simulate_cohort(DgpParams(), 4000, seed=7)
+        mults = [None, *bootstrap_multiplicities(cohort.n_subjects, 7, 5)]
+        iterations, fit = [], rcds.glm.fit_glm
+
+        def recorded(*args, **kwargs):
+            out = fit(*args, **kwargs)
+            iterations.append(out.iterations)
+            return out
+
+        for module in (rcds.msm, rcds.weights):
+            monkeypatch.setattr(module, "fit_glm", recorded)
+        calls = qr_calls(monkeypatch)
+        for stall in (rcds.glm.STALL, 0.0):
+            monkeypatch.setattr(rcds.glm, "STALL", stall)
+            plan = Plan(cohort, StrategyGrid.default(), MsmSpec(), wopts)
+            for mult in mults:
+                plan.fit(mult)
+        assert not calls
+        assert len(iterations) == 2 * 3 * len(mults)
+        assert iterations[:len(iterations) // 2] == \
+            iterations[len(iterations) // 2:]
 
 
 class TestPredict:

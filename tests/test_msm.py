@@ -1,5 +1,6 @@
 """MSM fitting, standardization, and bootstrap behavior."""
 
+import copy
 import dataclasses
 import warnings
 
@@ -8,12 +9,14 @@ import pytest
 from scipy.special import expit
 
 from rcds import (
+    BootstrapUnstable,
     ConfigError,
     DegenerateResponse,
     DgpParams,
     MsmSpec,
     Plan,
     PositivityViolation,
+    RankError,
     RcdsError,
     StrategyGrid,
     WeightOptions,
@@ -26,7 +29,7 @@ from rcds import (
 from rcds.cohort import baseline_design
 from rcds.expansion import horizon_table
 from rcds.glm import BINOMIAL_LOGIT, POISSON_LOG, DesignMatrix, fit_glm, predict
-from rcds.msm import CERT_TOL, _fit_horizon_msm
+from rcds.msm import CERT_TOL, _fit_horizon_msm, _kept
 from rcds.weights import (
     MonitorFeatureSpec,
     WeightedExpandedDataset,
@@ -102,8 +105,9 @@ def reference_replicate(cohort, grid, spec, wopts, mult):
             np.repeat(w, mult[ht.subject_idx].astype(int)), wopts.truncation))
     w = w * mult[ht.subject_idx]
     return tuple(
-        standardize(_fit_horizon_msm(cohort, grid, spec, ht.subject_idx,
-                                     ht.x_idx, r, w), cohort, grid, spec, mult)
+        standardize(reference.fit_horizon_rows(cohort, grid, spec,
+                                               ht.subject_idx, ht.x_idx, r, w),
+                    cohort, grid, spec, mult)
         for r in (ht.y, ht.d))
 
 
@@ -140,6 +144,22 @@ class TestPlanEquivalence:
         risk, usage, _ = plan.run(mult)
         assert_close((risk, usage), reference_replicate(
             sim_cohort, small_grid, MsmSpec(), wopts, mult))
+
+    def test_missing_outcome_leaves_the_outcome_fit_only(self, sim_cohort,
+                                                        small_grid):
+        # a clone whose outcome is missing at the horizon still counts in
+        # the resource MSM
+        cohort = copy.copy(sim_cohort)
+        y = cohort.outcome_y.copy()
+        y[np.flatnonzero(~np.isnan(y))[::20]] = np.nan
+        cohort.outcome_y = y
+        mult = resample(cohort, 23)
+        plan = Plan(cohort, small_grid)
+        assert np.isnan(plan.ht.y).any()
+        plan.run(None)
+        risk, usage, _ = plan.run(mult)
+        assert_close((risk, usage), reference_replicate(
+            cohort, small_grid, MsmSpec(), WeightOptions(), mult))
 
     def test_warm_starts_are_deterministic(self, sim_cohort, small_grid):
         wopts = WeightOptions(truncation=99.0)
@@ -340,6 +360,59 @@ class TestPinnedLevels:
                                seed=4).table
         assert t.n_failed == 0
         assert t.n_pinned == 8
+
+
+def captured(n, seed, k, B=10):
+    """``simulate_cohort(DgpParams(), n, seed)`` and the multiplicities of
+    replicate ``k`` of ``bootstrap_pipeline(B=B, seed=seed)`` on it."""
+    cohort = simulate_cohort(DgpParams(), n, seed=seed)
+    ss = np.random.SeedSequence(seed).spawn(B)[k]
+    idx = np.random.default_rng(ss).integers(0, n, n)
+    return cohort, np.bincount(idx, minlength=n).astype(np.float64)
+
+
+class TestBoundaryFaces:
+    """The face rule reads the design and its event rows, not the IRLS
+    path, so rounding in the weights cannot move what a fit pins."""
+
+    def test_pinned_threshold_survives_weight_rounding(self):
+        # four thresholds saturate the strategy spline, and no clone at
+        # x = 200 fails; IRLS diverges along the spline's last column
+        cohort = simulate_cohort(DgpParams(), 1500, seed=3)
+        plan = Plan(cohort, StrategyGrid.default(x_step=100))
+        ht = plan.ht
+        w, _, _ = plan._horizon_weights(None)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            design, rows = _kept(plan.msm_design, ht.x_idx, ht.y,
+                                 w * (1 + 1e-12 * rng.normal(size=w.size)))
+            fit = _fit_horizon_msm(cohort, plan.spec, design, ht.y[rows],
+                                   ht.subject_idx[rows])
+            assert fit.pinned == ("x_rcs2",)
+
+    # replicates that failed while the rule read the last IRLS step: a
+    # RANK_DEFICIENT one at 300 subjects and a NON_CONVERGENCE one at 600
+    @pytest.mark.parametrize("n,seed,k", [(300, 6, 7), (600, 5, 6)])
+    def test_captured_replicate_runs(self, n, seed, k):
+        cohort, mult = captured(n, seed, k)
+        plan = Plan(cohort, StrategyGrid.default())
+        plan.run(None)
+        risk, usage, pinned = plan.run(mult)
+        assert pinned
+        assert np.all((risk > 0) & (risk < 1))
+        assert np.all((usage > 0) & np.isfinite(usage))
+
+    def test_face_of_event_rows_only_fails_the_replicate(self):
+        # the resample keeps 7 event rows, and every other row can go to a
+        # zero mean: the curve would say nothing
+        cohort, mult = captured(300, 0, 4)
+        plan = Plan(cohort, StrategyGrid.default())
+        plan.run(None)
+        with pytest.raises(RankError,
+                           match="the fit's face kept only its 7 event rows"):
+            plan.run(mult)
+        with pytest.raises(BootstrapUnstable, match=r"\(RANK_DEFICIENT: 2\)"):
+            bootstrap_pipeline(cohort, StrategyGrid.default(), B=10, seed=0)
 
 
 def zero_weight_msm_fit(plan, response, w, fit, start):
