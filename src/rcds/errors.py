@@ -64,7 +64,8 @@ class PositivityViolation(RcdsError):
 
 class RankError(RcdsError):
     """Rank-deficient design matrix, with the dependent column when IRLS
-    names one; also an MSM fit whose boundary face keeps only event rows."""
+    names one. The fits drop the columns constant over their rows first, so
+    this is genuine collinearity."""
 
     exit_code = 2
     code = "RANK_DEFICIENT"

@@ -179,20 +179,19 @@ def _mu_eta(eta, family):
     return np.clip(mu, 1e-300, None)
 
 
-def varying_columns(X):
-    """A mask of the columns of ``X`` that a refit keeps: the intercept,
-    first, and every other column that is not constant over the rows; a
-    constant one is collinear with the intercept and carries nothing."""
-    return np.r_[True, np.any(X[:, 1:] != X[:1, 1:], axis=0)]
+def constant_columns(design):
+    """The names of the columns of ``design`` after the first (the
+    intercept) that are constant over its rows: each is collinear with the
+    intercept and carries nothing."""
+    X = design.X
+    return tuple(np.compress(np.all(X[:, 1:] == X[:1, 1:], axis=0),
+                             design.columns[1:]).tolist())
 
 
 # rows per block of an IRLS pass, by measurement: 4096 to 8192 were fastest
 # on 11-column MSM designs; wider blocks gained up to 20% a pass on 5-column
 # monitoring designs of 290k rows but lost more on 11 columns
 BLOCK_ROWS = 4096
-# a change below this share of the coefficients that no longer halves sends
-# the rest of a fit to QR steps
-STALL = 1e-4
 
 
 def _working(X, y, w, beta, eta0, family):
@@ -203,6 +202,26 @@ def _working(X, y, w, beta, eta0, family):
     mu = _mu_eta(eta, family)
     var = mu * (1 - mu) if family == BINOMIAL_LOGIT else mu
     return eta + (y - mu) / var, w * var
+
+
+def _deviance(X, y, w, beta, family):
+    """The weighted deviance of the fit ``beta`` over the rows of ``X``."""
+    mu = _mu_eta(X @ beta, family)
+    if family == BINOMIAL_LOGIT:
+        return -2.0 * float(w @ np.log(np.where(y > 0, mu, 1 - mu)))
+    return 2.0 * float(w @ (y * np.log(np.where(y > 0, y, 1.0) / mu) - y + mu))
+
+
+def _halved(X, y, w, beta, last, last_dev, family):
+    """The step from ``last`` to ``beta``, halved while it raises the
+    deviance by ``DEFAULT_TOL`` of it or makes it non-finite (glm2; Marschner
+    2011), and its deviance; ``last`` when no halving lowers it."""
+    for _ in range(DEFAULT_MAX_ITER):
+        dev = _deviance(X, y, w, beta, family)
+        if dev - last_dev < DEFAULT_TOL * (0.1 + abs(dev)):  # False for NaN
+            return beta, dev
+        beta = (beta + last) / 2
+    return last, last_dev
 
 
 def _normal_equations(X, y, w, beta, eta0, family):
@@ -228,9 +247,8 @@ def _solve_qr(X, z, wts, columns):
     b = z * sw
     Q, R = np.linalg.qr(A, mode="reduced")
     diag = np.abs(np.diag(R))
-    dmax = diag.max() if diag.size else 0.0
-    if dmax == 0.0 or np.any(diag < 1e-10 * dmax):
-        bad = int(np.argmin(diag / (dmax if dmax > 0 else 1.0)))
+    if diag.max() == 0.0 or np.any(diag < 1e-10 * diag.max()):
+        bad = int(np.argmin(diag))
         raise RankError(
             f"design is rank deficient; column {columns[bad]!r} is linearly "
             "dependent on earlier columns",
@@ -259,7 +277,7 @@ def _step(X, y, w, beta, eta0, family, columns, qr=False):
     return _solve_qr(X, *_working(X, y, w, beta, eta0, family), columns)
 
 
-def fit_glm(design, response, family, start=None, stop=None):
+def fit_glm(design, response, family, start=None, stop=None, qr=False):
     """Fit a weighted GLM by iteratively reweighted least squares.
 
     The fit runs on the rows of positive case weight, taken out first, so a
@@ -267,10 +285,9 @@ def fit_glm(design, response, family, start=None, stop=None):
     one pass over those rows in blocks of ``BLOCK_ROWS`` that sums the
     normal equations (:func:`_normal_equations`), then a Cholesky solve, or
     a QR solve over the whole design when that is ill-conditioned
-    (:func:`_step`). The rounding of the normal equations can keep a step
-    from settling on an ill-conditioned design; once a change below
-    ``STALL`` of the coefficients no longer halves, the remaining steps
-    take the QR solve.
+    (:func:`_step`). With ``qr`` set, as on the refit after a boundary face,
+    every step takes the QR solve and is halved while it raises the deviance
+    (:func:`_halved`), the first toward the start (column 0 the intercept).
 
     Converges when the largest relative coefficient change drops below
     ``DEFAULT_TOL``; raises :class:`NonConvergence`, with the coefficient
@@ -299,17 +316,22 @@ def fit_glm(design, response, family, start=None, stop=None):
         else:
             eta0 = np.log(max(ybar, 1e-6))
 
-    last_beta, last_delta, qr = np.zeros(p), np.inf, False
+    last_beta = np.zeros(p)
+    if qr:
+        last_beta = np.r_[eta0, np.zeros(p - 1)] if beta is None else beta
+        last_dev = _deviance(X, y, w, last_beta, family)
     history = []
     for it in range(1, DEFAULT_MAX_ITER + 1):
         beta, cond = _step(X, y, w, beta, eta0, family, design.columns, qr)
+        if qr:
+            beta, last_dev = _halved(X, y, w, beta, last_beta, last_dev,
+                                     family)
         delta = np.max(np.abs(beta - last_beta))
         scale_ref = max(1.0, float(np.max(np.abs(beta))))
         history.append(beta)
         if delta <= DEFAULT_TOL * scale_ref:
             break
-        qr |= delta <= STALL * scale_ref and delta > last_delta / 2
-        last_beta, last_delta = beta, delta
+        last_beta = beta
         if stop is not None and (err := stop(history)) is not None:
             raise err
     else:

@@ -16,14 +16,14 @@ subject-level bootstrap calls ``Plan.run(multiplicity)`` per replicate, which
 refits the monitoring model, rebuilds the weights and refits both MSMs.
 Every fit runs on its rows of positive case weight only, so a replicate's
 fits and its standardization skip the subjects its resample left out.
-Weighted or not, truncated or not, every run takes this path. A cell with
-no events, whose fitted mean has its MLE at zero, is pinned there by one
-rule that runs only after a fit fails and reads only the design and its
-event rows (:func:`_face`).
+Weighted or not, truncated or not, every run takes this path. A fit drops
+the columns constant over its rows first; a cell with no events, whose
+fitted mean has its MLE at zero, is pinned there by one rule that runs only
+after a fit fails and reads only the design and its event rows
+(:func:`_face`), whatever rows the face keeps.
 """
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,13 +40,14 @@ from .errors import (
     SeparationError,
 )
 from .expansion import horizon_table
-from .glm import (POISSON_LOG, DesignMatrix, GlmFit, fit_glm, rcs_basis,
-                  varying_columns)
+from .glm import (POISSON_LOG, DesignMatrix, GlmFit, constant_columns,
+                  fit_glm, rcs_basis)
 from .strategies import WindowCells
 from .weights import (
     CensoringWeightPlan,
     MonitorFeatureSpec,
     _summary,
+    _without,
     fit_monitor_model,
     monitor_design,
 )
@@ -147,11 +148,8 @@ def _degenerate_fit(columns):
 
 CERT_TOL = 1e-6  # of the largest |x·d|: the rows x·d < -CERT_TOL leave
 FACE_TOL = 1e-10  # of the largest column norm: the rank tolerance
-# Rectifier steps, and every how many steps a support is tried. Of the 181
-# faces of the bootstraps of 16 small cohorts (n 300 and 600, seeds 0-7,
-# B = 10), 46 ended at step 1, 131 at the first try, 3 at the second and 1
-# at step 4025 (70 ms); none ran out. On 64k rows of 11 columns a step takes
-# 1.1 ms and a try 10 ms (2 vCPUs), so running out costs about 15 s.
+# Rectifier steps, and every how many steps a support is tried: no face of 16
+# small cohorts' bootstraps took over 4025 (65 ms); 10000 take 15 s at 20k.
 FACE_STEPS = 10000
 FACE_TRY = 25
 
@@ -285,55 +283,43 @@ def _fit_horizon_msm(cohort, spec, design, response, subjects, start=None):
 
     The fit runs on the kept rows of the MSM design (:func:`_kept`), their
     responses and subjects, from ``start``. It carries no standard errors:
-    the intervals come from the bootstrap.
+    the intervals come from the bootstrap. The columns constant over the
+    rows, which carry nothing, leave first, and the fit then starts cold.
 
     A cell with no events, as an event-free baseline level or threshold,
     can have its MLE at a fitted mean of zero; IRLS then diverges. When a
-    fit fails and the design has such a :func:`_face`, found from the
-    design and the rows with events alone, the fit runs again from a cold
-    start on the rows and columns the face keeps; ``fit.pinned`` names what
-    each round pinned (:func:`_labels`) and ``fit.directions`` holds its
-    direction over the full columns. A face that keeps no event-free row
-    pins every row without an event, which says nothing about the curve:
-    that fit fails with :class:`RankError`. A failure without a face drops
-    the columns constant over the rows, which carry nothing, or is raised as
-    it is if there are none.
+    fit fails, a :func:`_face`, found from the design and its event rows
+    alone, pins the rows it moves to a zero mean, even if only the event
+    rows stay (the extended MLE), and the fit runs again, cold and with
+    ``qr`` set (:func:`rcds.glm.fit_glm`), on the rows and columns it keeps;
+    without a face the failure is raised. ``fit.pinned`` names what each
+    round pinned (:func:`_labels`), ``fit.directions`` its direction over
+    the full columns.
     """
     if not np.any(response > 0):
-        warnings.warn(
-            "all horizon responses are zero; returning a curve pinned at zero",
-            DegenerateResponse,
-        )
+        warnings.warn("all horizon responses are zero; returning a curve "
+                      "pinned at zero", DegenerateResponse)
         return _degenerate_fit(design.columns)
-    columns, pinned, directions = design.columns, [], []
+    columns, pinned, directions, qr = design.columns, [], [], False
+    if constant := constant_columns(design):
+        design, start = _without(design, constant), None
     while True:
         try:
-            fit = fit_glm(design, response, POISSON_LOG, start=start)
+            fit = fit_glm(design, response, POISSON_LOG, start=start, qr=qr)
             break
-        except (RankError, NonConvergence) as err:
-            X = design.X
-            face = _face(X, response)
-            if face is None:
-                rows = np.ones(response.size, dtype=bool)
-                cols = varying_columns(X)
-                if cols.all():
-                    raise
-            else:
-                d, rows, cols = face
-                if np.all(response[rows] > 0):
-                    raise RankError(
-                        f"the fit's face kept only its {int(rows.sum())} event "
-                        "rows: every row without an event is pinned at a zero "
-                        "mean") from err
-                pinned += _labels(cohort, spec.baseline_terms, subjects, ~rows,
-                                  np.compress(~cols, design.columns).tolist())
-                directions.append(np.zeros(len(columns)))
-                directions[-1][[columns.index(c) for c in design.columns]] = d
-            design = DesignMatrix(X.compress(rows, axis=0).compress(cols, axis=1),
-                                  np.compress(cols, design.columns).tolist(),
-                                  weights=design.weights.compress(rows))
+        except (RankError, NonConvergence):
+            if (face := _face(design.X, response)) is None:
+                raise
+            d, rows, cols = face
+            dropped = np.compress(~cols, design.columns).tolist()
+            pinned += _labels(cohort, spec.baseline_terms, subjects, ~rows,
+                              dropped)
+            directions.append(np.zeros(len(columns)))
+            directions[-1][[columns.index(c) for c in design.columns]] = d
+            design = _without(design.weighted_rows(design.weights * rows),
+                              dropped)
             response, subjects = response.compress(rows), subjects.compress(rows)
-            start = None
+            start, qr = None, True
     fit.pinned, fit.directions = tuple(pinned), tuple(directions)
     return fit
 
@@ -507,7 +493,8 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
     from the point fits) and restandardizes. Replicates that fail to fit
     are skipped and counted by error code in ``table.failed_by_code``; more
     than ``MAX_FAILED_FRACTION`` of failures raises
-    :class:`BootstrapUnstable`, whose message names the codes. Replicates
+    :class:`BootstrapUnstable`, whose message names the codes and the
+    message of the first failure of each. Replicates
     in which an MSM pinned cells without events (see
     :func:`_fit_horizon_msm`) count as successes and are reported in
     ``table.n_pinned``. Replicates run one after another and are
@@ -520,7 +507,7 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
     if B == 0:
         return point
     n = cohort.n_subjects
-    ok, failed = [], Counter()
+    ok, failed = [], {}  # error code: [count, the first message]
     for ss in np.random.SeedSequence(seed).spawn(B):
         idx = np.random.default_rng(ss).integers(0, n, n)
         mult = np.bincount(idx, minlength=n).astype(np.float64)
@@ -529,14 +516,16 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
             try:
                 ok.append(point.plan.run(mult))
             except _REPLICATE_ERRORS as err:
-                failed[err.code] += 1
+                failed.setdefault(err.code, [0, str(err)])[0] += 1
 
     table.n_boot, table.n_failed = B, B - len(ok)
-    table.failed_by_code = dict(sorted(failed.items()))
+    table.failed_by_code = {c: failed[c][0] for c in sorted(failed)}
     if table.n_failed > MAX_FAILED_FRACTION * B:
         causes = ", ".join(f"{c}: {k}" for c, k in table.failed_by_code.items())
+        why = "".join(f"; the first {c}: {failed[c][1]}"
+                      for c in table.failed_by_code)
         raise BootstrapUnstable(f"{table.n_failed} of {B} bootstrap replicates "
-                                f"failed to fit ({causes})")
+                                f"failed to fit ({causes}){why}")
     risks, usages = (np.array([r[i] for r in ok]) for i in (0, 1))
     table.risk_lo, table.risk_hi = np.percentile(risks, [2.5, 97.5], axis=0)
     table.usage_lo, table.usage_hi = np.percentile(usages, [2.5, 97.5], axis=0)

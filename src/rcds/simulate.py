@@ -123,9 +123,6 @@ class DgpParams:
                 "plausible state space; positivity fails"
             )
 
-    def replace(self, **kw):
-        return dataclasses.replace(self, **kw)
-
     def to_dict(self):
         return dataclasses.asdict(self)
 

@@ -58,7 +58,8 @@ def run_coverage(params, grid, x_value, n_cohorts, n, B, seed,
 
     The default model spec adjusts for sex and age only. A replicate whose
     resample leaves a baseline level without weighted events fits, but with
-    that level's cells pinned at a zero mean (see
+    that level's cells pinned at a zero mean, and every other event-free row
+    too when the fit's face keeps only its event rows (see
     :func:`rcds.msm._fit_horizon_msm`); in small cohorts the multi-level
     terms would do this often, so the default keeps them out, and keeping it
     keeps coverage results comparable across versions.

@@ -25,9 +25,9 @@ import numpy as np
 
 from .cohort import baseline_design
 from .errors import (ConfigError, NonConvergence, PositivityViolation,
-                     RankError, SeparationError)
-from .glm import (BINOMIAL_LOGIT, DesignMatrix, fit_glm, logistic, predict,
-                  rcs_basis, varying_columns)
+                     SeparationError)
+from .glm import (BINOMIAL_LOGIT, DesignMatrix, constant_columns, fit_glm,
+                  logistic, predict, rcs_basis)
 from .strategies import WindowCells, sweep, window_bounds
 
 PROB_FLOOR = 1e-6
@@ -141,7 +141,7 @@ def _separation(columns, coef):
     ``SEPARATION_BOUND`` in magnitude, or None. It names the feature with the
     largest coefficient, ignoring the intercept, which diverges along with
     whichever feature separates the decision."""
-    if coef is None or np.max(np.abs(coef)) <= SEPARATION_BOUND:
+    if np.max(np.abs(coef)) <= SEPARATION_BOUND:
         return None
     feature = columns[1 + int(np.argmax(np.abs(coef[1:])))
                       if len(columns) > 1 else 0]
@@ -213,10 +213,9 @@ def fit_monitor_model(design, multiplicity=None, start=None):
     ``multiplicity`` carries per-subject bootstrap counts as case weights;
     the fit runs on the decision months of subjects with a positive count.
     ``start`` warm-starts IRLS from coefficients of the design's columns.
-    When IRLS finds the design rank deficient, the declared features
-    constant over the fitted months (:func:`rcds.glm.varying_columns`) are
-    dropped, named in ``MonitorModel.dropped``, and the fit runs again from
-    a cold start; with none constant the :class:`RankError` stands. Raises
+    The declared features constant over the fitted months leave before the
+    first step, named in ``MonitorModel.dropped``, and the fit then starts
+    cold; a :class:`RankError` is then genuine collinearity. Raises
     :class:`SeparationError` when the decision is degenerate or a feature
     separates it perfectly.
     """
@@ -230,26 +229,15 @@ def fit_monitor_model(design, multiplicity=None, start=None):
             "monitoring response is degenerate: need at least one monitored "
             "and one unmonitored person-month"
         )
-    dropped = ()
-    while True:
-        try:
-            fit = fit_glm(matrix, mon.astype(np.float64), BINOMIAL_LOGIT,
-                          start=start, stop=_diverging(matrix.columns))
-            break
-        except RankError:
-            keep = varying_columns(matrix.X)
-            if keep.all():
-                raise
-            dropped = tuple(np.compress(~keep, matrix.columns).tolist())
-            matrix, start = _without(matrix, dropped), None
-        except NonConvergence as err:
-            separation = _separation(matrix.columns, err.trajectory[-1]
-                                     if err.trajectory else None)
-            if separation is not None:
-                raise separation from err
-            raise
-    separation = _separation(matrix.columns, fit.coef)
-    if separation is not None:
+    dropped = constant_columns(matrix)
+    if dropped:
+        matrix, start = _without(matrix, dropped), None
+    try:
+        fit = fit_glm(matrix, mon.astype(np.float64), BINOMIAL_LOGIT,
+                      start=start, stop=_diverging(matrix.columns))
+    except NonConvergence as err:
+        raise _separation(matrix.columns, err.trajectory[-1]) or err
+    if separation := _separation(matrix.columns, fit.coef):
         raise separation
     return MonitorModel(fit=fit, spec=design.spec, marker_knots=design.knots,
                         dropped=dropped)

@@ -31,7 +31,7 @@ feeds the record-level consistency horizon; :func:`from_records` packs
 records into a :class:`rcds.Cohort`, and :func:`record` reads one back.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
@@ -466,7 +466,7 @@ def oracle_truth(params, grid, n_mc, *, seed):
         raise ConfigError("oracle needs n_mc >= 1000")
     xs = grid.xs
 
-    noloss = params.replace(dropout_hazard=0.0)
+    noloss = replace(params, dropout_hazard=0.0)
     draws = _draws((seed, 2), n_mc, params.horizon)
     risk = np.empty(len(grid))
     usage = np.empty(len(grid))

@@ -19,7 +19,7 @@ import rcds.msm
 import rcds.study
 from rcds import Plan, StrategyGrid
 from rcds.cli import main
-from rcds.errors import BootstrapUnstable, RankError
+from rcds.errors import BootstrapUnstable
 from rcds.io import ingest_cohort
 from rcds.msm import CERT_TOL
 
@@ -164,14 +164,17 @@ def test_oracle_defaults_to_natural_rule(tmp_path, capsys):
 def test_failed_replicates_are_counted_by_code(tmp_path, cohort_csv, capsys,
                                               monkeypatch):
     # a categorical gap level pooled from five decision months, four of them
-    # visits: a resample without the fifth separates the monitoring decision
+    # visits: a resample without the fifth separates the monitoring decision,
+    # and the error says so
     config = {"mode": "analyze", "seed": 5, "input": cohort_csv,
               "kappa": 4.5, "bootstrap": 3, "grid": {"x_step": 50},
               "weights": {"features": {"gap": "categorical"}}}
     status, err = run(tmp_path, "unstable", config, capsys)
     assert status != 0
-    assert err.splitlines()[-2] == ("error: 2 of 3 bootstrap replicates "
-                                    "failed to fit (SEPARATION: 2)")
+    assert err.splitlines()[-2] == (
+        "error: 2 of 3 bootstrap replicates failed to fit (SEPARATION: 2); "
+        "the first SEPARATION: feature 'gap=13' appears to separate the "
+        "monitoring decision perfectly")
     assert err.splitlines()[-1] == "error_code=BOOTSTRAP_UNSTABLE"
     # with every failure tolerated, the report keeps the same counts
     monkeypatch.setattr(rcds.msm, "MAX_FAILED_FRACTION", 1.0)
@@ -741,15 +744,15 @@ def test_small_cohort_pins_every_event_free_level(tmp_path, capsys):
     # 300 subjects: the point fit's 28 events fall in two of the twelve
     # (base_marker_band, calendar) cells, so four levels are pinned and
     # the remaining rows leave more columns aliased than the one dropped.
-    # Replicate 0 of seed 1 keeps 12 event rows and every other row can go
-    # to a zero mean, so that replicate fails instead of pinning them all
+    # Replicate 0 of seed 1 keeps 12 event rows, and every other row can go
+    # to a zero mean: the face pins them all, and the replicate fits
     path = simulated_csv(tmp_path, 300, 4)
     config = {"mode": "analyze", "seed": 1, "input": path, "kappa": 4.5,
               "bootstrap": 2, "baseline_schema": SIM_SCHEMA_CONFIG}
-    status, err = run(tmp_path, "analyze", config, capsys)
-    assert status == 5
-    assert "1 of 2 bootstrap replicates failed to fit (RANK_DEFICIENT: 1)" \
-        in err
+    assert run(tmp_path, "analyze", config, capsys)[0] == 0
+    report = yaml.safe_load((tmp_path / "analyze" / "weights.yaml")
+                            .read_text())
+    assert report["bootstrap"]["failed"] == 0
     cohort = rcds.cli._load_cohort(rcds.io.load_config(
         str(tmp_path / "analyze.yaml")))
     plan = Plan(cohort, StrategyGrid.default())
@@ -760,9 +763,11 @@ def test_small_cohort_pins_every_event_free_level(tmp_path, capsys):
     ss = np.random.SeedSequence(1).spawn(2)[0]
     mult = np.bincount(np.random.default_rng(ss).integers(0, n, n),
                        minlength=n).astype(np.float64)
-    with pytest.raises(RankError,
-                       match="the fit's face kept only its 12 event rows"):
-        plan.fit(mult)
+    _, fit_y, _ = plan.fit(mult)
+    kept = mult[plan.ht.subject_idx] > 0
+    for d in fit_y.directions:
+        kept &= plan.msm_design.X @ d >= -CERT_TOL
+    assert kept.sum() == 12 and np.all(plan.ht.y[kept] > 0)
 
 
 def test_small_cohort_replicates_pin_and_keep_event_free_rows(tmp_path,

@@ -350,52 +350,52 @@ def bootstrap_multiplicities(n, seed, B):
 
 
 class TestStall:
-    """Once a change below ``STALL`` of the coefficients stops halving, the
-    rest of the fit takes QR steps."""
+    """Only a refit on the rows a boundary face kept takes QR steps: the
+    rounding of X'WX can hold such a refit just above the tolerance."""
 
     def test_stalled_refit_converges_by_qr_steps(self, monkeypatch):
-        # replicate 6 of a 600-subject bootstrap: after its face, the rounding
-        # of X'WX holds an MSM refit just above the tolerance
+        # replicate 6 of a 600-subject bootstrap: after its face, the refit
+        # by Cholesky steps stalls, and by QR steps it converges
         cohort = simulate_cohort(DgpParams(), 600, seed=5)
         mult = bootstrap_multiplicities(cohort.n_subjects, 5, 10)[6]
         plan = Plan(cohort, StrategyGrid.default())
         plan.run(None)
-        with monkeypatch.context() as m:
-            m.setattr(rcds.glm, "STALL", 0.0)
-            with pytest.raises(NonConvergence, match="in 50 iterations"):
-                plan.run(mult)
-        calls = qr_calls(monkeypatch)
-        risk, usage, _ = plan.run(mult)
-        assert calls
+        refits, fit = [], rcds.glm.fit_glm
+
+        def recorded(*args, **kwargs):
+            out = fit(*args, **kwargs)
+            if kwargs.get("qr"):
+                refits.append((args, kwargs))
+            return out
+
+        monkeypatch.setattr(rcds.msm, "fit_glm", recorded)
+        risk, usage, pinned = plan.run(mult)
+        assert pinned and len(refits) == 1
         assert np.all((risk > 0) & (risk < 1)) and np.all(usage > 0)
+        args, kwargs = refits[0]
+        calls = qr_calls(monkeypatch)
+        refit = fit(*args, **kwargs)
+        assert len(calls) == refit.iterations
+        with pytest.raises(NonConvergence, match="in 50 iterations"):
+            fit(*args, **{**kwargs, "qr": False})
 
     @pytest.mark.parametrize("wopts", [WeightOptions(),
                                        WeightOptions(truncation=99.0)],
                              ids=["ip", "truncated"])
     def test_workload_fits_never_stall(self, monkeypatch, wopts):
         # the 4k cohort of the bootstrap workloads: its point fits and five
-        # replicates take no QR step, and as many steps without the switch
+        # replicates have no face and no constant column, and take no QR
+        # step
         cohort = simulate_cohort(DgpParams(), 4000, seed=7)
         mults = [None, *bootstrap_multiplicities(cohort.n_subjects, 7, 5)]
-        iterations, fit = [], rcds.glm.fit_glm
-
-        def recorded(*args, **kwargs):
-            out = fit(*args, **kwargs)
-            iterations.append(out.iterations)
-            return out
-
-        for module in (rcds.msm, rcds.weights):
-            monkeypatch.setattr(module, "fit_glm", recorded)
         calls = qr_calls(monkeypatch)
-        for stall in (rcds.glm.STALL, 0.0):
-            monkeypatch.setattr(rcds.glm, "STALL", stall)
-            plan = Plan(cohort, StrategyGrid.default(), MsmSpec(), wopts)
-            for mult in mults:
-                plan.fit(mult)
+        plan = Plan(cohort, StrategyGrid.default(), MsmSpec(), wopts)
+        for mult in mults:
+            model, fit_y, fit_d = plan.fit(mult)
+            assert model.dropped == ()
+            assert fit_y.columns == fit_d.columns == plan.msm_design.columns
+            assert fit_y.directions == fit_d.directions == ()
         assert not calls
-        assert len(iterations) == 2 * 3 * len(mults)
-        assert iterations[:len(iterations) // 2] == \
-            iterations[len(iterations) // 2:]
 
 
 class TestPredict:

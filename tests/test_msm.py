@@ -9,14 +9,13 @@ import pytest
 from scipy.special import expit
 
 from rcds import (
-    BootstrapUnstable,
     ConfigError,
     DegenerateResponse,
     DgpParams,
     MsmSpec,
+    NonConvergence,
     Plan,
     PositivityViolation,
-    RankError,
     RcdsError,
     StrategyGrid,
     WeightOptions,
@@ -402,17 +401,65 @@ class TestBoundaryFaces:
         assert np.all((risk > 0) & (risk < 1))
         assert np.all((usage > 0) & np.isfinite(usage))
 
-    def test_face_of_event_rows_only_fails_the_replicate(self):
+    def test_face_of_event_rows_only_pins_the_replicate(self):
         # the resample keeps 7 event rows, and every other row can go to a
-        # zero mean: the curve would say nothing
+        # zero mean: the face pins every event-free row, the extended MLE
         cohort, mult = captured(300, 0, 4)
         plan = Plan(cohort, StrategyGrid.default())
         plan.run(None)
-        with pytest.raises(RankError,
-                           match="the fit's face kept only its 7 event rows"):
+        _, fit_y, _ = plan.fit(mult)
+        kept = mult[plan.ht.subject_idx] > 0
+        for d in fit_y.directions:
+            kept &= plan.msm_design.X @ d >= -CERT_TOL
+        assert kept.sum() == 7 and np.all(plan.ht.y[kept] > 0)
+        risk, usage, pinned = plan.run(mult)
+        assert pinned
+        assert np.all((risk >= 0) & (risk <= 1))
+        t = bootstrap_pipeline(cohort, StrategyGrid.default(), B=10,
+                               seed=0).table
+        assert t.n_failed == 0
+
+    def test_overshooting_refit_halves_its_steps(self, monkeypatch):
+        # replicate 5 at 300 subjects, seed 2: the refit on the 99 rows its
+        # face keeps overshoots from the intercept start, puts a linear
+        # predictor past the clip at 300 and never comes back unless the
+        # steps that raise the deviance are halved
+        cohort, mult = captured(300, 2, 5)
+        plan = Plan(cohort, StrategyGrid.default())
+        plan.run(None)
+        risk, usage, pinned = plan.run(mult)
+        assert pinned
+        assert np.all((risk > 0) & (risk < 1))
+        assert np.all((usage > 0) & np.isfinite(usage))
+        monkeypatch.setattr(rcds.glm, "_halved", lambda X, y, w, beta, last,
+                            last_dev, family: (beta, last_dev))
+        with pytest.raises(NonConvergence, match="in 50 iterations"):
             plan.run(mult)
-        with pytest.raises(BootstrapUnstable, match=r"\(RANK_DEFICIENT: 2\)"):
-            bootstrap_pipeline(cohort, StrategyGrid.default(), B=10, seed=0)
+
+    def test_small_cohort_bootstraps_fit_every_replicate(self):
+        """The bootstraps of ``simulate_cohort(DgpParams(), n, seed)``, n in
+        {300, 600}, seeds 0-7, default grid, B = 10 at the cohort's seed:
+        all 160 replicates fit. While a face that kept only event rows
+        failed its replicate, and before the face refit halved its steps,
+        12 failed, as (n, seed, replicate, code):
+        (300, 0, 4, RANK_DEFICIENT), (300, 0, 7, RANK_DEFICIENT),
+        (300, 2, 5, NON_CONVERGENCE), (300, 4, 0, RANK_DEFICIENT),
+        (300, 5, 6, RANK_DEFICIENT), (300, 6, 0, RANK_DEFICIENT),
+        (300, 6, 5, RANK_DEFICIENT), (300, 6, 8, RANK_DEFICIENT),
+        (300, 6, 9, RANK_DEFICIENT), (300, 7, 6, RANK_DEFICIENT),
+        (600, 1, 4, RANK_DEFICIENT), (600, 6, 8, RANK_DEFICIENT)."""
+        for n in (300, 600):
+            for seed in range(8):
+                plan = Plan(simulate_cohort(DgpParams(), n, seed=seed),
+                            StrategyGrid.default())
+                plan.run(None)
+                for ss in np.random.SeedSequence(seed).spawn(10):
+                    idx = np.random.default_rng(ss).integers(0, n, n)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", DegenerateResponse)
+                        risk, usage, _ = plan.run(
+                            np.bincount(idx, minlength=n).astype(np.float64))
+                    assert np.all(np.isfinite(risk) & np.isfinite(usage))
 
 
 def zero_weight_msm_fit(plan, response, w, fit, start):
@@ -425,7 +472,8 @@ def zero_weight_msm_fit(plan, response, w, fit, start):
     design = DesignMatrix(np.compress(np.isin(names, fit.columns), X, axis=1),
                           fit.columns, np.where(keep, w, 0.0))
     return fit_glm(design, np.where(keep, response, 0.0), POISSON_LOG,
-                   start=None if fit.pinned else start)
+                   start=None if fit.pinned else start,
+                   qr=bool(fit.directions))
 
 
 def zero_weight_monitor_fit(design, mult, dropped, **kwargs):

@@ -132,7 +132,8 @@ class TestExchangeabilityBoundary:
         # the decision function has no latent arguments; identical observed
         # states yield identical probabilities whatever the latent params
         p1 = DgpParams()
-        p2 = p1.replace(fail_intercept=-0.5, fail_marker=0.0, drift_sd=80.0)
+        p2 = dataclasses.replace(p1, fail_intercept=-0.5, fail_marker=0.0,
+                                 drift_sd=80.0)
         st = (310.0, 4, 1)
         assert monitor_probability(p1, *st) == monitor_probability(p2, *st)
 
