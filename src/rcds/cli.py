@@ -18,6 +18,7 @@ from . import io as rio
 from .chart import render_chart
 from .cohort import CONTINUOUS, BaselineField, BaselineSchema
 from .errors import ConfigError, RcdsError, is_number, is_whole
+# perfbench/child.py times analyze_cohort by its name here, though unused
 from .msm import MsmSpec, WeightOptions, analyze_cohort, bootstrap_pipeline
 from .optimize import check_cap, frontier, select
 from .simulate import (
@@ -28,7 +29,7 @@ from .simulate import (
     simulate_cohort,
 )
 from .strategies import StrategyGrid
-from .study import check_study, run_coverage
+from .study import COVERAGE_SPEC, check_study, run_coverage
 from .weights import MonitorFeatureSpec
 
 
@@ -119,9 +120,9 @@ def _grid_from(block):
         "x_start": _number, "x_stop": _number, "x_step": _number}))
 
 
-def _msm_from(block):
+def _msm_from(block, spec=MsmSpec()):
     _known_keys(block, MSM_KEYS, "msm")
-    return MsmSpec(**_present(block, MSM_KEYS, {
+    return dataclasses.replace(spec, **_present(block, MSM_KEYS, {
         "strategy_knots": lambda b, k: _numbers(b, k) or None,
         "baseline_terms": lambda b, k: "all" if b[k] == "all"
         else _names(b, k)}))
@@ -259,8 +260,7 @@ def run(raw, out):
         wopts = _wopts_from(_section(raw, "weights"))
         cohort = _load_cohort(raw)
         out.mkdir(parents=True, exist_ok=True)
-        point = bootstrap_pipeline(cohort, grid, spec, wopts, B=B, seed=seed) \
-            if B > 0 else analyze_cohort(cohort, grid, spec, wopts)
+        point = bootstrap_pipeline(cohort, grid, spec, wopts, B=B, seed=seed)
         table = point.table
 
         if mode == "analyze":
@@ -298,7 +298,7 @@ def run(raw, out):
     # coverage, the one mode left
     params = _dgp_from(_section(raw, "dgp"))
     grid = _grid_from(_section(raw, "grid"))
-    spec = _msm_from(_section(raw, "msm")) if "msm" in raw else None
+    spec = _msm_from(_section(raw, "msm"), COVERAGE_SPEC)
     wopts = _wopts_from(_section(raw, "weights"))
     study = {"x_value": _number(raw, "x_value", 350),
              "n_cohorts": _number(raw, "n_cohorts", 200, int),

@@ -40,7 +40,8 @@ class IngestError(RcdsError):
 
 
 class SeparationError(RcdsError):
-    """A feature perfectly predicts the monitoring decision."""
+    """The monitoring decision has no MLE: it is degenerate, or an exact
+    certificate (:func:`rcds.glm._on_support`) shows a feature separates it."""
 
     exit_code = 2
     code = "SEPARATION"

@@ -13,6 +13,9 @@ sums the normal equations X'WX and X'Wz block by block, so that it makes no
 temporary as long as the design; only the rare QR step works on the whole
 design. A fit sees only its rows of positive case weight, so leaving rows
 in at weight zero gives the same bits as leaving them out.
+
+The exact test that an MLE does not exist, :func:`_on_support`, serves the
+MSM faces (:func:`rcds.msm._face`) and the monitoring fit's stop rule.
 """
 
 import copy
@@ -188,6 +191,46 @@ def constant_columns(design):
                              design.columns[1:]).tolist())
 
 
+CERT_TOL = 1e-6  # of the largest |x·d|: a row within it of 0 counts as 0
+FACE_TOL = 1e-10  # of the largest column norm: the rank tolerance
+
+
+def _null(A, scale):
+    """An orthonormal basis, as columns, of the null space of ``A``: its
+    right singular vectors of singular value at most FACE_TOL * scale."""
+    if A.shape[0] > A.shape[1]:
+        A = np.linalg.qr(A, mode="r")
+    if not A.size:
+        return np.eye(A.shape[1])
+    _, s, vt = np.linalg.svd(A)
+    return vt[int(np.sum(s > FACE_TOL * scale)):].T
+
+
+def _on_support(A, uhat):
+    """Coefficients c with A c > 0 on the rows where ``uhat`` is above
+    CERT_TOL of its largest and A c = 0 on the others, or None. On rows of A
+    along which a fit's likelihood only rises, c is an exact certificate
+    that the MLE does not exist (Albert & Anderson 1984; Correia, Guimarães
+    & Zylkin 2019); ``uhat`` only proposes its rows. c is the least-squares
+    fit of ``uhat`` among the coefficients that vanish on the other rows; a
+    row where the fit falls to CERT_TOL of its largest joins the others, and
+    the fit is taken again."""
+    support = uhat > CERT_TOL * uhat.max()
+    while support.any():
+        M = _null(A[~support], 1.0)
+        if not M.size:
+            return None
+        c = M @ np.linalg.lstsq(A[support] @ M, uhat[support], rcond=None)[0]
+        v = A[support] @ c
+        if v.max() <= 0:
+            return None
+        stays = v > CERT_TOL * v.max()
+        if stays.all():
+            return c
+        support[support] = stays
+    return None
+
+
 # rows per block of an IRLS pass, by measurement: 4096 to 8192 were fastest
 # on 11-column MSM designs; wider blocks gained up to 20% a pass on 5-column
 # monitoring designs of 290k rows but lost more on 11 columns
@@ -295,7 +338,8 @@ def fit_glm(design, response, family, start=None, stop=None, qr=False):
     :class:`RankError`, naming the dependent column, on a rank-deficient
     design. ``start`` warm-starts the linear predictor from a coefficient
     vector. ``stop``, if given, sees the coefficient trajectory after every
-    step that has not converged, and an exception it returns ends the fit.
+    step that has not converged, and an exception it returns ends the fit
+    (:func:`rcds.weights._separation_stop`).
     """
     y = _check_response(response, family, design.n)
     X, w = design.X, design.weights

@@ -20,7 +20,8 @@ Weighted or not, truncated or not, every run takes this path. A fit drops
 the columns constant over its rows first; a cell with no events, whose
 fitted mean has its MLE at zero, is pinned there by one rule that runs only
 after a fit fails and reads only the design and its event rows
-(:func:`_face`), whatever rows the face keeps.
+(:func:`_face`), whatever rows the face keeps; its support test is
+:func:`rcds.glm._on_support`, which the monitoring fit shares.
 """
 
 import warnings
@@ -40,8 +41,8 @@ from .errors import (
     SeparationError,
 )
 from .expansion import horizon_table
-from .glm import (POISSON_LOG, DesignMatrix, GlmFit, constant_columns,
-                  fit_glm, rcs_basis)
+from .glm import (CERT_TOL, FACE_TOL, POISSON_LOG, DesignMatrix, GlmFit,
+                  _null, _on_support, constant_columns, fit_glm, rcs_basis)
 from .strategies import WindowCells
 from .weights import (
     CensoringWeightPlan,
@@ -146,45 +147,10 @@ def _degenerate_fit(columns):
                   iterations=0, cond=1.0, degenerate=True)
 
 
-CERT_TOL = 1e-6  # of the largest |x·d|: the rows x·d < -CERT_TOL leave
-FACE_TOL = 1e-10  # of the largest column norm: the rank tolerance
 # Rectifier steps, and every how many steps a support is tried: no face of 16
 # small cohorts' bootstraps took over 4025 (65 ms); 10000 take 15 s at 20k.
 FACE_STEPS = 10000
 FACE_TRY = 25
-
-
-def _null(A, scale):
-    """An orthonormal basis, as columns, of the null space of ``A``: its
-    right singular vectors of singular value at most FACE_TOL * scale."""
-    if A.shape[0] > A.shape[1]:
-        A = np.linalg.qr(A, mode="r")
-    if not A.size:
-        return np.eye(A.shape[1])
-    _, s, vt = np.linalg.svd(A)
-    return vt[int(np.sum(s > FACE_TOL * scale)):].T
-
-
-def _on_support(A, uhat):
-    """Coefficients c with A c > 0 on the rows where the rectifier's
-    ``uhat`` is above CERT_TOL of its largest and A c = 0 on the others, or
-    None. c is the least-squares fit of ``uhat`` among the coefficients
-    that vanish on the other rows; a row where the fit falls to CERT_TOL of
-    its largest joins the others, and the fit is taken again."""
-    support = uhat > CERT_TOL * uhat.max()
-    while support.any():
-        M = _null(A[~support], 1.0)
-        if not M.size:
-            return None
-        c = M @ np.linalg.lstsq(A[support] @ M, uhat[support], rcond=None)[0]
-        v = A[support] @ c
-        if v.max() <= 0:
-            return None
-        stays = v > CERT_TOL * v.max()
-        if stays.all():
-            return c
-        support[support] = stays
-    return None
 
 
 def _face(X, response):
@@ -203,8 +169,8 @@ def _face(X, response):
     an entry of at least 1 while one exists. The iterates converge to
     û ≥ 0, but can do so slowly, so every FACE_TRY steps the rows where û is
     positive are tried as the support of an exact certificate
-    (:func:`_on_support`). d = -N·c is scaled so that it moves no linear
-    predictor by more than 1. In order of |d_j|, smallest first (within
+    (:func:`rcds.glm._on_support`). d = -N·c is scaled so that it moves no
+    linear predictor by more than 1. In order of |d_j|, smallest first (within
     1e-6, latest first), the rank rule of :func:`rcds.glm.fit_glm` over the
     kept rows drops each column dependent on those before it.
     """

@@ -10,6 +10,9 @@ from .msm import MsmSpec, WeightOptions, bootstrap_pipeline
 from .simulate import check_oracle, oracle_truth, simulate_cohort
 
 
+COVERAGE_SPEC = MsmSpec(baseline_terms=("sex", "age"))
+
+
 @dataclass
 class CoverageResult:
     x_value: float
@@ -44,7 +47,7 @@ def check_study(grid, x_value, n_cohorts, n, B, oracle_n_mc=200_000,
 
 
 def run_coverage(params, grid, x_value, n_cohorts, n, B, seed,
-                 spec=None, wopts=WeightOptions(),
+                 spec=COVERAGE_SPEC, wopts=WeightOptions(),
                  oracle_n_mc=200_000, oracle_rule="natural",
                  progress=None):
     """Empirical coverage of the bootstrap risk interval at one threshold.
@@ -56,7 +59,8 @@ def run_coverage(params, grid, x_value, n_cohorts, n, B, seed,
     with :func:`check_study` before the oracle runs. Fully deterministic
     given ``seed``.
 
-    The default model spec adjusts for sex and age only. A replicate whose
+    The default model spec, :data:`COVERAGE_SPEC`, adjusts for sex and age
+    only; ``rcds coverage`` reads an msm block over it. A replicate whose
     resample leaves a baseline level without weighted events fits, but with
     that level's cells pinned at a zero mean, and every other event-free row
     too when the fit's face keeps only its event rows (see
@@ -65,8 +69,6 @@ def run_coverage(params, grid, x_value, n_cohorts, n, B, seed,
     keeps coverage results comparable across versions.
     """
     j = check_study(grid, x_value, n_cohorts, n, B, oracle_n_mc, oracle_rule)
-    if spec is None:
-        spec = MsmSpec(baseline_terms=("sex", "age"))
 
     ss = np.random.SeedSequence(seed)
     state = ss.generate_state(2 * n_cohorts + 1)

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohort import baseline_design
-from .errors import (ConfigError, NonConvergence, PositivityViolation,
-                     SeparationError)
-from .glm import (BINOMIAL_LOGIT, DesignMatrix, constant_columns, fit_glm,
-                  logistic, predict, rcs_basis)
+from .errors import ConfigError, PositivityViolation, SeparationError
+from .glm import (BINOMIAL_LOGIT, DesignMatrix, _on_support, constant_columns,
+                  fit_glm, logistic, predict, rcs_basis)
 from .strategies import WindowCells, sweep, window_bounds
 
 PROB_FLOOR = 1e-6
@@ -133,38 +132,28 @@ def _monitor_design(cells, spec, marker_knots):
     return DesignMatrix(np.stack(cols).T, names)  # column by column
 
 
-SEPARATION_BOUND = 15
-
-
-def _separation(columns, coef):
-    """The :class:`SeparationError` for coefficients that ran past
-    ``SEPARATION_BOUND`` in magnitude, or None. It names the feature with the
-    largest coefficient, ignoring the intercept, which diverges along with
-    whichever feature separates the decision."""
-    if np.max(np.abs(coef)) <= SEPARATION_BOUND:
-        return None
-    feature = columns[1 + int(np.argmax(np.abs(coef[1:])))
-                      if len(columns) > 1 else 0]
-    return SeparationError(
-        f"feature {feature!r} appears to separate the monitoring decision "
-        "perfectly", feature=feature)
-
-
-SEPARATION_STEPS = 3
-
-
-def _diverging(columns):
-    """The IRLS stop rule of a monitoring fit: the :func:`_separation` error
-    once ``SEPARATION_STEPS`` iterates in a row are past its bound, their
-    largest coefficient growing at each. A separated decision drives that
-    coefficient off by about one unit per step, and such a fit never
-    converges."""
+def _separation_stop(matrix, monitored):
+    """The IRLS stop rule of a monitoring fit of ``monitored`` on ``matrix``:
+    the :class:`SeparationError` of an exact certificate that the MLE does
+    not exist (Albert & Anderson 1984), or None. It acts only after a step at
+    least half as large as the one before, as a separated fit's steps are:
+    a converging fit's shrink fast. The rows the step moves, on the rows of
+    X signed by the response (+ for a visit) at unit length, are tried as a
+    support (:func:`rcds.glm._on_support`). The error names the feature,
+    not the intercept, with the largest |c_j| max|X_j|."""
     def stop(history):
-        peaks = [np.max(np.abs(c)) for c in history[-SEPARATION_STEPS:]]
-        if (len(peaks) == SEPARATION_STEPS and peaks[0] > SEPARATION_BOUND
-                and all(a < b for a, b in zip(peaks, peaks[1:]))):
-            return _separation(columns, history[-1])
-        return None
+        steps = np.abs(np.diff(history[-3:], axis=0)).max(axis=1)
+        if steps.size < 2 or steps[1] < 0.5 * steps[0]:
+            return None
+        A = matrix.X * np.where(monitored, 1.0, -1.0)[:, None]
+        A /= np.linalg.norm(A, axis=1)[:, None]
+        if (c := _on_support(A, A @ (history[-1] - history[-2]))) is None:
+            return None
+        size = np.abs(c[1:]) * np.abs(matrix.X[:, 1:]).max(axis=0)
+        feature = matrix.columns[1 + int(np.argmax(size))]
+        return SeparationError(
+            f"feature {feature!r} appears to separate the monitoring decision "
+            "perfectly", feature=feature)
     return stop
 
 
@@ -216,8 +205,9 @@ def fit_monitor_model(design, multiplicity=None, start=None):
     The declared features constant over the fitted months leave before the
     first step, named in ``MonitorModel.dropped``, and the fit then starts
     cold; a :class:`RankError` is then genuine collinearity. Raises
-    :class:`SeparationError` when the decision is degenerate or a feature
-    separates it perfectly.
+    :class:`SeparationError` when the decision is degenerate or, by an
+    exact certificate (:func:`_separation_stop`), separated; a fit that
+    converges is never refused.
     """
     matrix, mon = design.matrix, design.monitored
     if multiplicity is not None:
@@ -232,13 +222,8 @@ def fit_monitor_model(design, multiplicity=None, start=None):
     dropped = constant_columns(matrix)
     if dropped:
         matrix, start = _without(matrix, dropped), None
-    try:
-        fit = fit_glm(matrix, mon.astype(np.float64), BINOMIAL_LOGIT,
-                      start=start, stop=_diverging(matrix.columns))
-    except NonConvergence as err:
-        raise _separation(matrix.columns, err.trajectory[-1]) or err
-    if separation := _separation(matrix.columns, fit.coef):
-        raise separation
+    fit = fit_glm(matrix, mon.astype(np.float64), BINOMIAL_LOGIT,
+                  start=start, stop=_separation_stop(matrix, mon))
     return MonitorModel(fit=fit, spec=design.spec, marker_knots=design.knots,
                         dropped=dropped)
 

@@ -104,15 +104,16 @@ def test_frontier_leaves_infeasible_caps_blank(tmp_path, cohort_csv, capsys):
 
 
 def test_coverage_without_msm_uses_run_coverage_default(tmp_path, capsys):
-    # run_coverage adjusts for sex and age unless told otherwise
+    # coverage adjusts for sex and age unless the msm block names its terms
     base = {"mode": "coverage", "seed": 5, "n": 800, "n_cohorts": 2,
             "bootstrap": 2, "oracle_n_mc": 2000}
     assert run(tmp_path, "default", base, capsys)[0] == 0
-    config = {**base, "msm": {"baseline_terms": ["sex", "age"]}}
-    assert run(tmp_path, "sex_age", config, capsys)[0] == 0
-    for name in ("coverage.csv", "coverage.yaml"):
-        assert ((tmp_path / "default" / name).read_bytes()
-                == (tmp_path / "sex_age" / name).read_bytes())
+    for out, block in (("sex_age", {"baseline_terms": ["sex", "age"]}),
+                       ("empty", {})):
+        assert run(tmp_path, out, {**base, "msm": block}, capsys)[0] == 0
+        for name in ("coverage.csv", "coverage.yaml"):
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / out / name).read_bytes())
 
 
 def test_coverage_reports_each_cohort_on_stderr(tmp_path, capsys,

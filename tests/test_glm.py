@@ -384,18 +384,20 @@ class TestStall:
                              ids=["ip", "truncated"])
     def test_workload_fits_never_stall(self, monkeypatch, wopts):
         # the 4k cohort of the bootstrap workloads: its point fits and five
-        # replicates have no face and no constant column, and take no QR
-        # step
+        # replicates have no face and no constant column, take no QR step,
+        # and no monitoring fit tries a separation certificate
         cohort = simulate_cohort(DgpParams(), 4000, seed=7)
         mults = [None, *bootstrap_multiplicities(cohort.n_subjects, 7, 5)]
-        calls = qr_calls(monkeypatch)
+        calls, tries = qr_calls(monkeypatch), []
+        monkeypatch.setattr(rcds.weights, "_on_support",
+                            lambda *args: tries.append(args))
         plan = Plan(cohort, StrategyGrid.default(), MsmSpec(), wopts)
         for mult in mults:
             model, fit_y, fit_d = plan.fit(mult)
             assert model.dropped == ()
             assert fit_y.columns == fit_d.columns == plan.msm_design.columns
             assert fit_y.directions == fit_d.directions == ()
-        assert not calls
+        assert not calls and not tries
 
 
 class TestPredict:

@@ -28,13 +28,12 @@ from rcds import (
     horizon_matrix,
     simulate_cohort,
 )
-from rcds.glm import BINOMIAL_LOGIT, DesignMatrix, fit_glm
+from rcds.glm import (BINOMIAL_LOGIT, DEFAULT_MAX_ITER, DesignMatrix, fit_glm,
+                      logistic)
 from rcds.strategies import WindowCells
 from rcds.weights import (
-    SEPARATION_BOUND,
-    SEPARATION_STEPS,
     CensoringWeightPlan,
-    _diverging,
+    _separation_stop,
     _summary,
     _without,
     clone_horizon_weights,
@@ -152,37 +151,42 @@ class TestFitMonitorModel:
             fit_on(cohort, LINEAR_SPEC)
         assert err.value.feature == "gap"
 
-    def test_separated_fit_stops_soon_after_the_bound(self):
-        # the coefficient on z grows about two units a step without end: the
-        # fit ends SEPARATION_STEPS iterates after passing the bound, not
-        # after glm.DEFAULT_MAX_ITER steps
-        X = np.column_stack([np.ones(20), np.r_[np.zeros(10), np.ones(10)]])
-        y = np.r_[np.zeros(10), np.ones(10)]
-        stop, peaks = _diverging(["intercept", "z"]), []
+    @pytest.mark.parametrize("case", ["complete", "quasi"])
+    def test_separated_fit_is_certified_soon(self, case):
+        # complete: y = z on [1, z]. quasi: q is nonzero on 3 rows, all of
+        # them visits, and w does not separate the rest. Either fit ends as
+        # a SeparationError naming the separating column, well before
+        # glm.DEFAULT_MAX_ITER steps
+        if case == "complete":
+            y = np.r_[np.zeros(10), np.ones(10)]
+            X, columns = np.column_stack([np.ones(20), y]), ["intercept", "z"]
+        else:
+            rng = np.random.default_rng(0)
+            w, q = rng.normal(size=200), np.r_[1.0, 2.0, 0.5, np.zeros(197)]
+            y = (rng.random(200) < logistic(w)).astype(float)
+            y[:3] = 1.0
+            X = np.column_stack([np.ones(200), w, q])
+            columns = ["intercept", "w", "q"]
+        design, steps = DesignMatrix(X, columns), []
+        stop = _separation_stop(design, y > 0)
 
         def watch(history):
-            peaks.append(np.abs(history[-1]).max())
+            steps.append(len(history))
             return stop(history)
 
         with pytest.raises(SeparationError) as err:
-            fit_glm(DesignMatrix(X, ["intercept", "z"]), y, BINOMIAL_LOGIT,
-                    stop=watch)
-        assert err.value.feature == "z"
-        past = np.flatnonzero(np.array(peaks) > SEPARATION_BOUND)
-        assert len(peaks) == past[0] + SEPARATION_STEPS
+            fit_glm(design, y, BINOMIAL_LOGIT, stop=watch)
+        assert err.value.feature == columns[-1]
+        assert steps[-1] < DEFAULT_MAX_ITER
 
-    @pytest.mark.parametrize("peaks,stops", [
-        ((16.0, 17.0, 18.0), True),
-        ((14.0, 16.0, 17.0), False),   # the first is within the bound
-        ((16.0, 17.0, 16.5), False),   # turning back, as a converging fit
-        ((17.0, 18.0), False),         # too few iterates
-    ])
-    def test_stop_rule(self, peaks, stops):
-        history = [np.array([1.0, p]) for p in peaks]
-        got = _diverging(["intercept", "z"])(history)
-        assert (got is not None) == stops
-        if stops:
-            assert isinstance(got, SeparationError) and got.feature == "z"
+    def test_valid_dgp_with_a_large_intercept_is_not_refused(self):
+        # a valid DGP whose monitoring intercept is -15.5: the MLE exists,
+        # with an intercept of about -15.4, and IRLS converges to it
+        cohort = simulate_cohort(
+            DgpParams(mon_intercept=-15.5, mon_marker=0.02), 1000, seed=1)
+        point = analyze_cohort(cohort, StrategyGrid.default())
+        fit = point.plan.monitor_model.fit
+        assert fit.iterations < DEFAULT_MAX_ITER and fit.coef[0] < -15
 
 
 class TestWeightAlgebra:
