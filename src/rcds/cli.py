@@ -5,6 +5,13 @@ reruns with identical config and seed produce byte-identical artifacts.
 This module reads every config value by one set of rules. A mode takes only
 its own keys (``MODE_KEYS``) and checks them before any work; an unknown key
 or a bad value is a :class:`ConfigError` that names the key.
+Sizes have ceilings, each checked before anything of that size is made:
+``n`` and ``n_mc`` (and ``oracle_n_mc``) at most 1,000,000
+(``simulate.MAX_SUBJECTS``), ``dgp.horizon`` at most 600 months
+(``simulate.MAX_HORIZON``), a grid of at most 10,000 thresholds
+(``strategies.MAX_THRESHOLDS``) and ``bootstrap`` at most 100,000
+(``msm.MAX_REPLICATES``). They bound what one value can ask for, not
+what a run's memory holds.
 Errors exit nonzero with a machine-parsable ``error_code=...`` final line;
 an infeasible selection is a reported status, not an error.
 """
@@ -19,7 +26,8 @@ from .chart import render_chart
 from .cohort import CONTINUOUS, BaselineField, BaselineSchema
 from .errors import ConfigError, RcdsError, is_number, is_whole
 # perfbench/child.py times analyze_cohort by its name here, though unused
-from .msm import MsmSpec, WeightOptions, analyze_cohort, bootstrap_pipeline
+from .msm import (MsmSpec, WeightOptions, analyze_cohort, bootstrap_pipeline,
+                  check_replicates)
 from .optimize import check_cap, frontier, select
 from .simulate import (
     DgpParams,
@@ -254,7 +262,7 @@ def run(raw, out):
             kappas = [check_cap(k) for k in _numbers(raw, "kappa_grid")]
             if not kappas:
                 raise ConfigError("frontier mode needs a kappa_grid")
-        B = _count(raw, "bootstrap", 0)
+        B = check_replicates(_count(raw, "bootstrap", 0))
         grid = _grid_from(_section(raw, "grid"))
         spec = _msm_from(_section(raw, "msm"))
         wopts = _wopts_from(_section(raw, "weights"))

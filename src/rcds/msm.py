@@ -11,9 +11,12 @@ baseline distribution.
 The estimator runs through one :class:`Plan` per cohort. The plan builds
 once what does not depend on the case weights: the horizon table, the
 monitoring design and its marker knots, the censoring-weight factor layout
-and the MSM design. ``Plan.run(None)`` is the point estimate; the
-subject-level bootstrap calls ``Plan.run(multiplicity)`` per replicate, which
-refits the monitoring model, rebuilds the weights and refits both MSMs.
+for the horizon cells, and the MSM terms (strategy knots and basis, baseline
+design) that the MSM design and standardization share. Standardization is
+factorized: k + n exponentials per curve, not k·n. ``Plan.run(None)`` is
+the point estimate; the subject-level bootstrap calls
+``Plan.run(multiplicity)`` per replicate, which refits the monitoring model,
+rebuilds the weights, refits both MSMs and standardizes them.
 Every fit runs on its rows of positive case weight only, so a replicate's
 fits and its standardization skip the subjects its resample left out.
 Weighted or not, truncated or not, every run takes this path. A fit drops
@@ -55,6 +58,7 @@ from .weights import (
 
 DEGENERATE_ETA = -30.0
 MAX_FAILED_FRACTION = 0.05  # of bootstrap replicates that may fail to fit
+MAX_REPLICATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -132,12 +136,22 @@ def _strategy_basis(xvals, knots):
     return basis, names
 
 
-def _msm_design(cohort, grid, spec, subject_idx, x_idx):
+def _terms(cohort, grid, spec):
+    """The MSM's column names, its strategy basis at every threshold and
+    every subject's baseline design: what the MSM design and
+    :func:`standardize` share, built once per plan."""
     base_X, base_names = baseline_design(cohort, spec.baseline_terms)
-    sb, snames = _strategy_basis(grid.xs[x_idx], spec.knots_for(grid))
+    sb, snames = _strategy_basis(grid.xs, spec.knots_for(grid))
+    return ["intercept", *snames, *base_names], sb, base_X
+
+
+def _msm_design(terms, subject_idx, x_idx):
+    """The MSM design of the clones ``(subject_idx, x_idx)`` from
+    :func:`_terms`."""
+    names, sb, base_X = terms
     return DesignMatrix(
-        np.column_stack([np.ones(x_idx.size), sb, base_X[subject_idx]]),
-        ["intercept", *snames, *base_names])
+        np.column_stack([np.ones(x_idx.size), sb[x_idx], base_X[subject_idx]]),
+        names)
 
 
 def _degenerate_fit(columns):
@@ -236,7 +250,7 @@ def _kept(design, x_idx, response, weights):
     rows = np.flatnonzero(weights > 0)
     if not rows.size:
         raise ConfigError("no usable horizon responses")
-    if np.unique(x_idx.take(rows)).size < 2:
+    if np.count_nonzero(np.bincount(x_idx.take(rows))) < 2:
         raise ConfigError(
             "horizon responses cover fewer than 2 distinct thresholds; the "
             "strategy curve is not identifiable"
@@ -290,34 +304,45 @@ def _fit_horizon_msm(cohort, spec, design, response, subjects, start=None):
     return fit
 
 
-def standardize(fit, cohort, grid, spec=MsmSpec(), multiplicity=None):
+def standardize(fit, cohort, grid, spec=MsmSpec(), multiplicity=None,
+                terms=None):
     """Standardized mean per threshold over the empirical baseline distribution.
 
     For each x the strategy basis is pinned at x, predictions are taken for
     every subject's baseline covariates, and their (multiplicity-weighted)
-    mean is returned; equal, up to the order of the sums, to averaging
-    :func:`rcds.glm.predict` over an assembled per-x design. All thresholds
-    come from one (thresholds, subjects) product over the subjects with
-    positive multiplicity. A column the fit dropped (see
-    :func:`_fit_horizon_msm`) has coefficient 0, and a (threshold, subject)
+    mean is returned; equal, up to rounding, to averaging
+    :func:`rcds.glm.predict` over an assembled per-x design. The linear
+    predictor of threshold j and subject i is a_j + b_i, so the mean is
+    exp(a_j) times one multiplicity-weighted sum of exp(b_i) over the
+    subjects with positive multiplicity: k + n exponentials, shifted by the
+    largest b_i so that none overflows. A column the fit dropped (see
+    :func:`_fit_horizon_msm`) has coefficient 0. A (threshold, subject)
     cell whose design row x has x·d < -CERT_TOL for a direction d of the
-    fit is predicted ``exp(DEGENERATE_ETA)``.
+    fit is cut: it is predicted ``exp(DEGENERATE_ETA)``, and the kept and
+    the cut mass come from two products with the (thresholds, subjects)
+    cut mask; a fit without directions cuts nothing and makes no such
+    array. ``terms`` are the plan's :func:`_terms`, built here if not given.
     """
+    names, sb, base_X = _terms(cohort, grid, spec) if terms is None else terms
     m = np.ones(cohort.n_subjects) if multiplicity is None else \
         np.asarray(multiplicity, dtype=np.float64)
     pos = m > 0
-    base_X, base_names = baseline_design(cohort, spec.baseline_terms)
-    base_X = base_X[pos]
-    sb, snames = _strategy_basis(grid.xs, spec.knots_for(grid))
+    m_pos = m[pos]
     p = 1 + sb.shape[1]  # intercept and strategy basis, then baseline terms
-    names = ["intercept", *snames, *base_names]
     coef = np.zeros(len(names))  # 0 for a column the fit dropped
     coef[[names.index(c) for c in fit.columns]] = fit.coef
-    lp = (coef[0] + sb @ coef[1:p])[:, None] + base_X @ coef[p:]
-    for d in fit.directions:
-        xd = (d[0] + sb @ d[1:p])[:, None] + base_X @ d[p:]
-        lp[xd < -CERT_TOL] = DEGENERATE_ETA
-    return np.exp(np.clip(lp, -300, 300)) @ m[pos] / m.sum()
+    b = (base_X @ coef[p:])[pos]
+    shift = b.max(initial=-np.inf)
+    mass = m_pos * np.exp(b - shift)
+    kept, cut = mass.sum(), 0.0
+    if fit.directions:
+        out = np.zeros((sb.shape[0], m_pos.size), dtype=bool)
+        for d in fit.directions:
+            out |= ((d[0] + sb @ d[1:p])[:, None]
+                    + (base_X @ d[p:])[pos]) < -CERT_TOL
+        kept, cut = ~out @ mass, out @ m_pos
+    a = coef[0] + sb @ coef[1:p]
+    return (np.exp(a + shift) * kept + np.exp(DEGENERATE_ETA) * cut) / m.sum()
 
 
 _REPLICATE_ERRORS = (SeparationError, NonConvergence, RankError,
@@ -336,7 +361,8 @@ class Plan:
     """One cohort's estimator, with everything its runs share built once.
 
     The plan holds the horizon table, the monitoring design with its marker
-    knots, the censoring-weight factor layout and the MSM design.
+    knots, the censoring-weight factor layout of the horizon cells, the MSM
+    terms (:func:`_terms`) and the MSM design.
     :meth:`run` fits the monitoring model with the run's case weights,
     builds the horizon weights from the fixed factor rows (and truncates
     them), fits both MSMs on the rows of the fixed design that the run's
@@ -347,13 +373,14 @@ class Plan:
     def __init__(self, cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
         self.cohort, self.grid, self.spec, self.wopts = cohort, grid, spec, wopts
         cells = WindowCells(cohort, grid)
-        self.ht = horizon_table(cohort, grid, cells)
-        self.msm_design = _msm_design(cohort, grid, spec, self.ht.subject_idx,
-                                      self.ht.x_idx)
+        self.ht = ht = horizon_table(cohort, grid, cells)
+        self.terms = _terms(cohort, grid, spec)
+        self.msm_design = _msm_design(self.terms, ht.subject_idx, ht.x_idx)
         self.monitor = self.factors = None
         if wopts.weighting == "ip":
             self.monitor = monitor_design(cohort, wopts.monitor_spec, cells)
-            self.factors = CensoringWeightPlan(cells)
+            self.factors = CensoringWeightPlan(cells, ht.subject_idx,
+                                               ht.x_idx)
         # the point run's monitoring model, WeightSummary and the names each
         # MSM pinned (outcome, resource), once run
         self.monitor_model = self.weights = self.pinned = None
@@ -369,8 +396,7 @@ class Plan:
         else:
             model = fit_monitor_model(self.monitor, multiplicity,
                                       self.starts[0])
-            w = self.factors.horizon_weights(
-                self.monitor.probabilities(model))[ht.subject_idx, ht.x_idx]
+            w = self.factors.horizon_weights(self.monitor.probabilities(model))
         if wopts.truncation is not None and w.size:
             cap = np.percentile(
                 np.repeat(w, multiplicity[ht.subject_idx].astype(np.int64))
@@ -420,7 +446,8 @@ class Plan:
         ``None`` gives the point estimate (see :meth:`fit`)."""
         _, fit_y, fit_d = self.fit(multiplicity)
         risk, usage = (standardize(f, self.cohort, self.grid, self.spec,
-                                   multiplicity) for f in (fit_y, fit_d))
+                                   multiplicity, self.terms)
+                       for f in (fit_y, fit_d))
         return risk, usage, bool(fit_y.pinned or fit_d.pinned)
 
 
@@ -448,6 +475,14 @@ def analyze_cohort(cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
     return PointAnalysis(table=table, plan=plan)
 
 
+def check_replicates(B):
+    """``B``, once it is a replicate count :func:`bootstrap_pipeline` takes."""
+    if not 0 <= B <= MAX_REPLICATES:
+        raise ConfigError(f"bootstrap B must be from 0 to {MAX_REPLICATES}, "
+                          f"got {B}")
+    return B
+
+
 def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
                        B=200, seed=0):
     """Point estimates plus percentile bootstrap intervals.
@@ -466,8 +501,7 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
     ``table.n_pinned``. Replicates run one after another and are
     deterministic given the master seed.
     """
-    if B < 0:
-        raise ConfigError("B must be >= 0")
+    check_replicates(B)
     point = analyze_cohort(cohort, grid, spec, wopts)
     table = point.table
     if B == 0:

@@ -41,6 +41,9 @@ from .strategies import window_bounds
 
 BAND_EDGES = (250.0, 400.0)
 BAND_LEVELS = ("lt250", "250to399", "ge400")
+# size ceilings: subjects of a cohort or oracle draws, and months of follow-up
+MAX_SUBJECTS = 1_000_000
+MAX_HORIZON = 600
 
 SIM_SCHEMA = BaselineSchema(fields=(
     BaselineField("sex", CATEGORICAL, ("female", "male")),
@@ -86,8 +89,9 @@ class DgpParams:
 
     def check_structure(self):
         """Checks without which the process cannot be simulated at all."""
-        if self.horizon < 1:
-            raise ConfigError("horizon must be at least 1 month")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ConfigError(f"horizon must be from 1 to {MAX_HORIZON} "
+                              f"months, got {self.horizon}")
         if self.marker_init_sd < 0 or self.drift_sd < 0:
             raise ConfigError("standard deviations must be >= 0")
         if not abs(self.drift_slope) < 1.0:
@@ -309,6 +313,8 @@ def check_subjects(n):
     """``n``, once it is a subject count :func:`simulate_cohort` takes."""
     if n < 1:
         raise ConfigError("n must be at least 1")
+    if n > MAX_SUBJECTS:
+        raise ConfigError(f"n must be at most {MAX_SUBJECTS}, got {n}")
     return n
 
 
@@ -344,6 +350,8 @@ def check_oracle(n_mc, rule="natural"):
     """Refuse a draw count or rule that :func:`oracle_truth` does not take."""
     if n_mc < 1000:
         raise ConfigError("oracle needs n_mc >= 1000")
+    if n_mc > MAX_SUBJECTS:
+        raise ConfigError(f"oracle needs n_mc <= {MAX_SUBJECTS}, got {n_mc}")
     if rule != "natural":
         raise ConfigError(
             f"unknown oracle rule {rule!r}: the oracle simulates only the "

@@ -20,6 +20,7 @@ from .errors import ConfigError, is_whole
 DEFAULT_WINDOW_BELOW = (2, 7)
 DEFAULT_WINDOW_ABOVE = (8, 13)
 DEFAULT_WINDOW_OVERRIDE = (2, 7)
+MAX_THRESHOLDS = 10_000  # per grid; the default grid has 31
 
 
 def _check_window(name, win):
@@ -80,6 +81,10 @@ class StrategyGrid:
                             ("x_step", x_step)):
             if not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        if (x_stop + 0.5 * x_step - x_start) / x_step > MAX_THRESHOLDS:
+            raise ConfigError(f"the grid from x_start {x_start!r} to x_stop "
+                              f"{x_stop!r} in steps of x_step {x_step!r} "
+                              f"has over {MAX_THRESHOLDS} thresholds")
         xs = np.arange(x_start, x_stop + 0.5 * x_step, x_step)
         if xs.size == 0:
             raise ConfigError(f"no threshold from x_start {x_start!r} to "
@@ -127,7 +132,7 @@ class WindowCells:
     """A cohort's decision months (t >= 1) in row order: the state seen the
     month before (``marker``, ``override``, ``gap``; see
     :meth:`rcds.cohort.Cohort.prev_state`), ``subject``, ``t`` and ``visit``,
-    each month keyed by its (subject, ``jstar``) cell under a grid.
+    each month keyed by its (``jstar``, subject) cell under a grid.
 
     A grid's strategies share their windows, so with ``jstar`` the number of
     thresholds at or below a month's carried-forward marker, strategies
@@ -150,30 +155,43 @@ class WindowCells:
         """``(mask, lo, hi, cell)`` of the decision months on the above, then
         the below side. An above cell reaches the strategies up to its
         column, a below cell (column 0 for override months) those from it
-        on."""
-        k, s, jstar = len(self.grid), self.grid[0], self.jstar
-        ovr, cell = self.override == 1, self.subject * k
+        on. A cell is keyed ``column * n_subjects + subject``, strategy
+        major, so per-cell totals reshape to a C-order (k, n) array whose
+        strategy rows :func:`sweep` reduces as contiguous vectors."""
+        k, n, s, jstar = (len(self.grid), self.cohort.n_subjects,
+                          self.grid[0], self.jstar)
+        ovr, sub = self.override == 1, self.subject
+        cell = jstar * n + sub
         (lo_a, hi_a), (lo_b, hi_b), (lo_o, hi_o) = (
             s.window_above, s.window_below, s.override_window)
-        return ((~ovr & (jstar > 0), lo_a, hi_a, cell + jstar - 1),
+        return ((~ovr & (jstar > 0), lo_a, hi_a, cell - n),
                 (ovr | (jstar < k), np.where(ovr, lo_o, lo_b),
-                 np.where(ovr, hi_o, hi_b), np.where(ovr, cell, cell + jstar)))
+                 np.where(ovr, hi_o, hi_b), np.where(ovr, sub, cell)))
 
 
 def sweep(above, below, op=np.add):
-    """Per-(subject, strategy j) reduction by ``op`` of (subject, column)
-    cells: a cell of ``above`` reaches every j up to its column, one of
-    ``below`` j from it."""
-    return op(op.accumulate(above[:, ::-1], axis=1)[:, ::-1],
-              op.accumulate(below, axis=1))
+    """Per-(strategy j, subject) reduction by ``op`` of (column, subject)
+    cells, two (k, n) arrays: a cell of ``above`` reaches every j up to its
+    column, one of ``below`` j from it. Works in place: ``above`` and
+    ``below`` end as their reverse and forward cumulative reductions along
+    j, and the result overwrites ``below``. Each is k - 1 vector ops over
+    contiguous strategy rows, with the operands of ``op.accumulate`` in its
+    order, so the bits are those of
+    ``op(op.accumulate(above[::-1])[::-1], op.accumulate(below))``."""
+    for j in range(above.shape[0] - 2, -1, -1):
+        op(above[j + 1], above[j], out=above[j])
+    for j in range(1, below.shape[0]):
+        op(below[j - 1], below[j], out=below[j])
+    return op(above, below, out=below)
 
 
 def horizon_matrix(cohort, grid, cells=None):
     """Consistency horizons, one row per subject, one column per x: the first
     month the subject's data deviate from the strategy, or ``horizon + 1``.
 
-    The earliest deviating month of each (subject, ``jstar``) cell reaches
-    the strategies of its side by a cumulative minimum (:func:`sweep`).
+    The earliest deviating month of each (``jstar``, subject) cell reaches
+    the strategies of its side by a cumulative minimum (:func:`sweep`) over
+    (k, n) arrays; the result is their (n, k) transpose.
     ``cells`` is the cohort's :class:`WindowCells` under ``grid``, if built.
     """
     if cells is None:
@@ -181,9 +199,9 @@ def horizon_matrix(cohort, grid, cells=None):
     n, k = cohort.n_subjects, len(grid)
     if k == 0:
         return np.empty((n, 0), dtype=np.int64)
-    first = np.full((2, n * k), cohort.horizon + 1, dtype=np.int64)
+    first = np.full((2, k * n), cohort.horizon + 1, dtype=np.int64)
     gap, t, visit = cells.gap, cells.t, cells.visit
     for month, (on_side, lo, hi, at) in zip(first, cells.decision_sides):
         dev = on_side & np.where(visit, (gap < lo) | (gap > hi), gap >= hi)
         np.minimum.at(month, at[dev], t[dev])
-    return sweep(*first.reshape(2, n, k), op=np.minimum)
+    return sweep(*first.reshape(2, k, n), op=np.minimum).T

@@ -6,8 +6,9 @@ import numpy as np
 import numpy.random  # loaded now, not lazily at the study's first seed
 
 from .errors import ConfigError
-from .msm import MsmSpec, WeightOptions, bootstrap_pipeline
-from .simulate import check_oracle, oracle_truth, simulate_cohort
+from .msm import MsmSpec, WeightOptions, bootstrap_pipeline, check_replicates
+from .simulate import (check_oracle, check_subjects, oracle_truth,
+                       simulate_cohort)
 
 
 COVERAGE_SPEC = MsmSpec(baseline_terms=("sex", "age"))
@@ -39,6 +40,8 @@ def check_study(grid, x_value, n_cohorts, n, B, oracle_n_mc=200_000,
                         ("bootstrap B", B)):
         if count < 1:
             raise ConfigError(f"coverage needs {name} >= 1, got {count}")
+    check_subjects(n)
+    check_replicates(B)
     matches = np.flatnonzero(np.isclose(grid.xs, x_value))
     if matches.size != 1:
         raise ConfigError(f"x_value {x_value} is not a grid threshold")

@@ -307,7 +307,8 @@ def clone_horizon_weights(cohort, model, grid):
 
 
 class CensoringWeightPlan:
-    """Replicate-invariant layout of the censoring-weight factors.
+    """Replicate-invariant layout of the censoring-weight factors, for the
+    horizon cells ``(subject, x_idx)``: the clones whose weights are wanted.
 
     Factor rows are the decision months whose factor is not one: the early
     months (gap below the window's lo) give 1/(1 - p) without a visit and
@@ -317,13 +318,15 @@ class CensoringWeightPlan:
     On the cohort's :class:`rcds.strategies.WindowCells`, the horizon
     log-weight under j sums each subject's above-window factors with
     ``jstar > j`` and below-window ones with ``jstar <= j``: exactly a
-    reverse cumulative sum and a cumulative sum along j of per-(subject,
-    jstar) totals (:func:`rcds.strategies.sweep`), with the additions in
+    reverse cumulative sum and a cumulative sum along j of per-(jstar,
+    subject) totals (:func:`rcds.strategies.sweep`), with the additions in
     another order than a sum per strategy. A replicate changes only the
-    probabilities: one log per decision month and two bincounts.
+    probabilities: one log per decision month, two bincounts, the sweep and
+    one exponential per horizon cell, taken from the (k, n) sums by flat
+    indices built here.
     """
 
-    def __init__(self, cells):
+    def __init__(self, cells, subject, x_idx):
         self.cohort, self.grid = cells.cohort, cells.grid
         mon, g = cells.visit, cells.gap
         # (early months, due months, cells) of the above, then below sweep
@@ -332,29 +335,33 @@ class CensoringWeightPlan:
         self.mon, self.subject, self.t = mon, cells.subject, cells.t
         self.cells = [(np.flatnonzero(f), at[f]) for f, at in (
             ((early & ~mon) | (due & mon), at) for early, due, at in sides)]
+        self.flat = x_idx * self.cohort.n_subjects + subject
         # decision months held to the probability floor, under any strategy
         self.early = sides[0][0] | sides[1][0]
         self.due = sides[0][1] | sides[1][1]
-        self.sides = [(early, due, at % len(self.grid))
+        self.sides = [(early, due, at // self.cohort.n_subjects)
                       for early, due, at in sides]
 
     def horizon_weights(self, p):
-        """(n_subjects, n_strategies) horizon weights given the fitted
-        monitoring probability of every decision month, in the order of
-        :meth:`MonitorDesign.probabilities`.
+        """The weights of the plan's horizon cells, in their order, given
+        the fitted monitoring probability of every decision month, in the
+        order of :meth:`MonitorDesign.probabilities`.
 
         The positivity floor is the row-level rule of :func:`attach_weights`
-        (see :meth:`_check_floor`).
+        (see :meth:`_check_floor`). Its test compares every month and masks
+        the held ones, which is faster than gathering them.
         """
-        if (np.any(1.0 - p[self.early] < PROB_FLOOR)
-                or np.any(p[self.due] < PROB_FLOOR)):
+        if (np.any((1.0 - p < PROB_FLOOR) & self.early)
+                or np.any((p < PROB_FLOOR) & self.due)):
             self._check_floor(p)
         with np.errstate(divide="ignore"):  # only factor rows are summed
             log_f = np.log(np.where(self.mon, p, 1.0 - p))
         n, k = self.cohort.n_subjects, len(self.grid)
-        return np.exp(-sweep(*(
-            np.bincount(at, weights=log_f[pos], minlength=n * k).reshape(n, k)
-            for pos, at in self.cells)))
+        # an empty bincount is int64: the sweep adds floats in place
+        totals = (np.bincount(at, weights=log_f.take(pos), minlength=n * k)
+                  .astype(np.float64, copy=False).reshape(k, n)
+                  for pos, at in self.cells)
+        return np.exp(-sweep(*totals).reshape(-1).take(self.flat))
 
     def _check_floor(self, p):
         """The floor rule of :func:`attach_weights`, strategy by strategy

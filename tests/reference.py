@@ -48,6 +48,7 @@ from rcds.msm import (
     _kept,
     _msm_design,
     _strategy_basis,
+    _terms,
 )
 from rcds.simulate import (
     SIM_SCHEMA,
@@ -172,8 +173,8 @@ def fit_horizon_rows(cohort, grid, spec, subject_idx, x_idx, response,
                      weights):
     """The MSM fit of the given horizon rows, on those with a response and a
     positive weight, from a design built for them alone."""
-    design, rows = _kept(_msm_design(cohort, grid, spec, subject_idx, x_idx),
-                         x_idx, response, weights)
+    design, rows = _kept(_msm_design(_terms(cohort, grid, spec), subject_idx,
+                                     x_idx), x_idx, response, weights)
     return _fit_horizon_msm(cohort, spec, design, response[rows],
                             subject_idx[rows])
 

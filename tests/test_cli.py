@@ -603,6 +603,79 @@ def test_refused_value_leaves_no_out_directory(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / name).exists()
 
 
+ORACLE = {"mode": "oracle", "seed": 5, "n_mc": 2000}
+HUGE = 1e20  # refused by the ceiling before numpy is asked for it
+OVER_CEILING = {  # name: (config, what the error names)
+    "grid_x_stop_huge": ({**ORACLE, "grid": {"x_stop": HUGE}},
+                         "x_stop 1e+20 in steps of x_step 10.0 has over "
+                         "10000 thresholds"),
+    "grid_one_over": ({**ANALYZE, "grid": {"x_start": 0, "x_stop": 10000,
+                                           "x_step": 1}},
+                      "has over 10000 thresholds"),
+    "simulate_n_huge": ({"mode": "simulate", "seed": 5, "n": HUGE},
+                        "n must be at most 1000000, got "
+                        "100000000000000000000"),
+    "simulate_n_one_over": ({"mode": "simulate", "seed": 5, "n": 1_000_001},
+                            "n must be at most 1000000, got 1000001"),
+    "oracle_n_mc_huge": ({**ORACLE, "n_mc": HUGE}, "oracle needs n_mc <= "
+                         "1000000, got 100000000000000000000"),
+    "oracle_n_mc_one_over": ({**ORACLE, "n_mc": 1_000_001},
+                             "oracle needs n_mc <= 1000000, got 1000001"),
+    "simulate_horizon_huge": ({"mode": "simulate", "seed": 5, "n": 300,
+                               "dgp": {"horizon": HUGE}},
+                              "horizon must be from 1 to 600 months"),
+    "oracle_horizon_one_over": ({**ORACLE, "dgp": {"horizon": 601}},
+                                "horizon must be from 1 to 600 months, "
+                                "got 601"),
+    "coverage_horizon_huge": ({**COVERAGE, "dgp": {"horizon": HUGE}},
+                              "horizon must be from 1 to 600 months"),
+    "coverage_n_huge": ({**COVERAGE, "n": HUGE},
+                        "n must be at most 1000000"),
+    "coverage_oracle_n_mc_huge": ({**COVERAGE, "oracle_n_mc": HUGE},
+                                  "oracle needs n_mc <= 1000000"),
+    "coverage_bootstrap_huge": ({**COVERAGE, "bootstrap": HUGE},
+                                "bootstrap B must be from 0 to 100000"),
+    "analyze_bootstrap_huge": ({**ANALYZE, "bootstrap": HUGE},
+                               "bootstrap B must be from 0 to 100000"),
+    "frontier_bootstrap_one_over": ({"mode": "frontier", "seed": 5,
+                                     "kappa_grid": [4.5],
+                                     "bootstrap": 100_001},
+                                    "bootstrap B must be from 0 to 100000, "
+                                    "got 100001"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_CEILING))
+def test_size_over_its_ceiling_is_refused_before_any_work(
+        tmp_path, cohort_csv, capsys, monkeypatch, name):
+    for module in (rcds.cli, rcds.study):
+        monkeypatch.setattr(module, "oracle_truth", refuse_work)
+        monkeypatch.setattr(module, "simulate_cohort", refuse_work)
+    monkeypatch.setattr(rcds.io, "ingest_cohort", refuse_work)
+    config, named = OVER_CEILING[name]
+    if config["mode"] in ("analyze", "frontier"):
+        config = {**config, "input": cohort_csv}
+    status, err = run(tmp_path, name, config, capsys)
+    assert status == 2
+    assert named in err
+    assert err.splitlines()[-1] == "error_code=CONFIG_ERROR"
+    assert not (tmp_path / name).exists()
+
+
+def test_each_ceiling_admits_itself():
+    from rcds.msm import MAX_REPLICATES, check_replicates
+    from rcds.simulate import (MAX_HORIZON, MAX_SUBJECTS, DgpParams,
+                               check_oracle, check_subjects)
+    from rcds.strategies import MAX_THRESHOLDS
+
+    assert len(StrategyGrid.default(1.0, MAX_THRESHOLDS, 1.0)) == \
+        MAX_THRESHOLDS
+    assert check_subjects(MAX_SUBJECTS) == MAX_SUBJECTS
+    check_oracle(MAX_SUBJECTS)
+    assert check_replicates(MAX_REPLICATES) == MAX_REPLICATES
+    DgpParams(horizon=MAX_HORIZON).check_structure()
+
+
 OUT_MODES = {
     "simulate": {"mode": "simulate", "seed": 5, "n": 300},
     "oracle": {"mode": "oracle", "seed": 5, "n_mc": 1000},

@@ -462,6 +462,55 @@ class TestBoundaryFaces:
                     assert np.all(np.isfinite(risk) & np.isfinite(usage))
 
 
+class TestReplicateEngine:
+    """The plan's horizon weights and its factorized standardization
+    against the row-level weights and the per-threshold standardizer."""
+
+    @pytest.mark.parametrize("replicate", [False, True],
+                             ids=["point", "replicate"])
+    def test_horizon_weights_match_clone_weights(self, sim_cohort, small_grid,
+                                                 replicate):
+        mult = resample(sim_cohort, 41) if replicate else None
+        plan = Plan(sim_cohort, small_grid)
+        w, model, _ = plan._horizon_weights(mult)
+        ht = plan.ht
+        want = clone_horizon_weights(sim_cohort, model, small_grid)[
+            ht.subject_idx, ht.x_idx]
+        if replicate:
+            want = want * mult[ht.subject_idx]
+        assert np.array_equal(w == 0, want == 0)
+        np.testing.assert_allclose(w, want, rtol=1e-12, atol=0)
+
+    # captured replicates whose outcome fit has boundary directions: a face
+    # of the event rows only, a RANK_DEFICIENT one and a NON_CONVERGENCE one
+    # while the face rule read the IRLS path
+    @pytest.mark.parametrize("n,seed,k", [(300, 0, 4), (300, 6, 7),
+                                          (600, 5, 6)])
+    def test_factorized_standardize_with_directions(self, n, seed, k):
+        cohort, mult = captured(n, seed, k)
+        plan = Plan(cohort, StrategyGrid.default())
+        plan.run(None)
+        _, fit_y, fit_d = plan.fit(mult)
+        assert fit_y.directions
+        for fit in (fit_y, fit_d):
+            want = reference.standardize_per_threshold(
+                fit, cohort, plan.grid, plan.spec, mult)
+            for terms in (None, plan.terms):
+                np.testing.assert_allclose(
+                    standardize(fit, cohort, plan.grid, plan.spec, mult,
+                                terms), want, rtol=1e-10, atol=0)
+
+    def test_truncation_at_100_changes_nothing(self, sim_cohort, small_grid):
+        plain = Plan(sim_cohort, small_grid)
+        capped = Plan(sim_cohort, small_grid, MsmSpec(),
+                      WeightOptions(truncation=100))
+        for mult in (None, resample(sim_cohort, 42), resample(sim_cohort, 43)):
+            for a, b in zip(plain.run(mult), capped.run(mult)):
+                assert np.array_equal(a, b)
+        assert capped.weights.truncated_fraction == 0
+        assert capped.weights == plain.weights
+
+
 def zero_weight_msm_fit(plan, response, w, fit, start):
     """An MSM fit of ``plan`` on the columns of ``fit``, with the rows the
     fit leaves out, those it pinned included, kept in at weight zero."""

@@ -11,6 +11,7 @@ from rcds import (
     ThresholdStrategy,
     horizon_matrix,
 )
+from rcds.strategies import sweep
 from conftest import (
     FIXTURE_K,
     FIXTURE_SCHEMA,
@@ -137,6 +138,27 @@ class TestWindowCells:
         # no full-row array rides along
         assert {name for name, value in vars(cells).items()
                 if isinstance(value, np.ndarray)} == set(rows)
+
+
+class TestSweep:
+    """The in-place sweep against the ``accumulate`` formula it replaced."""
+
+    @pytest.mark.parametrize("op", [np.add, np.minimum],
+                             ids=["add", "minimum"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 31])
+    def test_matches_accumulate_bit_for_bit(self, op, dtype, k):
+        rng = np.random.default_rng(k)
+        above, below = (rng.normal(scale=1e3, size=(k, 257)).astype(dtype)
+                        for _ in range(2))
+        rev = op.accumulate(above[::-1], axis=0)[::-1]
+        fwd = op.accumulate(below, axis=0)
+        got = sweep(above, below, op)
+        assert got.dtype == dtype
+        assert np.array_equal(got, op(rev, fwd))
+        # each side ends as its own reduction: the above one reversed
+        assert np.array_equal(above, rev)
+        assert got is below
 
 
 class TestHorizonMatrixGate:
