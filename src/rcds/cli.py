@@ -9,8 +9,9 @@ Sizes have ceilings, each checked before anything of that size is made:
 ``n`` and ``n_mc`` (and ``oracle_n_mc``) at most 1,000,000
 (``simulate.MAX_SUBJECTS``), ``dgp.horizon`` at most 600 months
 (``simulate.MAX_HORIZON``), a grid of at most 10,000 thresholds
-(``strategies.MAX_THRESHOLDS``) and ``bootstrap`` at most 100,000
-(``msm.MAX_REPLICATES``). They bound what one value can ask for, not
+(``strategies.MAX_THRESHOLDS``), ``bootstrap`` at most 100,000
+(``msm.MAX_REPLICATES``) and ``n_cohorts`` at most 100,000
+(``study.MAX_COHORTS``). They bound what one value can ask for, not
 what a run's memory holds.
 Errors exit nonzero with a machine-parsable ``error_code=...`` final line;
 an infeasible selection is a reported status, not an error.

@@ -56,8 +56,9 @@ class DesignMatrix:
             )
         if not np.all(np.isfinite(self.X)):
             raise ConfigError("design matrix contains non-finite entries")
-        self.weights = _case_weights(
-            np.ones(n) if self.weights is None else self.weights, n)
+        self.weights = _case_weights(  # unweighted: one read-only 1.0
+            np.broadcast_to(1.0, n) if self.weights is None else self.weights,
+            n)
 
     @property
     def n(self):
@@ -65,11 +66,14 @@ class DesignMatrix:
 
     def weighted_rows(self, weights):
         """The rows of positive case weight, weighted by ``weights`` (one per
-        row); X, checked when this design was built, is not scanned again."""
+        row); X, checked when this design was built, is not scanned again,
+        and is shared, not copied, when every row is kept."""
         w = _case_weights(weights, self.n)
         rows = np.flatnonzero(w > 0)
         out = copy.copy(self)
-        out.X, out.weights = _take_rows(self.X, rows), w.take(rows)
+        out.weights = w
+        if rows.size < self.n:
+            out.X, out.weights = _take_rows(self.X, rows), w.take(rows)
         return out
 
 

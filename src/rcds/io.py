@@ -302,24 +302,40 @@ class _PlainRows:
         return True
 
     def cohort(self, schema, horizon):
-        """The :class:`Cohort` of the blocks, or None if it refuses them."""
-        code, t, monitor, marker, override = (
-            np.concatenate(a) for a in zip(*self.rows))
+        """The :class:`Cohort` of the blocks, or None if it refuses them.
+        Each column's blocks are released once it is joined. Rows already in
+        strictly increasing (subject, month) order, as :func:`cohort_to_csv`
+        writes them, are taken as they are; others are sorted so."""
+        columns = [list(a) for a in zip(*self.rows)]
+        self.rows.clear()
+        code, t, monitor, marker, override = map(_joined, columns)
         fue, reason, base = (np.concatenate(a) for a in zip(*self.subjects))
         outcome_y = np.full(fue.size, np.nan)
         for at, y in self.outcomes:
             outcome_y[at] = y
-        order = np.lexsort((t, code))
+        same = code[1:] == code[:-1]
+        if not ((code[1:] > code[:-1]) | (same & (t[1:] > t[:-1]))).all():
+            order = np.lexsort((t, code))
+            t, monitor, marker, override = (
+                a[order] for a in (t, monitor, marker, override))
+        del code, same
         try:
             return Cohort(
                 subject_ids=[sid.decode("ascii") for sid in self.index],
                 baseline=base, schema=schema,
                 horizon=int(fue.max()) if horizon is None else int(horizon),
                 followup_end=fue, end_reason=reason, outcome_y=outcome_y,
-                t=t[order], monitor=monitor[order],
-                observed_marker=marker[order], override_flag=override[order])
+                t=t, monitor=monitor, observed_marker=marker,
+                override_flag=override)
         except ConfigError:
             return None
+
+
+def _joined(blocks):
+    """One array of a list of block arrays, which it empties."""
+    whole = np.concatenate(blocks)
+    blocks.clear()
+    return whole
 
 
 def _ingest_plain(path, schema, horizon):
@@ -368,9 +384,12 @@ def ingest_cohort(path, schema=None, horizon=None):
     read in blocks of ``CHUNK_BYTES`` parsed with numpy, so no per-cell
     string outlives its block, and if no field is longer than
     ``FIELD_BYTES`` and every check passes, that read gives the
-    :class:`Cohort`. Any other file, and any plain file that fails a check,
-    goes to the line-numbered reader, ``csv.reader`` over the whole file,
-    which gives the same cohort or reports the violations.
+    :class:`Cohort`. Its rows are sorted by subject and month only when
+    they are not in that order already, as :func:`cohort_to_csv` writes
+    them; an ordered file is taken as read, with no sort and no copy. Any
+    other file, and any plain file that fails a check, goes to the
+    line-numbered reader, ``csv.reader`` over the whole file, which gives
+    the same cohort or reports the violations.
 
     A file that cannot be read (a directory, bytes that are not text in the
     locale's encoding, or a field over the csv size limit) raises :class:`IngestError`, "cannot read cohort file".

@@ -147,11 +147,15 @@ def _terms(cohort, grid, spec):
 
 def _msm_design(terms, subject_idx, x_idx):
     """The MSM design of the clones ``(subject_idx, x_idx)`` from
-    :func:`_terms`."""
+    :func:`_terms`, gathered column by column into the column-ordered
+    design, so no row-ordered copy is made."""
     names, sb, base_X = terms
-    return DesignMatrix(
-        np.column_stack([np.ones(x_idx.size), sb[x_idx], base_X[subject_idx]]),
-        names)
+    X = np.empty((x_idx.size, len(names)), order="F")
+    X[:, 0] = 1.0
+    for j, (col, at) in enumerate([*((c, x_idx) for c in sb.T),
+                                   *((c, subject_idx) for c in base_X.T)], 1):
+        X[:, j] = col.take(at)
+    return DesignMatrix(X, names)
 
 
 def _degenerate_fit(columns):
@@ -362,7 +366,13 @@ class Plan:
 
     The plan holds the horizon table, the monitoring design with its marker
     knots, the censoring-weight factor layout of the horizon cells, the MSM
-    terms (:func:`_terms`) and the MSM design.
+    terms (:func:`_terms`) and the MSM design. Per decision month it keeps
+    the monitoring design's float64 row, its response (bool) and subject
+    (intp); and the early and due masks (bool), each window side's column
+    (the narrow type of ``jstar``) and the month (that of the horizon) of
+    :class:`rcds.weights.CensoringWeightPlan`, which also keeps each factor
+    row's decision-month index and cell (intp). The build's own table,
+    :class:`rcds.strategies.WindowCells`, is dropped once both are built.
     :meth:`run` fits the monitoring model with the run's case weights,
     builds the horizon weights from the fixed factor rows (and truncates
     them), fits both MSMs on the rows of the fixed design that the run's

@@ -165,17 +165,18 @@ def _forced_decision(params, strategy):
     return decide
 
 
-def _draws(seed_key, n, horizon):
+def _draws(seed_key, n, horizon, cohort=True):
+    """The random streams of ``n`` subjects, in the generator's order: the
+    five the transition kernel reads, then, for a cohort, the ``dropout``
+    and ``baseline`` draws, which the oracle does not read and so skips."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    return {
-        "normal": rng.standard_normal((n, horizon + 1)),
-        "flare": rng.random((n, horizon + 1)),
-        "monitor": rng.random((n, horizon + 1)),
-        "rescue": rng.random((n, horizon + 1)),
-        "fail": rng.random((n, horizon + 1)),
-        "dropout": rng.random((n, horizon + 1)),
-        "baseline": rng.random((n, 3)),
-    }
+    draws = {"normal": rng.standard_normal((n, horizon + 1))}
+    for key in ("flare", "monitor", "rescue", "fail"):
+        draws[key] = rng.random((n, horizon + 1))
+    if cohort:
+        draws["dropout"] = rng.random((n, horizon + 1))
+        draws["baseline"] = rng.random((n, 3))
+    return draws
 
 
 def _kernel(params, draws, decide, xs, rows=slice(None), record=None):
@@ -377,15 +378,15 @@ def oracle_truth(params, grid, n_mc, rule="natural", *, seed):
     at most k segments per subject, so its state stays below k times
     ``ORACLE_BLOCK`` segments of about 40 bytes whatever n_mc; on the
     default grid it ends with 3.6 per subject on average. Beyond that and the
-    draws, six (n_mc, K + 1) float arrays that no step copies, the oracle
-    keeps one failure flag and one visit count per strategy and subject,
-    filled from each block's segments. Each strategy's means and SEs reduce
+    draws, the five (n_mc, K + 1) float streams the kernel reads, which no
+    step copies, the oracle keeps one failure flag and one visit count per
+    strategy and subject, filled from each block's segments. Each strategy's means and SEs reduce
     its own contiguous row of n_mc values, so neither blocks nor segments
     change them.
     """
     params.validate()
     check_oracle(n_mc, rule)
-    draws = _draws((seed, 2), n_mc, params.horizon)
+    draws = _draws((seed, 2), n_mc, params.horizon, cohort=False)
     k = len(grid)
     failed = np.empty((k, n_mc), dtype=bool)
     visits = np.empty((k, n_mc), dtype=np.min_scalar_type(params.horizon + 1))

@@ -11,7 +11,6 @@ entry visit, makes no decision and never deviates.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +127,14 @@ def window_bounds(strategy, last_marker, override, x=None):
     return lo, hi
 
 
+def signed_type(bound):
+    """The narrowest signed integer type that holds every value from 0 to
+    ``bound``: a difference or a -1 stays in range. A product that can pass
+    ``bound`` must be taken in int64 first: under numpy 2 a narrow array
+    times a Python int stays narrow and wraps without warning."""
+    return np.min_scalar_type(-int(bound) - 1)
+
+
 class WindowCells:
     """A cohort's decision months (t >= 1) in row order: the state seen the
     month before (``marker``, ``override``, ``gap``; see
@@ -139,50 +146,79 @@ class WindowCells:
     ``j < jstar`` apply the above window, ``j >= jstar`` the below one, and
     an override month the override window for every j. One table serves the
     horizon matrix, the monitoring design and the censoring-weight plan.
+
+    Each decision month is held once per array, in the narrowest type its
+    bounds allow: ``marker`` float64, ``override`` int8, ``visit`` bool,
+    ``subject`` intp (replicates index with it), and ``gap`` and ``t`` in
+    :func:`signed_type` of the horizon + 1 and ``jstar`` of the grid size.
     """
 
     def __init__(self, cohort, grid=StrategyGrid(())):
         self.cohort, self.grid = cohort, grid
-        dec = cohort.decision_rows()
-        self.marker, self.override, self.gap, self.subject, self.t = (
-            a[dec] for a in (*cohort.prev_state(),
-                             cohort.subject_index_per_row(), cohort.t))
-        self.visit = cohort.monitor[dec] == 1
-        self.jstar = np.searchsorted(grid.xs, self.marker, "right")
+        month = signed_type(cohort.horizon + 1)
+        rows = np.flatnonzero(cohort.t >= 1)
+        self.t = cohort.t.take(rows).astype(month)
+        self.visit = cohort.monitor.take(rows) == 1
+        rows -= 1  # the month before each decision
+        self.marker = cohort.last_observed_marker.take(rows)
+        self.override = cohort.override_flag.take(rows)
+        self.gap = cohort.months_since.take(rows).astype(month)
+        self.gap += 1
+        # a subject's decision months are its months 1..followup_end
+        self.subject = np.repeat(np.arange(cohort.n_subjects),
+                                 cohort.followup_end)
+        self.jstar = np.searchsorted(grid.xs, self.marker, "right").astype(
+            signed_type(len(grid)))
 
-    @cached_property
     def decision_sides(self):
-        """``(mask, lo, hi, cell)`` of the decision months on the above, then
-        the below side. An above cell reaches the strategies up to its
-        column, a below cell (column 0 for override months) those from it
-        on. A cell is keyed ``column * n_subjects + subject``, strategy
-        major, so per-cell totals reshape to a C-order (k, n) array whose
-        strategy rows :func:`sweep` reduces as contiguous vectors."""
-        k, n, s, jstar = (len(self.grid), self.cohort.n_subjects,
-                          self.grid[0], self.jstar)
-        ovr, sub = self.override == 1, self.subject
-        cell = jstar * n + sub
+        """``(mask, lo, hi, column)`` of the decision months on the above,
+        then the below side, made one side at a time, so that a reader holds
+        them only while it reads them. An above cell reaches the strategies
+        up to its column, a below cell (column 0 for override months) those
+        from it on. ``column`` has the type of ``jstar`` and ``lo`` and
+        ``hi`` that of the largest window bound; :meth:`keys` gives the
+        cells."""
+        k, s, jstar = len(self.grid), self.grid[0], self.jstar
         (lo_a, hi_a), (lo_b, hi_b), (lo_o, hi_o) = (
             s.window_above, s.window_below, s.override_window)
-        return ((~ovr & (jstar > 0), lo_a, hi_a, cell - n),
-                (ovr | (jstar < k), np.where(ovr, lo_o, lo_b),
-                 np.where(ovr, hi_o, hi_b), np.where(ovr, sub, cell)))
+        bound = signed_type(max(hi_a, hi_b, hi_o)).type
+        ovr = self.override == 1
+        yield ~ovr & (jstar > 0), bound(lo_a), bound(hi_a), jstar - 1
+        yield (ovr | (jstar < k), np.where(ovr, bound(lo_o), bound(lo_b)),
+               np.where(ovr, bound(hi_o), bound(hi_b)),
+               np.where(ovr, jstar.dtype.type(0), jstar))
+
+    def keys(self, column, rows):
+        """The cells ``column * n_subjects + subject`` of the decision months
+        ``rows`` (a mask or indices), as intp: strategy major, so per-cell
+        totals reshape to a C-order (k, n) array whose strategy rows
+        :func:`accumulate` reduces as contiguous vectors."""
+        return (column[rows].astype(np.intp) * self.cohort.n_subjects
+                + self.subject[rows])
+
+
+def accumulate(cells, op=np.add, reverse=False):
+    """The cumulative reduction by ``op`` of a (k, n) array of (column,
+    subject) cells along j, in place: an above cell reaches every j up to
+    its column (``reverse``), a below one j from it. It takes k - 1 vector
+    ops over contiguous strategy rows, with the operands of
+    ``op.accumulate`` in its order, so the bits are those of
+    ``op.accumulate(cells)``, or of ``op.accumulate(cells[::-1])[::-1]``."""
+    if reverse:
+        for j in range(cells.shape[0] - 2, -1, -1):
+            op(cells[j + 1], cells[j], out=cells[j])
+    else:
+        for j in range(1, cells.shape[0]):
+            op(cells[j - 1], cells[j], out=cells[j])
+    return cells
 
 
 def sweep(above, below, op=np.add):
-    """Per-(strategy j, subject) reduction by ``op`` of (column, subject)
-    cells, two (k, n) arrays: a cell of ``above`` reaches every j up to its
-    column, one of ``below`` j from it. Works in place: ``above`` and
-    ``below`` end as their reverse and forward cumulative reductions along
-    j, and the result overwrites ``below``. Each is k - 1 vector ops over
-    contiguous strategy rows, with the operands of ``op.accumulate`` in its
-    order, so the bits are those of
-    ``op(op.accumulate(above[::-1])[::-1], op.accumulate(below))``."""
-    for j in range(above.shape[0] - 2, -1, -1):
-        op(above[j + 1], above[j], out=above[j])
-    for j in range(1, below.shape[0]):
-        op(below[j - 1], below[j], out=below[j])
-    return op(above, below, out=below)
+    """Per-(strategy j, subject) reduction by ``op`` of the (column,
+    subject) cells of two (k, n) arrays, ``above`` and ``below``: their
+    :func:`accumulate` reductions, combined by ``op`` into ``below``."""
+    return op(accumulate(above, op, reverse=True), accumulate(below, op),
+              out=below)
 
 
 def horizon_matrix(cohort, grid, cells=None):
@@ -191,17 +227,18 @@ def horizon_matrix(cohort, grid, cells=None):
 
     The earliest deviating month of each (``jstar``, subject) cell reaches
     the strategies of its side by a cumulative minimum (:func:`sweep`) over
-    (k, n) arrays; the result is their (n, k) transpose.
-    ``cells`` is the cohort's :class:`WindowCells` under ``grid``, if built.
+    (k, n) arrays of the type of ``t`` in :class:`WindowCells`; the result
+    is their (n, k) transpose. ``cells`` is the cohort's
+    :class:`WindowCells` under ``grid``, if built.
     """
     if cells is None:
         cells = WindowCells(cohort, grid)
     n, k = cohort.n_subjects, len(grid)
     if k == 0:
-        return np.empty((n, 0), dtype=np.int64)
-    first = np.full((2, k * n), cohort.horizon + 1, dtype=np.int64)
+        return np.empty((n, 0), dtype=cells.t.dtype)
+    first = np.full((2, k * n), cohort.horizon + 1, dtype=cells.t.dtype)
     gap, t, visit = cells.gap, cells.t, cells.visit
-    for month, (on_side, lo, hi, at) in zip(first, cells.decision_sides):
+    for month, (on_side, lo, hi, column) in zip(first, cells.decision_sides()):
         dev = on_side & np.where(visit, (gap < lo) | (gap > hi), gap >= hi)
-        np.minimum.at(month, at[dev], t[dev])
+        np.minimum.at(month, cells.keys(column, dev), t[dev])
     return sweep(*first.reshape(2, k, n), op=np.minimum).T

@@ -12,6 +12,7 @@ from .simulate import (check_oracle, check_subjects, oracle_truth,
 
 
 COVERAGE_SPEC = MsmSpec(baseline_terms=("sex", "age"))
+MAX_COHORTS = 100_000
 
 
 @dataclass
@@ -35,11 +36,15 @@ class CoverageResult:
 def check_study(grid, x_value, n_cohorts, n, B, oracle_n_mc=200_000,
                 oracle_rule="natural"):
     """The index of ``x_value`` in ``grid``, once the threshold, the counts
-    and the oracle are ones :func:`run_coverage` takes."""
+    (at most ``MAX_COHORTS`` cohorts) and the oracle are ones
+    :func:`run_coverage` takes."""
     for name, count in (("n_cohorts", n_cohorts), ("n", n),
                         ("bootstrap B", B)):
         if count < 1:
             raise ConfigError(f"coverage needs {name} >= 1, got {count}")
+    if n_cohorts > MAX_COHORTS:
+        raise ConfigError(f"coverage needs n_cohorts <= {MAX_COHORTS}, got "
+                          f"{n_cohorts}")
     check_subjects(n)
     check_replicates(B)
     matches = np.flatnonzero(np.isclose(grid.xs, x_value))

@@ -27,7 +27,7 @@ from .cohort import baseline_design
 from .errors import ConfigError, PositivityViolation, SeparationError
 from .glm import (BINOMIAL_LOGIT, DesignMatrix, _on_support, constant_columns,
                   fit_glm, logistic, predict, rcs_basis)
-from .strategies import WindowCells, sweep, window_bounds
+from .strategies import WindowCells, accumulate, window_bounds
 
 PROB_FLOOR = 1e-6
 FLOOR_CHECKS = ("withholding a premature visit", "the required visit")
@@ -99,8 +99,10 @@ def _without(design, names):
 
 def _monitor_design(cells, spec, marker_knots):
     """The monitoring model's columns over the decision months of ``cells``
-    (a :class:`WindowCells`), with their names."""
-    cols = [np.ones(cells.gap.size)]
+    (a :class:`WindowCells`), with their names. Each column is written once
+    into the float64 design, from the narrow arrays of ``cells`` (a gap
+    level from a bool mask), so no float64 copy of a column is kept."""
+    cols = [1.0]
     names = ["intercept"]
     if spec.marker == "linear":
         cols.append(cells.marker)
@@ -113,10 +115,9 @@ def _monitor_design(cells, spec, marker_knots):
     if spec.gap == "linear":
         cols.append(cells.gap)
         names.append("gap")
-    else:
-        capped = np.minimum(cells.gap, spec.gap_cap)
+    else:  # gaps pooled at gap_cap and above
         for g in range(2, spec.gap_cap + 1):
-            cols.append((capped == g).astype(np.float64))
+            cols.append(cells.gap == g if g < spec.gap_cap else cells.gap >= g)
             names.append(f"gap={g}")
     if spec.override:
         cols.append(cells.override)
@@ -124,12 +125,15 @@ def _monitor_design(cells, spec, marker_knots):
     if spec.month == "linear":
         cols.append(cells.t)
         names.append("month")
+    per_month = len(cols)  # the baseline columns after these are per subject
     if spec.baseline:
         bx, bnames = baseline_design(cells.cohort, list(spec.baseline))
-        for j, nm in enumerate(bnames):
-            cols.append(bx[cells.subject, j])
-            names.append(nm)
-    return DesignMatrix(np.stack(cols).T, names)  # column by column
+        cols.extend(bx.T)
+        names.extend(bnames)
+    X = np.empty((cells.gap.size, len(cols)), order="F")  # column by column
+    for j, col in enumerate(cols):
+        X[:, j] = col if j < per_month else col.take(cells.subject)
+    return DesignMatrix(X, names)
 
 
 def _separation_stop(matrix, monitored):
@@ -319,28 +323,36 @@ class CensoringWeightPlan:
     log-weight under j sums each subject's above-window factors with
     ``jstar > j`` and below-window ones with ``jstar <= j``: exactly a
     reverse cumulative sum and a cumulative sum along j of per-(jstar,
-    subject) totals (:func:`rcds.strategies.sweep`), with the additions in
-    another order than a sum per strategy. A replicate changes only the
-    probabilities: one log per decision month, two bincounts, the sweep and
-    one exponential per horizon cell, taken from the (k, n) sums by flat
-    indices built here.
+    subject) totals (:func:`rcds.strategies.accumulate`), with the additions
+    in another order than a sum per strategy. A replicate changes only the
+    probabilities: one log per factor row of each side, its bincount and
+    cumulative sum, and one exponential per horizon cell, taken from the
+    (k, n) sums by flat indices built here.
+
+    Per decision month the plan keeps the early and due masks of each side
+    and of both (bool), each side's column (the narrow type of ``jstar``)
+    and ``t`` (that of the horizon) for the floor rule; per factor row of a
+    side, its decision-month index and cell (intp), which the replicates
+    gather with, and whether it went without a visit (bool).
     """
 
     def __init__(self, cells, subject, x_idx):
         self.cohort, self.grid = cells.cohort, cells.grid
         mon, g = cells.visit, cells.gap
-        # (early months, due months, cells) of the above, then below sweep
-        sides = [(on & (g < lo), on & (g == hi), at)
-                 for on, lo, hi, at in cells.decision_sides]
-        self.mon, self.subject, self.t = mon, cells.subject, cells.t
-        self.cells = [(np.flatnonzero(f), at[f]) for f, at in (
-            ((early & ~mon) | (due & mon), at) for early, due, at in sides)]
+        self.subject, self.t = cells.subject, cells.t
+        # per side, above then below: the factor rows, their cells and which
+        # went without a visit, and the early and due months with their
+        # columns for the floor rule
+        self.cells, self.sides = [], []
+        for on, lo, hi, column in cells.decision_sides():
+            early, due = on & (g < lo), on & (g == hi)
+            pos = np.flatnonzero((early & ~mon) | (due & mon))
+            self.cells.append((pos, cells.keys(column, pos), ~mon[pos]))
+            self.sides.append((early, due, column))
         self.flat = x_idx * self.cohort.n_subjects + subject
         # decision months held to the probability floor, under any strategy
-        self.early = sides[0][0] | sides[1][0]
-        self.due = sides[0][1] | sides[1][1]
-        self.sides = [(early, due, at // self.cohort.n_subjects)
-                      for early, due, at in sides]
+        (early_a, due_a, _), (early_b, due_b, _) = self.sides
+        self.early, self.due = early_a | early_b, due_a | due_b
 
     def horizon_weights(self, p):
         """The weights of the plan's horizon cells, in their order, given
@@ -349,19 +361,31 @@ class CensoringWeightPlan:
 
         The positivity floor is the row-level rule of :func:`attach_weights`
         (see :meth:`_check_floor`). Its test compares every month and masks
-        the held ones, which is faster than gathering them.
+        the held ones, which is faster than gathering them. Once it passes,
+        no factor is below the floor, and each side's factor log-sums
+        (:meth:`_cumulative_logs`) are made in turn.
         """
         if (np.any((1.0 - p < PROB_FLOOR) & self.early)
                 or np.any((p < PROB_FLOOR) & self.due)):
             self._check_floor(p)
-        with np.errstate(divide="ignore"):  # only factor rows are summed
-            log_f = np.log(np.where(self.mon, p, 1.0 - p))
+        above, below = (self._cumulative_logs(p, side, reverse) for side,
+                        reverse in zip(self.cells, (True, False)))
+        return np.exp(-(above + below))
+
+    def _cumulative_logs(self, p, side, reverse):
+        """One side's factor log-sums at the plan's horizon cells: the logs
+        of its factor rows, their per-cell (k, n) totals and the cumulative
+        sum of those along j (reversed for the above side), made in turn and
+        dropped on return."""
+        pos, at, missed = side
+        log_f = p.take(pos)
+        np.subtract(1.0, log_f, out=log_f, where=missed)  # 1 - p, no visit
+        np.log(log_f, out=log_f)
         n, k = self.cohort.n_subjects, len(self.grid)
-        # an empty bincount is int64: the sweep adds floats in place
-        totals = (np.bincount(at, weights=log_f.take(pos), minlength=n * k)
-                  .astype(np.float64, copy=False).reshape(k, n)
-                  for pos, at in self.cells)
-        return np.exp(-sweep(*totals).reshape(-1).take(self.flat))
+        # an empty bincount is int64: the sums are floats, in place
+        totals = np.bincount(at, weights=log_f, minlength=n * k).astype(
+            np.float64, copy=False).reshape(k, n)
+        return accumulate(totals, reverse=reverse).reshape(-1).take(self.flat)
 
     def _check_floor(self, p):
         """The floor rule of :func:`attach_weights`, strategy by strategy

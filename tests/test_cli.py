@@ -635,6 +635,12 @@ OVER_CEILING = {  # name: (config, what the error names)
                                   "oracle needs n_mc <= 1000000"),
     "coverage_bootstrap_huge": ({**COVERAGE, "bootstrap": HUGE},
                                 "bootstrap B must be from 0 to 100000"),
+    "coverage_n_cohorts_huge": ({**COVERAGE, "n_cohorts": HUGE},
+                                "coverage needs n_cohorts <= 100000, got "
+                                "100000000000000000000"),
+    "coverage_n_cohorts_one_over": ({**COVERAGE, "n_cohorts": 100_001},
+                                    "coverage needs n_cohorts <= 100000, "
+                                    "got 100001"),
     "analyze_bootstrap_huge": ({**ANALYZE, "bootstrap": HUGE},
                                "bootstrap B must be from 0 to 100000"),
     "frontier_bootstrap_one_over": ({"mode": "frontier", "seed": 5,
@@ -667,6 +673,7 @@ def test_each_ceiling_admits_itself():
     from rcds.simulate import (MAX_HORIZON, MAX_SUBJECTS, DgpParams,
                                check_oracle, check_subjects)
     from rcds.strategies import MAX_THRESHOLDS
+    from rcds.study import MAX_COHORTS, check_study
 
     assert len(StrategyGrid.default(1.0, MAX_THRESHOLDS, 1.0)) == \
         MAX_THRESHOLDS
@@ -674,6 +681,8 @@ def test_each_ceiling_admits_itself():
     check_oracle(MAX_SUBJECTS)
     assert check_replicates(MAX_REPLICATES) == MAX_REPLICATES
     DgpParams(horizon=MAX_HORIZON).check_structure()
+    assert check_study(StrategyGrid.default(), 350.0, MAX_COHORTS, 1, 1,
+                       oracle_n_mc=1000) == 15
 
 
 OUT_MODES = {

@@ -872,6 +872,46 @@ def test_simulated_csv_takes_the_plain_path(tmp_path, monkeypatch):
     assert_same_cohort(ingest_cohort(path, schema=cohort.schema), cohort)
 
 
+def test_row_order_gives_the_same_cohort(tmp_path, monkeypatch):
+    """Rows may come in any order. A file in (subject, month) order is taken
+    as it is, with no sort; with each subject's months reversed it gives the
+    bit-identical cohort through the sort. Whole files reversed number the
+    subjects from the end, the same with months reversed or in order."""
+    cohort = simulate_cohort(DgpParams(), 40, seed=3)
+    path = tmp_path / "cohort.csv"
+    cohort_to_csv(cohort, path)
+    header, rows = read_rows(path)
+    by_subject = [list(g) for _, g in itertools.groupby(rows, key=lambda r: r[0])]
+    layouts = {
+        "months_reversed": [r for g in by_subject for r in g[::-1]],
+        "all_reversed": rows[::-1],
+        "subjects_reversed": [r for g in by_subject[::-1] for r in g],
+    }
+    paths = {name: write_rows(tmp_path / f"{name}.csv", header, layout)
+             for name, layout in layouts.items()}
+
+    def no_reader(*args, **kwargs):
+        pytest.fail("a plain file went to the line-numbered reader")
+
+    def no_sort(*args, **kwargs):
+        pytest.fail("rows in (subject, month) order were sorted")
+
+    monkeypatch.setattr(csv, "reader", no_reader)
+    for chunk in (rcds.io.CHUNK_BYTES, SMALL_CHUNK):
+        monkeypatch.setattr(rcds.io, "CHUNK_BYTES", chunk)
+        with monkeypatch.context() as m:
+            m.setattr(np, "lexsort", no_sort)
+            assert_same_cohort(ingest_cohort(path, schema=cohort.schema),
+                               cohort)
+            backwards = ingest_cohort(paths["subjects_reversed"],
+                                      schema=cohort.schema)
+        assert_same_cohort(ingest_cohort(paths["months_reversed"],
+                                         schema=cohort.schema), cohort)
+        assert_same_cohort(ingest_cohort(paths["all_reversed"],
+                                         schema=cohort.schema), backwards)
+    assert backwards.subject_ids == cohort.subject_ids[::-1]
+
+
 def quote_every_field(text):
     out = io.StringIO()
     csv.writer(out, quoting=csv.QUOTE_ALL).writerows(

@@ -139,6 +139,41 @@ class TestWindowCells:
         assert {name for name, value in vars(cells).items()
                 if isinstance(value, np.ndarray)} == set(rows)
 
+    def test_types_follow_the_horizon_and_the_grid(self):
+        from rcds import DgpParams, simulate_cohort
+        from rcds.strategies import WindowCells, signed_type
+
+        assert [signed_type(b) for b in (1, 127, 128, 32767, 32768)] == [
+            np.int8, np.int8, np.int16, np.int16, np.int32]
+        cohort = simulate_cohort(DgpParams(), 50, seed=1)
+        cells = WindowCells(cohort, StrategyGrid.default())
+        assert (cells.gap.dtype, cells.t.dtype, cells.jstar.dtype) == (
+            np.int8, np.int8, np.int8)
+        assert (cells.subject.dtype, cells.marker.dtype) == (np.intp,
+                                                             np.float64)
+        assert horizon_matrix(cohort, StrategyGrid.default()).dtype == np.int8
+
+    def test_cell_keys_are_taken_in_intp(self):
+        from rcds import DgpParams, simulate_cohort
+        from rcds.strategies import WindowCells
+
+        cohort = simulate_cohort(DgpParams(), 2000, seed=1)
+        grid = StrategyGrid.default()
+        cells = WindowCells(cohort, grid)
+        n = cohort.n_subjects
+        # a key in the type of jstar would wrap
+        assert cells.jstar.dtype == np.int8
+        assert len(grid) * n > np.iinfo(np.int16).max
+        jstar = cells.jstar.astype(np.int64)
+        ovr = cells.override == 1
+        want = ((jstar - 1) * n + cells.subject,
+                np.where(ovr, 0, jstar) * n + cells.subject)
+        for (mask, _, _, column), key in zip(cells.decision_sides(), want):
+            got = cells.keys(column, mask)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, key[mask])
+            assert got.max() >= (len(grid) - 1) * n
+
 
 class TestSweep:
     """The in-place sweep against the ``accumulate`` formula it replaced."""

@@ -44,7 +44,9 @@ from rcds.weights import (
 from conftest import FIXTURE_SCHEMA, _rows
 from reference import (
     SubjectRecord,
+    consistency_horizon,
     from_records,
+    record,
     scipy_log_likelihood,
     weight_summary,
 )
@@ -487,3 +489,65 @@ def test_crossing_index_matches_row_level(construction, case):
     assert not np.any(kept & (want == 0))
     assert np.array_equal(got == 0, want[kept] == 0)
     np.testing.assert_allclose(got, want[kept], rtol=1e-12, atol=0)
+
+
+LONG_K = 260  # months past the int8 range of a narrowed month or gap
+
+
+def long_horizon_cohort():
+    """A cohort with horizon ``LONG_K``, which ``rcds simulate`` refuses on
+    positivity: visits every 6 months (consistent under every window of the
+    test), a 141-month gap, visits every 4 months that turn premature when
+    the marker rises at month 152, random visits with a 3-month override
+    spell, and a subject lost at 220 who never returns after month 0, so
+    misses its due visit at 150 or 200."""
+    rng = np.random.default_rng(5)
+    markers = (190.0, 200.0, 225.0, 250.0, 300.0, 320.0)
+    visits = {  # subject: visit months, marker at month t, followup_end
+        "every6": (set(range(0, LONG_K + 1, 6)), None, LONG_K),
+        "gap141": ({0, 141, *range(147, LONG_K + 1, 6)}, None, LONG_K),
+        "every4": (set(range(0, LONG_K + 1, 4)),
+                   lambda t: 190.0 if t < 152 else 320.0, LONG_K),
+        "random": ({0, *np.flatnonzero(rng.random(LONG_K + 1) < 0.15)}, None,
+                   LONG_K),
+        "lost": ({0}, lambda t: 225.0, 220),
+    }
+    records = []
+    for i, (sid, (seen, marker, end)) in enumerate(visits.items()):
+        spec = [(t, int(t in seen),
+                 float(rng.choice(markers)) if marker is None else marker(t),
+                 int(sid == "random" and 100 <= t < 103))
+                for t in range(end + 1)]
+        records.append(SubjectRecord(
+            subject_id=sid, baseline={"sex": float(i % 2), "age": 40.0 + i},
+            rows=_rows(spec), outcome_y=0.0 if end == LONG_K else np.nan,
+            followup_end=end,
+            end_reason="administrative_end" if end == LONG_K else "lost",
+            horizon=LONG_K))
+    return from_records(records, FIXTURE_SCHEMA, LONG_K)
+
+
+def test_months_past_the_int8_range_match_the_row_level_reference():
+    cohort = long_horizon_cohort()
+    grid = StrategyGrid(tuple(ThresholdStrategy(x, (3, 150), (5, 200),
+                                                (2, 150)) for x in THRESHOLDS))
+    cells = WindowCells(cohort, grid)
+    assert cells.gap.dtype == cells.t.dtype == np.int16
+    assert cells.gap.max() == 220 and cells.t.max() == LONG_K
+    horizons = horizon_matrix(cohort, grid)
+    want = np.array([[consistency_horizon(s, record(cohort, i)) for s in grid]
+                     for i in range(cohort.n_subjects)])
+    assert np.array_equal(horizons, want)
+    assert 127 < want[want <= LONG_K].max()  # a deviation past int8
+    kept = horizons > LONG_K
+    assert kept.sum() > 1
+    model = MonitorModel(
+        fit=GlmFit(coef=np.array([-1.5, -0.002, 0.004, 0.8]),
+                   columns=["intercept", "marker", "gap", "override"],
+                   family="binomial_logit", iterations=0, cond=1.0),
+        spec=LINEAR_SPEC, marker_knots=None)
+    got = CensoringWeightPlan(cells, *np.nonzero(kept)).horizon_weights(
+        decision_probabilities(model, cohort))
+    np.testing.assert_allclose(
+        got, clone_horizon_weights(cohort, model, grid)[kept], rtol=1e-12,
+        atol=0)
