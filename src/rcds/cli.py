@@ -10,9 +10,18 @@ Sizes have ceilings, each checked before anything of that size is made:
 (``simulate.MAX_SUBJECTS``), ``dgp.horizon`` at most 600 months
 (``simulate.MAX_HORIZON``), a grid of at most 10,000 thresholds
 (``strategies.MAX_THRESHOLDS``), ``bootstrap`` at most 100,000
-(``msm.MAX_REPLICATES``) and ``n_cohorts`` at most 100,000
-(``study.MAX_COHORTS``). They bound what one value can ask for, not
+(``msm.MAX_REPLICATES``), ``n_cohorts`` at most 100,000
+(``study.MAX_COHORTS``), ``weights.features.marker_knots`` at most 10
+(``weights.MAX_MARKER_KNOTS``) and ``weights.features.gap_cap`` at most
+60 (``weights.MAX_GAP_CAP``). They bound what one value can ask for, not
 what a run's memory holds.
+Config values are refused before ``out`` is made; among these refusals are
+a grid with no threshold, an estimator grid (analyze, frontier, coverage)
+with fewer than 2 thresholds, ``msm.strategy_knots`` that are not at least 3
+finite, strictly increasing numbers, a DGP with a non-finite value or a marker
+range that overflows, and a name in ``msm.baseline_terms`` or
+``weights.features.baseline`` that the baseline schema lacks (the input
+cohort's, read first; the simulator's for coverage).
 Errors exit nonzero with a machine-parsable ``error_code=...`` final line;
 an infeasible selection is a reported status, not an error.
 """
@@ -24,13 +33,14 @@ from pathlib import Path
 
 from . import io as rio
 from .chart import render_chart
-from .cohort import CONTINUOUS, BaselineField, BaselineSchema
+from .cohort import CONTINUOUS, BaselineField, BaselineSchema, baseline_fields
 from .errors import ConfigError, RcdsError, is_number, is_whole
 # perfbench/child.py times analyze_cohort by its name here, though unused
 from .msm import (MsmSpec, WeightOptions, analyze_cohort, bootstrap_pipeline,
-                  check_replicates)
+                  check_grid, check_replicates)
 from .optimize import check_cap, frontier, select
 from .simulate import (
+    SIM_SCHEMA,
     DgpParams,
     check_oracle,
     check_subjects,
@@ -146,6 +156,18 @@ def _wopts_from(block):
     return WeightOptions(monitor_spec=spec, **_present(
         block, ("truncation", "weighting"),
         {"truncation": lambda b, k: None if b[k] is None else _number(b, k)}))
+
+
+def _check_terms(schema, spec, wopts):
+    """Refuse, naming its key, a baseline term that ``schema`` lacks."""
+    for key, terms in (("msm.baseline_terms", spec.baseline_terms),
+                       ("weights.features.baseline",
+                        wopts.monitor_spec.baseline)):
+        try:
+            baseline_fields(schema, terms)
+        except ConfigError as err:
+            raise ConfigError(f"{key}: {err}; the schema has "
+                              f"{list(schema.names)}") from None
 
 
 def _section(raw, name, default=None):
@@ -264,23 +286,24 @@ def run(raw, out):
             if not kappas:
                 raise ConfigError("frontier mode needs a kappa_grid")
         B = check_replicates(_count(raw, "bootstrap", 0))
-        grid = _grid_from(_section(raw, "grid"))
+        grid = check_grid(_grid_from(_section(raw, "grid")))
         spec = _msm_from(_section(raw, "msm"))
         wopts = _wopts_from(_section(raw, "weights"))
         cohort = _load_cohort(raw)
+        _check_terms(cohort.schema, spec, wopts)
         out.mkdir(parents=True, exist_ok=True)
-        point = bootstrap_pipeline(cohort, grid, spec, wopts, B=B, seed=seed)
-        table = point.table
+        plan = bootstrap_pipeline(cohort, grid, spec, wopts, B=B, seed=seed)
+        table = plan.table
 
         if mode == "analyze":
             sel = select(table, kappa)
             rio.report_to_csv(table, out / "report.csv", selection=sel)
             rio.dump_yaml(sel.to_dict(), out / "selection.yaml")
             rio.dump_yaml(
-                {"weights": point.plan.weights.to_dict(),
-                 "monitor_model": _monitor_info(point.plan),
-                 "msm": {"outcome_pinned": list(point.plan.pinned[0]),
-                         "resource_pinned": list(point.plan.pinned[1])},
+                {"weights": plan.weights,
+                 "monitor_model": _monitor_info(plan),
+                 "msm": {"outcome_pinned": list(plan.pinned[0]),
+                         "resource_pinned": list(plan.pinned[1])},
                  "bootstrap": {"B": int(table.n_boot),
                                "failed": int(table.n_failed),
                                "pinned": int(table.n_pinned),
@@ -292,14 +315,13 @@ def run(raw, out):
                   f"{sel.chosen_x if sel.chosen_x is not None else 'none'}")
             return 0
 
-        fr = frontier(table, kappas)
-        rio.report_to_csv(table, out / "report.csv",
-                          selection=fr.selections[-1])
+        selections, steps = frontier(table, kappas)
+        rio.report_to_csv(table, out / "report.csv", selection=selections[-1])
         rio.write_csv(out / "frontier.csv", ["kappa", "status", "chosen_x",
                                              "chosen_risk", "chosen_usage"],
                       ([s.kappa, s.status, s.chosen_x, s.chosen_risk,
-                        s.chosen_usage] for s in fr.selections))
-        rio.dump_yaml({"steps": [dataclasses.asdict(st) for st in fr.steps]},
+                        s.chosen_usage] for s in selections))
+        rio.dump_yaml({"steps": [dataclasses.asdict(st) for st in steps]},
                       out / "frontier.yaml")
         print(f"wrote {out / 'frontier.csv'} ({len(kappas)} caps)")
         return 0
@@ -316,6 +338,7 @@ def run(raw, out):
              **_present(raw, ("oracle_n_mc", "oracle_rule"),
                         {"oracle_n_mc": _integer})}
     check_study(grid, **study)
+    _check_terms(SIM_SCHEMA, spec, wopts)
     out.mkdir(parents=True, exist_ok=True)
     res = run_coverage(params, grid, seed=seed, spec=spec, wopts=wopts,
                        progress=_report_cohort, **study)

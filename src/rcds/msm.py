@@ -68,12 +68,18 @@ class MsmSpec:
     strategy_knots: tuple | None = None  # None: percentiles 5/35/65/95 of the grid
     baseline_terms: object = "all"
 
+    def __post_init__(self):
+        knots = self.strategy_knots
+        if knots is not None and not (len(knots) >= 3
+                                      and np.all(np.isfinite(knots))
+                                      and np.all(np.diff(knots) > 0)):
+            raise ConfigError("'strategy_knots' must be at least 3 finite, "
+                              f"strictly increasing numbers, got "
+                              f"{list(knots)}")
+
     def knots_for(self, grid):
         if self.strategy_knots is not None:
-            k = np.asarray(self.strategy_knots, dtype=np.float64)
-            if k.size < 3:
-                raise ConfigError("strategy spline needs at least 3 knots")
-            return k
+            return np.asarray(self.strategy_knots, dtype=np.float64)
         xs = grid.xs
         if xs.size >= 4:
             return np.percentile(xs, [5, 35, 65, 95])
@@ -384,6 +390,11 @@ class Plan:
         self.cohort, self.grid, self.spec, self.wopts = cohort, grid, spec, wopts
         cells = WindowCells(cohort, grid)
         self.ht = ht = horizon_table(cohort, grid, cells)
+        if not ht.subject_idx.size:
+            raise ConfigError(f"no clone is uncensored at the horizon (month "
+                              f"{cohort.horizon}) under any threshold: each "
+                              "deviates from its strategy or leaves "
+                              "follow-up first")
         self.terms = _terms(cohort, grid, spec)
         self.msm_design = _msm_design(self.terms, ht.subject_idx, ht.x_idx)
         self.monitor = self.factors = None
@@ -391,9 +402,10 @@ class Plan:
             self.monitor = monitor_design(cohort, wopts.monitor_spec, cells)
             self.factors = CensoringWeightPlan(cells, ht.subject_idx,
                                                ht.x_idx)
-        # the point run's monitoring model, WeightSummary and the names each
-        # MSM pinned (outcome, resource), once run
-        self.monitor_model = self.weights = self.pinned = None
+        # the point run's monitoring model, weight summary and the names each
+        # MSM pinned (outcome, resource), once run; its table, once
+        # analyze_cohort has made it
+        self.monitor_model = self.weights = self.pinned = self.table = None
         self.starts = (None, None, None)  # monitor, outcome, resource
 
     def _horizon_weights(self, multiplicity):
@@ -461,28 +473,28 @@ class Plan:
         return risk, usage, bool(fit_y.pinned or fit_d.pinned)
 
 
-@dataclass
-class PointAnalysis:
-    """Point-estimate pipeline output; the point monitoring model and the
-    weight summary are :attr:`Plan.monitor_model` and :attr:`Plan.weights`
-    of its plan."""
-
-    table: DoseResponseTable
-    plan: Plan
-
-
 def analyze_cohort(cohort, grid, spec=MsmSpec(), wopts=WeightOptions()):
     """Point estimates: :meth:`Plan.run` without multiplicities; no bootstrap.
 
-    The weight diagnostics describe the weights both MSMs fit: one per clone
-    still uncensored at the horizon, truncated as configured (unit weights
-    when unweighted).
+    Returns the :class:`Plan`, with the point :class:`DoseResponseTable` as
+    :attr:`Plan.table`. The weight diagnostics (:attr:`Plan.weights`)
+    describe the weights both MSMs fit: one per clone still uncensored at
+    the horizon, truncated as configured (unit weights when unweighted).
     """
     plan = Plan(cohort, grid, spec, wopts)
     risk, usage, _ = plan.run(None)
     n_atrisk = plan.ht.uncensored.sum(axis=0)
-    table = DoseResponseTable.point_only(grid.xs, risk, usage, n_atrisk)
-    return PointAnalysis(table=table, plan=plan)
+    plan.table = DoseResponseTable.point_only(grid.xs, risk, usage, n_atrisk)
+    return plan
+
+
+def check_grid(grid):
+    """``grid``, once it has the 2 thresholds that identify a strategy
+    curve (see :func:`_kept`)."""
+    if len(grid) < 2:
+        raise ConfigError(f"the estimator needs a grid of at least 2 "
+                          f"thresholds, got {len(grid)}")
+    return grid
 
 
 def check_replicates(B):
@@ -495,7 +507,8 @@ def check_replicates(B):
 
 def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
                        B=200, seed=0):
-    """Point estimates plus percentile bootstrap intervals.
+    """Point estimates plus percentile bootstrap intervals: the plan of
+    :func:`analyze_cohort`, whose :attr:`Plan.table` carries them.
 
     Subjects are resampled with replacement (clones move with their
     subject) and every replicate is one :meth:`Plan.run` of the point
@@ -512,10 +525,10 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
     deterministic given the master seed.
     """
     check_replicates(B)
-    point = analyze_cohort(cohort, grid, spec, wopts)
-    table = point.table
+    plan = analyze_cohort(cohort, grid, spec, wopts)
+    table = plan.table
     if B == 0:
-        return point
+        return plan
     n = cohort.n_subjects
     ok, failed = [], {}  # error code: [count, the first message]
     for ss in np.random.SeedSequence(seed).spawn(B):
@@ -524,7 +537,7 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateResponse)
             try:
-                ok.append(point.plan.run(mult))
+                ok.append(plan.run(mult))
             except _REPLICATE_ERRORS as err:
                 failed.setdefault(err.code, [0, str(err)])[0] += 1
 
@@ -543,4 +556,4 @@ def bootstrap_pipeline(cohort, grid, spec=MsmSpec(), wopts=WeightOptions(),
         np.std(a, axis=0, ddof=1) if len(ok) > 1 else np.zeros(len(grid))
         for a in (risks, usages))
     table.n_pinned = sum(r[2] for r in ok)
-    return point
+    return plan

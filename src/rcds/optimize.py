@@ -1,9 +1,9 @@
 """Constrained selection of the optimal strategy from a dose-response table.
 
-Feasibility is usage <= kappa (non-strict); among feasible thresholds the
-lowest risk wins, with ties broken by smaller usage and then smaller
-threshold. Selection operates on standardized point estimates only;
-intervals are reported alongside but never alter the choice.
+Feasibility is usage <= kappa (non-strict). The thresholds are put in one
+order: lowest risk, then smaller usage, then smaller threshold; the first
+feasible one in it is chosen. Selection operates on standardized point
+estimates only; intervals are reported alongside but never alter the choice.
 """
 
 from dataclasses import dataclass
@@ -26,10 +26,6 @@ class ConstrainedSelection:
     chosen_x: float | None
     chosen_risk: float | None
     chosen_usage: float | None
-
-    @property
-    def infeasible(self):
-        return self.status == STATUS_INFEASIBLE
 
     def to_dict(self):
         return {
@@ -60,32 +56,17 @@ def select(table, kappa):
     if len(table) == 0:
         raise ConfigError("dose-response table is empty")
     check_cap(kappa)
-
-    order = np.argsort(table.xs, kind="stable")
-    xs = table.xs[order]
-    risk = table.risk[order]
-    usage = table.usage[order]
-
-    feasible = usage <= kappa
-    feasible_x = xs[feasible]
-    if not np.any(feasible):
-        return ConstrainedSelection(
-            kappa=kappa, status=STATUS_INFEASIBLE,
-            feasible_x=feasible_x, chosen_x=None, chosen_risk=None,
-            chosen_usage=None,
-        )
-    r = risk[feasible]
-    u = usage[feasible]
-    x = xs[feasible]
-    tied = r == r.min()
-    # ties: smaller usage, then smaller threshold (xs already ascending)
-    cand = np.lexsort((x[tied], u[tied]))
-    pick = np.flatnonzero(tied)[cand[0]]
-    return ConstrainedSelection(
-        kappa=kappa, status=STATUS_OK,
-        feasible_x=feasible_x, chosen_x=float(x[pick]),
-        chosen_risk=float(r[pick]), chosen_usage=float(u[pick]),
-    )
+    feasible = table.usage <= kappa
+    feasible_x = np.sort(table.xs[feasible])
+    order = np.lexsort((table.xs, table.usage, table.risk))
+    chosen = order[feasible[order]]  # the feasible rows, in the one order
+    if not chosen.size:
+        return ConstrainedSelection(kappa, STATUS_INFEASIBLE, feasible_x,
+                                    None, None, None)
+    i = chosen[0]
+    return ConstrainedSelection(kappa, STATUS_OK, feasible_x,
+                                float(table.xs[i]), float(table.risk[i]),
+                                float(table.usage[i]))
 
 
 @dataclass
@@ -101,14 +82,9 @@ class FrontierStep:
     risk_per_usage: float | None  # incremental risk change per unit usage
 
 
-@dataclass
-class FrontierResult:
-    selections: list
-    steps: list
-
-
 def frontier(table, kappa_grid):
-    """Apply :func:`select` over a grid of caps and summarize the increments.
+    """Apply :func:`select` over a grid of caps and summarize the increments:
+    the selections, one per cap, and the :class:`FrontierStep` list.
 
     For consecutive caps whose selections differ, the incremental risk
     change per unit of usage change is reported (undefined while either
@@ -136,4 +112,4 @@ def frontier(table, kappa_grid):
             x_to=b.chosen_x, risk_change=dr, usage_change=du,
             risk_per_usage=(dr / du) if du != 0 else None,
         ))
-    return FrontierResult(selections=selections, steps=steps)
+    return selections, steps

@@ -92,6 +92,10 @@ class DgpParams:
         if not 1 <= self.horizon <= MAX_HORIZON:
             raise ConfigError(f"horizon must be from 1 to {MAX_HORIZON} "
                               f"months, got {self.horizon}")
+        for f in dataclasses.fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got "
+                                  f"{getattr(self, f.name)}")
         if self.marker_init_sd < 0 or self.drift_sd < 0:
             raise ConfigError("standard deviations must be >= 0")
         if not abs(self.drift_slope) < 1.0:
@@ -100,11 +104,6 @@ class DgpParams:
             v = getattr(self, name)
             if not (0.0 <= v < 1.0) and not (name == "resuppress_prob" and v == 1.0):
                 raise ConfigError(f"{name} must be a probability, got {v}")
-        for name in ("marker_init_mean", "drift_intercept", "fail_intercept",
-                     "fail_clock", "fail_marker", "mon_intercept", "mon_marker",
-                     "mon_gap", "mon_override"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
 
     def _check_positivity(self):
         """Monitoring probabilities must stay interior over a plausible state box."""
@@ -113,6 +112,10 @@ class DgpParams:
         mean_stat = self.drift_intercept / max(1 - self.drift_slope, 1e-9)
         lo_m = min(self.marker_init_mean, mean_stat) - spread
         hi_m = max(self.marker_init_mean, mean_stat) + spread
+        if not np.isfinite([lo_m, hi_m]).all():
+            raise ConfigError(f"the plausible marker range [{lo_m}, {hi_m}] "
+                              "is not finite; the simulated marker would "
+                              "overflow")
         markers = np.linspace(max(lo_m, 0.0), hi_m, 25)
         gaps = np.arange(1, self.horizon + 2)
         probs = monitor_probability(

@@ -80,15 +80,17 @@ class StrategyGrid:
                             ("x_step", x_step)):
             if not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        if (x_stop + 0.5 * x_step - x_start) / x_step > MAX_THRESHOLDS:
+        # np.arange makes ceil(count) thresholds, none when count <= 0
+        count = (x_stop + 0.5 * x_step - x_start) / x_step
+        if count <= 0:
+            raise ConfigError(f"no threshold from x_start {x_start!r} to "
+                              f"x_stop {x_stop!r} in steps of x_step "
+                              f"{x_step!r}")
+        if count > MAX_THRESHOLDS:
             raise ConfigError(f"the grid from x_start {x_start!r} to x_stop "
                               f"{x_stop!r} in steps of x_step {x_step!r} "
                               f"has over {MAX_THRESHOLDS} thresholds")
         xs = np.arange(x_start, x_stop + 0.5 * x_step, x_step)
-        if xs.size == 0:
-            raise ConfigError(f"no threshold from x_start {x_start!r} to "
-                              f"x_stop {x_stop!r} in steps of x_step "
-                              f"{x_step!r}")
         return cls(tuple(
             ThresholdStrategy(float(x), window_below, window_above,
                               override_window)

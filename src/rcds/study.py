@@ -6,7 +6,8 @@ import numpy as np
 import numpy.random  # loaded now, not lazily at the study's first seed
 
 from .errors import ConfigError
-from .msm import MsmSpec, WeightOptions, bootstrap_pipeline, check_replicates
+from .msm import (MsmSpec, WeightOptions, bootstrap_pipeline, check_grid,
+                  check_replicates)
 from .simulate import (check_oracle, check_subjects, oracle_truth,
                        simulate_cohort)
 
@@ -35,9 +36,10 @@ class CoverageResult:
 
 def check_study(grid, x_value, n_cohorts, n, B, oracle_n_mc=200_000,
                 oracle_rule="natural"):
-    """The index of ``x_value`` in ``grid``, once the threshold, the counts
-    (at most ``MAX_COHORTS`` cohorts) and the oracle are ones
+    """The index of ``x_value`` in ``grid``, once the grid, the threshold,
+    the counts (at most ``MAX_COHORTS`` cohorts) and the oracle are ones
     :func:`run_coverage` takes."""
+    check_grid(grid)
     for name, count in (("n_cohorts", n_cohorts), ("n", n),
                         ("bootstrap B", B)):
         if count < 1:
@@ -89,9 +91,8 @@ def run_coverage(params, grid, x_value, n_cohorts, n, B, seed,
     covered = 0
     for i in range(n_cohorts):
         cohort = simulate_cohort(params, n, seed=int(state[1 + 2 * i]))
-        point = bootstrap_pipeline(cohort, grid, spec, wopts, B=B,
-                                   seed=int(state[2 + 2 * i]))
-        t = point.table
+        t = bootstrap_pipeline(cohort, grid, spec, wopts, B=B,
+                               seed=int(state[2 + 2 * i])).table
         lo, hi = float(t.risk_lo[j]), float(t.risk_hi[j])
         hit = lo <= oracle_risk <= hi
         covered += int(hit)

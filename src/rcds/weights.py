@@ -31,11 +31,23 @@ from .strategies import WindowCells, accumulate, window_bounds
 
 PROB_FLOOR = 1e-6
 FLOOR_CHECKS = ("withholding a premature visit", "the required visit")
+MAX_MARKER_KNOTS = 10
+MAX_GAP_CAP = 60
 
 
 @dataclass(frozen=True)
 class MonitorFeatureSpec:
-    """Declared history feature map for the monitoring model."""
+    """Declared history feature map for the monitoring model.
+
+    Each feature size has a ceiling, checked whatever the feature's kind,
+    since each unit is one float64 column over every decision month.
+    ``marker_knots`` is at most ``MAX_MARKER_KNOTS`` = 10: the knots sit at
+    evenly spaced quantiles from 10% to 90%, so 10 are already under 9
+    percentage points apart, and Harrell (*Regression Modeling Strategies*,
+    2nd ed., sec. 2.4.6) places 3 to 7. ``gap_cap`` is at most
+    ``MAX_GAP_CAP`` = 60: a level per month for five years of gaps, over
+    four times the default of 13, where the default windows end.
+    """
 
     marker: str = "rcs"          # "rcs" | "linear" | "none"
     marker_knots: int = 3
@@ -57,9 +69,15 @@ class MonitorFeatureSpec:
                 f"override feature must be true or false, got {self.override!r}")
         if self.marker == "rcs" and self.marker_knots < 3:
             raise ConfigError("marker_knots must be >= 3 for a spline")
+        if self.marker_knots > MAX_MARKER_KNOTS:
+            raise ConfigError(f"marker_knots must be at most "
+                              f"{MAX_MARKER_KNOTS}, got {self.marker_knots}")
         if self.gap == "categorical" and self.gap_cap < 2:
             raise ConfigError("gap_cap must be >= 2 for categorical gaps, "
                               f"got {self.gap_cap}")
+        if self.gap_cap > MAX_GAP_CAP:
+            raise ConfigError(f"gap_cap must be at most {MAX_GAP_CAP}, got "
+                              f"{self.gap_cap}")
 
 
 @dataclass
@@ -445,34 +463,12 @@ def attach_weights(ds, model, truncation=None):
     )
 
 
-@dataclass
-class WeightSummary:
-    n: int
-    minimum: float
-    p25: float
-    median: float
-    mean: float
-    p75: float
-    p99: float
-    maximum: float
-    truncated_fraction: float
-
-    def to_dict(self):
-        return {
-            "n": self.n, "min": self.minimum, "p25": self.p25,
-            "median": self.median, "mean": self.mean, "p75": self.p75,
-            "p99": self.p99, "max": self.maximum,
-            "truncated_fraction": self.truncated_fraction,
-        }
-
-
 def _summary(w, truncated_fraction):
+    """The weights.yaml summary of the weights ``w``."""
     if w.size == 0:
         w = np.array([np.nan])
     p25, median, p75, p99 = np.percentile(w, [25, 50, 75, 99])
-    return WeightSummary(
-        n=int(w.size), minimum=float(np.min(w)), p25=float(p25),
-        median=float(median), mean=float(np.mean(w)), p75=float(p75),
-        p99=float(p99), maximum=float(np.max(w)),
-        truncated_fraction=truncated_fraction,
-    )
+    return {"n": int(w.size), "min": float(np.min(w)), "p25": float(p25),
+            "median": float(median), "mean": float(np.mean(w)),
+            "p75": float(p75), "p99": float(p99), "max": float(np.max(w)),
+            "truncated_fraction": truncated_fraction}

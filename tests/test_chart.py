@@ -9,6 +9,7 @@ import numpy as np
 
 from rcds import DoseResponseTable, select
 from rcds.chart import MT, render_chart
+from rcds.optimize import STATUS_INFEASIBLE
 
 GOLDEN = Path(__file__).parent / "golden" / "chart.svg"
 
@@ -76,7 +77,7 @@ def test_nan_intervals_draw_no_band():
 def test_infeasible_selection_draws_no_chosen_marker():
     t = table([200, 250, 300], [0.05, 0.06, 0.08], [5.5, 4.5, 3.5])
     sel = select(t, 1.0)
-    assert sel.infeasible
+    assert sel.status == STATUS_INFEASIBLE
     svg = render_chart(t, 1.0, sel)
     assert "chosen x" not in svg
     assert 'r="5"' not in svg

@@ -547,6 +547,16 @@ BEFORE_INGEST = {  # name: (config, what the error names)
     "weights_truncation_not_a_number": (
         {**ANALYZE, "weights": {"truncation": "top"}},
         "'truncation' must be a number, got 'top'"),
+    "msm_knots_too_few": (
+        {**ANALYZE, "msm": {"strategy_knots": [1]}},
+        "'strategy_knots' must be at least 3 finite, strictly increasing "
+        "numbers, got [1.0]"),
+    "msm_knots_not_finite": (
+        {**ANALYZE, "msm": {"strategy_knots": [250, float("nan"), 450]}},
+        "strictly increasing numbers, got [250.0, nan, 450.0]"),
+    "grid_one_threshold": (
+        {**ANALYZE, "grid": {"x_step": 1e20}},
+        "the estimator needs a grid of at least 2 thresholds, got 1"),
 }
 
 
@@ -589,13 +599,43 @@ def test_coverage_counts_are_checked_before_the_oracle(tmp_path, capsys,
     ("coverage_x_value_off_grid", {"mode": "coverage", "seed": 5,
                                    "x_value": 355},
      "x_value 355.0 is not a grid threshold"),
+    ("oracle_grid_past_its_stop", {"mode": "oracle", "seed": 5,
+                                   "grid": {"x_start": 1e308}},
+     "no threshold from x_start 1e+308 to x_stop 500.0"),
+    ("coverage_one_threshold", {"mode": "coverage", "seed": 5,
+                                "grid": {"x_step": 1e20}},
+     "the estimator needs a grid of at least 2 thresholds, got 1"),
+    ("coverage_unknown_baseline_term", {"mode": "coverage", "seed": 5,
+                                        "msm": {"baseline_terms": [1]}},
+     "msm.baseline_terms: unknown baseline terms: ['1']"),
+    ("analyze_unknown_baseline_term", {**ANALYZE,
+                                       "msm": {"baseline_terms": ["bmi"]}},
+     "msm.baseline_terms: unknown baseline terms: ['bmi']"),
+    ("frontier_unknown_feature_term", {
+        "mode": "frontier", "seed": 5, "kappa_grid": [4.5],
+        "weights": {"features": {"baseline": ["bmi"]}}},
+     "weights.features.baseline: unknown baseline terms: ['bmi']"),
+    ("simulate_marker_sd_nan", {"mode": "simulate", "seed": 5, "n": 300,
+                                "dgp": {"marker_init_sd": float("nan")}},
+     "marker_init_sd must be finite, got nan"),
+    ("oracle_drift_sd_nan", {"mode": "oracle", "seed": 5,
+                             "dgp": {"drift_sd": float("nan")}},
+     "drift_sd must be finite, got nan"),
+    ("coverage_marker_overflows", {"mode": "coverage", "seed": 5,
+                                   "dgp": {"drift_intercept": 1e308}},
+     "is not finite; the simulated marker would overflow"),
 ])
-def test_refused_value_leaves_no_out_directory(tmp_path, capsys, monkeypatch,
-                                               name, config, named):
-    # each is refused before out is made, and so before any simulation
+def test_refused_value_leaves_no_out_directory(tmp_path, cohort_csv, capsys,
+                                               monkeypatch, name, config,
+                                               named):
+    # each is refused before out is made, and so before any simulation or
+    # estimation; the input cohort of analyze and frontier is read first
     for module in (rcds.cli, rcds.study):
         monkeypatch.setattr(module, "oracle_truth", refuse_work)
     monkeypatch.setattr(rcds.cli, "simulate_cohort", refuse_work)
+    monkeypatch.setattr(rcds.cli, "bootstrap_pipeline", refuse_work)
+    if config["mode"] in ("analyze", "frontier"):
+        config = {**config, "input": cohort_csv}
     status, err = run(tmp_path, name, config, capsys)
     assert status == 2
     assert named in err
@@ -648,6 +688,20 @@ OVER_CEILING = {  # name: (config, what the error names)
                                      "bootstrap": 100_001},
                                     "bootstrap B must be from 0 to 100000, "
                                     "got 100001"),
+    "analyze_marker_knots_huge": (
+        {**ANALYZE, "weights": {"features": {"marker_knots": HUGE}}},
+        "marker_knots must be at most 10, got 100000000000000000000"),
+    "coverage_marker_knots_one_over": (
+        {**COVERAGE, "weights": {"features": {"marker_knots": 11}}},
+        "marker_knots must be at most 10, got 11"),
+    "analyze_gap_cap_huge": (
+        {**ANALYZE, "weights": {"features": {"gap": "categorical",
+                                             "gap_cap": HUGE}}},
+        "gap_cap must be at most 60, got 100000000000000000000"),
+    "frontier_gap_cap_one_over": (
+        {"mode": "frontier", "seed": 5, "kappa_grid": [4.5],
+         "weights": {"features": {"gap": "categorical", "gap_cap": 61}}},
+        "gap_cap must be at most 60, got 61"),
 }
 
 
@@ -674,6 +728,7 @@ def test_each_ceiling_admits_itself():
                                check_oracle, check_subjects)
     from rcds.strategies import MAX_THRESHOLDS
     from rcds.study import MAX_COHORTS, check_study
+    from rcds.weights import MAX_GAP_CAP, MAX_MARKER_KNOTS, MonitorFeatureSpec
 
     assert len(StrategyGrid.default(1.0, MAX_THRESHOLDS, 1.0)) == \
         MAX_THRESHOLDS
@@ -683,6 +738,8 @@ def test_each_ceiling_admits_itself():
     DgpParams(horizon=MAX_HORIZON).check_structure()
     assert check_study(StrategyGrid.default(), 350.0, MAX_COHORTS, 1, 1,
                        oracle_n_mc=1000) == 15
+    MonitorFeatureSpec(marker_knots=MAX_MARKER_KNOTS, gap="categorical",
+                       gap_cap=MAX_GAP_CAP)
 
 
 OUT_MODES = {

@@ -209,6 +209,16 @@ class TestMsmFits:
         with pytest.raises(ConfigError):
             fit_outcome_msm(wds, MsmSpec())
 
+    @pytest.mark.parametrize("dgp", [{"mon_intercept": 2.5},
+                                     {"mon_gap": -0.5}])
+    def test_no_uncensored_clone_is_refused_by_name(self, small_grid, dgp):
+        # visits come so often (or so seldom) that every clone deviates from
+        # its strategy before the horizon: no MSM design is built
+        cohort = simulate_cohort(DgpParams(**dgp), 300, seed=1)
+        with pytest.raises(ConfigError, match="no clone is uncensored at "
+                                              "the horizon"):
+            Plan(cohort, small_grid)
+
     def test_all_zero_outcomes_warn_and_pin_curve(self, sim_cohort, small_grid):
         model = monitor_model_of(sim_cohort)
         wds = attach_weights(expand(sim_cohort, small_grid), model)
@@ -522,7 +532,7 @@ class TestReplicateEngine:
         for mult in (None, resample(sim_cohort, 42), resample(sim_cohort, 43)):
             for a, b in zip(plain.run(mult), capped.run(mult)):
                 assert np.array_equal(a, b)
-        assert capped.weights.truncated_fraction == 0
+        assert capped.weights["truncated_fraction"] == 0
         assert capped.weights == plain.weights
 
 
@@ -670,11 +680,11 @@ class TestMonitorDesign:
                       drift_intercept=360.0)
         cohort = simulate_cohort(p, 1500, seed=76)
         grid = StrategyGrid.default(x_start=380, x_stop=500, x_step=40)
-        point = bootstrap_pipeline(cohort, grid, MsmSpec(),
-                                   WeightOptions(), B=3,
-                                   seed=7)
-        assert point.plan.monitor_model.dropped == ("marker",)
-        assert point.table.n_failed == 0
+        plan = bootstrap_pipeline(cohort, grid, MsmSpec(),
+                                  WeightOptions(), B=3,
+                                  seed=7)
+        assert plan.monitor_model.dropped == ("marker",)
+        assert plan.table.n_failed == 0
 
 
 class TestBootstrap:

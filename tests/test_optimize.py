@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rcds import ConfigError, frontier, select
 from rcds.msm import DoseResponseTable
@@ -111,6 +113,36 @@ class TestSelect:
         sel = select(t, 5.0)
         assert sel.chosen_x == 310.0  # lowest usage, then lowest threshold
 
+    @given(st.data())
+    def test_select_is_the_least_feasible_row(self, data):
+        # the first feasible threshold in the order (risk, usage, x) is the
+        # brute-force minimum of those triples; few distinct values draw
+        # ties, a list drawn unique comes in any order, and a cap under
+        # every usage leaves no feasible row
+        xs = data.draw(st.lists(st.sampled_from(range(200, 510, 10)),
+                                min_size=1, max_size=8, unique=True))
+        k = len(xs)
+        risk = data.draw(st.lists(st.sampled_from([0.05, 0.08, 0.1]),
+                                  min_size=k, max_size=k))
+        usage = data.draw(st.lists(st.sampled_from([3.5, 4.0, 4.5]),
+                                   min_size=k, max_size=k))
+        kappa = data.draw(st.sampled_from([3.0, 3.5, 4.0, 4.5]))
+        t = DoseResponseTable.point_only(
+            np.array(xs, dtype=float), np.array(risk), np.array(usage),
+            np.zeros(k, dtype=int))
+        sel = select(t, kappa)
+        feasible = [(r, u, float(x)) for x, r, u in zip(xs, risk, usage)
+                    if u <= kappa]
+        assert sel.feasible_x.tolist() == sorted(x for _, _, x in feasible)
+        if not feasible:
+            assert sel.status == STATUS_INFEASIBLE
+            assert (sel.chosen_x, sel.chosen_risk, sel.chosen_usage) == \
+                (None, None, None)
+            return
+        assert sel.status == STATUS_OK
+        assert (sel.chosen_risk, sel.chosen_usage, sel.chosen_x) == \
+            min(feasible)
+
     def test_validation(self, table):
         with pytest.raises(ConfigError):
             select(table, -1.0)
@@ -122,15 +154,15 @@ class TestSelect:
 
 class TestFrontier:
     def test_published_caps(self, table):
-        fr = frontier(table, [3.0, 4.0, 4.7])
-        assert fr.selections[0].status == STATUS_INFEASIBLE
-        assert fr.selections[1].chosen_x == 320.0
-        assert fr.selections[2].chosen_x == 410.0
+        selections, _ = frontier(table, [3.0, 4.0, 4.7])
+        assert selections[0].status == STATUS_INFEASIBLE
+        assert selections[1].chosen_x == 320.0
+        assert selections[2].chosen_x == 410.0
 
     def test_incremental_ratios(self, table):
-        fr = frontier(table, [4.0, 4.7])
-        assert len(fr.steps) == 1
-        st = fr.steps[0]
+        _, steps = frontier(table, [4.0, 4.7])
+        assert len(steps) == 1
+        st = steps[0]
         assert st.x_from == 320.0 and st.x_to == 410.0
         assert st.risk_change == pytest.approx(0.0651 - 0.0827)
         assert st.usage_change == pytest.approx(4.48 - 3.96)
@@ -138,9 +170,9 @@ class TestFrontier:
             (0.0651 - 0.0827) / (4.48 - 3.96))
 
     def test_infeasible_step_has_no_ratio(self, table):
-        fr = frontier(table, [3.0, 4.0])
-        assert len(fr.steps) == 1
-        assert fr.steps[0].risk_per_usage is None
+        _, steps = frontier(table, [3.0, 4.0])
+        assert len(steps) == 1
+        assert steps[0].risk_per_usage is None
 
     def test_empty_grid_rejected(self, table):
         with pytest.raises(ConfigError):

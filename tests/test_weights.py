@@ -186,8 +186,8 @@ class TestFitMonitorModel:
         # with an intercept of about -15.4, and IRLS converges to it
         cohort = simulate_cohort(
             DgpParams(mon_intercept=-15.5, mon_marker=0.02), 1000, seed=1)
-        point = analyze_cohort(cohort, StrategyGrid.default())
-        fit = point.plan.monitor_model.fit
+        plan = analyze_cohort(cohort, StrategyGrid.default())
+        fit = plan.monitor_model.fit
         assert fit.iterations < DEFAULT_MAX_ITER and fit.coef[0] < -15
 
 
@@ -355,10 +355,10 @@ class TestSummaries:
         # horizon weights of the clones uncensored at the horizon, capped at
         # the percentile of those same rows
         grid = StrategyGrid.default(x_step=50)
-        point = analyze_cohort(sim_cohort, grid,
-                               wopts=WeightOptions(truncation=truncation))
-        ht = point.plan.ht
-        w = clone_horizon_weights(sim_cohort, point.plan.monitor_model,
+        plan = analyze_cohort(sim_cohort, grid,
+                              wopts=WeightOptions(truncation=truncation))
+        ht = plan.ht
+        w = clone_horizon_weights(sim_cohort, plan.monitor_model,
                                   grid)[ht.subject_idx, ht.x_idx]
         lowered = 0.0
         if truncation is not None:
@@ -366,7 +366,7 @@ class TestSummaries:
             lowered = float(np.mean(w > cap))
             w = np.minimum(w, cap)
         assert (lowered > 0) == (truncation == 99.0)
-        want, got = _summary(w, lowered).to_dict(), point.plan.weights.to_dict()
+        want, got = _summary(w, lowered), plan.weights
         exact = ("n", "truncated_fraction")
         assert [got[f] for f in exact] == [want[f] for f in exact]
         assert got["n"] == ht.subject_idx.size
@@ -376,10 +376,9 @@ class TestSummaries:
 
     def test_unweighted_summary_is_unit_weights_at_horizon(self, sim_cohort):
         grid = StrategyGrid.default(x_step=50)
-        point = analyze_cohort(sim_cohort, grid,
-                               wopts=WeightOptions(weighting="none"))
-        assert point.plan.weights == _summary(
-            np.ones(point.plan.ht.x_idx.size), 0.0)
+        plan = analyze_cohort(sim_cohort, grid,
+                              wopts=WeightOptions(weighting="none"))
+        assert plan.weights == _summary(np.ones(plan.ht.x_idx.size), 0.0)
 
     def test_every_horizon_clone_has_positive_weight(self):
         # a missed required visit censors its clone in the month it is due,
@@ -387,13 +386,13 @@ class TestSummaries:
         # the report counts only clones the fits use
         cohort = simulate_cohort(DgpParams(), 4000, seed=7)
         grid = StrategyGrid.default()
-        point = analyze_cohort(cohort, grid)
-        w = clone_horizon_weights(cohort, point.plan.monitor_model, grid)
+        plan = analyze_cohort(cohort, grid)
+        w = clone_horizon_weights(cohort, plan.monitor_model, grid)
         months = horizon_matrix(cohort, grid)
         full = (cohort.followup_end == cohort.horizon)[:, None]
         positive = int(np.sum((w > 0) & (months > cohort.horizon) & full))
-        assert point.plan.weights.minimum > 0
-        assert point.plan.weights.n == point.table.n_atrisk.sum() == positive
+        assert plan.weights["min"] > 0
+        assert plan.weights["n"] == plan.table.n_atrisk.sum() == positive
         assert np.all(months[w == 0] <= cohort.horizon)
 
     def test_no_run_builds_row_level_weights(self, sim_cohort, monkeypatch):
@@ -416,7 +415,7 @@ class TestSummaries:
         wds = attach_weights(expand(sim_cohort, grid), fit_on(sim_cohort)[1])
         w = wds.w[wds.ds.at_risk == 1]
         s = _summary(w, 0.0)
-        assert (s.p25, s.median, s.p75, s.p99) == tuple(
+        assert (s["p25"], s["median"], s["p75"], s["p99"]) == tuple(
             float(np.percentile(w, q)) for q in (25, 50, 75, 99))
 
     def test_weight_summary_fields(self, sim_cohort):
@@ -424,10 +423,9 @@ class TestSummaries:
         _, model = fit_on(sim_cohort, LINEAR_SPEC)
         wds = attach_weights(expand(sim_cohort, grid), model)
         s = weight_summary(wds)
-        assert s.n > 0
-        assert s.minimum <= s.median <= s.maximum
-        d = s.to_dict()
-        assert set(d) == {"n", "min", "p25", "median", "mean", "p75", "p99",
+        assert s["n"] > 0
+        assert s["min"] <= s["median"] <= s["max"]
+        assert set(s) == {"n", "min", "p25", "median", "mean", "p75", "p99",
                           "max", "truncated_fraction"}
 
 
