@@ -52,7 +52,6 @@ from .strategies import (
 from .study import run_coverage
 from .weights import (
     MonitorFeatureSpec,
-    MonitorModel,
     attach_weights,
     fit_monitor_model,
 )

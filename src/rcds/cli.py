@@ -220,16 +220,16 @@ def _load_cohort(raw):
 
 
 def _monitor_info(plan):
-    """The point monitoring model of ``plan``, as reported in weights.yaml."""
-    model = plan.monitor_model
-    if model is None:
+    """The point monitoring fit of ``plan``, as reported in weights.yaml."""
+    fit = plan.monitor_model
+    if fit is None:
         return {"weighting": "none"}
     return {
-        "log_likelihood": plan.monitor.log_likelihood(model),
-        "iterations": model.fit.iterations,
+        "log_likelihood": plan.monitor.log_likelihood(fit),
+        "iterations": fit.iterations,
         "n_decision_months": int(plan.monitor.monitored.size),
-        "columns": list(model.fit.columns),
-        "dropped_features": list(model.dropped),
+        "columns": list(fit.columns),
+        "dropped_features": list(plan.monitor.dropped(fit)),
     }
 
 

@@ -374,8 +374,8 @@ class Plan:
     knots, the censoring-weight factor layout of the horizon cells, the MSM
     terms (:func:`_terms`) and the MSM design. Per decision month it keeps
     the monitoring design's float64 row, its response (bool) and subject
-    (intp); and the early and due masks (bool), each window side's column
-    (the narrow type of ``jstar``) and the month (that of the horizon) of
+    (intp); and whether it is early and whether due under some strategy
+    (bool) and the month (the type of the horizon) of
     :class:`rcds.weights.CensoringWeightPlan`, which also keeps each factor
     row's decision-month index and cell (intp). The build's own table,
     :class:`rcds.strategies.WindowCells`, is dropped once both are built.
@@ -402,14 +402,14 @@ class Plan:
             self.monitor = monitor_design(cohort, wopts.monitor_spec, cells)
             self.factors = CensoringWeightPlan(cells, ht.subject_idx,
                                                ht.x_idx)
-        # the point run's monitoring model, weight summary and the names each
+        # the point run's monitoring fit, weight summary and the names each
         # MSM pinned (outcome, resource), once run; its table, once
         # analyze_cohort has made it
         self.monitor_model = self.weights = self.pinned = self.table = None
         self.starts = (None, None, None)  # monitor, outcome, resource
 
     def _horizon_weights(self, multiplicity):
-        """Case weights of the horizon rows, the monitoring model, and the
+        """Case weights of the horizon rows, the monitoring fit, and the
         share of the rows whose weight the truncation cap lowered."""
         ht, wopts = self.ht, self.wopts
         model, lowered = None, 0.0
@@ -432,7 +432,7 @@ class Plan:
         return w, model, lowered
 
     def fit(self, multiplicity=None):
-        """The monitoring model (None when unweighted) and the outcome and
+        """The monitoring fit (None when unweighted) and the outcome and
         resource MSM fits for one set of subject multiplicities. No fit
         carries standard errors, a deviance or a log-likelihood; the
         reported log-likelihood of the point monitoring model is
@@ -458,7 +458,7 @@ class Plan:
             columns = self.msm_design.columns
             self.starts = (
                 None if model is None else
-                _warm_start(model.fit, self.monitor.matrix.columns),
+                _warm_start(model, self.monitor.matrix.columns),
                 _warm_start(fit_y, columns), _warm_start(fit_d, columns))
         return model, fit_y, fit_d
 

@@ -6,27 +6,35 @@ by the state observed the month before: carried-forward marker, months since
 the last visit, override flag, and optionally calendar month and baseline
 covariates.
 
-The weights invert the probability of *remaining consistent* with a clone's
-strategy (artificial censoring, as in Cain et al. 2010): a month with the
-gap below the window's lo contributes 1/(1 - p), one with the gap at hi
-1/p, any other factor one. A visit in the former or none in the latter
-censors the clone that month (:func:`rcds.strategies.horizon_matrix`), so
-only the clones that stay are weighed. Each factor has conditional mean one
-given the past, so the weighted clone population reproduces the
-observational process conditioned month-by-month to the strategy's windows:
-the natural rule, the one regime the oracle simulates
-(:func:`rcds.oracle_truth`), and so the estimand the oracle checks.
+Every weight is a function of one vector ``p``: the fitted probability of a
+visit at each decision month, in the order of
+:meth:`MonitorDesign.probabilities` (that of
+:class:`rcds.strategies.WindowCells`). The weights invert the probability
+of *remaining consistent* with a clone's strategy (artificial censoring, as
+in Cain et al. 2010): a month with the gap below the window's lo contributes
+1/(1 - p), one with the gap at hi 1/p, any other factor one. A visit in the
+former or none in the latter censors the clone that month
+(:func:`rcds.strategies.horizon_matrix`), so only the clones that stay are
+weighed. Each factor has conditional mean one given the past, so the
+weighted clone population reproduces the observational process conditioned
+month-by-month to the strategy's windows: the natural rule, the one regime
+the oracle simulates (:func:`rcds.oracle_truth`), and so the estimand the
+oracle checks.
+
+One positivity floor holds for every weight: a decision month early (gap
+below lo) or due (gap at hi) under some strategy of the grid needs 1 - p,
+or p, of at least ``PROB_FLOOR``, the early months checked first.
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cohort import baseline_design
 from .errors import ConfigError, PositivityViolation, SeparationError
 from .glm import (BINOMIAL_LOGIT, DesignMatrix, _on_support, constant_columns,
-                  fit_glm, logistic, predict, rcs_basis)
+                  fit_glm, logistic, rcs_basis)
 from .strategies import WindowCells, accumulate, window_bounds
 
 PROB_FLOOR = 1e-6
@@ -78,16 +86,6 @@ class MonitorFeatureSpec:
         if self.gap_cap > MAX_GAP_CAP:
             raise ConfigError(f"gap_cap must be at most {MAX_GAP_CAP}, got "
                               f"{self.gap_cap}")
-
-
-@dataclass
-class MonitorModel:
-    """Fitted monitoring-probability model with its feature bookkeeping."""
-
-    fit: object
-    spec: MonitorFeatureSpec
-    marker_knots: np.ndarray | None
-    dropped: tuple = ()  # declared columns constant over the fitted rows
 
 
 def _marker_knots(spec, marker):
@@ -193,13 +191,18 @@ class MonitorDesign:
     monitored: np.ndarray
     subject: np.ndarray
 
-    def probabilities(self, model):
-        """Fitted P(monitor = 1) of ``model`` at every decision month."""
-        return logistic(_without(self.matrix, model.dropped).X @ model.fit.coef)
+    def dropped(self, fit):
+        """The declared columns that ``fit``, a :func:`fit_monitor_model`,
+        dropped as constant over its rows."""
+        return tuple(c for c in self.matrix.columns if c not in fit.columns)
 
-    def log_likelihood(self, model):
-        """Log-likelihood of the decisions, unweighted, under ``model``."""
-        p = self.probabilities(model)
+    def probabilities(self, fit):
+        """Fitted P(monitor = 1) of ``fit`` at every decision month."""
+        return logistic(_without(self.matrix, self.dropped(fit)).X @ fit.coef)
+
+    def log_likelihood(self, fit):
+        """Log-likelihood of the decisions, unweighted, under ``fit``."""
+        p = self.probabilities(fit)
         return float(np.sum(np.log(np.where(self.monitored, p, 1.0 - p))))
 
 
@@ -224,9 +227,11 @@ def fit_monitor_model(design, multiplicity=None, start=None):
     ``multiplicity`` carries per-subject bootstrap counts as case weights;
     the fit runs on the decision months of subjects with a positive count.
     ``start`` warm-starts IRLS from coefficients of the design's columns.
-    The declared features constant over the fitted months leave before the
-    first step, named in ``MonitorModel.dropped``, and the fit then starts
-    cold; a :class:`RankError` is then genuine collinearity. Raises
+    Returns the :class:`rcds.glm.GlmFit`, whose probabilities at every
+    decision month are :meth:`MonitorDesign.probabilities`. The declared
+    features constant over the fitted months leave before the first step
+    (:meth:`MonitorDesign.dropped`), and the fit then starts cold; a
+    :class:`RankError` is then genuine collinearity. Raises
     :class:`SeparationError` when the decision is degenerate or, by an
     exact certificate (:func:`_separation_stop`), separated; a fit that
     converges is never refused.
@@ -244,47 +249,52 @@ def fit_monitor_model(design, multiplicity=None, start=None):
     dropped = constant_columns(matrix)
     if dropped:
         matrix, start = _without(matrix, dropped), None
-    fit = fit_glm(matrix, mon.astype(np.float64), BINOMIAL_LOGIT,
-                  start=start, stop=_separation_stop(matrix, mon))
-    return MonitorModel(fit=fit, spec=design.spec, marker_knots=design.knots,
-                        dropped=dropped)
+    return fit_glm(matrix, mon.astype(np.float64), BINOMIAL_LOGIT,
+                   start=start, stop=_separation_stop(matrix, mon))
 
 
-def decision_probabilities(model, cohort):
-    """Fitted P(monitor = 1) at every decision month of a cohort."""
-    design = _monitor_design(WindowCells(cohort), model.spec,
-                             model.marker_knots)
-    return predict(model.fit, _without(design, model.dropped))
-
-
-def _check_floor(cohort, bad, subject, t, what):
-    """Raise :class:`PositivityViolation` for the months ``bad`` marks among
-    months of the given subject indices and times, in row order: their
-    count and the first 20 offenders."""
-    if np.any(bad):
-        rows = [(cohort.subject_ids[s], int(u))
-                for s, u in zip(subject[bad][:20], t[bad][:20])]
-        raise PositivityViolation(
-            f"{int(bad.sum())} person-months have fitted probability of "
-            f"{what} below {PROB_FLOOR:g}; first offenders: {rows}",
-            rows=rows,
-        )
+def _check_floor(cohort, p, early, due, subject, t):
+    """Raise :class:`PositivityViolation` unless 1 - p in the ``early``
+    months, checked first, and p in the ``due`` ones are at the floor or
+    above, naming the count of months below it and the first 20 in row order
+    by their ``subject`` indices and times ``t``."""
+    for bad, what in zip(((1.0 - p < PROB_FLOOR) & early,
+                          (p < PROB_FLOOR) & due), FLOOR_CHECKS):
+        if np.any(bad):
+            rows = [(cohort.subject_ids[s], int(u))
+                    for s, u in zip(subject[bad][:20], t[bad][:20])]
+            raise PositivityViolation(
+                f"{int(bad.sum())} person-months held to the floor under some "
+                f"strategy have fitted probability of {what} below "
+                f"{PROB_FLOOR:g}; first offenders: {rows}",
+                rows=rows,
+            )
 
 
 class _WeightContext:
-    """Shared per-row quantities for weight-factor construction."""
+    """Shared per-row quantities for weight-factor construction, from the
+    probabilities ``p`` of the decision months; built once the floor rule
+    holds over the months early or due under some strategy of ``grid``."""
 
-    def __init__(self, cohort, model):
+    def __init__(self, cohort, p, grid):
         self.cohort = cohort
-        prev_last, prev_ovr, gap = cohort.prev_state()
-        self.prev_last = prev_last
-        self.prev_ovr = prev_ovr
-        self.gap = gap
+        self.prev_last, self.prev_ovr, self.gap = cohort.prev_state()
         self.decision = cohort.decision_rows()
         self.monitored = cohort.monitor == 1
         self.subject = cohort.subject_index_per_row()
         self.p1 = np.full(cohort.n_rows, np.nan)
-        self.p1[self.decision] = decision_probabilities(model, cohort)
+        self.p1[self.decision] = p
+        early = due = False
+        for s in grid:
+            e, d = self.held(s)
+            early, due = early | e, due | d
+        _check_floor(cohort, self.p1, early, due, self.subject, cohort.t)
+
+    def held(self, strategy):
+        """The early (gap below lo) and due (gap at hi) decision months of
+        one strategy."""
+        lo, hi = window_bounds(strategy, self.prev_last, self.prev_ovr)
+        return self.decision & (self.gap < lo), self.decision & (self.gap == hi)
 
     def scatter(self, flat, fill):
         """Spread a flat per-row array into a dense (n_subjects, K+1) matrix."""
@@ -303,12 +313,7 @@ def _censoring_factor_paths(ctx, strategy):
     Trajectories impossible under the within-window regime get weight zero
     from the offending month on.
     """
-    lo, hi = window_bounds(strategy, ctx.prev_last, ctx.prev_ovr)
-    early = ctx.decision & (ctx.gap < lo)
-    due = ctx.decision & (ctx.gap == hi)
-    for bad, what in zip((early & (1.0 - ctx.p1 < PROB_FLOOR),
-                          due & (ctx.p1 < PROB_FLOOR)), FLOOR_CHECKS):
-        _check_floor(ctx.cohort, bad, ctx.subject, ctx.cohort.t, what)
+    early, due = ctx.held(strategy)
     factor = np.ones(ctx.cohort.n_rows)
     m = early & ~ctx.monitored
     factor[m] = 1.0 / (1.0 - ctx.p1[m])
@@ -319,9 +324,10 @@ def _censoring_factor_paths(ctx, strategy):
     return np.multiply.accumulate(ctx.scatter(factor, 1.0), axis=1)
 
 
-def clone_horizon_weights(cohort, model, grid):
-    """(n_subjects, n_strategies) weights at the horizon month."""
-    ctx = _WeightContext(cohort, model)
+def clone_horizon_weights(cohort, p, grid):
+    """(n_subjects, n_strategies) weights at the horizon month, given the
+    visit probability ``p`` of every decision month."""
+    ctx = _WeightContext(cohort, p, grid)
     out = np.empty((cohort.n_subjects, len(grid)))
     for j, s in enumerate(grid):
         out[:, j] = _censoring_factor_paths(ctx, s)[:, -1]
@@ -347,11 +353,12 @@ class CensoringWeightPlan:
     cumulative sum, and one exponential per horizon cell, taken from the
     (k, n) sums by flat indices built here.
 
-    Per decision month the plan keeps the early and due masks of each side
-    and of both (bool), each side's column (the narrow type of ``jstar``)
-    and ``t`` (that of the horizon) for the floor rule; per factor row of a
-    side, its decision-month index and cell (intp), which the replicates
-    gather with, and whether it went without a visit (bool).
+    Per decision month the plan keeps whether it is early and whether it is
+    due under some strategy (bool), the months the floor rule holds, with
+    its subject (intp) and ``t`` (the type of the horizon) for the rule's
+    message; per factor row of a side, its decision-month index and cell
+    (intp), which the replicates gather with, and whether it went without a
+    visit (bool).
     """
 
     def __init__(self, cells, subject, x_idx):
@@ -359,33 +366,28 @@ class CensoringWeightPlan:
         mon, g = cells.visit, cells.gap
         self.subject, self.t = cells.subject, cells.t
         # per side, above then below: the factor rows, their cells and which
-        # went without a visit, and the early and due months with their
-        # columns for the floor rule
-        self.cells, self.sides = [], []
+        # went without a visit; over both, the early and due months
+        self.cells, self.early, self.due = [], False, False
         for on, lo, hi, column in cells.decision_sides():
             early, due = on & (g < lo), on & (g == hi)
             pos = np.flatnonzero((early & ~mon) | (due & mon))
             self.cells.append((pos, cells.keys(column, pos), ~mon[pos]))
-            self.sides.append((early, due, column))
+            self.early, self.due = self.early | early, self.due | due
         self.flat = x_idx * self.cohort.n_subjects + subject
-        # decision months held to the probability floor, under any strategy
-        (early_a, due_a, _), (early_b, due_b, _) = self.sides
-        self.early, self.due = early_a | early_b, due_a | due_b
 
     def horizon_weights(self, p):
         """The weights of the plan's horizon cells, in their order, given
         the fitted monitoring probability of every decision month, in the
         order of :meth:`MonitorDesign.probabilities`.
 
-        The positivity floor is the row-level rule of :func:`attach_weights`
-        (see :meth:`_check_floor`). Its test compares every month and masks
-        the held ones, which is faster than gathering them. Once it passes,
-        no factor is below the floor, and each side's factor log-sums
-        (:meth:`_cumulative_logs`) are made in turn.
+        The positivity floor is the rule of :func:`attach_weights`: its test
+        compares every month and masks the held ones, which is faster than
+        gathering them. Once it passes, no factor is below the floor, and
+        each side's factor log-sums (:meth:`_cumulative_logs`) are made in
+        turn.
         """
-        if (np.any((1.0 - p < PROB_FLOOR) & self.early)
-                or np.any((p < PROB_FLOOR) & self.due)):
-            self._check_floor(p)
+        _check_floor(self.cohort, p, self.early, self.due, self.subject,
+                     self.t)
         above, below = (self._cumulative_logs(p, side, reverse) for side,
                         reverse in zip(self.cells, (True, False)))
         return np.exp(-(above + below))
@@ -405,35 +407,11 @@ class CensoringWeightPlan:
             np.float64, copy=False).reshape(k, n)
         return accumulate(totals, reverse=reverse).reshape(-1).take(self.flat)
 
-    def _check_floor(self, p):
-        """The floor rule of :func:`attach_weights`, strategy by strategy
-        and early months before due ones: an above-side month reaches the
-        strategies up to its column, a below-side one those from it on."""
-        (early_a, due_a, col_a), (early_b, due_b, col_b) = self.sides
-        for j in range(len(self.grid)):
-            for above, below, low, what in zip(
-                    (early_a, due_a), (early_b, due_b),
-                    (1.0 - p < PROB_FLOOR, p < PROB_FLOOR), FLOOR_CHECKS):
-                bad = low & ((above & (j <= col_a)) | (below & (j >= col_b)))
-                _check_floor(self.cohort, bad, self.subject, self.t, what)
 
-
-@dataclass
-class WeightedExpandedDataset:
-    """Expanded dataset plus per-row cumulative IP weights."""
-
-    ds: object
-    w: np.ndarray
-    truncation: float | None
-    truncated_fraction: float
-    model: MonitorModel = field(repr=False, default=None)
-
-    def __getattr__(self, name):
-        return getattr(self.ds, name)
-
-
-def attach_weights(ds, model, truncation=None):
-    """Attach cumulative IP weights to every expanded row.
+def attach_weights(ds, p, truncation=None):
+    """Cumulative IP weights of every expanded row, given the visit
+    probability ``p`` of every decision month, and the share of them the
+    truncation cap lowered: ``(w, truncated_fraction)``.
 
     ``truncation`` caps weights at the given percentile of the at-risk
     horizon-row weight distribution, and percentile 100 leaves the weights
@@ -442,7 +420,7 @@ def attach_weights(ds, model, truncation=None):
     :class:`PositivityViolation` when a fitted probability at a
     weight-relevant month falls below the floor.
     """
-    ctx = _WeightContext(ds.cohort, model)
+    ctx = _WeightContext(ds.cohort, p, ds.grid)
     w = np.empty(ds.n_rows)
     for j, s in enumerate(ds.grid):
         paths = _censoring_factor_paths(ctx, s)
@@ -457,10 +435,7 @@ def attach_weights(ds, model, truncation=None):
             cap = np.percentile(w[at_horizon], truncation)
             truncated_fraction = float(np.mean(w > cap))
             w = np.minimum(w, cap)
-    return WeightedExpandedDataset(
-        ds=ds, w=w, truncation=truncation,
-        truncated_fraction=truncated_fraction, model=model,
-    )
+    return w, truncated_fraction
 
 
 def _summary(w, truncated_fraction):

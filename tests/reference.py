@@ -164,9 +164,10 @@ def horizon_responses(ds):
     )
 
 
-def weight_summary(wds):
-    """Distribution of weights over at-risk rows, for the run report."""
-    return _summary(wds.w[wds.ds.at_risk == 1], wds.truncated_fraction)
+def weight_summary(ds, w, truncated_fraction):
+    """Distribution of the weights ``w`` of the expanded dataset ``ds`` over
+    its at-risk rows, for the run report."""
+    return _summary(w[ds.at_risk == 1], truncated_fraction)
 
 
 def fit_horizon_rows(cohort, grid, spec, subject_idx, x_idx, response,
@@ -179,21 +180,22 @@ def fit_horizon_rows(cohort, grid, spec, subject_idx, x_idx, response,
                             subject_idx[rows])
 
 
-def _fit_at_horizon(wds, spec, response):
-    ds = wds.ds
+def _fit_at_horizon(ds, w, spec, response):
     mask = (ds.t == ds.horizon) & (ds.at_risk == 1)
     return fit_horizon_rows(ds.cohort, ds.grid, spec, ds.subject_idx[mask],
-                            ds.x_idx[mask], response[mask], wds.w[mask])
+                            ds.x_idx[mask], response[mask], w[mask])
 
 
-def fit_outcome_msm(wds, spec=MsmSpec()):
-    """Outcome MSM: weighted Poisson regression of failure at the horizon."""
-    return _fit_at_horizon(wds, spec, wds.ds.response_y)
+def fit_outcome_msm(ds, w, spec=MsmSpec()):
+    """Outcome MSM: weighted Poisson regression of failure at the horizon,
+    on the expanded dataset ``ds`` with row weights ``w``."""
+    return _fit_at_horizon(ds, w, spec, ds.response_y)
 
 
-def fit_resource_msm(wds, spec=MsmSpec()):
-    """Resource MSM: weighted log-linear regression of the measurement count."""
-    return _fit_at_horizon(wds, spec, wds.ds.response_d.astype(np.float64))
+def fit_resource_msm(ds, w, spec=MsmSpec()):
+    """Resource MSM: weighted log-linear regression of the measurement count,
+    on the expanded dataset ``ds`` with row weights ``w``."""
+    return _fit_at_horizon(ds, w, spec, ds.response_d.astype(np.float64))
 
 
 def standardize_per_threshold(fit, cohort, grid, spec=MsmSpec(),

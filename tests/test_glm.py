@@ -319,8 +319,7 @@ class TestBlockedPass:
         def estimate():
             plan = Plan(cohort, StrategyGrid.default())
             point = plan.run(None)
-            model, fit_y, fit_d = plan.fit(mult)
-            fits = (model.fit, fit_y, fit_d)
+            fits = plan.fit(mult)
             return plan, fits, point[:2] + plan.run(mult)[:2]
 
         plan, blocked, curves = estimate()
@@ -393,8 +392,8 @@ class TestStall:
                             lambda *args: tries.append(args))
         plan = Plan(cohort, StrategyGrid.default(), MsmSpec(), wopts)
         for mult in mults:
-            model, fit_y, fit_d = plan.fit(mult)
-            assert model.dropped == ()
+            fit_m, fit_y, fit_d = plan.fit(mult)
+            assert plan.monitor.dropped(fit_m) == ()
             assert fit_y.columns == fit_d.columns == plan.msm_design.columns
             assert fit_y.directions == fit_d.directions == ()
         assert not calls and not tries

@@ -31,8 +31,8 @@ from rcds.expansion import horizon_table
 from rcds.glm import BINOMIAL_LOGIT, POISSON_LOG, DesignMatrix, fit_glm, predict
 from rcds.msm import CERT_TOL, _fit_horizon_msm, _kept
 from rcds.weights import (
+    PROB_FLOOR,
     MonitorFeatureSpec,
-    WeightedExpandedDataset,
     _without,
     attach_weights,
     clone_horizon_weights,
@@ -56,16 +56,23 @@ def sim_cohort():
     return simulate_cohort(DgpParams(), 3000, seed=71)
 
 
-def monitor_model_of(cohort, spec=MonitorFeatureSpec(), multiplicity=None):
-    """The monitoring model of a cohort under ``spec``, fit with the
-    subject ``multiplicity`` (all ones for None)."""
-    return fit_monitor_model(monitor_design(cohort, spec), multiplicity)
+def probabilities_of(cohort, spec=MonitorFeatureSpec(), multiplicity=None):
+    """The visit probability of every decision month of a cohort under its
+    monitoring fit of ``spec`` with the subject ``multiplicity`` (all ones
+    for None)."""
+    design = monitor_design(cohort, spec)
+    return design.probabilities(fit_monitor_model(design, multiplicity))
+
+
+def weighted_rows(cohort, grid):
+    """The expanded dataset of a cohort and its row weights."""
+    ds = expand(cohort, grid)
+    return ds, attach_weights(ds, probabilities_of(cohort))[0]
 
 
 @pytest.fixture(scope="module")
 def weighted(sim_cohort, small_grid):
-    model = monitor_model_of(sim_cohort)
-    return attach_weights(expand(sim_cohort, small_grid), model)
+    return weighted_rows(sim_cohort, small_grid)
 
 
 def resample(cohort, seed):
@@ -79,13 +86,11 @@ def reference_point(cohort, grid, spec, wopts):
     MSMs on the horizon rows and standardize."""
     ds = expand(cohort, grid)
     if wopts.weighting == "none":
-        wds = WeightedExpandedDataset(
-            ds=ds, w=np.ones(ds.n_rows), truncation=None,
-            truncated_fraction=0.0)
+        w = np.ones(ds.n_rows)
     else:
-        model = monitor_model_of(cohort, wopts.monitor_spec)
-        wds = attach_weights(ds, model, wopts.truncation)
-    return tuple(standardize(f(wds, spec), cohort, grid, spec)
+        w, _ = attach_weights(ds, probabilities_of(cohort, wopts.monitor_spec),
+                              wopts.truncation)
+    return tuple(standardize(f(ds, w, spec), cohort, grid, spec)
                  for f in (fit_outcome_msm, fit_resource_msm))
 
 
@@ -97,9 +102,8 @@ def reference_replicate(cohort, grid, spec, wopts, mult):
     if wopts.weighting == "none":
         w = np.ones(ht.subject_idx.size)
     else:
-        model = monitor_model_of(cohort, wopts.monitor_spec, mult)
-        w = clone_horizon_weights(cohort, model, grid)[ht.subject_idx,
-                                                       ht.x_idx]
+        p = probabilities_of(cohort, wopts.monitor_spec, mult)
+        w = clone_horizon_weights(cohort, p, grid)[ht.subject_idx, ht.x_idx]
     if wopts.truncation is not None:
         w = np.minimum(w, np.percentile(
             np.repeat(w, mult[ht.subject_idx].astype(int)), wopts.truncation))
@@ -178,25 +182,43 @@ class TestPlanEquivalence:
                              ids=lambda c: f"{c}-censoring")
     def test_positivity_floor_names_offenders(self, sim_cohort, small_grid,
                                               gap_coef):
-        # one floor rule in the plan and in the row-level weights
+        # one floor rule in the plan and in the row-level weights, over the
+        # months early (the 30 case) or due (-3) under some strategy: the
+        # count is of distinct months (2573 in the -3 case), not of the
+        # months of one strategy (37)
         plan = Plan(sim_cohort, small_grid, MsmSpec(), WeightOptions())
-        model = fit_monitor_model(plan.monitor)
-        model.fit.coef = model.fit.coef.copy()
-        model.fit.coef[model.fit.columns.index("gap")] = gap_coef
+        fit = fit_monitor_model(plan.monitor)
+        fit.coef = fit.coef.copy()
+        fit.coef[fit.columns.index("gap")] = gap_coef
+        p = plan.monitor.probabilities(fit)
         with pytest.raises(PositivityViolation) as err:
-            plan.factors.horizon_weights(plan.monitor.probabilities(model))
+            plan.factors.horizon_weights(p)
         ds = expand(sim_cohort, small_grid)
         with pytest.raises(PositivityViolation) as ref:
-            attach_weights(ds, model)
+            attach_weights(ds, p)
         assert str(err.value) == str(ref.value)
         assert err.value.rows == ref.value.rows
+        prev_last, prev_ovr, gap = sim_cohort.prev_state()
+        dec = sim_cohort.decision_rows()
+        q = np.full(sim_cohort.n_rows, np.nan)
+        q[dec] = p
+        held = np.zeros(sim_cohort.n_rows, dtype=bool)
+        for s in small_grid:
+            lo, hi = reference.window_bounds(s, prev_last, prev_ovr)
+            held |= dec & ((gap < lo) if gap_coef > 0 else (gap == hi))
+        low = (1.0 - q < PROB_FLOOR) if gap_coef > 0 else (q < PROB_FLOOR)
+        count = int(np.sum(held & low))
+        assert str(err.value).startswith(f"{count} person-months held to "
+                                         "the floor under some strategy")
+        if gap_coef < 0:
+            assert count == 2573
 
 
 class TestMsmFits:
     def test_outcome_and_resource_fit(self, weighted, small_grid, sim_cohort):
         spec = MsmSpec()
-        fy = fit_outcome_msm(weighted, spec)
-        fd = fit_resource_msm(weighted, spec)
+        fy = fit_outcome_msm(*weighted, spec)
+        fd = fit_resource_msm(*weighted, spec)
         risk = standardize(fy, sim_cohort, small_grid, spec)
         usage = standardize(fd, sim_cohort, small_grid, spec)
         assert np.all((risk > 0) & (risk < 1))
@@ -204,10 +226,8 @@ class TestMsmFits:
 
     def test_single_threshold_grid_rejected(self, sim_cohort):
         grid = StrategyGrid(strategies=(StrategyGrid.default()[15],))
-        model = monitor_model_of(sim_cohort)
-        wds = attach_weights(expand(sim_cohort, grid), model)
         with pytest.raises(ConfigError):
-            fit_outcome_msm(wds, MsmSpec())
+            fit_outcome_msm(*weighted_rows(sim_cohort, grid), MsmSpec())
 
     @pytest.mark.parametrize("dgp", [{"mon_intercept": 2.5},
                                      {"mon_gap": -0.5}])
@@ -220,13 +240,11 @@ class TestMsmFits:
             Plan(cohort, small_grid)
 
     def test_all_zero_outcomes_warn_and_pin_curve(self, sim_cohort, small_grid):
-        model = monitor_model_of(sim_cohort)
-        wds = attach_weights(expand(sim_cohort, small_grid), model)
-        wds.ds.response_y[:] = np.where(
-            np.isnan(wds.ds.response_y), np.nan, 0.0)
+        ds, w = weighted_rows(sim_cohort, small_grid)
+        ds.response_y[:] = np.where(np.isnan(ds.response_y), np.nan, 0.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fit = fit_outcome_msm(wds, MsmSpec())
+            fit = fit_outcome_msm(ds, w, MsmSpec())
         assert any(issubclass(w.category, DegenerateResponse) for w in caught)
         risk = standardize(fit, sim_cohort, small_grid, MsmSpec())
         assert np.all(risk < 1e-8)
@@ -262,7 +280,7 @@ class TestStandardize:
     def test_no_baseline_terms_equals_direct_prediction(self, weighted,
                                                         sim_cohort, small_grid):
         spec = MsmSpec(baseline_terms=None)
-        fit = fit_outcome_msm(weighted, spec)
+        fit = fit_outcome_msm(*weighted, spec)
         out = standardize(fit, sim_cohort, small_grid, spec)
         knots = spec.knots_for(small_grid)
         from rcds.msm import _strategy_basis
@@ -277,7 +295,7 @@ class TestStandardize:
                                                           sim_cohort,
                                                           small_grid):
         spec = MsmSpec()
-        fit = fit_outcome_msm(weighted, spec)
+        fit = fit_outcome_msm(*weighted, spec)
         out = standardize(fit, sim_cohort, small_grid, spec)
         from rcds.cohort import baseline_design
         from rcds.msm import _strategy_basis
@@ -296,10 +314,8 @@ class TestStandardize:
         cohort = simulate_cohort(DgpParams(dropout_hazard=0.0), 1, seed=2)
         # standardizing over one subject equals that subject's prediction
         big = simulate_cohort(DgpParams(), 2000, seed=74)
-        model = monitor_model_of(big)
-        wds = attach_weights(expand(big, small_grid), model)
         spec = MsmSpec(baseline_terms=None)
-        fit = fit_outcome_msm(wds, spec)
+        fit = fit_outcome_msm(*weighted_rows(big, small_grid), spec)
         one = standardize(fit, cohort, small_grid, spec)
         full = standardize(fit, big, small_grid, spec)
         assert np.allclose(one, full, rtol=1e-12)  # no baseline terms
@@ -307,7 +323,7 @@ class TestStandardize:
     def test_curve_continuity_in_x(self, weighted, sim_cohort):
         # evaluate the fitted spline on a dense grid: adjacent values close
         spec = MsmSpec()
-        fit = fit_outcome_msm(weighted, spec)
+        fit = fit_outcome_msm(*weighted, spec)
         dense = StrategyGrid.default(x_step=1.0)
         vals = standardize(fit, sim_cohort, dense, spec)
         steps = np.abs(np.diff(vals))
@@ -497,9 +513,10 @@ class TestReplicateEngine:
                                                  replicate):
         mult = resample(sim_cohort, 41) if replicate else None
         plan = Plan(sim_cohort, small_grid)
-        w, model, _ = plan._horizon_weights(mult)
+        w, fit, _ = plan._horizon_weights(mult)
         ht = plan.ht
-        want = clone_horizon_weights(sim_cohort, model, small_grid)[
+        want = clone_horizon_weights(
+            sim_cohort, plan.monitor.probabilities(fit), small_grid)[
             ht.subject_idx, ht.x_idx]
         if replicate:
             want = want * mult[ht.subject_idx]
@@ -590,20 +607,21 @@ class TestZeroWeightRowsLeaveFits:
     def test_monitor_fit(self, case):
         name, cohort, _, mult = case
         design = monitor_design(cohort)
-        model = fit_monitor_model(design, mult)
-        want = zero_weight_monitor_fit(design, mult, model.dropped)
-        assert_same_fit(model.fit, want)
-        assert model.dropped == (("override",) if name == "no-override"
-                                 else ())
+        fit = fit_monitor_model(design, mult)
+        want = zero_weight_monitor_fit(design, mult, design.dropped(fit))
+        assert_same_fit(fit, want)
+        assert design.dropped(fit) == (("override",) if name == "no-override"
+                                       else ())
 
     def test_replicate_fits_and_curves(self, case):
         name, cohort, grid, mult = case
         plan = Plan(cohort, grid)
         plan.run(None)  # warm starts, as in the bootstrap
-        model, fit_y, fit_d = plan.fit(mult)
-        assert_same_fit(model.fit, zero_weight_monitor_fit(
-            plan.monitor, mult, model.dropped,
-            start=None if model.dropped else plan.starts[0]))
+        fit_m, fit_y, fit_d = plan.fit(mult)
+        dropped = plan.monitor.dropped(fit_m)
+        assert_same_fit(fit_m, zero_weight_monitor_fit(
+            plan.monitor, mult, dropped,
+            start=None if dropped else plan.starts[0]))
         w, _, _ = plan._horizon_weights(mult)
         for fit, response, start in ((fit_y, plan.ht.y, plan.starts[1]),
                                      (fit_d, plan.ht.d, plan.starts[2])):
@@ -629,14 +647,15 @@ class TestMonitorDesign:
         ever = np.bincount(sub, weights=sim_cohort.override_flag,
                            minlength=sim_cohort.n_subjects) > 0
         mult = np.where(ever, 0.0, 1.0)
-        model = monitor_model_of(sim_cohort, multiplicity=mult)
-        assert model.dropped == ("override",)
-        assert "override" not in model.fit.columns
+        design = monitor_design(sim_cohort)
+        want = fit_monitor_model(design, mult)
+        assert design.dropped(want) == ("override",)
+        assert "override" not in want.columns
         plan = Plan(sim_cohort, small_grid)
         plan.run(None)  # a warm start for the full design, not for this one
-        fit = plan.fit(mult)[0].fit
-        assert fit.columns == model.fit.columns
-        assert np.array_equal(fit.coef, model.fit.coef)
+        fit = plan.fit(mult)[0]
+        assert fit.columns == want.columns
+        assert np.array_equal(fit.coef, want.coef)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_constant_columns_match_row_scan(self, sim_cohort, seed):
@@ -661,14 +680,14 @@ class TestMonitorDesign:
                 mult[~keep] = 0.0
                 mult[keep & (mult == 0)] = 1.0
             try:
-                got = fit_monitor_model(design, mult).dropped
+                got = design.dropped(fit_monitor_model(design, mult))
             except RcdsError:
                 continue
             rows = dataclasses.replace(design.matrix,
                                        weights=mult[design.subject])
             assert got == reference.constant_columns(rows)
             dropped.update(got)
-        assert fit_monitor_model(design).dropped == \
+        assert design.dropped(fit_monitor_model(design)) == \
             reference.constant_columns(design.matrix)
         assert {f"calendar=era{era}", "sex=male", "override"} <= dropped
 
@@ -683,7 +702,7 @@ class TestMonitorDesign:
         plan = bootstrap_pipeline(cohort, grid, MsmSpec(),
                                   WeightOptions(), B=3,
                                   seed=7)
-        assert plan.monitor_model.dropped == ("marker",)
+        assert plan.monitor.dropped(plan.monitor_model) == ("marker",)
         assert plan.table.n_failed == 0
 
 
@@ -713,7 +732,7 @@ class TestBootstrap:
     def test_monitor_model_varies_across_replicates(self, sim_cohort,
                                                     small_grid):
         plan = Plan(sim_cohort, small_grid)
-        coefs = [plan.fit(resample(sim_cohort, seed))[0].fit.coef
+        coefs = [plan.fit(resample(sim_cohort, seed))[0].coef
                  for seed in range(3)]
         assert not np.allclose(coefs[0], coefs[1])
         assert not np.allclose(coefs[1], coefs[2])

@@ -14,7 +14,6 @@ from rcds import (
     DgpParams,
     GlmFit,
     MonitorFeatureSpec,
-    MonitorModel,
     PositivityViolation,
     SeparationError,
     StrategyGrid,
@@ -37,7 +36,6 @@ from rcds.weights import (
     _summary,
     _without,
     clone_horizon_weights,
-    decision_probabilities,
     monitor_design,
 )
 
@@ -61,7 +59,8 @@ LINEAR_SPEC = MonitorFeatureSpec(marker="linear", gap="linear", override=True)
 
 
 def dgp_monitor_model(p, spec):
-    """The DGP's own monitoring law as a MonitorModel on a linear-gap spec."""
+    """The DGP's own monitoring law as a monitoring fit on a linear-gap
+    spec."""
     coef = {"intercept": p.mon_intercept, "marker": p.mon_marker,
             "gap": p.mon_gap, "override": p.mon_override}
     columns = ["intercept"]
@@ -70,9 +69,14 @@ def dgp_monitor_model(p, spec):
     columns.append("gap")
     if spec.override:
         columns.append("override")
-    fit = GlmFit(coef=np.array([coef[c] for c in columns]), columns=columns,
-                 family="binomial_logit", iterations=0, cond=1.0)
-    return MonitorModel(fit=fit, spec=spec, marker_knots=None)
+    return GlmFit(coef=np.array([coef[c] for c in columns]), columns=columns,
+                  family="binomial_logit", iterations=0, cond=1.0)
+
+
+def probabilities(fit, cohort, spec=LINEAR_SPEC):
+    """The visit probability of ``fit`` at every decision month of a
+    cohort, under the monitoring design of ``spec``."""
+    return monitor_design(cohort, spec).probabilities(fit)
 
 
 def fit_on(cohort, spec=MonitorFeatureSpec()):
@@ -81,10 +85,10 @@ def fit_on(cohort, spec=MonitorFeatureSpec()):
     return design, fit_monitor_model(design)
 
 
-def fisher_information(design, model):
+def fisher_information(design, fit):
     """X'diag(p(1 - p))X of the monitoring design at the fitted p."""
-    X = _without(design.matrix, model.dropped).X
-    p = design.probabilities(model)
+    X = _without(design.matrix, design.dropped(fit)).X
+    p = design.probabilities(fit)
     return (X * (p * (1 - p))[:, None]).T @ X
 
 
@@ -93,10 +97,10 @@ class TestFitMonitorModel:
         p = DgpParams(mon_intercept=0.0, mon_marker=0.0, mon_gap=0.0,
                       mon_override=0.0)
         cohort = simulate_cohort(p, 3000, seed=31)
-        design, model = fit_on(cohort, LINEAR_SPEC)
-        coef = model.fit.coef
+        design, fit = fit_on(cohort, LINEAR_SPEC)
+        coef = fit.coef
         se = np.sqrt(np.diag(np.linalg.inv(fisher_information(design,
-                                                              model))))
+                                                              fit))))
         assert abs(coef[0]) < 3 * se[0]
         for k in range(1, coef.size):
             assert abs(coef[k]) < 3.5 * se[k]
@@ -106,25 +110,25 @@ class TestFitMonitorModel:
         # the Fisher information at the fit
         p = DgpParams()
         cohort = simulate_cohort(p, 20_000, seed=32)
-        design, model = fit_on(cohort, LINEAR_SPEC)
-        assert model.fit.columns == ["intercept", "marker", "gap", "override"]
+        design, fit = fit_on(cohort, LINEAR_SPEC)
+        assert fit.columns == ["intercept", "marker", "gap", "override"]
         truth = np.array([p.mon_intercept, p.mon_marker, p.mon_gap,
                           p.mon_override])
-        info = fisher_information(design, model)
-        err = model.fit.coef - truth
+        info = fisher_information(design, fit)
+        err = fit.coef - truth
         stat = err @ info @ err
         assert stat < chi2.ppf(0.99, df=4), (
-            f"Wald statistic {stat:.2f}: fitted {model.fit.coef} vs {truth}"
+            f"Wald statistic {stat:.2f}: fitted {fit.coef} vs {truth}"
         )
 
     def test_log_likelihood_matches_scipy(self, sim_cohort):
         # the value weights.yaml reports, against scipy's zero-safe xlogy
-        design, model = fit_on(sim_cohort)
+        design, fit = fit_on(sim_cohort)
         y = design.monitored.astype(float)
-        want = scipy_log_likelihood(y, design.probabilities(model),
+        want = scipy_log_likelihood(y, design.probabilities(fit),
                                     np.ones(y.size), BINOMIAL_LOGIT)
-        assert design.log_likelihood(model) == pytest.approx(want, rel=1e-12,
-                                                             abs=0)
+        assert design.log_likelihood(fit) == pytest.approx(want, rel=1e-12,
+                                                           abs=0)
 
     def test_all_monitored_cohort_raises_separation(self):
         p = DgpParams(mon_intercept=10.0, mon_marker=0.0, mon_gap=0.0,
@@ -187,23 +191,23 @@ class TestFitMonitorModel:
         cohort = simulate_cohort(
             DgpParams(mon_intercept=-15.5, mon_marker=0.02), 1000, seed=1)
         plan = analyze_cohort(cohort, StrategyGrid.default())
-        fit = plan.monitor_model.fit
+        fit = plan.monitor_model
         assert fit.iterations < DEFAULT_MAX_ITER and fit.coef[0] < -15
 
 
 class TestWeightAlgebra:
     def test_telescoping_row_exact(self, fixture_cohort):
         grid = StrategyGrid.default(x_step=60)
-        _, model = fit_on(fixture_cohort, LINEAR_SPEC)
+        design, fit = fit_on(fixture_cohort, LINEAR_SPEC)
         ds = expand(fixture_cohort, grid)
-        wds = attach_weights(ds, model)
+        p = design.probabilities(fit)
+        weights, _ = attach_weights(ds, p)
         probs = np.full(fixture_cohort.n_rows, np.nan)
-        probs[fixture_cohort.decision_rows()] = decision_probabilities(
-            model, fixture_cohort)
+        probs[fixture_cohort.decision_rows()] = p
         for i in range(fixture_cohort.n_subjects):
             for j in range(len(grid)):
                 rows = np.flatnonzero((ds.subject_idx == i) & (ds.x_idx == j))
-                w = wds.w[rows]
+                w = weights[rows]
                 f = self._factors(fixture_cohort, grid[j], probs, i,
                                   ds.t[rows])
                 for k in range(1, w.size):
@@ -244,10 +248,10 @@ class TestWeightAlgebra:
         cohort = simulate_cohort(p, 800, seed=77)
         grid = StrategyGrid.default(x_step=100, window_below=(3, 3),
                                     window_above=(9, 9), override_window=(3, 3))
-        _, model = fit_on(cohort, LINEAR_SPEC)
-        cen = clone_horizon_weights(cohort, model, grid)
+        design, fit = fit_on(cohort, LINEAR_SPEC)
+        p1 = design.probabilities(fit)
+        cen = clone_horizon_weights(cohort, p1, grid)
         dec = cohort.decision_rows()
-        p1 = decision_probabilities(model, cohort)
         factor = np.ones(cohort.n_rows)
         factor[dec] = 1.0 / np.where(cohort.monitor[dec] == 1, p1, 1.0 - p1)
         inverse = np.multiply.reduceat(factor, cohort.offsets[:-1])
@@ -259,22 +263,24 @@ class TestWeightAlgebra:
 
     def test_truncation_at_100_is_identity(self, sim_cohort):
         grid = StrategyGrid.default(x_step=60)
-        _, model = fit_on(sim_cohort, LINEAR_SPEC)
+        design, fit = fit_on(sim_cohort, LINEAR_SPEC)
         ds = expand(sim_cohort, grid)
-        plain = attach_weights(ds, model)
-        capped = attach_weights(ds, model, truncation=100.0)
-        assert np.array_equal(plain.w, capped.w)
-        assert capped.truncated_fraction == 0.0
+        plain, _ = attach_weights(ds, design.probabilities(fit))
+        capped, lowered = attach_weights(ds, design.probabilities(fit),
+                                         truncation=100.0)
+        assert np.array_equal(plain, capped)
+        assert lowered == 0.0
 
     def test_truncation_caps_and_reports(self, sim_cohort):
         grid = StrategyGrid.default(x_step=60)
-        _, model = fit_on(sim_cohort, LINEAR_SPEC)
+        design, fit = fit_on(sim_cohort, LINEAR_SPEC)
         ds = expand(sim_cohort, grid)
-        plain = attach_weights(ds, model)
-        capped = attach_weights(ds, model, truncation=95.0)
-        assert capped.w.max() < plain.w.max()
-        assert capped.truncated_fraction > 0.0
-        assert np.all(capped.w <= plain.w)
+        plain, _ = attach_weights(ds, design.probabilities(fit))
+        capped, lowered = attach_weights(ds, design.probabilities(fit),
+                                         truncation=95.0)
+        assert capped.max() < plain.max()
+        assert lowered > 0.0
+        assert np.all(capped <= plain)
 
     def test_stabilized_decision_mean_near_one(self):
         # E[W] = 1 for the censoring weights of every strategy; with a unit
@@ -302,13 +308,13 @@ class TestWeightAlgebra:
                 rows=rows, outcome_y=0.0, followup_end=K,
                 end_reason="administrative_end", horizon=K))
         cohort = from_records(recs, FIXTURE_SCHEMA, K)
-        model = dgp_monitor_model(DgpParams(), LINEAR_SPEC)
-        p1 = decision_probabilities(model, cohort)
+        p1 = probabilities(dgp_monitor_model(DgpParams(), LINEAR_SPEC),
+                           cohort)
         visited = cohort.monitor[cohort.decision_rows()] == 1
         prob = np.where(visited, p1, 1.0 - p1).reshape(-1, K).prod(axis=1)
         grid = StrategyGrid.default(x_step=50, window_below=(1, 2),
                                     window_above=(2, 4))
-        w = clone_horizon_weights(cohort, model, grid)
+        w = clone_horizon_weights(cohort, p1, grid)
         assert w.max() > 100  # heavy-tailed, as in a long cohort
         for j in range(len(grid)):
             assert abs(np.sum(prob * w[:, j]) - 1.0) < 1e-12, grid.xs[j]
@@ -323,26 +329,26 @@ class TestWeightAlgebra:
                       dropout_hazard=0.0)
         cohort = simulate_cohort(p, 300, seed=66)
         spec = MonitorFeatureSpec(marker="none", gap="linear", override=False)
-        model = dgp_monitor_model(p, spec)
+        p1 = probabilities(dgp_monitor_model(p, spec), cohort, spec)
         window = (2, 7)
         _, _, gap = cohort.prev_state()
         visits = cohort.decision_rows() & (cohort.monitor == 1)
         assert np.all((gap[visits] >= window[0]) & (gap[visits] <= window[1]))
         grid = StrategyGrid(strategies=(
             ThresholdStrategy(300.0, window, window, window),))
-        w = clone_horizon_weights(cohort, model, grid)
+        w = clone_horizon_weights(cohort, p1, grid)
         full = cohort.followup_end == cohort.horizon
         assert np.allclose(w[full, 0], 1.0, atol=1e-3)
 
     def test_positivity_floor_raises(self, fixture_cohort):
         grid = StrategyGrid.default(x_step=100)
-        _, model = fit_on(fixture_cohort, LINEAR_SPEC)
-        model.fit.coef = model.fit.coef.copy()
-        k = model.fit.columns.index("gap")
-        model.fit.coef[k] = 30.0  # drives required-visit probabilities to ~1
+        design, fit = fit_on(fixture_cohort, LINEAR_SPEC)
+        fit.coef = fit.coef.copy()
+        k = fit.columns.index("gap")
+        fit.coef[k] = 30.0  # drives required-visit probabilities to ~1
         ds = expand(fixture_cohort, grid)
         with pytest.raises(PositivityViolation) as err:
-            attach_weights(ds, model)
+            attach_weights(ds, design.probabilities(fit))
         assert err.value.rows
 
 
@@ -358,8 +364,9 @@ class TestSummaries:
         plan = analyze_cohort(sim_cohort, grid,
                               wopts=WeightOptions(truncation=truncation))
         ht = plan.ht
-        w = clone_horizon_weights(sim_cohort, plan.monitor_model,
-                                  grid)[ht.subject_idx, ht.x_idx]
+        w = clone_horizon_weights(
+            sim_cohort, plan.monitor.probabilities(plan.monitor_model),
+            grid)[ht.subject_idx, ht.x_idx]
         lowered = 0.0
         if truncation is not None:
             cap = np.percentile(w, truncation)
@@ -387,7 +394,8 @@ class TestSummaries:
         cohort = simulate_cohort(DgpParams(), 4000, seed=7)
         grid = StrategyGrid.default()
         plan = analyze_cohort(cohort, grid)
-        w = clone_horizon_weights(cohort, plan.monitor_model, grid)
+        w = clone_horizon_weights(
+            cohort, plan.monitor.probabilities(plan.monitor_model), grid)
         months = horizon_matrix(cohort, grid)
         full = (cohort.followup_end == cohort.horizon)[:, None]
         positive = int(np.sum((w > 0) & (months > cohort.horizon) & full))
@@ -397,7 +405,7 @@ class TestSummaries:
 
     def test_no_run_builds_row_level_weights(self, sim_cohort, monkeypatch):
         # the plan's horizon weights are the only ones a run computes; the
-        # row-level paths serve the tests and the positivity-floor message
+        # row-level paths serve the tests
         def row_level(ctx, strategy):
             raise AssertionError("row-level factor paths built")
 
@@ -412,17 +420,19 @@ class TestSummaries:
 
     def test_one_percentile_pass_equals_separate_calls(self, sim_cohort):
         grid = StrategyGrid.default(x_step=50)
-        wds = attach_weights(expand(sim_cohort, grid), fit_on(sim_cohort)[1])
-        w = wds.w[wds.ds.at_risk == 1]
+        design, fit = fit_on(sim_cohort)
+        ds = expand(sim_cohort, grid)
+        w, _ = attach_weights(ds, design.probabilities(fit))
+        w = w[ds.at_risk == 1]
         s = _summary(w, 0.0)
         assert (s["p25"], s["median"], s["p75"], s["p99"]) == tuple(
             float(np.percentile(w, q)) for q in (25, 50, 75, 99))
 
     def test_weight_summary_fields(self, sim_cohort):
         grid = StrategyGrid.default(x_step=100)
-        _, model = fit_on(sim_cohort, LINEAR_SPEC)
-        wds = attach_weights(expand(sim_cohort, grid), model)
-        s = weight_summary(wds)
+        design, fit = fit_on(sim_cohort, LINEAR_SPEC)
+        ds = expand(sim_cohort, grid)
+        s = weight_summary(ds, *attach_weights(ds, design.probabilities(fit)))
         assert s["n"] > 0
         assert s["min"] <= s["median"] <= s["max"]
         assert set(s) == {"n", "min", "p25", "median", "mean", "p75", "p99",
@@ -464,25 +474,23 @@ def crossing_cases(draw):
     coef = [draw(st.floats(-1.0, 1.0)), draw(st.floats(-0.004, 0.004)),
             draw(st.floats(-0.5, 0.5)), draw(st.floats(-1.0, 1.0))]
     columns = ["intercept", "marker", "gap", "override"]
-    model = MonitorModel(
-        fit=GlmFit(coef=np.array(coef), columns=columns,
-                   family="binomial_logit", iterations=0, cond=1.0),
-        spec=LINEAR_SPEC, marker_knots=None)
-    return cohort, grid, model
+    fit = GlmFit(coef=np.array(coef), columns=columns,
+                 family="binomial_logit", iterations=0, cond=1.0)
+    return cohort, grid, fit
 
 
 # the id names the one weight construction: unit numerator, censoring scheme
 @pytest.mark.parametrize("construction", ["one-censoring"])
 @given(case=crossing_cases())
 def test_crossing_index_matches_row_level(construction, case):
-    cohort, grid, model = case
-    want = clone_horizon_weights(cohort, model, grid)
+    cohort, grid, fit = case
+    p = probabilities(fit, cohort)
+    want = clone_horizon_weights(cohort, p, grid)
     # the plan weighs the clones uncensored at the horizon; every clone the
     # row-level paths zero is censored by then
     kept = horizon_matrix(cohort, grid) > cohort.horizon
     got = CensoringWeightPlan(WindowCells(cohort, grid),
-                              *np.nonzero(kept)).horizon_weights(
-        decision_probabilities(model, cohort))
+                              *np.nonzero(kept)).horizon_weights(p)
     assert got.shape == want[kept].shape
     assert not np.any(kept & (want == 0))
     assert np.array_equal(got == 0, want[kept] == 0)
@@ -539,13 +547,11 @@ def test_months_past_the_int8_range_match_the_row_level_reference():
     assert 127 < want[want <= LONG_K].max()  # a deviation past int8
     kept = horizons > LONG_K
     assert kept.sum() > 1
-    model = MonitorModel(
-        fit=GlmFit(coef=np.array([-1.5, -0.002, 0.004, 0.8]),
-                   columns=["intercept", "marker", "gap", "override"],
-                   family="binomial_logit", iterations=0, cond=1.0),
-        spec=LINEAR_SPEC, marker_knots=None)
-    got = CensoringWeightPlan(cells, *np.nonzero(kept)).horizon_weights(
-        decision_probabilities(model, cohort))
+    p = probabilities(GlmFit(coef=np.array([-1.5, -0.002, 0.004, 0.8]),
+                             columns=["intercept", "marker", "gap", "override"],
+                             family="binomial_logit", iterations=0, cond=1.0),
+                      cohort)
+    got = CensoringWeightPlan(cells, *np.nonzero(kept)).horizon_weights(p)
     np.testing.assert_allclose(
-        got, clone_horizon_weights(cohort, model, grid)[kept], rtol=1e-12,
+        got, clone_horizon_weights(cohort, p, grid)[kept], rtol=1e-12,
         atol=0)
