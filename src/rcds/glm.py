@@ -224,10 +224,13 @@ def _on_support(A, uhat):
     & Zylkin 2019); ``uhat`` only proposes its rows. c is the least-squares
     fit of ``uhat`` among the coefficients that vanish on the other rows; a
     row where the fit falls to CERT_TOL of its largest joins the others, and
-    the fit is taken again."""
+    the fit is taken again. The null space of the others has the rank
+    tolerance of :func:`rcds.msm._face`: FACE_TOL of their largest column
+    norm."""
     support = uhat > CERT_TOL * uhat.max()
     while support.any():
-        M = _null(A[~support], 1.0)
+        off = A[~support]
+        M = _null(off, np.linalg.norm(off, axis=0).max(initial=0.0))
         if not M.size:
             return None
         c = M @ np.linalg.lstsq(A[support] @ M, uhat[support], rcond=None)[0]

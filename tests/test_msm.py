@@ -30,6 +30,7 @@ from rcds.cohort import baseline_design
 from rcds.expansion import horizon_table
 from rcds.glm import BINOMIAL_LOGIT, POISSON_LOG, DesignMatrix, fit_glm, predict
 from rcds.msm import CERT_TOL, _fit_horizon_msm, _kept
+from rcds.study import COVERAGE_SPEC
 from rcds.weights import (
     PROB_FLOOR,
     MonitorFeatureSpec,
@@ -462,6 +463,39 @@ class TestBoundaryFaces:
                             last_dev, family: (beta, last_dev))
         with pytest.raises(NonConvergence, match="in 50 iterations"):
             plan.run(mult)
+
+    def test_event_free_level_of_a_point_fit_pins(self):
+        # the cohort of `rcds coverage` at seed 1 with n 300 and fail_clock
+        # -1: 5 events, all among males. The support test of the face's
+        # certificate has the face's rank tolerance, relative to the largest
+        # column norm; with an absolute one the stalled support's second
+        # singular value, 9.9e-10, passed as rank, the certificate was
+        # refused and the fit ended RANK_DEFICIENT
+        seed = int(np.random.SeedSequence(1).generate_state(3)[1])
+        cohort = simulate_cohort(DgpParams(fail_clock=-1.0), 300, seed=seed)
+        plan = analyze_cohort(cohort, StrategyGrid.default(), COVERAGE_SPEC)
+        assert plan.pinned == (("sex=female",), ())
+        assert np.all((plan.table.risk > 0) & (plan.table.risk < 1))
+
+    @pytest.mark.parametrize("features", [
+        MonitorFeatureSpec(), MonitorFeatureSpec(gap="categorical",
+                                                 gap_cap=10)],
+        ids=["linear-gap", "categorical-gap-10"])
+    def test_event_free_levels_of_a_replicate_pin(self, features):
+        # replicate 3 of a 600-subject bootstrap on the 50-step grid, which
+        # ended RANK_DEFICIENT on 'base_marker_band=ge400' under the same
+        # absolute rank tolerance
+        cohort, mult = captured(600, 6, 3)
+        plan = Plan(cohort, StrategyGrid.default(x_step=50), MsmSpec(),
+                    WeightOptions(monitor_spec=features))
+        plan.run(None)
+        _, fit_y, _ = plan.fit(mult)
+        assert set(fit_y.pinned) == {"base_marker_band=lt250",
+                                     "calendar=era0", "calendar=era3"}
+        risk, usage, pinned = plan.run(mult)
+        assert pinned
+        assert np.all((risk > 0) & (risk < 1))
+        assert np.all((usage > 0) & np.isfinite(usage))
 
     def test_small_cohort_bootstraps_fit_every_replicate(self):
         """The bootstraps of ``simulate_cohort(DgpParams(), n, seed)``, n in
