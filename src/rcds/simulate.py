@@ -106,8 +106,13 @@ class DgpParams:
                 raise ConfigError(f"{name} must be a probability, got {v}")
 
     def _check_positivity(self):
-        """Monitoring probabilities must stay interior over a plausible state box."""
-        sd_stat = self.drift_sd / max(np.sqrt(1 - self.drift_slope ** 2), 1e-9)
+        """Monitoring probabilities must stay interior over a plausible state
+        box. A huge coefficient's linear predictor is evaluated to its
+        infinite limit, which the logistic maps to exactly 0 or 1; a
+        non-finite marker range is refused by name."""
+        with np.errstate(over="ignore"):
+            sd_stat = self.drift_sd / max(np.sqrt(1 - self.drift_slope ** 2),
+                                          1e-9)
         spread = 4.0 * max(self.marker_init_sd, sd_stat)
         mean_stat = self.drift_intercept / max(1 - self.drift_slope, 1e-9)
         lo_m = min(self.marker_init_mean, mean_stat) - spread
@@ -139,14 +144,16 @@ def monitor_probability(params, last_marker, gap, override):
 
     This function is the code boundary that enforces sequential
     exchangeability: it accepts only the carried-forward marker, the months
-    elapsed since the last visit, and the override flag.
+    elapsed since the last visit, and the override flag. A linear predictor
+    that overflows is infinite, the limit the logistic maps to 0 or 1.
     """
-    logit = (
-        params.mon_intercept
-        + params.mon_marker * np.asarray(last_marker, dtype=np.float64)
-        + params.mon_gap * np.asarray(gap, dtype=np.float64)
-        + params.mon_override * np.asarray(override, dtype=np.float64)
-    )
+    with np.errstate(over="ignore"):
+        logit = (
+            params.mon_intercept
+            + params.mon_marker * np.asarray(last_marker, dtype=np.float64)
+            + params.mon_gap * np.asarray(gap, dtype=np.float64)
+            + params.mon_override * np.asarray(override, dtype=np.float64)
+        )
     return logistic(logit)
 
 
@@ -242,9 +249,10 @@ def _kernel(params, draws, decide, xs, rows=slice(None), record=None):
         detected = visit & (s.failed | s.flare)
         s.clock = np.where(reset, 0, s.clock + 1)
         Us = U[sub]
-        s.failed |= fail_u[sub, t] < logistic(params.fail_intercept
-                                              + params.fail_clock * s.clock
-                                              + params.fail_marker * Us)
+        with np.errstate(over="ignore"):  # an infinite hazard: 0 or 1
+            eta = (params.fail_intercept + params.fail_clock * s.clock
+                   + params.fail_marker * Us)
+        s.failed |= fail_u[sub, t] < logistic(eta)
         s.last = np.where(visit, Us, s.last)
         s.override = np.where(visit, detected.astype(np.int8), s.override)
         s.flare &= ~visit

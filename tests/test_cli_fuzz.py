@@ -81,10 +81,11 @@ def cohort_csv(tmp_path_factory):
     return str(tmp / "sim" / "cohort.csv")
 
 
-# a huge DGP coefficient overflows the simulator's linear predictors to inf,
-# which the logistic maps to a probability of 0 or 1; and an odd grid or DGP
-# can leave a run with no event at the horizon, a curve pinned at zero
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# no value makes numpy warn: a huge DGP coefficient's linear predictor is
+# evaluated to its infinite limit, which the logistic maps to 0 or 1; and an
+# odd grid or DGP can leave a run with no event at the horizon, a curve
+# pinned at zero
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore::rcds.errors.DegenerateResponse")
 @pytest.mark.parametrize("mode", sorted(MODE_KEYS))
 def test_no_config_value_reaches_a_program_fault(tmp_path, cohort_csv,
