@@ -558,16 +558,22 @@ def write_csv(path, header, rows):
 
 
 def report_to_csv(table, path, selection=None):
-    """Table-style report, rows ordered by descending threshold."""
+    """Table-style report, rows ordered by descending threshold. The
+    bootstrap standard errors are empty cells without a bootstrap, and
+    ``n_atrisk`` is a whole number."""
     feasible = [""] * table.xs.size
     if selection is not None:
         fset = set(float(v) for v in selection.feasible_x)
         feasible = [1 if float(x) in fset else 0 for x in table.xs]
     columns = (table.xs, table.risk, table.risk_lo, table.risk_hi,
                table.usage, table.usage_lo, table.usage_hi)
+    se = [np.full(table.xs.size, np.nan) if c is None else c
+          for c in (table.risk_se, table.usage_se)]
     write_csv(path, ["x", "risk", "risk_lo", "risk_hi", "usage", "usage_lo",
-                     "usage_hi", "feasible"],
+                     "usage_hi", "feasible", "risk_se", "usage_se",
+                     "n_atrisk"],
               ([_fmt(float(c[i])) for c in columns] + [feasible[i]]
+               + [_fmt(float(c[i])) for c in se] + [int(table.n_atrisk[i])]
                for i in np.argsort(-table.xs)))
 
 

@@ -1077,9 +1077,10 @@ def test_report_without_selection_leaves_feasible_and_intervals_blank(
         tmp_path):
     report_to_csv(point_table(), tmp_path / "report.csv")
     assert (tmp_path / "report.csv").read_bytes().decode() == (
-        "x,risk,risk_lo,risk_hi,usage,usage_lo,usage_hi,feasible\r\n"
-        "300.0,0.1,,,3.25,,,\r\n"
-        "200.0,0.05,,,5.5,,,\r\n")
+        "x,risk,risk_lo,risk_hi,usage,usage_lo,usage_hi,feasible,risk_se,"
+        "usage_se,n_atrisk\r\n"
+        "300.0,0.1,,,3.25,,,,,,10\r\n"
+        "200.0,0.05,,,5.5,,,,,,10\r\n")
 
 
 def test_report_marks_feasible_thresholds(tmp_path):
@@ -1087,9 +1088,19 @@ def test_report_marks_feasible_thresholds(tmp_path):
     t.risk_lo = np.array([0.04, np.nan])
     report_to_csv(t, tmp_path / "report.csv", selection=select(t, 4.0))
     assert (tmp_path / "report.csv").read_bytes().decode() == (
-        "x,risk,risk_lo,risk_hi,usage,usage_lo,usage_hi,feasible\r\n"
-        "300.0,0.1,,,3.25,,,1\r\n"
-        "200.0,0.05,0.04,,5.5,,,0\r\n")
+        "x,risk,risk_lo,risk_hi,usage,usage_lo,usage_hi,feasible,risk_se,"
+        "usage_se,n_atrisk\r\n"
+        "300.0,0.1,,,3.25,,,1,,,10\r\n"
+        "200.0,0.05,0.04,,5.5,,,0,,,10\r\n")
+
+
+def test_report_writes_bootstrap_standard_errors(tmp_path):
+    t = point_table()
+    t.risk_se, t.usage_se = np.array([0.01, 0.02]), np.array([0.25, 0.0])
+    t.n_atrisk = np.array([7, 12])
+    report_to_csv(t, tmp_path / "report.csv")
+    assert (tmp_path / "report.csv").read_bytes().decode().splitlines()[1:] \
+        == ["300.0,0.1,,,3.25,,,,0.02,0.0,12", "200.0,0.05,,,5.5,,,,0.01,0.25,7"]
 
 
 def test_truth_keeps_header_and_formatting(tmp_path):
