@@ -107,9 +107,8 @@ class DgpParams:
 
     def _check_positivity(self):
         """Monitoring probabilities must stay interior over a plausible state
-        box. A huge coefficient's linear predictor is evaluated to its
-        infinite limit, which the logistic maps to exactly 0 or 1; a
-        non-finite marker range is refused by name."""
+        box. A huge coefficient overflows to its infinite limit without a
+        warning; a non-finite marker range is refused by name."""
         with np.errstate(over="ignore"):
             sd_stat = self.drift_sd / max(np.sqrt(1 - self.drift_slope ** 2),
                                           1e-9)
